@@ -31,8 +31,7 @@ from .discriminators import Discriminator, score, train_step
 from .generator import (GeneratorDims, batch_log_probs, forward_states,
                         mean_nll, mle_step, policy_gradient_step,
                         sample_batch, step_logits, _sample_from_logits)
-from .numerics import (AdamState, ParamStore, RngStream, chunk_slices, pmap,
-                       sigmoid)
+from .numerics import AdamState, ParamStore, RngStream, sigmoid
 
 ODA_CAP = 1e6
 RESCALE_MODES = ("none", "oda", "bra")
@@ -81,10 +80,6 @@ def soft_update(rollout_params: ParamStore, gen_params: ParamStore,
             p.value += (1.0 - alpha) * theta
 
 
-def clone_params(params: ParamStore) -> ParamStore:
-    return params.copy()
-
-
 # ---------------------------------------------------------------------------
 # Rewards
 # ---------------------------------------------------------------------------
@@ -94,13 +89,9 @@ ScoreFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 def discriminator_score_fn(disc: Discriminator, threads: int = 1,
                            chunk: int = 2048) -> ScoreFn:
-    """Chunked eval-mode scoring; the chunk grid is fixed, so worker count
-    cannot change the result."""
-    def fn(tokens: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        slices = chunk_slices(len(tokens), chunk)
-        parts = pmap(lambda sl: score(disc, tokens[sl], labels[sl]), slices, threads)
-        return np.concatenate(parts) if parts else np.empty(0)
-    return fn
+    """Eval-mode scoring in a fixed grid of `chunk`-row batches, so the
+    worker count cannot change the result."""
+    return lambda tokens, labels: score(disc, tokens, labels, chunk, threads)
 
 
 def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
@@ -270,14 +261,27 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
     return history
 
 
+def discriminator_step(disc: Discriminator, opt: AdamState, gen_params: ParamStore,
+                       dims: GeneratorDims, train: SequenceData, idx: np.ndarray,
+                       fake_rng: RngStream, drop_rng: RngStream,
+                       clip: float) -> tuple[float, float]:
+    """One real-vs-generated update: the real rows `idx`, then as many fakes
+    under the same labels, so both classes share one condition marginal."""
+    labels = train.labels[idx]
+    fake = sample_batch(gen_params, dims, labels, train.seq_len, fake_rng)
+    targets = np.concatenate([np.ones(len(idx), dtype=np.int64),
+                              np.zeros(len(idx), dtype=np.int64)])
+    return train_step(disc, opt, np.concatenate([train.tokens[idx], fake], axis=0),
+                      np.concatenate([labels, labels]), targets, drop_rng, clip=clip)
+
+
 def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                            dims: GeneratorDims, train: SequenceData,
                            rng: RngStream, epochs: int, batch_size: int = 64,
                            lr: float = 1e-3, clip: float = 5.0,
                            opt: AdamState | None = None, start_epoch: int = 0,
                            log_cb=None) -> list[dict]:
-    """Real-vs-generated pretraining; fakes reuse the real batch's labels
-    so both classes share one condition marginal."""
+    """Real-vs-generated pretraining, one discriminator_step per batch."""
     if opt is None:
         opt = AdamState(disc.params, lr=lr)
     history: list[dict] = []
@@ -286,16 +290,9 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
         order = rng.child("order", epoch).permutation(len(train))
         losses, accs = [], []
         for b, idx in enumerate(iterate_batches(len(train), batch_size, order)):
-            real_tok = train.tokens[idx]
-            labels = train.labels[idx]
-            fake_tok = sample_batch(gen_params, dims, labels, train.seq_len,
-                                    rng.child("fake", epoch, b))
-            tokens = np.concatenate([real_tok, fake_tok], axis=0)
-            both_labels = np.concatenate([labels, labels])
-            targets = np.concatenate([np.ones(len(idx), dtype=np.int64),
-                                      np.zeros(len(idx), dtype=np.int64)])
-            loss, acc = train_step(disc, opt, tokens, both_labels, targets,
-                                   rng.child("drop", epoch, b), clip=clip)
+            loss, acc = discriminator_step(disc, opt, gen_params, dims, train, idx,
+                                           rng.child("fake", epoch, b),
+                                           rng.child("drop", epoch, b), clip)
             losses.append(loss)
             accs.append(acc)
         row = {"epoch": epoch, "d_loss": float(np.mean(losses)),
@@ -328,7 +325,7 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
     """
     sched.validate()
     if rollout_params is None:
-        rollout_params = clone_params(gen_params)  # beta starts at theta
+        rollout_params = gen_params.copy()  # beta starts at theta
     if g_opt is None:
         g_opt = AdamState(gen_params, lr=sched.g_lr)
     if d_opt is None:
@@ -356,15 +353,9 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
         d_losses, d_accs = [], []
         for d in range(sched.d_steps):
             idx = rng.child("dreal", i, d).integers(0, len(train), sched.batch_size)
-            labels = train.labels[idx]
-            fake = sample_batch(gen_params, dims, labels, train.seq_len,
-                                rng.child("dfake", i, d))
-            tokens = np.concatenate([train.tokens[idx], fake], axis=0)
-            both = np.concatenate([labels, labels])
-            targets = np.concatenate([np.ones(len(idx), dtype=np.int64),
-                                      np.zeros(len(idx), dtype=np.int64)])
-            loss, acc = train_step(disc, d_opt, tokens, both, targets,
-                                   rng.child("drop", i, d), clip=sched.clip)
+            loss, acc = discriminator_step(disc, d_opt, gen_params, dims, train, idx,
+                                           rng.child("dfake", i, d),
+                                           rng.child("drop", i, d), sched.clip)
             d_losses.append(loss)
             d_accs.append(acc)
         soft_update(rollout_params, gen_params, sched.alpha)
@@ -379,12 +370,3 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
         if on_iteration is not None:
             on_iteration(i, row, rollout_params, g_opt, d_opt)
     return history, rollout_params
-
-
-def teacher_forcing_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
-                         tokens: np.ndarray, labels: np.ndarray,
-                         clip: float = 5.0) -> float:
-    """Policy-gradient step on real text with every reward fixed at one;
-    algebraically identical to a maximum-likelihood step, which is how it
-    is computed."""
-    return mle_step(params, dims, opt, tokens, labels, clip=clip)

@@ -74,13 +74,9 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_tensors(path, expected_digest: bytes | None = None
-                 ) -> tuple[dict[str, np.ndarray], bytes]:
-    """Read all blocks; returns (tensors, stored digest).
-
-    When expected_digest is given, a mismatch means the checkpoint belongs
-    to a differently-configured run and loading refuses.
-    """
+def load_tensors(path) -> tuple[dict[str, np.ndarray], bytes]:
+    """Read all blocks; returns (tensors, stored digest). Comparing the
+    digest against the run's configuration is the caller's job."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -98,9 +94,6 @@ def load_tensors(path, expected_digest: bytes | None = None
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     digest = r.take(DIGEST_LEN)
-    if expected_digest is not None and digest != expected_digest:
-        raise CheckpointError(
-            f"{path}: checkpoint was written under a different configuration")
     n_blocks = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):

@@ -33,7 +33,7 @@ from .config import (ConfigError, RunConfig, canonical_text, config_digest,
 from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
                      decode_sequence, generate_corpus, read_corpus, read_vocab,
                      split_corpus, write_corpus, write_vocab)
-from .discriminators import KINDS, Discriminator, init_discriminator
+from .discriminators import KINDS, Discriminator, DiscriminatorConfig, init_discriminator
 from .embeddings import pretrain_embeddings
 from .evaluation import (MetricsReport, application_metrics, macro_metrics,
                          micro_metrics)
@@ -136,7 +136,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
@@ -156,7 +156,8 @@ def _csv_cell(v) -> str:
 
 
 def load_run_data(paths: RunPaths, cfg: RunConfig
-                  ) -> tuple[GrammarSpec, Vocab, SplitDataset]:
+                  ) -> tuple[GrammarSpec, Vocab, SplitDataset, bytes]:
+    """The corpus artifacts plus the config digest their checkpoints carry."""
     grammar = load_grammar(_require(paths.grammar, "advseq corpus-gen"))
     vocab = read_vocab(_require(paths.vocab, "advseq corpus-gen"))
     seq_len = cfg["corpus.seq_len"]
@@ -166,68 +167,96 @@ def load_run_data(paths: RunPaths, cfg: RunConfig
         if unknown:
             raise DataError(f"{path}: {unknown} tokens fell outside the stored vocabulary")
         splits.append(data)
-    return grammar, vocab, SplitDataset(*splits)
+    digest = config_digest(cfg, len(vocab), len(grammar.labels))
+    return grammar, vocab, SplitDataset(*splits), digest
 
 
-def run_digest(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec) -> bytes:
-    return config_digest(cfg, len(vocab), len(grammar.labels))
+def save_run_state(path: str, digest: bytes,
+                   gen: tuple[ParamStore, GeneratorDims] | None = None,
+                   rollout: ParamStore | None = None, disc: Discriminator | None = None,
+                   gopt: AdamState | None = None, dopt: AdamState | None = None,
+                   **counters: int) -> None:
+    """Write the given sections of a run in the one order every checkpoint
+    uses: generator + meta.dims | rollout. | discriminator + embed.table |
+    gopt. | dopt. | meta.<counter> (epoch or iteration)."""
+    tensors: dict[str, np.ndarray] = {}
+    if gen is not None:
+        params, dims = gen
+        tensors.update((name, p.value) for name, p in params.items())
+        tensors["meta.dims"] = np.array([[dims.vocab_size, dims.n_labels, dims.d_embed,
+                                          dims.d_hidden, dims.d_label]], dtype=np.float64)
+    if rollout is not None:
+        tensors.update((f"rollout.{name}", p.value) for name, p in rollout.items())
+    if disc is not None:
+        tensors.update((name, p.value) for name, p in disc.params.items())
+        tensors["embed.table"] = disc.embed
+    for prefix, opt in (("gopt.", gopt), ("dopt.", dopt)):
+        if opt is not None:
+            tensors.update((prefix + k, v) for k, v in opt.state_tensors().items())
+    for name, count in counters.items():
+        tensors[f"meta.{name}"] = np.array([[float(count)]])
+    save_tensors(path, tensors, digest)
 
 
-def _load_blocks(path: str, digest: bytes | None) -> dict[str, np.ndarray]:
-    """Load a checkpoint, refusing on a config-digest mismatch.
+class RunState:
+    """The sections of one checkpoint file, read once by load_run_state."""
+
+    def __init__(self, path: str, blocks: dict[str, np.ndarray]):
+        self.path = path
+        self.blocks = blocks
+
+    def tensor(self, key: str) -> np.ndarray:
+        if key not in self.blocks:
+            raise CheckpointError(f"{self.path}: missing tensor {key!r}")
+        return self.blocks[key]
+
+    def fill(self, params: ParamStore, prefix: str = "") -> ParamStore:
+        for name, p in params.items():
+            block = self.tensor(prefix + name)
+            if block.shape != p.value.shape:
+                raise CheckpointError(f"{self.path}: tensor {prefix + name!r} has shape "
+                                      f"{block.shape}, expected {p.value.shape}")
+            p.value[...] = block
+        return params
+
+    def generator(self) -> tuple[ParamStore, GeneratorDims]:
+        dims = GeneratorDims(*(int(x) for x in self.tensor("meta.dims")[0]))
+        return self.fill(init_generator_params(dims, RngStream(0, "ckpt-shape"))), dims
+
+    def discriminator(self, dcfg: DiscriminatorConfig) -> Discriminator:
+        disc = init_discriminator(dcfg, self.tensor("embed.table"),
+                                  RngStream(0, "ckpt-shape"))
+        self.fill(disc.params)
+        return disc
+
+    def adam(self, prefix: str, params: ParamStore, lr: float) -> AdamState:
+        opt = AdamState(params, lr=lr)
+        opt.load_state_tensors({k: self.tensor(prefix + k) for k in opt.state_tensors()})
+        return opt
+
+    def counter(self, name: str) -> int:
+        return int(self.tensor(f"meta.{name}")[0, 0])
+
+
+def load_run_state(path: str, digest: bytes) -> RunState:
+    """Read a checkpoint, refusing on a config-digest mismatch.
 
     A bad digest is a usage problem (checkpoint from a different
     configuration), not file corruption, so it raises CliError (exit 2)
     rather than CheckpointError (exit 4).
     """
     blocks, stored = load_tensors(path)
-    if digest is not None and stored != digest:
+    if stored != digest:
         raise CliError(f"{path} was written under a different configuration "
                        f"(digest mismatch); refusing to load")
-    return blocks
-
-
-def save_generator(path: str, params: ParamStore, dims: GeneratorDims,
-                   digest: bytes) -> None:
-    tensors = {name: p.value for name, p in params.items()}
-    tensors["meta.dims"] = np.array([[dims.vocab_size, dims.n_labels,
-                                      dims.d_embed, dims.d_hidden, dims.d_label]],
-                                    dtype=np.float64)
-    save_tensors(path, tensors, digest)
-
-
-def _params_from_blocks(template: ParamStore, blocks: dict[str, np.ndarray],
-                        path: str, prefix: str = "") -> None:
-    for name, p in template.items():
-        key = prefix + name
-        if key not in blocks:
-            raise CheckpointError(f"{path}: missing tensor {key!r}")
-        if blocks[key].shape != p.value.shape:
-            raise CheckpointError(f"{path}: tensor {key!r} has shape "
-                                  f"{blocks[key].shape}, expected {p.value.shape}")
-        p.value[...] = blocks[key]
-
-
-def load_generator(path: str, digest: bytes | None
-                   ) -> tuple[ParamStore, GeneratorDims]:
-    blocks = _load_blocks(path, digest)
-    if "meta.dims" not in blocks:
-        raise CheckpointError(f"{path}: not a generator checkpoint")
-    meta = blocks["meta.dims"][0]
-    dims = GeneratorDims(*(int(x) for x in meta))
-    params = init_generator_params(dims, RngStream(0, "ckpt-shape"))
-    _params_from_blocks(params, blocks, path)
-    return params, dims
+    return RunState(path, blocks)
 
 
 def load_or_make_embeddings(paths: RunPaths, cfg: RunConfig, vocab: Vocab,
                             train: SequenceData, digest: bytes,
                             root: RngStream) -> np.ndarray:
     if os.path.exists(paths.embeddings):
-        blocks = _load_blocks(paths.embeddings, digest)
-        if "embed.table" not in blocks:
-            raise CheckpointError(f"{paths.embeddings}: not an embedding checkpoint")
-        return blocks["embed.table"]
+        return load_run_state(paths.embeddings, digest).tensor("embed.table")
     table = pretrain_embeddings(train, len(vocab), cfg["disc.d_embed"],
                                 root.child("embed"),
                                 window=cfg["embed.window"],
@@ -235,23 +264,6 @@ def load_or_make_embeddings(paths: RunPaths, cfg: RunConfig, vocab: Vocab,
                                 epochs=cfg["embed.epochs"], lr=cfg["embed.lr"])
     save_tensors(paths.embeddings, {"embed.table": table}, digest)
     return table
-
-
-def load_discriminator(path: str, cfg: RunConfig, vocab: Vocab, kind: str,
-                       seq_len: int, n_labels: int, digest: bytes) -> Discriminator:
-    blocks = _load_blocks(path, digest)
-    if "embed.table" not in blocks:
-        raise CheckpointError(f"{path}: not a discriminator checkpoint")
-    dcfg = cfg.disc_config(len(vocab), n_labels, seq_len, kind=kind)
-    disc = init_discriminator(dcfg, blocks["embed.table"], RngStream(0, "ckpt-shape"))
-    _params_from_blocks(disc.params, blocks, path)
-    return disc
-
-
-def save_discriminator(path: str, disc: Discriminator, digest: bytes) -> None:
-    tensors = {name: p.value for name, p in disc.params.items()}
-    tensors["embed.table"] = disc.embed
-    save_tensors(path, tensors, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +300,24 @@ def cmd_corpus_gen(args) -> int:
     return EXIT_OK
 
 
-def _read_csv_rows(path: str, key: str, upto: int) -> list[dict]:
-    """Rows of a metrics CSV whose integer `key` column is <= upto."""
+def _read_csv_rows(path: str, columns: tuple[str, ...], upto: int) -> list[dict]:
+    """Rows of a metrics CSV whose integer key (first) column is <= upto.
+
+    A log this program wrote always has every column and integer keys, so
+    anything else is a corrupt artifact.
+    """
     if not os.path.exists(path):
         return []
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        for line in fh:
-            row = dict(zip(header, line.rstrip("\n").split(",")))
-            if int(row[key]) <= upto:
-                rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            for line in fh:
+                row = dict(zip(header, line.rstrip("\n").split(",")))
+                if int(row[columns[0]]) <= upto:
+                    rows.append({c: row[c] for c in columns})
+    except (KeyError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"{path}: corrupt log ({type(e).__name__}: {e})") from None
     return rows
 
 
@@ -315,8 +334,7 @@ def _append_rows(path: str, columns: tuple[str, ...], old: list[dict],
 def cmd_pretrain_g(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
-    grammar, vocab, splits = load_run_data(paths, cfg)
-    digest = run_digest(cfg, vocab, grammar)
+    grammar, vocab, splits, digest = load_run_data(paths, cfg)
     dims = cfg.generator_dims(len(vocab), len(grammar.labels))
     root = RngStream(cfg["run.seed"])
     epochs = cfg["pretrain.g_epochs"]
@@ -324,14 +342,12 @@ def cmd_pretrain_g(args) -> int:
         start = 0
         prior: list[dict] = []
         if args.resume:
-            blocks = _load_blocks(_require(paths.gen_pretrain, "advseq pretrain-g"),
-                                  digest)
-            params, dims = load_generator(paths.gen_pretrain, digest)
-            opt = AdamState(params, lr=cfg["pretrain.g_lr"])
-            opt.load_state_tensors({k[len("gopt."):]: v for k, v in blocks.items()
-                                    if k.startswith("gopt.")})
-            start = int(blocks["meta.epoch"][0, 0]) + 1
-            prior = _read_csv_rows(paths.gen_pretrain_log, "epoch", start - 1)
+            state = load_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"),
+                                   digest)
+            params, dims = state.generator()
+            opt = state.adam("gopt.", params, cfg["pretrain.g_lr"])
+            start = state.counter("epoch") + 1
+            prior = _read_csv_rows(paths.gen_pretrain_log, GPRE_COLUMNS, start - 1)
             if start >= epochs:
                 raise CliError(f"nothing to do: log is at epoch {start - 1} "
                                f"and pretrain.g_epochs = {epochs}")
@@ -348,13 +364,8 @@ def cmd_pretrain_g(args) -> int:
                                                        for r in prior))
         _append_rows(paths.gen_pretrain_log, GPRE_COLUMNS, prior, history)
         last_epoch = history[-1]["epoch"] if history else start - 1
-        tensors = {name: p.value for name, p in params.items()}
-        tensors["meta.dims"] = np.array([[dims.vocab_size, dims.n_labels,
-                                          dims.d_embed, dims.d_hidden,
-                                          dims.d_label]], dtype=np.float64)
-        tensors.update({f"gopt.{k}": v for k, v in opt.state_tensors().items()})
-        tensors["meta.epoch"] = np.array([[float(last_epoch)]])
-        save_tensors(paths.gen_pretrain, tensors, digest)
+        save_run_state(paths.gen_pretrain, digest, gen=(params, dims), gopt=opt,
+                       epoch=last_epoch)
     if history:
         last = history[-1]
         print(f"pretrained generator: epochs {start}..{last['epoch']}, "
@@ -368,13 +379,12 @@ def cmd_pretrain_g(args) -> int:
 def cmd_pretrain_d(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
-    grammar, vocab, splits = load_run_data(paths, cfg)
-    digest = run_digest(cfg, vocab, grammar)
+    grammar, vocab, splits, digest = load_run_data(paths, cfg)
     kind = args.kind or cfg["disc.kind"]
     if kind not in KINDS:
         raise CliError(f"--kind must be one of {KINDS}, got {kind!r}")
-    gen_params, dims = load_generator(
-        _require(paths.gen_pretrain, "advseq pretrain-g"), digest)
+    gen_params, dims = load_run_state(
+        _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
     root = RngStream(cfg["run.seed"])
     epochs = cfg.d_pretrain_epochs(kind)
     with RunLock(paths):
@@ -384,15 +394,12 @@ def cmd_pretrain_d(args) -> int:
         start = 0
         prior: list[dict] = []
         if args.resume:
-            disc = load_discriminator(
-                _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}"),
-                cfg, vocab, kind, cfg["corpus.seq_len"], len(grammar.labels), digest)
-            blocks = _load_blocks(paths.disc(kind), digest)
-            opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
-            opt.load_state_tensors({k[len("dopt."):]: v for k, v in blocks.items()
-                                    if k.startswith("dopt.")})
-            start = int(blocks["meta.epoch"][0, 0]) + 1
-            prior = _read_csv_rows(paths.disc_log(kind), "epoch", start - 1)
+            state = load_run_state(
+                _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}"), digest)
+            disc = state.discriminator(dcfg)
+            opt = state.adam("dopt.", disc.params, cfg["pretrain.d_lr"])
+            start = state.counter("epoch") + 1
+            prior = _read_csv_rows(paths.disc_log(kind), DPRE_COLUMNS, start - 1)
             if start >= epochs:
                 raise CliError(f"nothing to do: log is at epoch {start - 1} "
                                f"and the configured epochs = {epochs}")
@@ -405,11 +412,8 @@ def cmd_pretrain_d(args) -> int:
                                          lr=cfg["pretrain.d_lr"],
                                          opt=opt, start_epoch=start)
         _append_rows(paths.disc_log(kind), DPRE_COLUMNS, prior, history)
-        tensors = {name: p.value for name, p in disc.params.items()}
-        tensors["embed.table"] = disc.embed
-        tensors.update({f"dopt.{k}": v for k, v in opt.state_tensors().items()})
-        tensors["meta.epoch"] = np.array([[float(history[-1]["epoch"])]])
-        save_tensors(paths.disc(kind), tensors, digest)
+        save_run_state(paths.disc(kind), digest, disc=disc, dopt=opt,
+                       epoch=history[-1]["epoch"])
     last = history[-1]
     print(f"pretrained {kind} discriminator: epochs {start}..{last['epoch']}, "
           f"loss {last['d_loss']:.4f}, accuracy {last['d_acc']:.4f}")
@@ -419,36 +423,30 @@ def cmd_pretrain_d(args) -> int:
 def cmd_advtrain(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
-    grammar, vocab, splits = load_run_data(paths, cfg)
-    digest = run_digest(cfg, vocab, grammar)
+    grammar, vocab, splits, digest = load_run_data(paths, cfg)
     kind = cfg["disc.kind"]
     sched = cfg.schedule()
     root = RngStream(cfg["run.seed"])
+    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), cfg["corpus.seq_len"],
+                           kind=kind)
     with RunLock(paths):
-        disc = load_discriminator(
-            _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}"),
-            cfg, vocab, kind, cfg["corpus.seq_len"], len(grammar.labels), digest)
         if args.resume:
-            blocks = _load_blocks(
-                _require(paths.advtrain, "advseq advtrain"), digest)
-            gen_params, dims = load_generator(paths.gen_pretrain, digest)
-            _params_from_blocks(gen_params, blocks, paths.advtrain)
-            rollout_params = gen_params.copy()
-            _params_from_blocks(rollout_params, blocks, paths.advtrain, prefix="rollout.")
-            _params_from_blocks(disc.params, blocks, paths.advtrain)
-            g_opt = AdamState(gen_params, lr=sched.g_lr)
-            d_opt = AdamState(disc.params, lr=sched.d_lr)
-            g_opt.load_state_tensors({k[len("gopt."):]: v for k, v in blocks.items()
-                                      if k.startswith("gopt.")})
-            d_opt.load_state_tensors({k[len("dopt."):]: v for k, v in blocks.items()
-                                      if k.startswith("dopt.")})
-            start = int(blocks["meta.iteration"][0, 0]) + 1
+            # advtrain.ckpt holds every section, so nothing else is read
+            state = load_run_state(_require(paths.advtrain, "advseq advtrain"), digest)
+            gen_params, dims = state.generator()
+            rollout_params = state.fill(gen_params.copy(), prefix="rollout.")
+            disc = state.discriminator(dcfg)
+            g_opt = state.adam("gopt.", gen_params, sched.g_lr)
+            d_opt = state.adam("dopt.", disc.params, sched.d_lr)
+            start = state.counter("iteration") + 1
         else:
+            disc_ckpt = _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}")
+            disc = load_run_state(disc_ckpt, digest).discriminator(dcfg)
             if os.path.exists(paths.advtrain):
                 raise CliError(f"{paths.advtrain} exists; pass --resume to continue "
                                f"or remove it to start over")
-            gen_params, dims = load_generator(
-                _require(paths.gen_pretrain, "advseq pretrain-g"), digest)
+            gen_params, dims = load_run_state(
+                _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
             rollout_params = None
             g_opt = d_opt = None
             start = 0
@@ -456,27 +454,15 @@ def cmd_advtrain(args) -> int:
             raise CliError(f"nothing to do: checkpoint is at iteration {start - 1} "
                            f"and adv.iterations = {sched.iterations}")
 
-        rows = _read_csv_rows(paths.adv_metrics, "iteration", start - 1)
-        metrics_fh = open(paths.adv_metrics, "w", encoding="utf-8")
-        metrics_fh.write(",".join(ADV_COLUMNS) + "\n")
-        for row in rows:
-            metrics_fh.write(",".join(row[c] for c in ADV_COLUMNS) + "\n")
-        metrics_fh.flush()
+        rows = _read_csv_rows(paths.adv_metrics, ADV_COLUMNS, start - 1)
+        _append_rows(paths.adv_metrics, ADV_COLUMNS, rows, [])
+        metrics_fh = open(paths.adv_metrics, "a", encoding="utf-8")
 
         def on_iteration(i, row, rollout, g_o, d_o):
             metrics_fh.write(",".join(_csv_cell(row[c]) for c in ADV_COLUMNS) + "\n")
             metrics_fh.flush()
-            tensors = {name: p.value for name, p in gen_params.items()}
-            tensors["meta.dims"] = np.array([[dims.vocab_size, dims.n_labels,
-                                              dims.d_embed, dims.d_hidden,
-                                              dims.d_label]], dtype=np.float64)
-            tensors.update({f"rollout.{n}": p.value for n, p in rollout.items()})
-            tensors.update({n: p.value for n, p in disc.params.items()})
-            tensors["embed.table"] = disc.embed
-            tensors.update({f"gopt.{k}": v for k, v in g_o.state_tensors().items()})
-            tensors.update({f"dopt.{k}": v for k, v in d_o.state_tensors().items()})
-            tensors["meta.iteration"] = np.array([[float(i)]])
-            save_tensors(paths.advtrain, tensors, digest)
+            save_run_state(paths.advtrain, digest, gen=(gen_params, dims),
+                           rollout=rollout, disc=disc, gopt=g_o, dopt=d_o, iteration=i)
 
         try:
             history, _ = adversarial_train(gen_params, dims, disc, splits.train,
@@ -488,7 +474,7 @@ def cmd_advtrain(args) -> int:
                                            on_iteration=on_iteration)
         finally:
             metrics_fh.close()
-        save_generator(paths.gen_adv, gen_params, dims, digest)
+        save_run_state(paths.gen_adv, digest, gen=(gen_params, dims))
     last = history[-1] if history else {"nll_test": float("nan")}
     print(f"adversarial training done at iteration {sched.iterations - 1}; "
           f"test NLL {last['nll_test']:.4f}")
@@ -503,15 +489,14 @@ def _pick_generator(paths: RunPaths, args, digest: bytes
         path = paths.gen_adv
     else:
         path = _require(paths.gen_pretrain, "advseq pretrain-g")
-    params, dims = load_generator(path, digest)
+    params, dims = load_run_state(path, digest).generator()
     return params, dims, path
 
 
 def cmd_sample(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
-    grammar, vocab, _ = load_run_data(paths, cfg)
-    digest = run_digest(cfg, vocab, grammar)
+    _, vocab, _, digest = load_run_data(paths, cfg)
     params, dims, path = _pick_generator(paths, args, digest)
     n_labels = dims.n_labels
     if args.label is not None and not 0 <= args.label < n_labels:
@@ -540,8 +525,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
-    grammar, vocab, splits = load_run_data(paths, cfg)
-    digest = run_digest(cfg, vocab, grammar)
+    grammar, vocab, splits, digest = load_run_data(paths, cfg)
     params, dims, ckpt_path = _pick_generator(paths, args, digest)
     root = RngStream(cfg["run.seed"]).child("eval")
     settings = cfg.eval_settings()

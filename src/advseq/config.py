@@ -158,8 +158,7 @@ class RunConfig:
                              clip=self["adv.clip"])
 
     def disc_config(self, vocab_size: int, n_labels: int, seq_len: int,
-                    kind: str | None = None, use_condition: bool = True,
-                    n_out: int = 1) -> DiscriminatorConfig:
+                    kind: str | None = None) -> DiscriminatorConfig:
         return DiscriminatorConfig(kind=kind or self["disc.kind"],
                                    vocab_size=vocab_size, n_labels=n_labels,
                                    seq_len=seq_len,
@@ -168,8 +167,7 @@ class RunConfig:
                                    n_filters=self["disc.n_filters"],
                                    n_buckets=self["disc.n_buckets"],
                                    dropout=self["disc.dropout"],
-                                   l2=self["disc.l2"],
-                                   use_condition=use_condition, n_out=n_out)
+                                   l2=self["disc.l2"])
 
     def eval_settings(self) -> EvalSettings:
         return EvalSettings(epochs=self["eval.epochs"],

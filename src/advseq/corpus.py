@@ -99,14 +99,6 @@ class SequenceData:
                             np.concatenate([p.labels for p in parts], axis=0))
 
 
-def crop_pad(ids: list[int], seq_len: int) -> np.ndarray:
-    """Crop to `seq_len` tokens or right-pad with the pad id."""
-    out = np.full(seq_len, PAD_ID, dtype=np.int64)
-    kept = ids[:seq_len]
-    out[:len(kept)] = kept
-    return out
-
-
 def encode_sequences(rows: list[tuple[int, list[str]]], vocab: Vocab,
                      seq_len: int) -> tuple["SequenceData", int]:
     """Map (label, tokens) rows to padded id arrays.
@@ -211,23 +203,29 @@ def write_corpus(path, data: SequenceData, vocab: Vocab) -> None:
             fh.write(f"{int(data.labels[i])}\t{' '.join(toks)}\n")
 
 
+def _read_lines(path) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
+
+
 def read_corpus(path, vocab: Vocab, seq_len: int) -> tuple["SequenceData", int]:
     rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DataError(f"{path}: line {lineno}: expected label<TAB>tokens")
-            head, _, body = line.partition("\t")
-            try:
-                label = int(head)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad label {head!r}") from None
-            if label < 0:
-                raise DataError(f"{path}: line {lineno}: negative label")
-            rows.append((label, body.split()))
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DataError(f"{path}: line {lineno}: expected label<TAB>tokens")
+        head, _, body = line.partition("\t")
+        try:
+            label = int(head)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad label {head!r}") from None
+        if label < 0:
+            raise DataError(f"{path}: line {lineno}: negative label")
+        rows.append((label, body.split()))
     return encode_sequences(rows, vocab, seq_len)
 
 
@@ -238,8 +236,7 @@ def write_vocab(path, vocab: Vocab) -> None:
 
 
 def read_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    tokens = [line for line in _read_lines(path) if line]
     try:
         return Vocab(tokens)
     except DataError as e:

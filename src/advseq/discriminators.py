@@ -27,7 +27,8 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
-                       clip_gradients, matmul, relu, sigmoid, softmax_rows)
+                       check_finite, chunk_slices, clip_gradients, pmap, relu,
+                       sigmoid, softmax_rows)
 from .recurrent import LstmCache, lstm_cell_backward, lstm_cell_forward
 
 KINDS = ("fasttext", "cnn", "birnn")
@@ -161,8 +162,8 @@ def _cnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
                             "pooled": pooled})
         pooled_parts.append(pooled)
     s0 = np.concatenate(pooled_parts, axis=1)             # (B, widths*F)
-    t_gate = sigmoid(matmul(s0, disc.params.value("d.hw.Wt")) + disc.params.value("d.hw.bt"))
-    g_pre = matmul(s0, disc.params.value("d.hw.Wg")) + disc.params.value("d.hw.bg")
+    t_gate = sigmoid(s0 @ disc.params.value("d.hw.Wt") + disc.params.value("d.hw.bt"))
+    g_pre = s0 @ disc.params.value("d.hw.Wg") + disc.params.value("d.hw.bg")
     g_act = relu(g_pre)
     s = t_gate * g_act + (1.0 - t_gate) * s0
     return s, {"convs": cache_parts, "s0": s0, "t": t_gate, "g_pre": g_pre, "g": g_act}
@@ -177,11 +178,11 @@ def _cnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
     ds0 = ds * (1.0 - t_gate)
     da_t = dt * t_gate * (1.0 - t_gate)
     da_g = dg * (cache["g_pre"] > 0)
-    p["d.hw.Wt"].grad += matmul(s0.T, da_t)
+    p["d.hw.Wt"].grad += s0.T @ da_t
     p["d.hw.bt"].grad += da_t.sum(axis=0, keepdims=True)
-    p["d.hw.Wg"].grad += matmul(s0.T, da_g)
+    p["d.hw.Wg"].grad += s0.T @ da_g
     p["d.hw.bg"].grad += da_g.sum(axis=0, keepdims=True)
-    ds0 += matmul(da_t, p.value("d.hw.Wt").T) + matmul(da_g, p.value("d.hw.Wg").T)
+    ds0 += da_t @ p.value("d.hw.Wt").T + da_g @ p.value("d.hw.Wg").T
     offset = 0
     for part in cache["convs"]:
         w = part["w"]
@@ -298,45 +299,47 @@ def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
         head_in = np.concatenate([s, onehot], axis=1)
     else:
         head_in = s
-    logits = matmul(head_in, disc.params.value("d.head.W")) + disc.params.value("d.head.b")
+    logits = head_in @ disc.params.value("d.head.W") + disc.params.value("d.head.b")
     return logits, ForwardCache(body, head_in, drop_mask, labels)
 
 
 def backward(disc: Discriminator, cache: ForwardCache, dlogits: Tensor) -> None:
     cfg = disc.cfg
     p = disc.params
-    p["d.head.W"].grad += matmul(cache.features.T, dlogits)
+    p["d.head.W"].grad += cache.features.T @ dlogits
     p["d.head.b"].grad += dlogits.sum(axis=0, keepdims=True)
-    ds = matmul(dlogits, p.value("d.head.W").T)[:, :cfg.feature_dim()]
+    ds = (dlogits @ p.value("d.head.W").T)[:, :cfg.feature_dim()]
     if cache.drop_mask is not None:
         ds = ds * cache.drop_mask
     _BACKWARDS[cfg.kind](disc, cache.body, ds)
 
 
+def _eval_batches(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
+                  head, batch_size: int, threads: int) -> np.ndarray:
+    """head(eval-mode logits) over a fixed grid of batch_size-row batches;
+    the grid, not the worker count, decides which rows share a forward
+    pass. Non-finite logits stop here, before any caller acts on them."""
+    def one(sl: slice) -> np.ndarray:
+        logits, _ = forward(disc, tokens[sl], None if labels is None else labels[sl])
+        check_finite("discriminator logits", logits)
+        return head(logits)
+    parts = pmap(one, chunk_slices(len(tokens), batch_size), threads)
+    return np.concatenate(parts) if parts else head(np.empty((0, disc.cfg.n_out)))
+
+
 def score(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-          batch_size: int = 2048) -> np.ndarray:
+          batch_size: int = 2048, threads: int = 1) -> np.ndarray:
     """Eval-mode P(real | sequence, label) for a sigmoid head."""
     if disc.cfg.n_out != 1:
         raise ValueError("score() expects a sigmoid head; use class_probs()")
-    out = np.empty(len(tokens))
-    for start in range(0, len(tokens), batch_size):
-        sl = slice(start, start + batch_size)
-        lab = None if labels is None else labels[sl]
-        logits, _ = forward(disc, tokens[sl], lab, train=False)
-        out[sl] = sigmoid(logits[:, 0])
-    return out
+    return _eval_batches(disc, tokens, labels, lambda z: sigmoid(z[:, 0]),
+                         batch_size, threads)
 
 
 def class_probs(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None = None,
                 batch_size: int = 2048) -> np.ndarray:
     """Eval-mode class distribution for a softmax head."""
-    out = np.empty((len(tokens), disc.cfg.n_out))
-    for start in range(0, len(tokens), batch_size):
-        sl = slice(start, start + batch_size)
-        lab = None if labels is None else labels[sl]
-        logits, _ = forward(disc, tokens[sl], lab, train=False)
-        out[sl] = softmax_rows(logits)
-    return out
+    return _eval_batches(disc, tokens, labels, softmax_rows, batch_size, 1)
 
 
 def loss_and_dlogits(disc: Discriminator, logits: Tensor,
@@ -374,12 +377,4 @@ def train_step(disc: Discriminator, opt: AdamState, tokens: Tensor,
     disc.params["d.head.W"].grad += disc.cfg.l2 * disc.params.value("d.head.W")
     clip_gradients(disc.params, clip)
     adam_step(disc.params, opt)
-    return loss, acc
-
-
-def eval_loss(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-              targets: np.ndarray) -> tuple[float, float]:
-    """Eval-mode (loss, accuracy) without touching gradients."""
-    logits, _ = forward(disc, tokens, labels, train=False)
-    loss, acc, _ = loss_and_dlogits(disc, logits, targets)
     return loss, acc

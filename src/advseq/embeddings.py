@@ -85,10 +85,3 @@ def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
                       (-lr_t * g_neg[..., None] * v[:, None, :]).reshape(-1, dim))
             step += 1
     return w_in
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0:
-        return 0.0
-    return float(a @ b) / denom

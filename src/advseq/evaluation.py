@@ -30,7 +30,7 @@ import numpy as np
 
 from .corpus import PAD_ID, DataError, SequenceData
 from .discriminators import (Discriminator, DiscriminatorConfig, class_probs,
-                             init_discriminator, train_step)
+                             init_discriminator, score, train_step)
 from .embeddings import pretrain_embeddings
 from .generator import GeneratorDims, mean_nll, sample_batch
 from .numerics import AdamState, ParamStore, RngStream
@@ -96,11 +96,6 @@ def corpus_bleu_mean(samples: list[Sequence], references: list[Sequence],
     return float(np.mean([bleu(s, references, max_n=max_n) for s in samples]))
 
 
-def nll_test(params: ParamStore, dims: GeneratorDims, data: SequenceData) -> float:
-    """Mean per-sequence negative log-likelihood on held-out data, nats."""
-    return mean_nll(params, dims, data)
-
-
 # ---------------------------------------------------------------------------
 # Macro tier: adversarial evaluation
 # ---------------------------------------------------------------------------
@@ -149,6 +144,14 @@ def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
     return disc
 
 
+def split_half(data: SequenceData, stream: RngStream
+               ) -> tuple[SequenceData, SequenceData]:
+    """A random half of the rows (rounded down) and the rest."""
+    order = stream.permutation(len(data))
+    cut = len(data) // 2
+    return data.subset(order[:cut]), data.subset(order[cut:])
+
+
 def _binary_probe(pos: SequenceData, neg: SequenceData, rng: RngStream,
                   settings: EvalSettings, vocab_size: int,
                   n_labels: int) -> float:
@@ -157,25 +160,17 @@ def _binary_probe(pos: SequenceData, neg: SequenceData, rng: RngStream,
         raise DataError(f"evaluator probe needs at least 4 items per side, "
                         f"got {len(pos)} vs {len(neg)}")
 
-    def halves(data: SequenceData, stream: RngStream):
-        order = stream.permutation(len(data))
-        cut = len(data) // 2
-        return data.subset(order[:cut]), data.subset(order[cut:])
-
-    pos_tr, pos_te = halves(pos, rng.child("pos"))
-    neg_tr, neg_te = halves(neg, rng.child("neg"))
-    tokens = np.concatenate([pos_tr.tokens, neg_tr.tokens])
-    labels = np.concatenate([pos_tr.labels, neg_tr.labels])
+    pos_tr, pos_te = split_half(pos, rng.child("pos"))
+    neg_tr, neg_te = split_half(neg, rng.child("neg"))
+    train = SequenceData.concat([pos_tr, neg_tr])
     targets = np.concatenate([np.ones(len(pos_tr), dtype=np.int64),
                               np.zeros(len(neg_tr), dtype=np.int64)])
-    disc = _train_cnn(tokens, labels, targets, n_labels, vocab_size,
+    disc = _train_cnn(train.tokens, train.labels, targets, n_labels, vocab_size,
                       n_out=1, use_condition=True, rng=rng.child("train"),
                       settings=settings)
-    te_tokens = np.concatenate([pos_te.tokens, neg_te.tokens])
-    te_labels = np.concatenate([pos_te.labels, neg_te.labels])
+    test = SequenceData.concat([pos_te, neg_te])
     te_targets = np.concatenate([np.ones(len(pos_te)), np.zeros(len(neg_te))])
-    from .discriminators import score as d_score
-    preds = d_score(disc, te_tokens, te_labels) >= 0.5
+    preds = score(disc, test.tokens, test.labels) >= 0.5
     return float((preds == (te_targets >= 0.5)).mean())
 
 
@@ -207,12 +202,6 @@ def ere_suite(real: SequenceData, generated: SequenceData, rng: RngStream,
     ere3: |acc - 1.0| on real-vs-random-tokens (should be trivial)
     """
     n_labels = max(real.n_labels(), generated.n_labels())
-
-    def split_half(data: SequenceData, stream: RngStream):
-        order = stream.permutation(len(data))
-        cut = len(data) // 2
-        return data.subset(order[:cut]), data.subset(order[cut:])
-
     real_a, real_b = split_half(real, rng.child("real_split"))
     gen_a, gen_b = split_half(generated, rng.child("gen_split"))
     rand = random_sequences(len(real), real.seq_len, vocab_size, n_labels,
@@ -292,7 +281,7 @@ def micro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
     sample_rows = [strip_pads(r) for r in samples.tokens]
     ref_rows = [strip_pads(r) for r in test.tokens]
     return {
-        "nll_test": nll_test(params, dims, test),
+        "nll_test": mean_nll(params, dims, test),
         "bleu_test": corpus_bleu_mean(sample_rows, ref_rows),
         "self_bleu": self_bleu(sample_rows),
     }

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import BOS_ID, PAD_ID, SequenceData
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
-                       clip_gradients, log_softmax_rows, matmul, softmax_rows)
+                       check_finite, clip_gradients, log_softmax_rows, softmax_rows)
 from .recurrent import LstmCache, lstm_cell_backward, lstm_cell_forward
 
 INIT_RANGE = 0.08
@@ -81,7 +81,7 @@ def step_logits(params: ParamStore, dims: GeneratorDims, h: Tensor, c: Tensor,
     z = np.concatenate([h, x, cond], axis=1)
     h_new, c_new, cache = lstm_cell_forward(
         z, c, params.value("gen.lstm.W"), params.value("gen.lstm.b"))
-    logits = matmul(h_new, params.value("gen.out.W")) + params.value("gen.out.b")
+    logits = h_new @ params.value("gen.out.W") + params.value("gen.out.b")
     return logits, h_new, c_new, z, cache
 
 
@@ -144,6 +144,7 @@ def mean_nll(params: ParamStore, dims: GeneratorDims, data: SequenceData,
         tok = data.tokens[start:start + batch_size]
         lab = data.labels[start:start + batch_size]
         total += float(-sequence_log_prob(params, dims, tok, lab, exclude_pad).sum())
+    check_finite("mean NLL", total)  # no optimizer step follows to catch it
     return total / len(data)
 
 
@@ -170,9 +171,9 @@ def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
         dlogits[rows, tokens[:, t]] -= 1.0
         dlogits *= coefs[:, t][:, None]
         h_t = cache.hs[:, t]
-        g["gen.out.W"] += matmul(h_t.T, dlogits)
+        g["gen.out.W"] += h_t.T @ dlogits
         g["gen.out.b"] += dlogits.sum(axis=0, keepdims=True)
-        dh = matmul(dlogits, W_out.T) + dh_carry
+        dh = dlogits @ W_out.T + dh_carry
         dz, dc_carry = lstm_cell_backward(dh, dc_carry, cache.lstm[t], W_lstm,
                                           g["gen.lstm.W"], g["gen.lstm.b"])
         dh_carry = dz[:, :d_h]
@@ -221,6 +222,7 @@ def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState
 
 def _sample_from_logits(logits: Tensor, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row from softmax(logits), u in [0, 1)."""
+    check_finite("sampling logits", logits)  # a NaN row would quietly draw id 0
     cum = np.cumsum(softmax_rows(logits), axis=1)
     idx = (cum < u[:, None]).sum(axis=1)
     return np.minimum(idx, logits.shape[1] - 1)

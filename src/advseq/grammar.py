@@ -315,7 +315,7 @@ def load_grammar(path) -> GrammarSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise GrammarError(f"cannot read grammar file {path}: {e}") from None
     return parse_grammar(text)
 

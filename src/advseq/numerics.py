@@ -27,28 +27,11 @@ class NumericError(RuntimeError):
     """A value that must stay finite became NaN or infinite."""
 
 
-def as_tensor(values) -> Tensor:
-    return np.asarray(values, dtype=np.float64)
-
-
 def check_finite(name: str, *arrays: Tensor) -> None:
     """Raise NumericError naming `name` if any array holds NaN/Inf."""
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericError(f"non-finite values in '{name}'")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors with shape and finiteness checks."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    check_finite("matmul result", out)
-    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -68,7 +51,7 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax_rows(logits: Tensor) -> Tensor:
     """Row-wise softmax via max subtraction; safe for entries up to +-1e3."""
-    logits = as_tensor(logits)
+    logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got {logits.shape}")
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -77,7 +60,7 @@ def softmax_rows(logits: Tensor) -> Tensor:
 
 
 def log_softmax_rows(logits: Tensor) -> Tensor:
-    logits = as_tensor(logits)
+    logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -91,7 +74,7 @@ class Param:
     __slots__ = ("value", "grad")
 
     def __init__(self, value: Tensor):
-        self.value = as_tensor(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
 
@@ -140,15 +123,6 @@ class ParamStore:
         for name, p in self._params.items():
             out.add(name, p.value.copy())
         return out
-
-    def copy_values_from(self, other: "ParamStore") -> None:
-        if self.names() != other.names():
-            raise ShapeError("parameter stores hold different names")
-        for name, p in self._params.items():
-            p.value[...] = other[name].value
-
-    def n_coords(self) -> int:
-        return sum(p.value.size for p in self._params.values())
 
 
 def global_grad_norm(params: ParamStore) -> float:

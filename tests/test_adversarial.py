@@ -9,12 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from advseq.adversarial import (TrainSchedule, adversarial_train,
-                                apply_reward_shaping, clone_params,
-                                discriminator_score_fn, enumeration_rewards,
-                                mc_rollout_rewards, pretrain_discriminator,
-                                pretrain_generator, rank_tensor, rescale_bra,
-                                rescale_oda, soft_update, subtract_baseline,
-                                teacher_forcing_step)
+                                apply_reward_shaping, discriminator_score_fn,
+                                enumeration_rewards, mc_rollout_rewards,
+                                pretrain_discriminator, pretrain_generator,
+                                rank_tensor, rescale_bra, rescale_oda,
+                                soft_update, subtract_baseline)
 from advseq.corpus import SequenceData
 from advseq.discriminators import DiscriminatorConfig, init_discriminator
 from advseq.generator import (GeneratorDims, batch_log_probs,
@@ -295,13 +294,15 @@ def test_schedule_validation():
 
 
 def test_teacher_forcing_is_a_maximum_likelihood_step():
+    # the adversarial loop's teacher-forcing step is mle_step on a copy
+    # of the store the rollout network starts from
     data = tiny_corpus()
     a = init_generator_params(DIMS, RngStream(155))
-    b = clone_params(a)
+    b = a.copy()
     opt_a = AdamState(a, lr=1e-3)
     opt_b = AdamState(b, lr=1e-3)
     la = mle_step(a, DIMS, opt_a, data.tokens[:8], data.labels[:8])
-    lb = teacher_forcing_step(b, DIMS, opt_b, data.tokens[:8], data.labels[:8])
+    lb = mle_step(b, DIMS, opt_b, data.tokens[:8], data.labels[:8])
     assert la == lb
     for n, p in a.items():
         assert np.array_equal(p.value, b.value(n))
@@ -310,11 +311,11 @@ def test_teacher_forcing_is_a_maximum_likelihood_step():
 def test_unit_reward_policy_step_equals_teacher_forcing_step():
     data = tiny_corpus()
     a = init_generator_params(DIMS, RngStream(156))
-    b = clone_params(a)
+    b = a.copy()
     opt_a = AdamState(a, lr=1e-3)
     opt_b = AdamState(b, lr=1e-3)
     tokens, labels = data.tokens[:8], data.labels[:8]
-    teacher_forcing_step(a, DIMS, opt_a, tokens, labels)
+    mle_step(a, DIMS, opt_a, tokens, labels)
     policy_gradient_step(b, DIMS, opt_b, tokens, labels,
                          np.ones_like(tokens, dtype=np.float64))
     for n, p in a.items():
@@ -467,7 +468,8 @@ def test_resume_continues_the_exact_trajectory():
 
     gen2 = snap["gen"]
     disc2 = make_disc(seed=178)
-    disc2.params.copy_values_from(snap["disc"])
+    for name, p in disc2.params.items():
+        p.value[...] = snap["disc"].value(name)
     g_opt2 = AdamState(gen2, lr=sched.g_lr)
     g_opt2.load_state_tensors(snap["g_opt"])
     d_opt2 = AdamState(disc2.params, lr=sched.d_lr)

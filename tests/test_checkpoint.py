@@ -8,6 +8,7 @@ import pytest
 
 from advseq.checkpoint import (DIGEST_LEN, MAGIC, VERSION, CheckpointError,
                                load_tensors, save_tensors)
+from advseq.cli import CliError, load_run_state
 
 DIGEST = bytes(range(DIGEST_LEN))
 
@@ -113,10 +114,9 @@ def test_unsupported_version(tmp_path):
 def test_digest_mismatch_refused(sample):
     path, _ = sample
     other = bytes(DIGEST_LEN)
-    with pytest.raises(CheckpointError, match="different configuration"):
-        load_tensors(path, expected_digest=other)
-    loaded, _ = load_tensors(path, expected_digest=DIGEST)
-    assert "w" in loaded
+    with pytest.raises(CliError, match="different configuration"):
+        load_run_state(str(path), other)
+    assert "w" in load_run_state(str(path), DIGEST).blocks
 
 
 def test_truncated_body_passes_crc_still_caught(sample):

@@ -3,8 +3,10 @@
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
 from advseq.evaluation import MetricsReport
 
@@ -189,6 +191,57 @@ def test_unknown_tier_rejected(trained):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["corpus_train.txt", "vocab.txt", "grammar.txt",
+                                  "config.txt"])
+def test_non_utf8_input_exit_2(pretrained, tmp_path, capsys, name):
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    with open(os.path.join(d, name), "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run("pretrain-g", "--run-dir", d) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_non_integer_metrics_key_exit_4(pretrained, tmp_path, capsys):
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    assert run("advtrain", "--run-dir", d, "--set", "adv.iterations=2") == 0
+    path = os.path.join(d, "advtrain_metrics.csv")
+    lines = read(path).splitlines(keepends=True)
+    lines[1] = "x" + lines[1][1:]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    assert run("advtrain", "--run-dir", d, "--resume") == 4
+    assert "advtrain_metrics.csv" in capsys.readouterr().err
+    assert read(path) == "".join(lines)  # the damaged log is left as found
+
+
+def test_log_without_key_column_exit_4(pretrained, tmp_path, capsys):
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    path = os.path.join(d, "gen_pretrain_log.csv")
+    text = read(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("epoch,", "epok,", 1))
+    assert run("pretrain-g", "--run-dir", d, "--resume",
+               "--set", "pretrain.g_epochs=4") == 4
+    assert "gen_pretrain_log.csv" in capsys.readouterr().err
+
+
+def test_nan_weight_is_a_numeric_failure(trained, tmp_path, capsys):
+    # a NaN weight under a valid checksum must stop sampling and evaluation
+    # with exit 3 rather than quietly emit token 0
+    d = str(tmp_path / "run")
+    shutil.copytree(trained, d)
+    path = os.path.join(d, "gen_adv.ckpt")
+    blocks, digest = load_tensors(path)
+    blocks["gen.lstm.W"][0, 0] = np.nan
+    save_tensors(path, blocks, digest)
+    assert run("sample", "--run-dir", d, "--n", "2") == 3
+    assert run("eval", "--run-dir", d, "--tier", "micro") == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Training pipeline artifacts
 # ---------------------------------------------------------------------------
@@ -213,6 +266,59 @@ def test_pretrain_g_resume_extends_log(pretrained, tmp_path):
                "--set", "pretrain.g_epochs=4") == 0
     rows = csv_rows(os.path.join(d, "gen_pretrain_log.csv"))
     assert [int(r["epoch"]) for r in rows] == [0, 1, 2, 3]
+
+
+def test_pretrain_g_resume_matches_straight_run(pretrained, tmp_path):
+    resumed, straight = str(tmp_path / "resumed"), str(tmp_path / "straight")
+    shutil.copytree(pretrained, resumed)
+    shutil.copytree(pretrained, straight)
+    more = ("--set", "pretrain.g_epochs=4")
+    assert run("pretrain-g", "--run-dir", resumed, "--resume", *more) == 0
+    assert run("pretrain-g", "--run-dir", straight, *more) == 0
+    assert read_bytes(os.path.join(resumed, "gen_pretrain.ckpt")) == \
+           read_bytes(os.path.join(straight, "gen_pretrain.ckpt"))
+    assert drop_wall(csv_rows(os.path.join(resumed, "gen_pretrain_log.csv"))) == \
+           drop_wall(csv_rows(os.path.join(straight, "gen_pretrain_log.csv")))
+
+
+def test_pretrain_d_resume_matches_straight_run(pretrained, tmp_path):
+    resumed, straight = str(tmp_path / "resumed"), str(tmp_path / "straight")
+    shutil.copytree(pretrained, resumed)
+    shutil.copytree(pretrained, straight)
+    os.remove(os.path.join(straight, "disc_fasttext.ckpt"))
+    more = ("--set", "pretrain.d_epochs_fasttext=4")
+    assert run("pretrain-d", "--run-dir", resumed, "--resume", *more) == 0
+    assert run("pretrain-d", "--run-dir", straight, *more) == 0
+    assert read_bytes(os.path.join(resumed, "disc_fasttext.ckpt")) == \
+           read_bytes(os.path.join(straight, "disc_fasttext.ckpt"))
+    assert drop_wall(csv_rows(os.path.join(resumed, "disc_fasttext_log.csv"))) == \
+           drop_wall(csv_rows(os.path.join(straight, "disc_fasttext_log.csv")))
+
+
+def test_checkpoint_block_order(trained):
+    # format v1 fixes each file's block order: generator + meta.dims |
+    # rollout. | discriminator + embed.table | gopt. | dopt. | counter
+    gen = ["gen.embed", "gen.label_embed", "gen.lstm.W", "gen.lstm.b",
+           "gen.out.W", "gen.out.b"]
+    disc = ["d.bigram", "d.head.W", "d.head.b"]
+
+    def adam(prefix, names):
+        return ([f"{prefix}m.{n}" for n in names] + [f"{prefix}v.{n}" for n in names]
+                + [f"{prefix}t"])
+
+    expected = {
+        "embeddings.ckpt": ["embed.table"],
+        "gen_pretrain.ckpt": gen + ["meta.dims"] + adam("gopt.", gen) + ["meta.epoch"],
+        "disc_fasttext.ckpt": disc + ["embed.table"] + adam("dopt.", disc)
+                              + ["meta.epoch"],
+        "advtrain.ckpt": gen + ["meta.dims"] + [f"rollout.{n}" for n in gen] + disc
+                         + ["embed.table"] + adam("gopt.", gen) + adam("dopt.", disc)
+                         + ["meta.iteration"],
+        "gen_adv.ckpt": gen + ["meta.dims"],
+    }
+    for name, names in expected.items():
+        blocks, _ = load_tensors(os.path.join(trained, name))
+        assert list(blocks) == names, name
 
 
 def test_advtrain_interrupted_resume_matches_straight_run(pretrained, trained,

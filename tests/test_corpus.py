@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from advseq.corpus import (BOS_ID, PAD_ID, DataError, SequenceData, Vocab,
-                           crop_pad, decode_sequence, dedupe, encode_sequences,
+                           decode_sequence, dedupe, encode_sequences,
                            exact_sequence_nll, generate_corpus, read_corpus,
                            read_vocab, split_corpus, vocab_for_grammar,
                            write_corpus, write_vocab)
@@ -61,14 +61,16 @@ def test_decode_encode_identity(tiny_spec):
 
 
 def test_crop_pad_crops():
-    out = crop_pad(list(range(2, 47)), 40)
-    assert out.shape == (40,)
-    assert np.array_equal(out, np.arange(2, 42))
+    v = Vocab.from_tokens([f"t{i:02d}" for i in range(45)])
+    data, _ = encode_sequences([(0, [f"t{i:02d}" for i in range(45)])], v, 40)
+    assert data.tokens[0].shape == (40,)
+    assert np.array_equal(data.tokens[0], np.arange(2, 42))
 
 
 def test_crop_pad_pads():
-    out = crop_pad([5, 6, 7], 5)
-    assert np.array_equal(out, [5, 6, 7, PAD_ID, PAD_ID])
+    v = Vocab.from_tokens(["a", "b", "c"])
+    data, _ = encode_sequences([(0, ["a", "b", "c"])], v, 5)
+    assert np.array_equal(data.tokens[0], [2, 3, 4, PAD_ID, PAD_ID])
 
 
 def test_encode_counts_unknown_tokens():

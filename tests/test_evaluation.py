@@ -14,9 +14,9 @@ from advseq.evaluation import (EvalSettings, MetricsReport,
                                downstream_classification, ere_suite,
                                generate_eval_samples, macro_metrics,
                                median_over_seeds, micro_metrics, ngrams,
-                               nll_test, random_sequences, self_bleu,
+                               random_sequences, self_bleu,
                                strip_pads)
-from advseq.generator import GeneratorDims, init_generator_params
+from advseq.generator import GeneratorDims, init_generator_params, mean_nll
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
 
@@ -128,7 +128,7 @@ def test_nll_test_uniform_model():
     params = init_generator_params(dims, RngStream(3, "init"))
     params["gen.out.W"].value[...] = 0.0
     data = SequenceData(np.array([[2, 3, 4], [4, 3, 2]]), np.array([0, 1]))
-    assert abs(nll_test(params, dims, data) - 3.0 * math.log(5.0)) < 1e-9
+    assert abs(mean_nll(params, dims, data) - 3.0 * math.log(5.0)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

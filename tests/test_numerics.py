@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advseq.numerics import (AdamState, NumericError, ParamStore, RngStream,
-                             ShapeError, adam_step, as_tensor, check_finite,
-                             chunk_slices, clip_gradients, finite_diff_check,
-                             global_grad_norm, log_softmax_rows, matmul, pmap,
-                             relu, sigmoid, softmax_rows)
+                             adam_step, check_finite, chunk_slices,
+                             clip_gradients, finite_diff_check, global_grad_norm,
+                             log_softmax_rows, pmap, relu, sigmoid, softmax_rows)
 
 
 def small_store(rng: RngStream, shapes=((3, 4), (2, 2), (1, 5))) -> ParamStore:
@@ -20,30 +19,8 @@ def small_store(rng: RngStream, shapes=((3, 4), (2, 2), (1, 5))) -> ParamStore:
 
 
 # ---------------------------------------------------------------------------
-# matmul and activations
+# activations
 # ---------------------------------------------------------------------------
-
-
-def test_matmul_hand_oracle():
-    a = as_tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = as_tensor([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), [[17.0], [39.0]])
-
-
-def test_matmul_associativity_on_5x5_chains():
-    rng = RngStream(11)
-    for trial in range(20):
-        a = rng.child("a", trial).normal((5, 5))
-        b = rng.child("b", trial).normal((5, 5))
-        c = rng.child("c", trial).normal((5, 5))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-9
-
-
-def test_matmul_shape_mismatch_raises():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +64,7 @@ def test_param_store_copy_is_independent():
     ps["w0"].value += 1.0
     assert not np.array_equal(ps.value("w0"), clone.value("w0"))
     assert ps.names() == clone.names()
-    assert ps.n_coords() == 12 + 4 + 5
+    assert sum(p.value.size for _, p in ps.items()) == 12 + 4 + 5
 
 
 def test_zero_grads_resets_every_block():
