@@ -301,10 +301,11 @@ def cmd_corpus_gen(args) -> int:
 
 
 def _read_csv_rows(path: str, columns: tuple[str, ...], upto: int) -> list[dict]:
-    """Rows of a metrics CSV whose integer key (first) column is <= upto.
+    """Rows of a metrics CSV whose integer key (first) column is <= upto,
+    every other cell parsed as a float.
 
-    A log this program wrote always has every column and integer keys, so
-    anything else is a corrupt artifact.
+    A log this program wrote always has every column, integer keys and
+    numeric cells, so anything else is a corrupt artifact.
     """
     if not os.path.exists(path):
         return []
@@ -315,7 +316,8 @@ def _read_csv_rows(path: str, columns: tuple[str, ...], upto: int) -> list[dict]
             for line in fh:
                 row = dict(zip(header, line.rstrip("\n").split(",")))
                 if int(row[columns[0]]) <= upto:
-                    rows.append({c: row[c] for c in columns})
+                    rows.append({c: row[c] if c == columns[0] else float(row[c])
+                                 for c in columns})
     except (KeyError, ValueError) as e:  # UnicodeDecodeError is a ValueError
         raise CheckpointError(f"{path}: corrupt log ({type(e).__name__}: {e})") from None
     return rows
@@ -325,9 +327,7 @@ def _append_rows(path: str, columns: tuple[str, ...], old: list[dict],
                  new: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in old:
-            fh.write(",".join(str(row[c]) for c in columns) + "\n")
-        for row in new:
+        for row in old + new:  # repr(float(cell)) is the cell as written
             fh.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
 
 
@@ -360,8 +360,7 @@ def cmd_pretrain_g(args) -> int:
                                      lr=cfg["pretrain.g_lr"],
                                      patience=cfg["pretrain.patience"],
                                      opt=opt, start_epoch=start,
-                                     prior_valid=tuple(float(r["valid_nll"])
-                                                       for r in prior))
+                                     prior_valid=tuple(r["valid_nll"] for r in prior))
         _append_rows(paths.gen_pretrain_log, GPRE_COLUMNS, prior, history)
         last_epoch = history[-1]["epoch"] if history else start - 1
         save_run_state(paths.gen_pretrain, digest, gen=(params, dims), gopt=opt,
@@ -388,7 +387,6 @@ def cmd_pretrain_d(args) -> int:
     root = RngStream(cfg["run.seed"])
     epochs = cfg.d_pretrain_epochs(kind)
     with RunLock(paths):
-        embed = load_or_make_embeddings(paths, cfg, vocab, splits.train, digest, root)
         dcfg = cfg.disc_config(len(vocab), len(grammar.labels),
                                cfg["corpus.seq_len"], kind=kind)
         start = 0
@@ -404,6 +402,7 @@ def cmd_pretrain_d(args) -> int:
                 raise CliError(f"nothing to do: log is at epoch {start - 1} "
                                f"and the configured epochs = {epochs}")
         else:
+            embed = load_or_make_embeddings(paths, cfg, vocab, splits.train, digest, root)
             disc = init_discriminator(dcfg, embed, root.child("dinit", kind))
             opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
         history = pretrain_discriminator(disc, gen_params, dims, splits.train,

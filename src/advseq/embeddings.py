@@ -15,19 +15,19 @@ from .numerics import RngStream, sigmoid
 
 
 def _skipgram_pairs(data: SequenceData, window: int) -> np.ndarray:
-    """All (center, context) id pairs within `window`, pads skipped."""
-    pairs: list[tuple[int, int]] = []
-    for row in data.tokens:
-        toks = [int(t) for t in row if t != PAD_ID]
-        for i, center in enumerate(toks):
-            lo = max(0, i - window)
-            hi = min(len(toks), i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((center, toks[j]))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    """All (center, context) id pairs within `window`, pads skipped: row by
+    row, center by center, contexts in position order."""
+    keep = data.tokens != PAD_ID
+    order = np.argsort(~keep, axis=1, kind="stable")  # pads moved to the end
+    toks = np.take_along_axis(data.tokens, order, axis=1).astype(np.int64)
+    n_kept = keep.sum(axis=1)[:, None, None]
+    centers = np.arange(toks.shape[1])[None, :, None]
+    offsets = np.array([d for d in range(-window, window + 1) if d != 0], dtype=np.int64)
+    ctx = centers + offsets
+    valid = (centers < n_kept) & (ctx >= 0) & (ctx < n_kept)
+    ctx_tok = toks[np.arange(len(toks))[:, None, None], np.clip(ctx, 0, toks.shape[1] - 1)]
+    return np.stack([np.broadcast_to(toks[:, :, None], valid.shape)[valid],
+                     ctx_tok[valid]], axis=1)
 
 
 def _negative_table(data: SequenceData, vocab_size: int) -> np.ndarray:

@@ -22,9 +22,10 @@ evaluator seeds, since single evaluator trainings are noisy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,17 +47,10 @@ def ngrams(seq: Sequence, n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
-def bleu(candidate: Sequence, references: list[Sequence], max_n: int = 4,
-         eps: float = BLEU_EPS) -> float:
-    """Sentence BLEU with clipped modified precisions for n = 1..max_n.
-
-    Zero precisions (including empty n-gram sets) are replaced by `eps`
-    before the geometric mean. Brevity penalty uses the reference length
-    closest to the candidate, shorter on ties. Inputs must already have
-    pads removed.
-    """
-    if not references:
-        raise ValueError("bleu needs at least one reference")
+def _sentence_bleu(candidate: Sequence, max_ref: Mapping[tuple, int],
+                   ref_lengths: list[int], max_n: int, eps: float) -> float:
+    """BLEU of one candidate from each n-gram's highest count in any reference
+    (keyed by the gram, so by n too) and the sorted distinct reference lengths."""
     c = len(candidate)
     if c == 0:
         return 0.0
@@ -67,33 +61,73 @@ def bleu(candidate: Sequence, references: list[Sequence], max_n: int = 4,
         if total == 0:
             log_precisions += math.log(eps)
             continue
-        max_ref: Counter = Counter()
-        for ref in references:
-            for gram, count in ngrams(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        matched = sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
+        matched = sum(min(count, max_ref.get(gram, 0))
+                      for gram, count in cand_counts.items())
         p_n = matched / total
         log_precisions += math.log(p_n) if p_n > 0 else math.log(eps)
-    r = min((len(ref) for ref in references),
-            key=lambda L: (abs(L - c), L))
+    k = bisect_left(ref_lengths, c)
+    r = min(ref_lengths[max(k - 1, 0):k + 1], key=lambda L: (abs(L - c), L))
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return bp * math.exp(log_precisions / max_n)
 
 
+def _reference_table(references: list[Sequence], max_n: int
+                     ) -> tuple[dict[tuple, int], list[int]]:
+    """Highest count of every n-gram (n = 1..max_n) in any reference, and
+    the sorted distinct reference lengths."""
+    if not references:
+        raise ValueError("bleu needs at least one reference")
+    max_ref: dict[tuple, int] = {}
+    for ref in references:
+        for n in range(1, max_n + 1):
+            for gram, count in ngrams(ref, n).items():
+                if count > max_ref.get(gram, 0):
+                    max_ref[gram] = count
+    return max_ref, sorted({len(ref) for ref in references})
+
+
+def bleu(candidate: Sequence, references: list[Sequence], max_n: int = 4,
+         eps: float = BLEU_EPS) -> float:
+    """Sentence BLEU with clipped modified precisions for n = 1..max_n.
+
+    Zero precisions (including empty n-gram sets) are replaced by `eps`
+    before the geometric mean. Brevity penalty uses the reference length
+    closest to the candidate, shorter on ties. Inputs must already have
+    pads removed.
+    """
+    return _sentence_bleu(candidate, *_reference_table(references, max_n),
+                          max_n, eps)
+
+
 def self_bleu(samples: list[Sequence], max_n: int = 4) -> float:
     """Mean BLEU of each sample against all the others; high values mean
-    the sample set repeats itself."""
+    the sample set repeats itself. Each n-gram's two highest counts over
+    the samples give its maximum over all samples but any one."""
     if len(samples) < 2:
         raise ValueError("self-BLEU needs at least two samples")
-    scores = [bleu(samples[i], samples[:i] + samples[i + 1:], max_n=max_n)
-              for i in range(len(samples))]
+    counts = [{gram: k for n in range(1, max_n + 1)
+               for gram, k in ngrams(s, n).items()} for s in samples]
+    held: dict[tuple, list[int]] = {}
+    for own in counts:
+        for gram, k in own.items():
+            held.setdefault(gram, [0]).append(k)
+    top2 = {gram: sorted(ks)[-2:] for gram, ks in held.items()}  # [second, top]
+    lengths = Counter(len(s) for s in samples)
+    scores = []
+    for s, own in zip(samples, counts):
+        others = {gram: top2[gram][0] if k == top2[gram][1] else top2[gram][1]
+                  for gram, k in own.items()}
+        scores.append(_sentence_bleu(s, others, sorted(lengths - Counter([len(s)])),
+                                     max_n, BLEU_EPS))
     return float(np.mean(scores))
 
 
 def corpus_bleu_mean(samples: list[Sequence], references: list[Sequence],
                      max_n: int = 4) -> float:
-    return float(np.mean([bleu(s, references, max_n=max_n) for s in samples]))
+    """Mean sentence BLEU of the samples, references counted once."""
+    max_ref, ref_lengths = _reference_table(references, max_n)
+    return float(np.mean([_sentence_bleu(s, max_ref, ref_lengths, max_n, BLEU_EPS)
+                          for s in samples]))
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,24 @@ def test_non_integer_metrics_key_exit_4(pretrained, tmp_path, capsys):
     assert read(path) == "".join(lines)  # the damaged log is left as found
 
 
+def test_non_numeric_valid_nll_exit_4(pretrained, tmp_path, capsys):
+    # early stopping replays the logged valid_nll cells, so a garbled one
+    # is a corrupt log rather than a crash
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    path = os.path.join(d, "gen_pretrain_log.csv")
+    lines = read(path).splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[2] = "abc"
+    lines[1] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    assert run("pretrain-g", "--run-dir", d, "--resume",
+               "--set", "pretrain.g_epochs=4") == 4
+    assert "gen_pretrain_log.csv" in capsys.readouterr().err
+    assert read(path) == "".join(lines)  # the damaged log is left as found
+
+
 def test_log_without_key_column_exit_4(pretrained, tmp_path, capsys):
     d = str(tmp_path / "run")
     shutil.copytree(pretrained, d)
@@ -293,6 +311,21 @@ def test_pretrain_d_resume_matches_straight_run(pretrained, tmp_path):
            read_bytes(os.path.join(straight, "disc_fasttext.ckpt"))
     assert drop_wall(csv_rows(os.path.join(resumed, "disc_fasttext_log.csv"))) == \
            drop_wall(csv_rows(os.path.join(straight, "disc_fasttext_log.csv")))
+
+
+def test_pretrain_d_resume_needs_no_embeddings_file(pretrained, tmp_path):
+    # the resumed discriminator carries its frozen table in its own checkpoint
+    resumed, straight = str(tmp_path / "resumed"), str(tmp_path / "straight")
+    shutil.copytree(pretrained, resumed)
+    shutil.copytree(pretrained, straight)
+    os.remove(os.path.join(resumed, "embeddings.ckpt"))
+    os.remove(os.path.join(straight, "disc_fasttext.ckpt"))
+    more = ("--set", "pretrain.d_epochs_fasttext=4")
+    assert run("pretrain-d", "--run-dir", resumed, "--resume", *more) == 0
+    assert not os.path.exists(os.path.join(resumed, "embeddings.ckpt"))
+    assert run("pretrain-d", "--run-dir", straight, *more) == 0
+    assert read_bytes(os.path.join(resumed, "disc_fasttext.ckpt")) == \
+           read_bytes(os.path.join(straight, "disc_fasttext.ckpt"))
 
 
 def test_checkpoint_block_order(trained):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as some
 
-from advseq.corpus import SequenceData, Vocab, encode_sequences, generate_corpus
-from advseq.embeddings import pretrain_embeddings
+from advseq.corpus import (PAD_ID, SequenceData, Vocab, encode_sequences,
+                           generate_corpus)
+from advseq.embeddings import _skipgram_pairs, pretrain_embeddings
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
 
@@ -57,3 +60,43 @@ def test_empty_corpus_returns_initial_table():
     emb = pretrain_embeddings(data, 6, 8, RngStream(25, "embed"))
     assert emb.shape == (6, 8)
     assert np.all(np.abs(emb) <= 0.5 / 8)  # untouched init range
+
+
+def loop_skipgram_pairs(data: SequenceData, window: int) -> np.ndarray:
+    """Reference: the per-token loop, pads dropped before windowing."""
+    pairs: list[tuple[int, int]] = []
+    for row in data.tokens:
+        toks = [int(t) for t in row if t != PAD_ID]
+        for i, center in enumerate(toks):
+            lo = max(0, i - window)
+            hi = min(len(toks), i + window + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    pairs.append((center, toks[j]))
+    if not pairs:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.asarray(pairs, dtype=np.int64)
+
+
+def test_skipgram_pairs_skip_mid_row_pads():
+    # the pad between 3 and 4 is removed first, so 3 and 4 are neighbours
+    data = SequenceData(np.array([[2, 3, PAD_ID, 4, PAD_ID]]), np.zeros(1, dtype=np.int64))
+    got = _skipgram_pairs(data, 1)
+    assert got.tolist() == [[2, 3], [3, 2], [3, 4], [4, 3]]
+    assert np.array_equal(got, loop_skipgram_pairs(data, 1))
+
+
+# rows over a small alphabet that includes PAD, so pads land anywhere and
+# all-pad rows occur
+@given(rows=some.integers(0, 6).flatmap(
+           lambda width: some.lists(some.lists(some.integers(PAD_ID, 4), min_size=width,
+                                               max_size=width), min_size=1, max_size=6)),
+       window=some.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_skipgram_pairs_match_the_loop(rows, window):
+    tokens = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    data = SequenceData(tokens, np.zeros(len(rows), dtype=np.int64))
+    got = _skipgram_pairs(data, window)
+    want = loop_skipgram_pairs(data, window)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)

@@ -122,6 +122,47 @@ def test_corpus_bleu_mean_is_plain_mean():
     assert abs(corpus_bleu_mean(samples, refs) - want) < 1e-15
 
 
+# Rows over a three-token alphabet, lengths 0-6, with some rows repeated:
+# duplicates, shared top counts, rows shorter than n, empty rows and equal
+# lengths all turn up often.
+def _with_repeats(rows_and_picks):
+    rows, picks = rows_and_picks
+    return rows + [rows[i % len(rows)] for i in picks]
+
+
+ROWS = some.tuples(
+    some.lists(some.lists(some.integers(2, 4), max_size=6).map(tuple),
+               min_size=1, max_size=7),
+    some.lists(some.integers(0, 6), max_size=4)).map(_with_repeats)
+
+
+@given(samples=ROWS, refs=ROWS, max_n=some.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_counted_once_scores_equal_sentence_bleu_exactly(samples, refs, max_n):
+    want = float(np.mean([bleu(s, refs, max_n=max_n) for s in samples]))
+    assert corpus_bleu_mean(samples, refs, max_n=max_n) == want
+    if len(samples) >= 2:
+        want = float(np.mean([bleu(samples[i], samples[:i] + samples[i + 1:],
+                                   max_n=max_n) for i in range(len(samples))]))
+        assert self_bleu(samples, max_n=max_n) == want
+
+
+def test_self_bleu_shared_top_count_survives_leaving_one_out():
+    # (2,) occurs twice in each of the first two samples: leaving either out
+    # still finds two in the other, so both match 2 of 2 unigrams; the last
+    # sample matches its one 2 but not its 3
+    samples = [(2, 2), (2, 2), (2, 3)]
+    assert self_bleu(samples, max_n=1) == float(np.mean([1.0, 1.0, 0.5]))
+
+
+def test_self_bleu_single_top_holder_drops_to_second_count():
+    # only the first sample holds (2,) three times; without it the best
+    # count is the second sample's 1, so it clips to 1 of 3 unigram matches
+    samples = [(2, 2, 2), (2, 3, 3), (3, 3, 3)]
+    got = self_bleu(samples, max_n=1)
+    assert got == float(np.mean([1.0 / 3.0, 1.0, 2.0 / 3.0]))
+
+
 def test_nll_test_uniform_model():
     # zeroed output weights make every step uniform over the vocabulary
     dims = GeneratorDims(5, 2, d_embed=3, d_hidden=3, d_label=2)
