@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import SequenceData
 from .discriminators import Discriminator, score, train_step
-from .generator import (GeneratorDims, batch_log_probs, forward_states,
+from .generator import (GeneratorDims, batch_log_probs, forward_states, hoist,
                         mean_nll, mle_step, policy_gradient_step,
                         sample_batch, step_logits, _sample_from_logits)
 from .numerics import AdamState, ParamStore, RngStream, sigmoid
@@ -114,21 +114,19 @@ def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         # row r = p*B*K + b*K + k, cuts p ascending so the active set at
         # generation position q is exactly the first q*B*K rows
         seqs = np.tile(tokens[None, :, None, :], (T - 1, 1, K, 1)).reshape(n_rows, T)
-        h = np.repeat(cache.hs.transpose(1, 0, 2)[:T - 1], K, axis=1).reshape(n_rows, -1)
-        c = np.repeat(cache.cs.transpose(1, 0, 2)[:T - 1], K, axis=1).reshape(n_rows, -1)
+        h = np.repeat(cache.scan.hs[1:T], K, axis=1).reshape(n_rows, -1)
+        c = np.repeat(cache.scan.cs[1:T], K, axis=1).reshape(n_rows, -1)
         prev = np.repeat(tokens.T[:T - 1], K, axis=1).reshape(n_rows)
         labels_rows = np.tile(labels[None, :, None], (T - 1, 1, K)).reshape(n_rows)
-        cond = rollout_params.value("gen.label_embed")[labels_rows]
+        hz = hoist(rollout_params, dims)
+        cond = hz.cond[labels_rows]
         u = rng.uniform((n_rows, T))
         for q in range(1, T):
             a = q * B * K
-            logits, h_new, c_new, _, _ = step_logits(
-                rollout_params, dims, h[:a], c[:a], prev[:a], cond[:a])
+            logits = step_logits(hz, cond[:a], h[:a], c[:a], prev[:a])
             drawn = _sample_from_logits(logits, u[:a, q])
             seqs[:a, q] = drawn
             prev[:a] = drawn
-            h[:a] = h_new
-            c[:a] = c_new
         scores = score_fn(seqs, labels_rows)
         rewards[:, :T - 1] = scores.reshape(T - 1, B, K).mean(axis=2).T
     rewards[:, T - 1] = score_fn(tokens, labels)

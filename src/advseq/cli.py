@@ -21,6 +21,7 @@ failures during training, 4 corrupt or mismatched artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -89,27 +90,41 @@ class RunPaths:
 
 
 class RunLock:
-    """Exclusive per-run-dir lock so two trainers cannot interleave writes."""
+    """Exclusive per-run-dir lock so two trainers cannot interleave writes.
+    The file holds its owner's pid: a lock whose pid names no live process
+    was left by a killed command and is taken over, while an empty or
+    unparsable one may be a new owner's not yet written, so it is held."""
 
     def __init__(self, paths: RunPaths):
         self.path = paths.lock
 
-    def __enter__(self):
+    def _owner_is_gone(self) -> bool:
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise CliError(f"run directory is locked ({self.path}); "
-                           f"another command may be running, or remove a stale lock") \
-                from None
+            with open(self.path, "rb") as fh:
+                pid = int(fh.read())
+            os.kill(pid if pid > 0 else os.getpid(), 0)  # pids <= 0 name groups
+        except (OSError, ValueError) as e:
+            return isinstance(e, ProcessLookupError)
+        return False
+
+    def __enter__(self):
+        for retake in (False, True):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retake or not self._owner_is_gone():
+                    raise CliError(f"run directory is locked ({self.path}); "
+                                   f"another command may be running") from None
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self.path)
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
         return self
 
     def __exit__(self, *exc):
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(self.path)
-        except FileNotFoundError:
-            pass
         return False
 
 
@@ -531,35 +546,25 @@ def cmd_eval(args) -> int:
     tiers = ("micro", "macro", "application") if args.tier == "all" else (args.tier,)
     metrics: dict[str, float] = {}
     skipped: dict[str, str] = {}
+    suites = {
+        "micro": lambda: micro_metrics(params, dims, splits.test, root.child("micro"),
+                                       n_samples=cfg["eval.n_samples"]),
+        "macro": lambda: macro_metrics(params, dims, splits.test, root.child("macro"),
+                                       settings, len(vocab), n_seeds=cfg["eval.seeds"]),
+        "application": lambda: application_metrics(params, dims, splits.train, splits.test,
+                                                   root.child("app"), settings, len(vocab),
+                                                   n_seeds=cfg["eval.seeds"])}
     with RunLock(paths):
-        if "micro" in tiers:
+        for tier in tiers:
             try:
-                metrics.update(micro_metrics(params, dims, splits.test,
-                                             root.child("micro"),
-                                             n_samples=cfg["eval.n_samples"]))
-                try:
-                    exact = grammar.conditional_entropy()
-                    metrics["exact_entropy"] = exact
+                metrics.update(suites[tier]())
+            except DataError as e:
+                skipped[tier] = str(e)
+                continue
+            if tier == "micro":
+                with contextlib.suppress(GrammarError):
+                    metrics["exact_entropy"] = exact = grammar.conditional_entropy()
                     metrics["nll_gap"] = metrics["nll_test"] - exact
-                except GrammarError:
-                    pass
-            except DataError as e:
-                skipped["micro"] = str(e)
-        if "macro" in tiers:
-            try:
-                metrics.update(macro_metrics(params, dims, splits.test,
-                                             root.child("macro"), settings,
-                                             len(vocab), n_seeds=cfg["eval.seeds"]))
-            except DataError as e:
-                skipped["macro"] = str(e)
-        if "application" in tiers:
-            try:
-                metrics.update(application_metrics(params, dims, splits.train,
-                                                   splits.test, root.child("app"),
-                                                   settings, len(vocab),
-                                                   n_seeds=cfg["eval.seeds"]))
-            except DataError as e:
-                skipped["application"] = str(e)
         report = MetricsReport(os.path.basename(os.path.abspath(paths.run_dir)),
                                cfg["run.seed"], metrics, skipped)
         with open(paths.metrics_csv, "w", encoding="utf-8") as fh:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
-                       check_finite, chunk_slices, clip_gradients, pmap, relu,
-                       sigmoid, softmax_rows)
-from .recurrent import LstmCache, lstm_cell_backward, lstm_cell_forward
+                       check_finite, chunk_slices, clip_gradients, log_softmax_rows,
+                       pmap, relu, sigmoid, softmax_rows)
+from .recurrent import Scan, gate_scale, scan, scan_backward
 
 KINDS = ("fasttext", "cnn", "birnn")
 
@@ -197,68 +197,59 @@ def _cnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
         p[f"d.conv{w}.b"].grad += dpre.sum(axis=(0, 1))[None, :]
 
 
-def _lstm_seq_forward(X: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, list[LstmCache]]:
-    """Run the fused cell along axis 1; X is (B, T, d_in_x)."""
-    B, T, _ = X.shape
+def _lstm_seq_forward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor) -> Scan:
+    """Scan d.<direction> (W's rows [h ; x]) over token ids (T, B); x @ W_x + b
+    is a gather from one (V, 4d) projection of the frozen embedding table."""
+    W = p.value(f"d.{direction}.W")
     d_h = W.shape[1] // 4
-    h = np.zeros((B, d_h))
-    c = np.zeros((B, d_h))
-    H = np.empty((B, T, d_h))
-    caches: list[LstmCache] = []
-    for t in range(T):
-        z = np.concatenate([h, X[:, t]], axis=1)
-        h, c, cache = lstm_cell_forward(z, c, W, b)
-        H[:, t] = h
-        caches.append(cache)
-    return H, caches
+    W = W * gate_scale(d_h)
+    table = embed @ W[d_h:]
+    table += p.value(f"d.{direction}.b") * gate_scale(d_h)
+    return scan(table[ids], W[:d_h])
 
 
-def _lstm_seq_backward(dH: Tensor, caches: list[LstmCache], W: Tensor,
-                       gW: Tensor, gb: Tensor) -> None:
-    """BPTT along axis 1; input embeddings are frozen so dx is dropped."""
-    B, T, d_h = dH.shape
-    dh_carry = np.zeros((B, d_h))
-    dc_carry = np.zeros((B, d_h))
-    for t in range(T - 1, -1, -1):
-        dz, dc_carry = lstm_cell_backward(dH[:, t] + dh_carry, dc_carry,
-                                          caches[t], W, gW, gb)
-        dh_carry = dz[:, :d_h]
+def _lstm_seq_backward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor,
+                       s: Scan, dH: Tensor) -> None:
+    """BPTT for d.<direction>; the embeddings are frozen, so dX is dropped."""
+    T, B, d_h = dH.shape
+    gW = p[f"d.{direction}.W"].grad
+    dA = scan_backward(dH, s, p.value(f"d.{direction}.W")[:d_h] * gate_scale(d_h))
+    dA = dA.reshape(T * B, 4 * d_h)
+    gW[:d_h] += s.hs[:-1].reshape(T * B, d_h).T @ dA
+    gW[d_h:] += embed[ids.reshape(-1)].T @ dA
+    p[f"d.{direction}.b"].grad += dA.sum(axis=0)
 
 
 def _birnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
-    cfg = disc.cfg
+    """Time-major throughout: H is (T, B, 2*d_h)."""
     p = disc.params
-    X = disc.embed[tokens]
-    H_f, caches_f = _lstm_seq_forward(X, p.value("d.fwd.W"), p.value("d.fwd.b"))
-    H_b_rev, caches_b = _lstm_seq_forward(X[:, ::-1], p.value("d.bwd.W"), p.value("d.bwd.b"))
-    H = np.concatenate([H_f, H_b_rev[:, ::-1]], axis=2)    # (B, T, 2*d_h)
-    u = np.tanh(np.einsum("btd,de->bte", H, p.value("d.att.W")) + p.value("d.att.b"))
-    scores = np.einsum("bte,e->bt", u, p.value("d.att.u")[0])
-    alpha = softmax_rows(scores)
-    s = np.einsum("bt,btd->bd", alpha, H)
-    return s, {"H": H, "u": u, "alpha": alpha, "caches_f": caches_f, "caches_b": caches_b}
+    ids = (tokens.T, tokens[:, ::-1].T)                      # read forward, backward
+    scans = [_lstm_seq_forward(p, k, disc.embed, i) for k, i in zip(("fwd", "bwd"), ids)]
+    H = np.concatenate([scans[0].hs[1:], scans[1].hs[:0:-1]], axis=2)
+    T, B, d2 = H.shape
+    u = np.tanh(H.reshape(T * B, d2) @ p.value("d.att.W") + p.value("d.att.b"))
+    alpha = softmax_rows((u @ p.value("d.att.u")[0]).reshape(T, B).T)   # (B, T)
+    s = (alpha[:, None, :] @ H.transpose(1, 0, 2))[:, 0]
+    return s, {"H": H, "u": u, "alpha": alpha, "ids": ids, "scans": scans}
 
 
 def _birnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
-    cfg = disc.cfg
     p = disc.params
     H, u, alpha = cache["H"], cache["u"], cache["alpha"]
-    dalpha = np.einsum("bd,btd->bt", ds, H)
-    dH = alpha[..., None] * ds[:, None, :]
+    T, B, d2 = H.shape
+    dalpha = (H.transpose(1, 0, 2) @ ds[:, :, None])[:, :, 0]             # (B, T)
+    dH = alpha.T[:, :, None] * ds
     dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    p["d.att.u"].grad += np.einsum("bte,bt->e", u, dscores)[None, :]
-    du = dscores[..., None] * p.value("d.att.u")[0]
-    da = du * (1.0 - u * u)
-    B, T, d2 = H.shape
-    d_att = da.shape[2]
-    p["d.att.W"].grad += H.reshape(B * T, d2).T @ da.reshape(B * T, d_att)
-    p["d.att.b"].grad += da.sum(axis=(0, 1))[None, :]
-    dH += (da.reshape(B * T, d_att) @ p.value("d.att.W").T).reshape(B, T, d2)
-    d_h = cfg.d_hidden
-    _lstm_seq_backward(dH[:, :, :d_h], cache["caches_f"], p.value("d.fwd.W"),
-                       p["d.fwd.W"].grad, p["d.fwd.b"].grad)
-    _lstm_seq_backward(dH[:, ::-1, d_h:], cache["caches_b"], p.value("d.bwd.W"),
-                       p["d.bwd.W"].grad, p["d.bwd.b"].grad)
+    dscores = dscores.T.reshape(T * B, 1)
+    p["d.att.u"].grad += dscores.T @ u
+    da = dscores * p.value("d.att.u") * (1.0 - u * u)        # (T*B, d_att)
+    p["d.att.W"].grad += H.reshape(T * B, d2).T @ da
+    p["d.att.b"].grad += da.sum(axis=0, keepdims=True)
+    dH += (da @ p.value("d.att.W").T).reshape(T, B, d2)
+    halves = (dH[:, :, :d2 // 2], dH[::-1, :, d2 // 2:])
+    for k, direction in enumerate(("fwd", "bwd")):
+        _lstm_seq_backward(p, direction, disc.embed, cache["ids"][k], cache["scans"][k],
+                           halves[k])
 
 
 _FEATURES = {"fasttext": _fasttext_features, "cnn": _cnn_features, "birnn": _birnn_features}
@@ -354,10 +345,8 @@ def loss_and_dlogits(disc: Discriminator, logits: Tensor,
         dlogits = ((probs - y) / B)[:, None]
         acc = float(((probs >= 0.5) == (y >= 0.5)).mean())
     else:
-        logits_s = logits - logits.max(axis=1, keepdims=True)
-        logZ = np.log(np.exp(logits_s).sum(axis=1))
         rows = np.arange(B)
-        loss = float((logZ - logits_s[rows, targets]).mean())
+        loss = float(-log_softmax_rows(logits)[rows, targets].mean())
         dlogits = softmax_rows(logits)
         dlogits[rows, targets] -= 1.0
         dlogits /= B

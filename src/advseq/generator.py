@@ -1,11 +1,12 @@
 """Conditional LSTM sequence generator.
 
-One recurrent cell consumes the previous token's embedding concatenated
-with a learned condition embedding, so the label steers every step of the
-sequence. The same teacher-forced backward pass serves both maximum
-likelihood and policy-gradient training: each is a per-position weighting
-of d(-log p)/d(logits), so training steps differ only in the coefficient
-table they feed to the shared backprop-through-time loop.
+One recurrent cell consumes the previous token's embedding and a learned
+condition embedding, so the label steers every step of the sequence. Both
+inputs are projected through tables made once per call (`hoist`), and the
+teacher-forced pass is one `recurrent.scan`. The same backward pass serves
+both maximum likelihood and policy-gradient training: each is a
+per-position weighting of d(-log p)/d(logits), so training steps differ
+only in the coefficient table they feed to it.
 
 Sampling draws one child stream per batch item, which keeps results
 independent of batch decomposition and worker count.
@@ -14,13 +15,14 @@ independent of batch decomposition and worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import BOS_ID, PAD_ID, SequenceData
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
                        check_finite, clip_gradients, log_softmax_rows, softmax_rows)
-from .recurrent import LstmCache, lstm_cell_backward, lstm_cell_forward
+from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 INIT_RANGE = 0.08
 
@@ -33,10 +35,6 @@ class GeneratorDims:
     d_hidden: int = 32
     d_label: int = 8
 
-    @property
-    def d_input(self) -> int:
-        return self.d_hidden + self.d_embed + self.d_label
-
 
 def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
     """Embeddings and recurrent weights uniform in [-0.08, 0.08], output
@@ -46,8 +44,8 @@ def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
         -INIT_RANGE, INIT_RANGE, (dims.vocab_size, dims.d_embed)))
     params.add("gen.label_embed", rng.child("label_embed").uniform_range(
         -INIT_RANGE, INIT_RANGE, (dims.n_labels, dims.d_label)))
-    params.add("gen.lstm.W", rng.child("lstm").uniform_range(
-        -INIT_RANGE, INIT_RANGE, (dims.d_input, 4 * dims.d_hidden)))
+    params.add("gen.lstm.W", rng.child("lstm").uniform_range(  # rows [h ; x ; label]
+        -INIT_RANGE, INIT_RANGE, (dims.d_hidden + dims.d_embed + dims.d_label, 4 * dims.d_hidden)))
     params.add("gen.lstm.b", np.zeros((1, 4 * dims.d_hidden)))
     params.add("gen.out.W", rng.child("out").normal(
         (dims.d_hidden, dims.vocab_size)) / np.sqrt(dims.d_hidden))
@@ -55,13 +53,31 @@ def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
     return params
 
 
+class Hoisted(NamedTuple):
+    """Step inputs made once per call, gate scale folded in: gen.lstm.W's
+    rows [h ; x ; label] split into W_h and tables for x and the label."""
+
+    table: Tensor   # (V, 4d) embed @ W_x
+    cond: Tensor    # (n_labels, 4d) label_embed @ W_l + b
+    W_h: Tensor     # (d_h, 4d)
+    W_out: Tensor
+    b_out: Tensor
+
+
+def hoist(params: ParamStore, dims: GeneratorDims) -> Hoisted:
+    d_h, d_e = dims.d_hidden, dims.d_embed
+    W = params.value("gen.lstm.W") * gate_scale(d_h)
+    return Hoisted(params.value("gen.embed") @ W[d_h:d_h + d_e],
+                   params.value("gen.label_embed") @ W[d_h + d_e:]
+                   + params.value("gen.lstm.b") * gate_scale(d_h),
+                   W[:d_h], params.value("gen.out.W"), params.value("gen.out.b"))
+
+
 @dataclass
 class GenCache:
-    input_ids: np.ndarray          # (B, T) ids fed at each step
     labels: np.ndarray             # (B,)
-    lstm: list[LstmCache]
+    scan: Scan                     # time-major states and gates
     hs: np.ndarray                 # (B, T, d_h) post-step hidden states
-    cs: np.ndarray                 # (B, T, d_h) post-step cell states
     logits: np.ndarray             # (B, T, V)
 
 
@@ -73,16 +89,17 @@ def shifted_inputs(tokens: Tensor) -> np.ndarray:
     return inputs
 
 
-def step_logits(params: ParamStore, dims: GeneratorDims, h: Tensor, c: Tensor,
-                input_ids: np.ndarray, cond: Tensor
-                ) -> tuple[Tensor, Tensor, Tensor, Tensor, LstmCache]:
-    """One recurrent step; `cond` is the pre-gathered label embedding rows."""
-    x = params.value("gen.embed")[input_ids]
-    z = np.concatenate([h, x, cond], axis=1)
-    h_new, c_new, cache = lstm_cell_forward(
-        z, c, params.value("gen.lstm.W"), params.value("gen.lstm.b"))
-    logits = h_new @ params.value("gen.out.W") + params.value("gen.out.b")
-    return logits, h_new, c_new, z, cache
+def step_logits(hz: Hoisted, cond: Tensor, h: Tensor, c: Tensor,
+                input_ids: np.ndarray) -> Tensor:
+    """One free-running step from the batch's rows `cond` of hz.cond:
+    advances the state (h, c) in place and returns the logits."""
+    a = hz.table[input_ids]
+    a += cond
+    a += h @ hz.W_h
+    cell(a, c, h, c)
+    logits = h @ hz.W_out
+    logits += hz.b_out
+    return logits
 
 
 def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
@@ -91,21 +108,21 @@ def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
     intermediate needed for backprop and for restarting generation at an
     arbitrary position."""
     B, T = tokens.shape
-    cond = params.value("gen.label_embed")[labels]
-    input_ids = shifted_inputs(tokens)
-    h = np.zeros((B, dims.d_hidden))
-    c = np.zeros((B, dims.d_hidden))
-    lstm_caches: list[LstmCache] = []
-    hs = np.empty((B, T, dims.d_hidden))
-    cs = np.empty((B, T, dims.d_hidden))
-    logits = np.empty((B, T, dims.vocab_size))
-    for t in range(T):
-        logits_t, h, c, _, cache = step_logits(params, dims, h, c, input_ids[:, t], cond)
-        lstm_caches.append(cache)
-        hs[:, t] = h
-        cs[:, t] = c
-        logits[:, t] = logits_t
-    return GenCache(input_ids, labels, lstm_caches, hs, cs, logits)
+    hz = hoist(params, dims)
+    xa = hz.table[shifted_inputs(tokens).T]
+    xa += hz.cond[labels]
+    s = scan(xa, hz.W_h)
+    hs = s.hs[1:].transpose(1, 0, 2).reshape(B * T, dims.d_hidden)
+    logits = hs @ hz.W_out
+    logits += hz.b_out
+    return GenCache(labels, s, hs.reshape(B, T, -1), logits.reshape(B, T, -1))
+
+
+def _token_log_probs(logits: Tensor, tokens: Tensor) -> np.ndarray:
+    """log p(x_t | x_<t, y) per position from (B, T, V) logits, as (B, T)."""
+    B, T, V = logits.shape
+    logp = log_softmax_rows(logits.reshape(B * T, V))
+    return np.take_along_axis(logp, tokens.reshape(B * T, 1), axis=1).reshape(B, T)
 
 
 def pad_mask(tokens: Tensor, exclude_pad: bool) -> np.ndarray:
@@ -120,11 +137,7 @@ def batch_log_probs(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position log p(x_t | x_<t, y) and the contribution mask."""
     cache = forward_states(params, dims, tokens, labels)
-    B, T = tokens.shape
-    logp = np.empty((B, T))
-    for t in range(T):
-        logp[:, t] = log_softmax_rows(cache.logits[:, t])[np.arange(B), tokens[:, t]]
-    return logp, pad_mask(tokens, exclude_pad)
+    return _token_log_probs(cache.logits, tokens), pad_mask(tokens, exclude_pad)
 
 
 def sequence_log_prob(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
@@ -153,49 +166,38 @@ def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
     """Accumulate gradients of sum_{b,t} coefs[b,t] * (-log p(x_bt)).
 
     coefs = mask/B gives mean NLL; coefs = -reward*mask/B gives the
-    policy-gradient objective. The whole loop is hand-derived backprop
-    through time over the fused-gate cell.
+    policy-gradient objective. Only the scan's backward loops over time;
+    the output layer and the gradients from its dA are one op over B*T rows.
     """
     B, T = tokens.shape
     d_h, d_e = dims.d_hidden, dims.d_embed
-    W_out = params.value("gen.out.W")
-    W_lstm = params.value("gen.lstm.W")
-    g = {name: params[name].grad for name in
-         ("gen.embed", "gen.label_embed", "gen.lstm.W", "gen.lstm.b",
-          "gen.out.W", "gen.out.b")}
-    rows = np.arange(B)
-    dh_carry = np.zeros((B, d_h))
-    dc_carry = np.zeros((B, d_h))
-    for t in range(T - 1, -1, -1):
-        dlogits = softmax_rows(cache.logits[:, t])
-        dlogits[rows, tokens[:, t]] -= 1.0
-        dlogits *= coefs[:, t][:, None]
-        h_t = cache.hs[:, t]
-        g["gen.out.W"] += h_t.T @ dlogits
-        g["gen.out.b"] += dlogits.sum(axis=0, keepdims=True)
-        dh = dlogits @ W_out.T + dh_carry
-        dz, dc_carry = lstm_cell_backward(dh, dc_carry, cache.lstm[t], W_lstm,
-                                          g["gen.lstm.W"], g["gen.lstm.b"])
-        dh_carry = dz[:, :d_h]
-        np.add.at(g["gen.embed"], cache.input_ids[:, t], dz[:, d_h:d_h + d_e])
-        np.add.at(g["gen.label_embed"], cache.labels, dz[:, d_h + d_e:])
+    W = params.value("gen.lstm.W")
+    g = {name: p.grad for name, p in params.items()}
+    dlogits = softmax_rows(cache.logits.reshape(B * T, -1))
+    dlogits[np.arange(B * T), tokens.reshape(-1)] -= 1.0
+    dlogits *= coefs.reshape(B * T, 1)
+    g["gen.out.W"] += cache.hs.reshape(B * T, d_h).T @ dlogits
+    g["gen.out.b"] += dlogits.sum(axis=0, keepdims=True)
+    dH = (dlogits @ params.value("gen.out.W").T).reshape(B, T, d_h).transpose(1, 0, 2)
+    dA = scan_backward(dH, cache.scan, W[:d_h] * gate_scale(d_h))
+    dA_seq = dA.sum(axis=0)                  # (B, 4d): the label's input is the same each step
+    dA = dA.reshape(T * B, -1)
+    ids = shifted_inputs(tokens).T.reshape(-1)   # time-major, like dA's rows
+    g["gen.lstm.W"][:d_h] += cache.scan.hs[:-1].reshape(T * B, d_h).T @ dA
+    g["gen.lstm.W"][d_h:d_h + d_e] += params.value("gen.embed")[ids].T @ dA
+    g["gen.lstm.W"][d_h + d_e:] += params.value("gen.label_embed")[cache.labels].T @ dA_seq
+    g["gen.lstm.b"] += dA_seq.sum(axis=0, keepdims=True)
+    np.add.at(g["gen.embed"], ids, dA @ W[d_h:d_h + d_e].T)
+    np.add.at(g["gen.label_embed"], cache.labels, dA_seq @ W[d_h + d_e:].T)
 
 
 def mle_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
              tokens: Tensor, labels: np.ndarray, exclude_pad: bool = True,
              clip: float = 5.0) -> float:
-    """One maximum-likelihood update; returns mean NLL per sequence."""
-    cache = forward_states(params, dims, tokens, labels)
-    B, T = tokens.shape
-    mask = pad_mask(tokens, exclude_pad)
-    logp = np.empty((B, T))
-    for t in range(T):
-        logp[:, t] = log_softmax_rows(cache.logits[:, t])[np.arange(B), tokens[:, t]]
-    loss = float(-(logp * mask).sum() / B)
-    backward_coefs(params, dims, cache, tokens, mask / B)
-    clip_gradients(params, clip)
-    adam_step(params, opt)
-    return loss
+    """One maximum-likelihood update, the policy step with unit rewards;
+    returns mean NLL per sequence."""
+    return -policy_gradient_step(params, dims, opt, tokens, labels,
+                                 np.ones(tokens.shape), exclude_pad, clip)
 
 
 def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
@@ -206,15 +208,12 @@ def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState
     if rewards.shape != tokens.shape:
         raise ValueError(f"rewards {rewards.shape} do not match tokens {tokens.shape}")
     cache = forward_states(params, dims, tokens, labels)
-    B, T = tokens.shape
-    mask = pad_mask(tokens, exclude_pad)
-    logp = np.empty((B, T))
-    for t in range(T):
-        logp[:, t] = log_softmax_rows(cache.logits[:, t])[np.arange(B), tokens[:, t]]
-    objective = float((rewards * mask * logp).sum() / B)
+    B = len(tokens)
+    weights = rewards * pad_mask(tokens, exclude_pad)
+    objective = float((weights * _token_log_probs(cache.logits, tokens)).sum() / B)
     # minimizing sum_t (R/B) * (-log p) is ascent on the reward-weighted
     # log-likelihood
-    backward_coefs(params, dims, cache, tokens, rewards * mask / B)
+    backward_coefs(params, dims, cache, tokens, weights / B)
     clip_gradients(params, clip)
     adam_step(params, opt)
     return objective
@@ -223,7 +222,8 @@ def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState
 def _sample_from_logits(logits: Tensor, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row from softmax(logits), u in [0, 1)."""
     check_finite("sampling logits", logits)  # a NaN row would quietly draw id 0
-    cum = np.cumsum(softmax_rows(logits), axis=1)
+    cum = softmax_rows(logits)
+    np.cumsum(cum, axis=1, out=cum)
     idx = (cum < u[:, None]).sum(axis=1)
     return np.minimum(idx, logits.shape[1] - 1)
 
@@ -237,13 +237,12 @@ def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
     """
     B = len(labels)
     u = np.stack([rng.child(item_offset + i).uniform(seq_len) for i in range(B)])
-    cond = params.value("gen.label_embed")[labels]
-    h = np.zeros((B, dims.d_hidden))
-    c = np.zeros((B, dims.d_hidden))
+    hz = hoist(params, dims)
+    cond = hz.cond[labels]
+    h, c = np.zeros((2, B, dims.d_hidden))
     prev = np.full(B, BOS_ID, dtype=np.int64)
     out = np.empty((B, seq_len), dtype=np.int64)
     for t in range(seq_len):
-        logits, h, c, _, _ = step_logits(params, dims, h, c, prev, cond)
-        prev = _sample_from_logits(logits, u[:, t])
+        prev = _sample_from_logits(step_logits(hz, cond, h, c, prev), u[:, t])
         out[:, t] = prev
     return out

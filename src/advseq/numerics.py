@@ -35,14 +35,10 @@ def check_finite(name: str, *arrays: Tensor) -> None:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5*(1 + tanh(x/2)), elementwise: no overflow,
+    exact 0.5 at 0, and exactly 0.0 below about -37.4, so a caller that
+    takes its log adds an eps first."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -54,15 +50,17 @@ def softmax_rows(logits: Tensor) -> Tensor:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got {logits.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def log_softmax_rows(logits: Tensor) -> Tensor:
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 # ---------------------------------------------------------------------------

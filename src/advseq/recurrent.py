@@ -1,82 +1,92 @@
-"""Fused-gate LSTM cell with a hand-derived backward pass.
+"""One LSTM scan, shared by the generator (teacher-forced pass, sampling,
+rollouts) and the bidirectional classifier.
 
-The recurrence concatenates the previous hidden state with the step inputs
-and pushes the result through one fused weight matrix whose columns are the
-input, forget, output and candidate gates in that order:
+Weights, biases and gate blocks hold the input, forget, output and
+candidate gates in that order along their 4*d columns:
 
-    z = [h_prev ; x]
-    a = z @ W + b                      (width 4*d, gate order i|f|o|g)
-    i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)
-    g = tanh(a_g)
-    c = f * c_prev + i * g             forget discards, input admits
-    h = o * tanh(c)                    output gate filters
+    a_t = xa_t + h_{t-1} @ W_h         (B, 4d) pre-activations, i|f|o|g
+    i, f, o, g = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o), tanh(a_g)
+    c_t = f * c_{t-1} + i * g,  h_t = o * tanh(c_t)
 
-The generator and the bidirectional classifier both build on this cell.
+Callers hoist the input projection xa_t = x_t @ W_x + b out of the loop
+and pass all T steps at once (the generator as rows of its (V, 4d) token
+table embed @ W_x plus a label projection, the classifier as one X @ W_x
+GEMM over all T*B rows), so only h @ W_h runs per step. One tanh gives
+every gate, as sigmoid(x) = 0.5*(1 + tanh(x/2)): callers fold the halving
+into W_x, W_h and b by multiplying them by `gate_scale(d)`, which is exact.
+`scan_backward` returns the (T, B, 4d) gradients dA of the unfolded
+pre-activations; each gradient is then one GEMM after the loop:
+dW_h = h_prev^T dA, dW_x = X^T dA, db = sum dA, dX = dA W_x^T.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Tensor, sigmoid
+from .numerics import Tensor
 
 
-class LstmCache(NamedTuple):
-    """Activations recorded by the forward pass, used for backward."""
-
-    z: Tensor
-    i: Tensor
-    f: Tensor
-    o: Tensor
-    g: Tensor
-    c_prev: Tensor
-    c: Tensor
-    tanh_c: Tensor
+@lru_cache(maxsize=None)
+def gate_scale(d: int) -> Tensor:
+    """(4d,) read-only column factors: 0.5 on the sigmoid gates i|f|o, 1 on g."""
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], d)
+    scale.flags.writeable = False
+    return scale
 
 
-def lstm_cell_forward(z: Tensor, c_prev: Tensor, W: Tensor, b: Tensor
-                      ) -> tuple[Tensor, Tensor, LstmCache]:
-    """One step. z is (batch, d_h + d_x) with h_prev in the leading columns.
-
-    Returns (h, c, cache).
-    """
+def cell(a: Tensor, c_prev: Tensor, h: Tensor, c: Tensor) -> None:
+    """One step from folded pre-activations a (B, 4d), which become the gates
+    i|f|o|g in place; the new state goes into h and c (which may be c_prev)."""
     d = c_prev.shape[1]
-    a = z @ W + b
-    i = sigmoid(a[:, :d])
-    f = sigmoid(a[:, d:2 * d])
-    o = sigmoid(a[:, 2 * d:3 * d])
-    g = np.tanh(a[:, 3 * d:])
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, LstmCache(z, i, f, o, g, c_prev, c, tanh_c)
+    scale = gate_scale(d)
+    np.tanh(a, out=a)
+    a *= scale
+    a += 1.0 - scale                     # 0.5 on i|f|o, 0 on g
+    np.multiply(a[:, d:2 * d], c_prev, out=c)
+    c += a[:, :d] * a[:, 3 * d:]
+    np.tanh(c, out=h)
+    h *= a[:, 2 * d:3 * d]
 
 
-def lstm_cell_backward(dh: Tensor, dc: Tensor, cache: LstmCache, W: Tensor,
-                       dW: Tensor, db: Tensor) -> tuple[Tensor, Tensor]:
-    """Backward through one step; accumulates into dW/db.
+class Scan(NamedTuple):
+    hs: Tensor      # (T + 1, B, d) hidden states, hs[0] = 0 before step 0
+    cs: Tensor      # (T + 1, B, d) cell states, likewise
+    gates: Tensor   # (T, B, 4d) i|f|o|g
 
-    dh, dc are gradients flowing into this step's h and c. Returns
-    (dz, dc_prev); the caller splits dz into dh_prev and input gradients.
-    """
-    i, f, o, g = cache.i, cache.f, cache.o, cache.g
-    do = dh * cache.tanh_c
-    dc_total = dc + dh * o * (1.0 - cache.tanh_c * cache.tanh_c)
-    di = dc_total * g
-    dg = dc_total * i
-    df = dc_total * cache.c_prev
-    dc_prev = dc_total * f
 
-    da = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        do * o * (1.0 - o),
-        dg * (1.0 - g * g),
-    ], axis=1)
+def scan(xa: Tensor, W_h: Tensor) -> Scan:
+    """Run from a zero state over folded hoisted projections xa (T, B, 4d),
+    which become the gates."""
+    T, B, d4 = xa.shape
+    hs, cs = np.zeros((2, T + 1, B, d4 // 4))
+    for t in range(T):
+        xa[t] += hs[t] @ W_h
+        cell(xa[t], cs[t], hs[t + 1], cs[t + 1])
+    return Scan(hs, cs, xa)
 
-    dW += cache.z.T @ da
-    db += da.sum(axis=0)
-    dz = da @ W.T
-    return dz, dc_prev
+
+def scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
+    """BPTT from dH (T, B, d), each step's direct loss gradient on its
+    hidden state, with the folded W_h given to `scan`."""
+    T, B, d = dH.shape
+    W_raw_T = (W_h / gate_scale(d)).T
+    shift = 2.0 * gate_scale(d) - 1.0    # 0 on i|f|o, 1 on g
+    dA = np.empty((T, B, 4 * d))
+    dh, dc = np.zeros((2, B, d))
+    for t in range(T - 1, -1, -1):
+        G = s.gates[t]
+        tanh_c = np.tanh(s.cs[t + 1])
+        dh += dH[t]
+        dc += dh * G[:, 2 * d:3 * d] * (1.0 - tanh_c * tanh_c)
+        da = dA[t]
+        np.multiply(dc, G[:, 3 * d:], out=da[:, :d])
+        np.multiply(dc, s.cs[t], out=da[:, d:2 * d])
+        np.multiply(dh, tanh_c, out=da[:, 2 * d:3 * d])
+        np.multiply(dc, G[:, :d], out=da[:, 3 * d:])
+        da *= (1.0 - G) * (G + shift)  # s(1 - s) on i|f|o, (1 - g)(1 + g) on g
+        dc *= G[:, d:2 * d]
+        dh = da @ W_raw_T
+    return dA

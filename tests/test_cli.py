@@ -2,6 +2,8 @@
 
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +141,28 @@ def test_lock_blocks_mutating_commands(tmp_path, capsys):
     open(os.path.join(d, ".lock"), "w").close()
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 2
     assert "locked" in capsys.readouterr().err
+
+
+def test_stale_lock_of_a_dead_process_is_taken_over(tmp_path):
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so its pid names no live process
+    with open(os.path.join(d, ".lock"), "w") as fh:
+        fh.write(f"{child.pid}\n")
+    assert run("pretrain-g", "--run-dir", d) == 0
+    assert os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
+    assert not os.path.exists(os.path.join(d, ".lock"))
+
+
+def test_lock_of_a_live_process_still_blocks(tmp_path, capsys):
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
+    with open(os.path.join(d, ".lock"), "w") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert run("pretrain-g", "--run-dir", d) == 2
+    assert "locked" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,19 @@ def test_unit_reward_policy_gradient_equals_mle_gradient():
         assert np.array_equal(p.grad, mle_grads[n])
 
 
+def test_backward_accumulates_into_existing_grads():
+    params = init_generator_params(SMALL, RngStream(34, "init"))
+    tokens = np.array([[2, 3, 4], [4, 2, 2]])
+    labels = np.array([1, 0])
+    cache = forward_states(params, SMALL, tokens, labels)
+    params.zero_grads()
+    backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5))
+    once = {n: p.grad.copy() for n, p in params.items()}
+    backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5))
+    for n, p in params.items():
+        assert np.allclose(p.grad, 2 * once[n], rtol=0, atol=1e-15), n
+
+
 def test_zero_rewards_leave_parameters_unchanged():
     params = init_generator_params(SMALL, RngStream(59, "init"))
     before = {n: p.value.copy() for n, p in params.items()}

@@ -48,6 +48,18 @@ def test_sigmoid_and_relu_basics():
     assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
 
+def test_sigmoid_is_the_tanh_form_of_the_two_branch_logistic():
+    x = np.linspace(-60.0, 60.0, 1_000_001)
+    s = sigmoid(x)
+    two_branch = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                          np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert np.max(np.abs(s - two_branch)) <= 2.3e-16
+    assert np.all(np.diff(s) >= 0.0)
+    # (0 and +-800 are pinned above) far enough below zero the result is
+    # exactly 0.0, not a tiny positive
+    assert sigmoid(np.array([-40.0]))[0] == 0.0
+
+
 def test_check_finite_names_the_offender():
     with pytest.raises(NumericError, match="bad_tensor"):
         check_finite("bad_tensor", np.array([1.0, np.nan]))

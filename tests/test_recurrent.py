@@ -1,10 +1,10 @@
-"""LSTM cell forward against a straight-line oracle, backward against
-finite differences."""
+"""LSTM scan forward against a straight-line per-row oracle, backward
+against finite differences, and batch rows against each other."""
 
 import numpy as np
 
 from advseq.numerics import RngStream
-from advseq.recurrent import lstm_cell_forward, lstm_cell_backward
+from advseq.recurrent import gate_scale, scan, scan_backward
 
 
 def cell_params(d_h: int, d_x: int, rng: RngStream):
@@ -13,97 +13,120 @@ def cell_params(d_h: int, d_x: int, rng: RngStream):
     return W, b
 
 
+def run_scan(W, b, X):
+    """Hoist X @ W_x + b out of the loop and scan, the way callers do."""
+    d_h = W.shape[1] // 4
+    Wf = W * gate_scale(d_h)
+    xa = X @ Wf[d_h:] + b * gate_scale(d_h)
+    return scan(xa, Wf[:d_h])
+
+
 def test_zero_weights_give_zero_hidden_state():
-    # with W=b=0: i=f=o=0.5, g=0, c=0.5*c_prev, h=0.5*tanh(c)
-    z = RngStream(30).normal((3, 6))
-    c_prev = np.zeros((3, 2))
-    h, c, _ = lstm_cell_forward(z, c_prev, np.zeros((6, 8)), np.zeros(8))
-    assert np.array_equal(h, np.zeros((3, 2)))
-    assert np.array_equal(c, np.zeros((3, 2)))
+    # with W=b=0: i=f=o=0.5, g=0, so a zero state stays zero
+    d_h, d_x = 2, 4
+    X = RngStream(30).normal((5, 3, d_x))
+    s = run_scan(np.zeros((d_h + d_x, 4 * d_h)), np.zeros(4 * d_h), X)
+    assert np.array_equal(s.hs, np.zeros((6, 3, d_h)))
+    assert np.array_equal(s.cs, np.zeros((6, 3, d_h)))
+    assert np.array_equal(s.gates[..., :3 * d_h], np.full((5, 3, 3 * d_h), 0.5))
+    assert np.array_equal(s.gates[..., 3 * d_h:], np.zeros((5, 3, d_h)))
 
 
 def test_forward_matches_straight_line_oracle():
-    d_h, d_x, batch = 2, 3, 4
+    # five steps, so every step after the first carries a nonzero h and c
+    d_h, d_x, batch, T = 2, 3, 4, 5
     rng = RngStream(31)
     W, b = cell_params(d_h, d_x, rng)
-    z = rng.child("z").normal((batch, d_h + d_x))
-    c_prev = rng.child("c").normal((batch, d_h))
-    h, c, cache = lstm_cell_forward(z, c_prev, W, b)
+    X = rng.child("x").normal((T, batch, d_x))
+    s = run_scan(W, b, X)
 
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
 
     for r in range(batch):
-        a = z[r] @ W + b
-        i = sig(a[:d_h])
-        f = sig(a[d_h:2 * d_h])
-        o = sig(a[2 * d_h:3 * d_h])
-        g = np.tanh(a[3 * d_h:])
-        c_ref = f * c_prev[r] + i * g
-        h_ref = o * np.tanh(c_ref)
-        assert np.max(np.abs(c[r] - c_ref)) < 1e-12
-        assert np.max(np.abs(h[r] - h_ref)) < 1e-12
-    assert np.array_equal(cache.c, c)
+        h, c = np.zeros(d_h), np.zeros(d_h)
+        for t in range(T):
+            a = np.concatenate([h, X[t, r]]) @ W + b
+            i = sig(a[:d_h])
+            f = sig(a[d_h:2 * d_h])
+            o = sig(a[2 * d_h:3 * d_h])
+            g = np.tanh(a[3 * d_h:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            assert np.max(np.abs(s.gates[t, r] - np.concatenate([i, f, o, g]))) < 1e-12
+            assert np.max(np.abs(s.cs[t + 1, r] - c)) < 1e-12
+            assert np.max(np.abs(s.hs[t + 1, r] - h)) < 1e-12
+    assert np.all(np.abs(s.cs[1:]) > 0)
+    assert np.array_equal(s.hs[0], np.zeros((batch, d_h)))
 
 
 def test_hidden_state_stays_in_open_unit_interval():
     rng = RngStream(32)
     W, b = cell_params(3, 3, rng)
-    c = np.zeros((8, 3))
-    z = rng.child("z0").normal((8, 6), scale=4.0)
-    for step in range(50):
-        h, c, _ = lstm_cell_forward(z, c, W, b)
-        assert np.all(np.abs(h) < 1.0)
-        z = np.concatenate([h, rng.child("z", step).normal((8, 3), scale=4.0)], axis=1)
+    s = run_scan(W, b, rng.child("x").normal((50, 8, 3), scale=4.0))
+    assert np.all(np.abs(s.hs) < 1.0)
 
 
 def test_backward_matches_finite_differences():
-    d_h, d_x, batch = 2, 3, 3
+    d_h, d_x, batch, T = 2, 3, 2, 4
     rng = RngStream(33)
     W, b = cell_params(d_h, d_x, rng)
-    z = rng.child("z").normal((batch, d_h + d_x))
-    c_prev = rng.child("c").normal((batch, d_h))
-    # scalar loss: weighted sums of h and c pick up both output paths
-    wh = rng.child("wh").normal((batch, d_h))
-    wc = rng.child("wc").normal((batch, d_h))
+    X = rng.child("x").normal((T, batch, d_x))
+    # scalar loss: a weighted sum of every step's hidden state, so each
+    # gradient crosses up to T - 1 steps of recurrence
+    wh = rng.child("wh").normal((T, batch, d_h))
+    scale = gate_scale(d_h)
 
-    def loss(W_, b_, z_, c_prev_):
-        h, c, _ = lstm_cell_forward(z_, c_prev_, W_, b_)
-        return float(np.sum(wh * h) + np.sum(wc * c))
+    def loss_of_preact(xa_raw):
+        return float(np.sum(wh * scan(xa_raw * scale, W[:d_h] * scale).hs[1:]))
 
-    h, c, cache = lstm_cell_forward(z, c_prev, W, b)
-    dW = np.zeros_like(W)
-    db = np.zeros_like(b)
-    dz, dc_prev = lstm_cell_backward(wh, wc, cache, W, dW, db)
+    def loss():
+        return float(np.sum(wh * run_scan(W, b, X).hs[1:]))
 
-    eps = 1e-6
-    for arr, grad in ((W, dW), (b, db), (z, dz), (c_prev, dc_prev)):
-        flat = arr.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + eps
-            up = loss(W, b, z, c_prev)
-            flat[k] = orig - eps
-            down = loss(W, b, z, c_prev)
-            flat[k] = orig
-            fd = (up - down) / (2 * eps)
-            assert abs(fd - grad.reshape(-1)[k]) < 1e-6
+    s = run_scan(W, b, X)
+    dA = scan_backward(wh, s, W[:d_h] * scale)
+    flat = dA.reshape(T * batch, 4 * d_h)
+    grads = {
+        "W_h": s.hs[:-1].reshape(T * batch, d_h).T @ flat,
+        "W_x": X.reshape(T * batch, d_x).T @ flat,
+        "b": flat.sum(axis=0),
+        "X": dA @ W[d_h:].T,
+    }
+    dW = np.concatenate([grads["W_h"], grads["W_x"]])
+
+    def fd_check(arr, grad, f):
+        eps = 1e-6
+        flat_arr = arr.reshape(-1)
+        for k in range(flat_arr.size):
+            orig = flat_arr[k]
+            flat_arr[k] = orig + eps
+            up = f()
+            flat_arr[k] = orig - eps
+            down = f()
+            flat_arr[k] = orig
+            assert abs((up - down) / (2 * eps) - grad.reshape(-1)[k]) < 1e-6
+
+    xa_raw = X @ W[d_h:] + b
+    fd_check(xa_raw, dA, lambda: loss_of_preact(xa_raw))
+    for arr, grad in ((W, dW), (b, grads["b"]), (X, grads["X"])):
+        fd_check(arr, grad, loss)
 
 
-def test_backward_accumulates_into_existing_grads():
+def test_scan_rows_are_independent_bitwise():
+    # what the chunk- and thread-invariance gates rest on: a row's states,
+    # gates and gradients do not depend on which rows share its batch
+    d_h, d_x, T = 32, 32, 6
     rng = RngStream(34)
-    W, b = cell_params(2, 2, rng)
-    z = rng.child("z").normal((2, 4))
-    c_prev = rng.child("c").normal((2, 2))
-    _, _, cache = lstm_cell_forward(z, c_prev, W, b)
-    dh = rng.child("dh").normal((2, 2))
-    dc = rng.child("dc").normal((2, 2))
-
-    dW1 = np.zeros_like(W)
-    db1 = np.zeros_like(b)
-    lstm_cell_backward(dh, dc, cache, W, dW1, db1)
-    dW2 = dW1.copy()
-    db2 = db1.copy()
-    lstm_cell_backward(dh, dc, cache, W, dW2, db2)
-    assert np.allclose(dW2, 2 * dW1, rtol=0, atol=1e-15)
-    assert np.allclose(db2, 2 * db1, rtol=0, atol=1e-15)
+    W, b = cell_params(d_h, d_x, rng)
+    W_h = W[:d_h] * gate_scale(d_h)
+    for batch, cut in ((13, 7), (300, 128)):
+        X = rng.child("x", batch).normal((T, batch, d_x))
+        dH = rng.child("dh", batch).normal((T, batch, d_h))
+        whole = run_scan(W, b, X)
+        dA = scan_backward(dH, whole, W_h)
+        for rows in (slice(0, cut), slice(cut, batch)):
+            part = run_scan(W, b, X[:, rows].copy())
+            assert np.array_equal(part.hs, whole.hs[:, rows])
+            assert np.array_equal(part.cs, whole.cs[:, rows])
+            assert np.array_equal(part.gates, whole.gates[:, rows])
+            assert np.array_equal(scan_backward(dH[:, rows], part, W_h), dA[:, rows])
