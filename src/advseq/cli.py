@@ -513,6 +513,8 @@ def cmd_sample(args) -> int:
     _, vocab, _, digest = load_run_data(paths, cfg)
     params, dims, path = _pick_generator(paths, args, digest)
     n_labels = dims.n_labels
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
     if args.label is not None and not 0 <= args.label < n_labels:
         raise CliError(f"--label must lie in [0, {n_labels}), got {args.label}")
     if args.label is None:
@@ -528,8 +530,11 @@ def cmd_sample(args) -> int:
         lines.append(f"{int(labels[i])}\t{text}")
     out = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as e:
+            raise CliError(f"cannot write {args.out}: {e}") from None
         print(f"wrote {args.n} samples from {path} to {args.out}")
     else:
         sys.stdout.write(out)

@@ -10,12 +10,16 @@ label as the target).
 
 Kinds:
   fasttext  mean of unigram embeddings and hashed-bigram bucket embeddings
-  cnn       parallel convolutions of several widths, relu, max-over-time
-            pooling, one highway layer
+  cnn       parallel convolutions of several widths, max-over-time
+            pooling, relu, one highway layer
   birnn     bidirectional recurrent encoder with additive self-attention
 
 Token embeddings stay frozen, so no backward pass ever reaches them; the
-hashed bigram table of the fasttext kind is trained from scratch.
+hashed bigram table of the fasttext kind is trained from scratch. So the
+cnn and birnn bodies project the vocabulary once: cnn tap i of width w is
+the (V, F) table embed @ W_w[i*d_e:(i+1)*d_e], a window's pre-activation is
+the bias plus w gathered rows, and relu (which commutes with max) runs once
+on the pooled features.
 """
 
 from __future__ import annotations
@@ -145,28 +149,29 @@ def _fasttext_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
 
 
 def _cnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
+    """Time-major: pre[l, b] = b_w + sum_i tap_i[ids[l+i, b]], shape (L, B, F),
+    where tap i is the (V, F) table embed @ (the i-th d_e-row block of W_w)."""
     cfg = disc.cfg
-    X = disc.embed[tokens]                                # (B, T, d_e)
-    B, T, d_e = X.shape
-    pooled_parts, cache_parts = [], []
+    ids = np.ascontiguousarray(tokens.T)                  # (T, B)
+    T = len(ids)
+    pres = []
     for w in cfg.widths:
         if T < w:
             raise ValueError(f"sequence length {T} shorter than filter width {w}")
         L = T - w + 1
-        windows = np.concatenate([X[:, i:i + L] for i in range(w)], axis=2)  # (B, L, w*d_e)
-        pre = windows.reshape(B * L, w * d_e) @ disc.params.value(f"d.conv{w}.W")
-        pre = pre.reshape(B, L, cfg.n_filters) + disc.params.value(f"d.conv{w}.b")
-        act = relu(pre)
-        pooled = act.max(axis=1)                          # (B, F)
-        cache_parts.append({"w": w, "windows": windows, "argmax": act.argmax(axis=1),
-                            "pooled": pooled})
-        pooled_parts.append(pooled)
-    s0 = np.concatenate(pooled_parts, axis=1)             # (B, widths*F)
+        W = disc.params.value(f"d.conv{w}.W")
+        taps = disc.embed @ W.reshape(w, cfg.d_embed, cfg.n_filters)   # (w, V, F)
+        pre = taps[0][ids[:L]]
+        pre += disc.params.value(f"d.conv{w}.b")
+        for i in range(1, w):
+            pre += taps[i][ids[i:i + L]]
+        pres.append(pre)
+    s0 = relu(np.concatenate([pre.max(axis=0) for pre in pres], axis=1))
     t_gate = sigmoid(s0 @ disc.params.value("d.hw.Wt") + disc.params.value("d.hw.bt"))
     g_pre = s0 @ disc.params.value("d.hw.Wg") + disc.params.value("d.hw.bg")
     g_act = relu(g_pre)
     s = t_gate * g_act + (1.0 - t_gate) * s0
-    return s, {"convs": cache_parts, "s0": s0, "t": t_gate, "g_pre": g_pre, "g": g_act}
+    return s, {"ids": ids, "pres": pres, "s0": s0, "t": t_gate, "g_pre": g_pre, "g": g_act}
 
 
 def _cnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
@@ -183,18 +188,18 @@ def _cnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
     p["d.hw.Wg"].grad += s0.T @ da_g
     p["d.hw.bg"].grad += da_g.sum(axis=0, keepdims=True)
     ds0 += da_t @ p.value("d.hw.Wt").T + da_g @ p.value("d.hw.Wg").T
-    offset = 0
-    for part in cache["convs"]:
-        w = part["w"]
-        dpooled = ds0[:, offset:offset + cfg.n_filters] * (part["pooled"] > 0)
-        offset += cfg.n_filters
-        windows = part["windows"]
-        B, L, win_dim = windows.shape
-        dpre = np.zeros((B, L, cfg.n_filters))
-        np.put_along_axis(dpre, part["argmax"][:, None, :], dpooled[:, None, :], axis=1)
-        p[f"d.conv{w}.W"].grad += windows.reshape(B * L, win_dim).T @ \
-            dpre.reshape(B * L, cfg.n_filters)
-        p[f"d.conv{w}.b"].grad += dpre.sum(axis=(0, 1))[None, :]
+    ids = cache["ids"]
+    F, V = cfg.n_filters, cfg.vocab_size
+    rows = np.arange(ids.shape[1])[:, None]
+    for k, (w, pre) in enumerate(zip(cfg.widths, cache["pres"])):
+        # gradient reaches each filter's first maximal position, never a dead filter
+        dpooled = ds0[:, k * F:(k + 1) * F] * (s0[:, k * F:(k + 1) * F] > 0)
+        tap = np.arange(w)[:, None, None]
+        tok = ids[pre.argmax(axis=0) + tap, rows]         # (w, B, F)
+        dtaps = np.bincount(((tap * V + tok) * F + np.arange(F)).ravel(),
+                            np.broadcast_to(dpooled, tok.shape).ravel(), w * V * F)
+        p[f"d.conv{w}.W"].grad += (disc.embed.T @ dtaps.reshape(w, V, F)).reshape(-1, F)
+        p[f"d.conv{w}.b"].grad += dpooled.sum(axis=0)
 
 
 def _lstm_seq_forward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor) -> Scan:

@@ -14,7 +14,7 @@ from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 pretrain_discriminator, pretrain_generator,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
-from advseq.corpus import SequenceData
+from advseq.corpus import PAD_ID, SequenceData
 from advseq.discriminators import DiscriminatorConfig, init_discriminator
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
@@ -308,18 +308,18 @@ def test_teacher_forcing_is_a_maximum_likelihood_step():
         assert np.array_equal(p.value, b.value(n))
 
 
-def test_unit_reward_policy_step_equals_teacher_forcing_step():
+def test_policy_step_returns_reward_weighted_log_likelihood():
     data = tiny_corpus()
-    a = init_generator_params(DIMS, RngStream(156))
-    b = a.copy()
-    opt_a = AdamState(a, lr=1e-3)
-    opt_b = AdamState(b, lr=1e-3)
-    tokens, labels = data.tokens[:8], data.labels[:8]
-    mle_step(a, DIMS, opt_a, tokens, labels)
-    policy_gradient_step(b, DIMS, opt_b, tokens, labels,
-                         np.ones_like(tokens, dtype=np.float64))
-    for n, p in a.items():
-        assert np.array_equal(p.value, b.value(n))
+    params = init_generator_params(DIMS, RngStream(156))
+    tokens, labels = data.tokens[:8].copy(), data.labels[:8]
+    tokens[2, 2:] = PAD_ID
+    rewards = RngStream(159).normal(tokens.shape)
+    logp, mask = batch_log_probs(params, DIMS, tokens, labels)
+    assert np.any(rewards * mask < 0) and np.any(rewards * mask > 0)
+    want = float((rewards * mask * logp).sum() / len(tokens))
+    got = policy_gradient_step(params, DIMS, AdamState(params, lr=1e-3), tokens, labels,
+                               rewards)
+    assert abs(got - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,19 @@ def test_sample_fixed_label_and_file_output(trained, tmp_path, capsys):
     assert "--label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sample_rejects_a_count_below_one(trained, capsys, n):
+    assert run("sample", "--run-dir", trained, "--n", n) == 2
+    assert capsys.readouterr().err.startswith("error: --n")
+
+
+def test_sample_reports_an_unwritable_output_path(trained, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "samples.txt")
+    assert run("sample", "--run-dir", trained, "--n", "2", "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert not os.path.exists(out)
+
+
 def test_eval_micro_tier(trained, capsys):
     assert run("eval", "--run-dir", trained, "--tier", "micro") == 0
     out = capsys.readouterr().out

@@ -8,8 +8,8 @@ import pytest
 
 from advseq.corpus import PAD_ID
 from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
-                                   _cnn_features, backward, bigram_buckets,
-                                   class_probs, forward,
+                                   _cnn_backward, _cnn_features, backward,
+                                   bigram_buckets, class_probs, forward,
                                    init_discriminator, loss_and_dlogits,
                                    score, train_step)
 from advseq.numerics import AdamState, RngStream, finite_diff_check
@@ -219,6 +219,85 @@ def test_cnn_rejects_sequences_shorter_than_widest_filter():
         forward(disc, np.full((1, 2), 4, dtype=np.int64), np.array([0]))
 
 
+def window_cnn(disc: Discriminator, tokens: np.ndarray, ds: np.ndarray):
+    """The cnn body as (B, L, w*d_e) window tensors times W_w, relu, then
+    max and argmax over time; kept only as an oracle for the tap-table
+    form. Returns the highway output and the conv gradients from ds."""
+    p = disc.params
+    X = disc.embed[tokens]
+    B, T, d_e = X.shape
+    parts = []
+    for w in disc.cfg.widths:
+        L = T - w + 1
+        windows = np.concatenate([X[:, i:i + L] for i in range(w)], axis=2)
+        pre = windows.reshape(B * L, w * d_e) @ p.value(f"d.conv{w}.W")
+        act = np.maximum(pre.reshape(B, L, -1) + p.value(f"d.conv{w}.b"), 0.0)
+        parts.append((w, windows, act.argmax(axis=1), act.max(axis=1)))
+    s0 = np.concatenate([pooled for *_, pooled in parts], axis=1)
+    t_gate = sig(s0 @ p.value("d.hw.Wt") + p.value("d.hw.bt"))
+    g_pre = s0 @ p.value("d.hw.Wg") + p.value("d.hw.bg")
+    g = np.maximum(g_pre, 0.0)
+    s = t_gate * g + (1.0 - t_gate) * s0
+    da_t = ds * (g - s0) * t_gate * (1.0 - t_gate)
+    da_g = ds * t_gate * (g_pre > 0)
+    ds0 = ds * (1.0 - t_gate) + da_t @ p.value("d.hw.Wt").T + da_g @ p.value("d.hw.Wg").T
+    grads, F = {}, disc.cfg.n_filters
+    for k, (w, windows, argmax, pooled) in enumerate(parts):
+        dpooled = ds0[:, k * F:(k + 1) * F] * (pooled > 0)
+        dpre = np.zeros((B, windows.shape[1], F))
+        np.put_along_axis(dpre, argmax[:, None, :], dpooled[:, None, :], axis=1)
+        grads[f"d.conv{w}.W"] = windows.reshape(-1, windows.shape[2]).T @ dpre.reshape(-1, F)
+        grads[f"d.conv{w}.b"] = dpre.sum(axis=(0, 1))[None, :]
+    return s, grads
+
+
+def wide_cnn(seed: int = 130) -> Discriminator:
+    """Widths (2, 3, 4) over T = 20, biases spread across zero, and filter 1
+    of width 3 negative everywhere."""
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2, seq_len=20,
+                              d_embed=D_E, n_filters=8, widths=(2, 3, 4), dropout=0.0)
+    disc = init_discriminator(cfg, EMBED, RngStream(seed))
+    for w in cfg.widths:
+        disc.params[f"d.conv{w}.b"].value[...] = RngStream(seed, "b", w).normal((1, 8))
+    disc.params["d.conv3.b"].value[0, 1] = -50.0
+    return disc
+
+
+def test_cnn_tap_tables_match_window_oracle():
+    disc = wide_cnn()
+    tokens = RngStream(131).integers(2, V, (9, 20))
+    tokens[2, 5:9] = PAD_ID
+    tokens[6, 11] = PAD_ID
+    tokens[7, 3:] = PAD_ID
+    s, cache = _cnn_features(disc, tokens)
+    want, _ = window_cnn(disc, tokens, np.zeros_like(s))
+    assert np.max(np.abs(s - want)) < 1e-12
+    assert np.all(cache["s0"][:, 8 + 1] == 0.0)
+
+
+def test_cnn_tap_gradients_match_window_oracle_on_ties_and_dead_filters():
+    disc = wide_cnn()
+    tokens = RngStream(132).integers(2, V, (8, 20))
+    tokens[0] = 5      # constant rows: every window ties for the max, and the
+    tokens[3] = 2      # oracle sends the gradient to the first one only
+    tokens[5, 7:] = PAD_ID
+    # filter 0 of width 2 reads only a window's first token, so in row 1 the
+    # windows (5, 5) tie with the last one, (5, 7), and only the first counts
+    disc.params["d.conv2.W"].value[D_E:, 0] = 0.0
+    disc.params["d.conv2.b"].value[0, 0] = 5.0
+    tokens[1] = 5
+    tokens[1, -1] = 7
+    ds = RngStream(133).normal((8, disc.cfg.feature_dim()))
+    disc.params.zero_grads()
+    _, cache = _cnn_features(disc, tokens)
+    _cnn_backward(disc, cache, ds)
+    _, want = window_cnn(disc, tokens, ds)
+    for name, g in want.items():
+        assert np.max(np.abs(disc.params[name].grad - g)) < 1e-12, name
+    assert np.all(disc.params["d.conv3.W"].grad[:, 1] == 0.0)
+    assert disc.params["d.conv3.b"].grad[0, 1] == 0.0
+
+
 def test_highway_gate_closed_passes_features_through():
     disc = make_disc("cnn", dropout=0.0)
     disc.params["d.hw.bt"].value[...] = -50.0  # transform gate ~ 0
@@ -271,6 +350,32 @@ def test_gradients_pass_finite_differences(kind):
     _, _, dlogits = loss_and_dlogits(disc, logits, targets)
     backward(disc, cache, dlogits)
     disc.params["d.head.W"].grad += cfg.l2 * disc.params.value("d.head.W")
+    assert finite_diff_check(loss_fn, disc.params) < 1e-4
+
+
+def test_cnn_gradients_pass_finite_differences_with_three_widths():
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2, seq_len=7,
+                              d_embed=4, n_filters=3, widths=(2, 3, 4), dropout=0.0,
+                              l2=0.05)
+    embed = RngStream(134).uniform_range(-0.4, 0.4, (6, 4))
+    disc = init_discriminator(cfg, embed, RngStream(135))
+    randomize_head(disc, seed=136)
+    tokens = RngStream(137).integers(2, 6, (5, 7))
+    tokens[1, 4:] = PAD_ID
+    labels = RngStream(138).integers(0, 2, 5)
+    targets = np.array([1, 0, 1, 0, 1])
+
+    def loss_fn(_ps, d=disc):
+        logits, _ = forward(d, tokens, labels)
+        loss, _, _ = loss_and_dlogits(d, logits, targets)
+        return loss
+
+    disc.params.zero_grads()
+    logits, cache = forward(disc, tokens, labels)
+    _, _, dlogits = loss_and_dlogits(disc, logits, targets)
+    backward(disc, cache, dlogits)
+    disc.params["d.head.W"].grad += cfg.l2 * disc.params.value("d.head.W")
+    assert all(np.any(disc.params[f"d.conv{w}.W"].grad != 0) for w in cfg.widths)
     assert finite_diff_check(loss_fn, disc.params) < 1e-4
 
 

@@ -164,22 +164,23 @@ def test_mle_gradient_matches_finite_differences():
     assert finite_diff_check(loss_fn, params) < 1e-4
 
 
-def test_unit_reward_policy_gradient_equals_mle_gradient():
+def test_reward_weighted_gradient_matches_finite_differences():
     params = init_generator_params(SMALL, RngStream(58, "init"))
-    tokens = np.array([[2, 3, 4], [4, 2, PAD_ID]])
-    labels = np.array([1, 0])
-    mask = pad_mask(tokens, True)
+    tokens = np.array([[2, 3, 4, PAD_ID], [4, PAD_ID, 2, 3], [3, 3, 2, 4]])
+    labels = np.array([1, 0, 1])
+    # per-position rewards of both signs; pads carry rewards the mask drops
+    rewards = np.array([[0.9, -1.3, 0.2, 2.0], [-0.4, 5.0, 1.7, -0.8],
+                        [0.05, -2.2, 1.1, 0.6]])
+    weights = rewards * pad_mask(tokens, True) / len(tokens)
 
+    def loss_fn(ps):
+        logp, _ = batch_log_probs(ps, SMALL, tokens, labels)
+        return float(-(weights * logp).sum())
+
+    params.zero_grads()
     cache = forward_states(params, SMALL, tokens, labels)
-    params.zero_grads()
-    backward_coefs(params, SMALL, cache, tokens, mask / 2)
-    mle_grads = {n: p.grad.copy() for n, p in params.items()}
-
-    params.zero_grads()
-    rewards = np.ones_like(mask)
-    backward_coefs(params, SMALL, cache, tokens, rewards * mask / 2)
-    for n, p in params.items():
-        assert np.array_equal(p.grad, mle_grads[n])
+    backward_coefs(params, SMALL, cache, tokens, weights)
+    assert finite_diff_check(loss_fn, params) < 1e-4
 
 
 def test_backward_accumulates_into_existing_grads():
