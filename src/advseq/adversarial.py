@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .corpus import SequenceData
 from .discriminators import Discriminator, score, train_step
-from .generator import (GeneratorDims, batch_log_probs, forward_states, hoist,
-                        mean_nll, mle_step, policy_gradient_step,
-                        sample_batch, step_logits, _sample_from_logits)
+from .generator import (GeneratorDims, forward_states, hoist, mean_nll, mle_step,
+                        policy_gradient_step, sample_batch, step_logits,
+                        _sample_from_logits)
 from .numerics import AdamState, ParamStore, RngStream, sigmoid
 
 ODA_CAP = 1e6
@@ -55,17 +54,17 @@ class TrainSchedule:
 
     def validate(self) -> None:
         if self.rescale not in RESCALE_MODES:
-            raise ValueError(f"rescale must be one of {RESCALE_MODES}, got {self.rescale!r}")
+            raise ValueError(f"adv.rescale must be one of {RESCALE_MODES}, got {self.rescale!r}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"soft-update alpha must lie in [0, 1], got {self.alpha}")
+            raise ValueError(f"soft-update adv.alpha must lie in [0, 1], got {self.alpha}")
         if self.rollouts < 1 or self.batch_size < 1:
-            raise ValueError("rollouts and batch_size must be positive")
+            raise ValueError("adv.rollouts and adv.batch_size must be positive")
         # iterations == 0 is allowed: the loop degenerates to a no-op and
         # returns the pretrained parameters untouched.
         if self.iterations < 0 or self.g_steps < 1 or self.d_steps < 1:
-            raise ValueError("iterations must be >= 0, g_steps and d_steps >= 1")
+            raise ValueError("adv.iterations must be >= 0, adv.g_steps and adv.d_steps >= 1")
         if self.delta <= 0.0:
-            raise ValueError(f"rank-rescale delta must be positive, got {self.delta}")
+            raise ValueError(f"rank-rescale adv.delta must be positive, got {self.delta}")
 
 
 def soft_update(rollout_params: ParamStore, gen_params: ParamStore,
@@ -133,31 +132,6 @@ def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
     return rewards
 
 
-def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
-                        score_fn: ScoreFn, tokens: np.ndarray,
-                        labels: np.ndarray) -> np.ndarray:
-    """Exact expected rewards by summing over every completion.
-
-    Only feasible for tiny vocabularies and lengths; the reference point
-    Monte Carlo rewards converge to.
-    """
-    B, T = tokens.shape
-    V = dims.vocab_size
-    rewards = np.empty((B, T))
-    for p in range(T - 1):
-        suffixes = np.array(list(product(range(V), repeat=T - 1 - p)), dtype=np.int64)
-        n_suf = len(suffixes)
-        full = np.repeat(tokens, n_suf, axis=0)            # (B*n_suf, T)
-        full[:, p + 1:] = np.tile(suffixes, (B, 1))
-        labs = np.repeat(labels, n_suf)
-        logp, _ = batch_log_probs(rollout_params, dims, full, labs, exclude_pad=False)
-        w = np.exp(logp[:, p + 1:].sum(axis=1)).reshape(B, n_suf)
-        vals = score_fn(full, labs).reshape(B, n_suf)
-        rewards[:, p] = (w * vals).sum(axis=1)
-    rewards[:, T - 1] = score_fn(tokens, labels)
-    return rewards
-
-
 def rescale_oda(rewards: np.ndarray) -> np.ndarray:
     """Odds ratio D/(1-D); scores clamped below 1-1e-6 and the output
     capped at 1e6 so a saturated discriminator cannot produce inf."""
@@ -214,15 +188,17 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                        patience: int = 20, min_delta: float = 1e-4,
                        clip: float = 5.0, opt: AdamState | None = None,
                        start_epoch: int = 0, prior_valid: tuple = (),
-                       log_cb=None) -> list[dict]:
+                       on_epoch=None) -> list[dict]:
     """Teacher-forced maximum likelihood with early stopping on validation
     NLL. Training always keeps the latest weights; stopping just ends the
-    loop once `patience` epochs pass without improvement.
+    loop once `patience` epochs pass without improvement. `on_epoch(row)`
+    runs after every epoch.
 
     Resuming: pass `start_epoch` plus the previous epochs' validation NLLs
     so the early-stopping state replays to where the interrupted run left
-    off. Epoch indices key the shuffle streams, so the continued trajectory
-    matches an uninterrupted run.
+    off. Patience is checked before each epoch, so a run that had already
+    stopped trains nothing more, and epoch indices key the shuffle streams,
+    so the continued trajectory matches an uninterrupted run.
     """
     if opt is None:
         opt = AdamState(params, lr=lr)
@@ -237,6 +213,8 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
             stale += 1
     t0 = time.perf_counter()
     for epoch in range(start_epoch, epochs):
+        if stale >= max(patience, 1):  # a patience below 1 acts as 1
+            break
         order = rng.child("order", epoch).permutation(len(train))
         losses = []
         for idx in iterate_batches(len(train), batch_size, order):
@@ -247,15 +225,13 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                "valid_nll": valid_nll,
                "wall_seconds": time.perf_counter() - t0}
         history.append(row)
-        if log_cb is not None:
-            log_cb(row)
+        if on_epoch is not None:
+            on_epoch(row)
         if valid_nll < best - min_delta:
             best = valid_nll
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
-                break
     return history
 
 
@@ -278,8 +254,9 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                            rng: RngStream, epochs: int, batch_size: int = 64,
                            lr: float = 1e-3, clip: float = 5.0,
                            opt: AdamState | None = None, start_epoch: int = 0,
-                           log_cb=None) -> list[dict]:
-    """Real-vs-generated pretraining, one discriminator_step per batch."""
+                           on_epoch=None) -> list[dict]:
+    """Real-vs-generated pretraining, one discriminator_step per batch;
+    `on_epoch(row)` runs after every epoch."""
     if opt is None:
         opt = AdamState(disc.params, lr=lr)
     history: list[dict] = []
@@ -297,8 +274,8 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                "d_acc": float(np.mean(accs)),
                "wall_seconds": time.perf_counter() - t0}
         history.append(row)
-        if log_cb is not None:
-            log_cb(row)
+        if on_epoch is not None:
+            on_epoch(row)
     return history
 
 
@@ -314,8 +291,9 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                       g_opt: AdamState | None = None,
                       d_opt: AdamState | None = None,
                       start_iteration: int = 0, threads: int = 1,
-                      on_iteration=None) -> tuple[list[dict], ParamStore]:
-    """Alternate policy-gradient generator steps with discriminator steps.
+                      on_epoch=None) -> tuple[list[dict], ParamStore]:
+    """Alternate policy-gradient generator steps with discriminator steps;
+    `on_epoch(row)` runs after every iteration.
 
     All randomness is derived from (purpose, iteration, step) child
     streams, so resuming at `start_iteration` with restored parameters and
@@ -365,6 +343,6 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                "nll_test": mean_nll(gen_params, dims, monitor),
                "wall_seconds": time.perf_counter() - t0}
         history.append(row)
-        if on_iteration is not None:
-            on_iteration(i, row, rollout_params, g_opt, d_opt)
+        if on_epoch is not None:
+            on_epoch(row)
     return history, rollout_params

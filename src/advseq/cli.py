@@ -5,7 +5,7 @@ Subcommands cover the whole workflow against one run directory:
     corpus-gen   materialize a grammar corpus, vocabulary, and splits
     pretrain-g   maximum-likelihood generator pretraining
     pretrain-d   discriminator pretraining against the pretrained generator
-    advtrain     adversarial training with rollout rewards (resumable)
+    advtrain     adversarial training with rollout rewards
     sample       print sequences from a trained generator
     eval         micro / macro / application metrics
 
@@ -13,9 +13,11 @@ The run directory comes from --run-dir, else the ADVSEQ_RUN_DIR
 environment variable, else ./run. corpus-gen pins the resolved
 configuration into <run>/config.txt; later commands read it back, so a run
 stays self-describing. Mutating commands hold a .lock file while working.
+Training commands checkpoint every epoch; --resume continues or extends them.
 
 Exit codes: 0 success, 2 usage or configuration problems, 3 numeric
-failures during training, 4 corrupt or mismatched artifacts.
+failures during training, 4 corrupt or mismatched artifacts, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_CORRUPT = 4
+EXIT_INTERRUPTED = 130
 
 ADV_COLUMNS = ("iteration", "nll_test", "mean_reward", "d_loss", "g_objective",
                "wall_seconds")
@@ -159,10 +162,6 @@ def _require(path: str, hint: str) -> str:
     if not os.path.exists(path):
         raise CliError(f"missing {path}; run `{hint}` first")
     return path
-
-
-def _csv_cell(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +337,28 @@ def _read_csv_rows(path: str, columns: tuple[str, ...], upto: int) -> list[dict]
     return rows
 
 
-def _append_rows(path: str, columns: tuple[str, ...], old: list[dict],
-                 new: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in old + new:  # repr(float(cell)) is the cell as written
-            fh.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
+@contextlib.contextmanager
+def _epoch_driver(log_path: str, columns: tuple[str, ...], setting: str, total: int,
+                  start: int, save):
+    """The one training driver and the only writer of training logs. Refuses
+    an empty range, rewrites the log's rows before `start` via a temporary
+    file and yields them with the `on_epoch(row)` hook: append and flush the
+    row, then `save(row)`, so the log never trails the checkpoint."""
+    if start >= total:
+        raise CliError(f"nothing to do: {setting} = {total} ends before {columns[0]} {start}")
+    kept = _read_csv_rows(log_path, columns, start - 1) if start else []
+    def line(row: dict) -> str:  # repr(float(cell)) is the cell as written
+        return ",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
+                        for c in columns) + "\n"
+    with open(log_path + ".tmp", "w", encoding="utf-8") as fh:
+        fh.writelines(line(row) for row in [dict(zip(columns, columns))] + kept)
+    os.replace(log_path + ".tmp", log_path)
+    with open(log_path, "a", encoding="utf-8") as fh:
+        def on_epoch(row: dict) -> None:
+            fh.write(line(row))
+            fh.flush()
+            save(row)
+        yield kept, on_epoch
 
 
 def cmd_pretrain_g(args) -> int:
@@ -355,31 +370,26 @@ def cmd_pretrain_g(args) -> int:
     epochs = cfg["pretrain.g_epochs"]
     with RunLock(paths):
         start = 0
-        prior: list[dict] = []
         if args.resume:
             state = load_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"),
                                    digest)
             params, dims = state.generator()
             opt = state.adam("gopt.", params, cfg["pretrain.g_lr"])
             start = state.counter("epoch") + 1
-            prior = _read_csv_rows(paths.gen_pretrain_log, GPRE_COLUMNS, start - 1)
-            if start >= epochs:
-                raise CliError(f"nothing to do: log is at epoch {start - 1} "
-                               f"and pretrain.g_epochs = {epochs}")
         else:
             params = init_generator_params(dims, root.child("gen_init"))
             opt = AdamState(params, lr=cfg["pretrain.g_lr"])
-        history = pretrain_generator(params, dims, splits.train, splits.valid,
-                                     root.child("gpre"), epochs=epochs,
-                                     batch_size=cfg["pretrain.batch_size"],
-                                     lr=cfg["pretrain.g_lr"],
-                                     patience=cfg["pretrain.patience"],
-                                     opt=opt, start_epoch=start,
-                                     prior_valid=tuple(r["valid_nll"] for r in prior))
-        _append_rows(paths.gen_pretrain_log, GPRE_COLUMNS, prior, history)
-        last_epoch = history[-1]["epoch"] if history else start - 1
-        save_run_state(paths.gen_pretrain, digest, gen=(params, dims), gopt=opt,
-                       epoch=last_epoch)
+        with _epoch_driver(paths.gen_pretrain_log, GPRE_COLUMNS, "pretrain.g_epochs",
+                           epochs, start, lambda row: save_run_state(
+                               paths.gen_pretrain, digest, gen=(params, dims), gopt=opt,
+                               epoch=row["epoch"])) as (prior, on_epoch):
+            history = pretrain_generator(params, dims, splits.train, splits.valid,
+                                         root.child("gpre"), epochs=epochs,
+                                         batch_size=cfg["pretrain.batch_size"],
+                                         lr=cfg["pretrain.g_lr"],
+                                         patience=cfg["pretrain.patience"],
+                                         opt=opt, start_epoch=start, on_epoch=on_epoch,
+                                         prior_valid=tuple(r["valid_nll"] for r in prior))
     if history:
         last = history[-1]
         print(f"pretrained generator: epochs {start}..{last['epoch']}, "
@@ -405,29 +415,25 @@ def cmd_pretrain_d(args) -> int:
         dcfg = cfg.disc_config(len(vocab), len(grammar.labels),
                                cfg["corpus.seq_len"], kind=kind)
         start = 0
-        prior: list[dict] = []
         if args.resume:
             state = load_run_state(
                 _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}"), digest)
             disc = state.discriminator(dcfg)
             opt = state.adam("dopt.", disc.params, cfg["pretrain.d_lr"])
             start = state.counter("epoch") + 1
-            prior = _read_csv_rows(paths.disc_log(kind), DPRE_COLUMNS, start - 1)
-            if start >= epochs:
-                raise CliError(f"nothing to do: log is at epoch {start - 1} "
-                               f"and the configured epochs = {epochs}")
-        else:
-            embed = load_or_make_embeddings(paths, cfg, vocab, splits.train, digest, root)
-            disc = init_discriminator(dcfg, embed, root.child("dinit", kind))
-            opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
-        history = pretrain_discriminator(disc, gen_params, dims, splits.train,
-                                         root.child("dpre", kind), epochs=epochs,
-                                         batch_size=cfg["pretrain.batch_size"],
-                                         lr=cfg["pretrain.d_lr"],
-                                         opt=opt, start_epoch=start)
-        _append_rows(paths.disc_log(kind), DPRE_COLUMNS, prior, history)
-        save_run_state(paths.disc(kind), digest, disc=disc, dopt=opt,
-                       epoch=history[-1]["epoch"])
+        with _epoch_driver(paths.disc_log(kind), DPRE_COLUMNS, f"pretrain.d_epochs_{kind}",
+                           epochs, start, lambda row: save_run_state(
+                               paths.disc(kind), digest, disc=disc, dopt=opt,
+                               epoch=row["epoch"])) as (_, on_epoch):
+            if not args.resume:  # built only once the driver accepts the epoch range
+                embed = load_or_make_embeddings(paths, cfg, vocab, splits.train, digest, root)
+                disc = init_discriminator(dcfg, embed, root.child("dinit", kind))
+                opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
+            history = pretrain_discriminator(disc, gen_params, dims, splits.train,
+                                             root.child("dpre", kind), epochs=epochs,
+                                             batch_size=cfg["pretrain.batch_size"],
+                                             lr=cfg["pretrain.d_lr"],
+                                             opt=opt, start_epoch=start, on_epoch=on_epoch)
     last = history[-1]
     print(f"pretrained {kind} discriminator: epochs {start}..{last['epoch']}, "
           f"loss {last['d_loss']:.4f}, accuracy {last['d_acc']:.4f}")
@@ -461,37 +467,24 @@ def cmd_advtrain(args) -> int:
                                f"or remove it to start over")
             gen_params, dims = load_run_state(
                 _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
-            rollout_params = None
-            g_opt = d_opt = None
+            rollout_params = gen_params.copy()  # beta starts at theta
+            g_opt = AdamState(gen_params, lr=sched.g_lr)
+            d_opt = AdamState(disc.params, lr=sched.d_lr)
             start = 0
-        if start >= sched.iterations:
-            raise CliError(f"nothing to do: checkpoint is at iteration {start - 1} "
-                           f"and adv.iterations = {sched.iterations}")
-
-        rows = _read_csv_rows(paths.adv_metrics, ADV_COLUMNS, start - 1)
-        _append_rows(paths.adv_metrics, ADV_COLUMNS, rows, [])
-        metrics_fh = open(paths.adv_metrics, "a", encoding="utf-8")
-
-        def on_iteration(i, row, rollout, g_o, d_o):
-            metrics_fh.write(",".join(_csv_cell(row[c]) for c in ADV_COLUMNS) + "\n")
-            metrics_fh.flush()
-            save_run_state(paths.advtrain, digest, gen=(gen_params, dims),
-                           rollout=rollout, disc=disc, gopt=g_o, dopt=d_o, iteration=i)
-
-        try:
+        with _epoch_driver(paths.adv_metrics, ADV_COLUMNS, "adv.iterations",
+                           sched.iterations, start, lambda row: save_run_state(
+                               paths.advtrain, digest, gen=(gen_params, dims),
+                               rollout=rollout_params, disc=disc, gopt=g_opt, dopt=d_opt,
+                               iteration=row["iteration"])) as (_, on_epoch):
             history, _ = adversarial_train(gen_params, dims, disc, splits.train,
                                            splits.test, sched, root.child("adv"),
                                            rollout_params=rollout_params,
                                            g_opt=g_opt, d_opt=d_opt,
                                            start_iteration=start,
-                                           threads=cfg["run.threads"],
-                                           on_iteration=on_iteration)
-        finally:
-            metrics_fh.close()
+                                           threads=cfg["run.threads"], on_epoch=on_epoch)
         save_run_state(paths.gen_adv, digest, gen=(gen_params, dims))
-    last = history[-1] if history else {"nll_test": float("nan")}
     print(f"adversarial training done at iteration {sched.iterations - 1}; "
-          f"test NLL {last['nll_test']:.4f}")
+          f"test NLL {history[-1]['nll_test']:.4f}")
     return EXIT_OK
 
 
@@ -660,6 +653,9 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"artifact error: {e}", file=sys.stderr)
         return EXIT_CORRUPT
+    except KeyboardInterrupt:
+        print("interrupted; training commands continue with --resume", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .adversarial import RESCALE_MODES, TrainSchedule
+from .adversarial import TrainSchedule
 from .discriminators import KINDS, DiscriminatorConfig
 from .evaluation import EvalSettings
 from .generator import GeneratorDims
@@ -122,16 +122,15 @@ class RunConfig:
             raise ConfigError("run.seed must be set; refusing to pick one implicitly")
         if self["disc.kind"] not in KINDS:
             raise ConfigError(f"disc.kind must be one of {KINDS}, got {self['disc.kind']!r}")
-        if self["adv.rescale"] not in RESCALE_MODES:
-            raise ConfigError(f"adv.rescale must be one of {RESCALE_MODES}, "
-                              f"got {self['adv.rescale']!r}")
+        try:
+            self.schedule().validate()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         split = self["corpus.split"]
         if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9 or any(r < 0 for r in split):
             raise ConfigError(f"corpus.split {split} must be three fractions summing to 1")
-        if not 0.0 <= self["adv.alpha"] <= 1.0:
-            raise ConfigError(f"adv.alpha {self['adv.alpha']} must lie in [0, 1]")
-        for key in ("corpus.n", "corpus.seq_len", "run.threads", "adv.rollouts",
-                    "adv.batch_size", "pretrain.batch_size", "eval.seeds"):
+        for key in ("corpus.n", "corpus.seq_len", "run.threads", "pretrain.batch_size",
+                    "eval.seeds"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
 

@@ -392,15 +392,3 @@ class MetricsReport:
         lines += [f"{(s + ' suite').ljust(width)}  skipped ({reason})"
                   for s, reason in self.skipped.items()]
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse_csv(text: str) -> "MetricsReport":
-        lines = [ln for ln in text.splitlines() if ln]
-        if len(lines) != 2:
-            raise ValueError("metrics CSV must be a header row plus one data row")
-        names = lines[0].split(",")
-        cells = lines[1].split(",")
-        if len(names) != len(cells) or names[:2] != ["run_id", "seed"]:
-            raise ValueError("metrics CSV must start with run_id,seed columns")
-        metrics = {n: float(c) for n, c in zip(names[2:], cells[2:])}
-        return MetricsReport(cells[0], int(cells[1]), metrics)

