@@ -34,6 +34,8 @@ from .numerics import AdamState, ParamStore, RngStream, sigmoid
 
 ODA_CAP = 1e6
 RESCALE_MODES = ("none", "oda", "bra")
+PRETRAIN_CLIP = 5.0    # global gradient-norm cap of both pretraining loops
+MIN_DELTA = 1e-4       # validation NLL gain that resets early-stopping patience
 
 
 @dataclass
@@ -184,11 +186,9 @@ def iterate_batches(n: int, batch_size: int, order: np.ndarray):
 
 def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                        train: SequenceData, valid: SequenceData, rng: RngStream,
-                       epochs: int, batch_size: int = 64, lr: float = 1e-3,
-                       patience: int = 20, min_delta: float = 1e-4,
-                       clip: float = 5.0, opt: AdamState | None = None,
-                       start_epoch: int = 0, prior_valid: tuple = (),
-                       on_epoch=None) -> list[dict]:
+                       epochs: int, opt: AdamState, batch_size: int = 64,
+                       patience: int = 20, start_epoch: int = 0,
+                       prior_valid: tuple = (), on_epoch=None) -> list[dict]:
     """Teacher-forced maximum likelihood with early stopping on validation
     NLL. Training always keeps the latest weights; stopping just ends the
     loop once `patience` epochs pass without improvement. `on_epoch(row)`
@@ -200,13 +200,11 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
     stopped trains nothing more, and epoch indices key the shuffle streams,
     so the continued trajectory matches an uninterrupted run.
     """
-    if opt is None:
-        opt = AdamState(params, lr=lr)
     history: list[dict] = []
     best = np.inf
     stale = 0
     for v in prior_valid:
-        if v < best - min_delta:
+        if v < best - MIN_DELTA:
             best = v
             stale = 0
         else:
@@ -219,7 +217,7 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
         losses = []
         for idx in iterate_batches(len(train), batch_size, order):
             losses.append(mle_step(params, dims, opt, train.tokens[idx],
-                                   train.labels[idx], clip=clip))
+                                   train.labels[idx], clip=PRETRAIN_CLIP))
         valid_nll = mean_nll(params, dims, valid)
         row = {"epoch": epoch, "train_nll": float(np.mean(losses)),
                "valid_nll": valid_nll,
@@ -227,7 +225,7 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
         history.append(row)
         if on_epoch is not None:
             on_epoch(row)
-        if valid_nll < best - min_delta:
+        if valid_nll < best - MIN_DELTA:
             best = valid_nll
             stale = 0
         else:
@@ -251,14 +249,11 @@ def discriminator_step(disc: Discriminator, opt: AdamState, gen_params: ParamSto
 
 def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                            dims: GeneratorDims, train: SequenceData,
-                           rng: RngStream, epochs: int, batch_size: int = 64,
-                           lr: float = 1e-3, clip: float = 5.0,
-                           opt: AdamState | None = None, start_epoch: int = 0,
+                           rng: RngStream, epochs: int, opt: AdamState,
+                           batch_size: int = 64, start_epoch: int = 0,
                            on_epoch=None) -> list[dict]:
     """Real-vs-generated pretraining, one discriminator_step per batch;
     `on_epoch(row)` runs after every epoch."""
-    if opt is None:
-        opt = AdamState(disc.params, lr=lr)
     history: list[dict] = []
     t0 = time.perf_counter()
     for epoch in range(start_epoch, epochs):
@@ -267,7 +262,7 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
         for b, idx in enumerate(iterate_batches(len(train), batch_size, order)):
             loss, acc = discriminator_step(disc, opt, gen_params, dims, train, idx,
                                            rng.child("fake", epoch, b),
-                                           rng.child("drop", epoch, b), clip)
+                                           rng.child("drop", epoch, b), PRETRAIN_CLIP)
             losses.append(loss)
             accs.append(acc)
         row = {"epoch": epoch, "d_loss": float(np.mean(losses)),
@@ -287,25 +282,19 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
 def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                       disc: Discriminator, train: SequenceData,
                       monitor: SequenceData, sched: TrainSchedule, rng: RngStream,
-                      rollout_params: ParamStore | None = None,
-                      g_opt: AdamState | None = None,
-                      d_opt: AdamState | None = None,
+                      rollout_params: ParamStore, g_opt: AdamState, d_opt: AdamState,
                       start_iteration: int = 0, threads: int = 1,
-                      on_epoch=None) -> tuple[list[dict], ParamStore]:
-    """Alternate policy-gradient generator steps with discriminator steps;
-    `on_epoch(row)` runs after every iteration.
+                      on_epoch=None) -> list[dict]:
+    """Alternate policy-gradient generator steps with discriminator steps,
+    updating every given state in place; `on_epoch(row)` runs after every
+    iteration. A fresh run starts the rollout network as a copy of the
+    generator.
 
     All randomness is derived from (purpose, iteration, step) child
     streams, so resuming at `start_iteration` with restored parameters and
     optimizer states continues the original trajectory exactly.
     """
     sched.validate()
-    if rollout_params is None:
-        rollout_params = gen_params.copy()  # beta starts at theta
-    if g_opt is None:
-        g_opt = AdamState(gen_params, lr=sched.g_lr)
-    if d_opt is None:
-        d_opt = AdamState(disc.params, lr=sched.d_lr)
     score_fn = discriminator_score_fn(disc, threads=threads)
     history: list[dict] = []
     t0 = time.perf_counter()
@@ -345,4 +334,4 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
         history.append(row)
         if on_epoch is not None:
             on_epoch(row)
-    return history, rollout_params
+    return history

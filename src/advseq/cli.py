@@ -180,6 +180,11 @@ def load_run_data(paths: RunPaths, cfg: RunConfig
         data, unknown = read_corpus(_require(path, "advseq corpus-gen"), vocab, seq_len)
         if unknown:
             raise DataError(f"{path}: {unknown} tokens fell outside the stored vocabulary")
+        if len(data) == 0:
+            raise DataError(f"{path}: no rows")
+        if data.labels.max() >= len(grammar.labels):
+            raise DataError(f"{path}: label {data.labels.max()} is outside the grammar's "
+                            f"{len(grammar.labels)} labels")
         splits.append(data)
     digest = config_digest(cfg, len(vocab), len(grammar.labels))
     return grammar, vocab, SplitDataset(*splits), digest
@@ -386,7 +391,6 @@ def cmd_pretrain_g(args) -> int:
             history = pretrain_generator(params, dims, splits.train, splits.valid,
                                          root.child("gpre"), epochs=epochs,
                                          batch_size=cfg["pretrain.batch_size"],
-                                         lr=cfg["pretrain.g_lr"],
                                          patience=cfg["pretrain.patience"],
                                          opt=opt, start_epoch=start, on_epoch=on_epoch,
                                          prior_valid=tuple(r["valid_nll"] for r in prior))
@@ -412,8 +416,7 @@ def cmd_pretrain_d(args) -> int:
     root = RngStream(cfg["run.seed"])
     epochs = cfg.d_pretrain_epochs(kind)
     with RunLock(paths):
-        dcfg = cfg.disc_config(len(vocab), len(grammar.labels),
-                               cfg["corpus.seq_len"], kind=kind)
+        dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
         start = 0
         if args.resume:
             state = load_run_state(
@@ -432,7 +435,6 @@ def cmd_pretrain_d(args) -> int:
             history = pretrain_discriminator(disc, gen_params, dims, splits.train,
                                              root.child("dpre", kind), epochs=epochs,
                                              batch_size=cfg["pretrain.batch_size"],
-                                             lr=cfg["pretrain.d_lr"],
                                              opt=opt, start_epoch=start, on_epoch=on_epoch)
     last = history[-1]
     print(f"pretrained {kind} discriminator: epochs {start}..{last['epoch']}, "
@@ -447,8 +449,7 @@ def cmd_advtrain(args) -> int:
     kind = cfg["disc.kind"]
     sched = cfg.schedule()
     root = RngStream(cfg["run.seed"])
-    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), cfg["corpus.seq_len"],
-                           kind=kind)
+    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
     with RunLock(paths):
         if args.resume:
             # advtrain.ckpt holds every section, so nothing else is read
@@ -476,12 +477,12 @@ def cmd_advtrain(args) -> int:
                                paths.advtrain, digest, gen=(gen_params, dims),
                                rollout=rollout_params, disc=disc, gopt=g_opt, dopt=d_opt,
                                iteration=row["iteration"])) as (_, on_epoch):
-            history, _ = adversarial_train(gen_params, dims, disc, splits.train,
-                                           splits.test, sched, root.child("adv"),
-                                           rollout_params=rollout_params,
-                                           g_opt=g_opt, d_opt=d_opt,
-                                           start_iteration=start,
-                                           threads=cfg["run.threads"], on_epoch=on_epoch)
+            history = adversarial_train(gen_params, dims, disc, splits.train,
+                                        splits.test, sched, root.child("adv"),
+                                        rollout_params=rollout_params,
+                                        g_opt=g_opt, d_opt=d_opt,
+                                        start_iteration=start,
+                                        threads=cfg["run.threads"], on_epoch=on_epoch)
         save_run_state(paths.gen_adv, digest, gen=(gen_params, dims))
     print(f"adversarial training done at iteration {sched.iterations - 1}; "
           f"test NLL {history[-1]['nll_test']:.4f}")
@@ -491,7 +492,7 @@ def cmd_advtrain(args) -> int:
 def _pick_generator(paths: RunPaths, args, digest: bytes
                     ) -> tuple[ParamStore, GeneratorDims, str]:
     if args.ckpt:
-        path = args.ckpt
+        path = _require(args.ckpt, "advseq pretrain-g")
     elif os.path.exists(paths.gen_adv):
         path = paths.gen_adv
     else:

@@ -130,9 +130,13 @@ class RunConfig:
         if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9 or any(r < 0 for r in split):
             raise ConfigError(f"corpus.split {split} must be three fractions summing to 1")
         for key in ("corpus.n", "corpus.seq_len", "run.threads", "pretrain.batch_size",
-                    "eval.seeds"):
+                    "eval.seeds", "model.d_embed", "model.d_hidden", "model.d_label",
+                    "disc.d_embed", "disc.d_hidden", "disc.n_filters", "disc.n_buckets",
+                    "embed.window"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
+        if not 0.0 <= self["disc.dropout"] < 1.0:
+            raise ConfigError(f"disc.dropout must lie in [0, 1), got {self['disc.dropout']}")
 
     # typed views consumed by the training and evaluation code
 
@@ -156,11 +160,10 @@ class RunConfig:
                              g_lr=self["adv.g_lr"], d_lr=self["adv.d_lr"],
                              clip=self["adv.clip"])
 
-    def disc_config(self, vocab_size: int, n_labels: int, seq_len: int,
+    def disc_config(self, vocab_size: int, n_labels: int,
                     kind: str | None = None) -> DiscriminatorConfig:
         return DiscriminatorConfig(kind=kind or self["disc.kind"],
                                    vocab_size=vocab_size, n_labels=n_labels,
-                                   seq_len=seq_len,
                                    d_embed=self["disc.d_embed"],
                                    d_hidden=self["disc.d_hidden"],
                                    n_filters=self["disc.n_filters"],

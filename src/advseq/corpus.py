@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import BOS_TOKEN, PAD_TOKEN, GrammarSpec, sample_sequence, sequence_nll_tokens
+from .grammar import BOS_TOKEN, PAD_TOKEN, GrammarSpec, sample_sequence
 from .numerics import RngStream
 
 BOS_ID = 0
@@ -43,9 +43,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def encode_token(self, token: str) -> int:
         # unknown tokens collapse onto the pad id
         return self.token_to_id.get(token, PAD_ID)
@@ -56,12 +53,6 @@ class Vocab:
 
 def vocab_for_grammar(spec: GrammarSpec) -> Vocab:
     return Vocab.from_tokens(spec.token_set())
-
-
-@dataclass
-class LabeledSequence:
-    tokens: np.ndarray  # (seq_len,) int64, trailing pads
-    label: int
 
 
 class SequenceData:
@@ -82,9 +73,6 @@ class SequenceData:
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledSequence:
-        return LabeledSequence(self.tokens[i], int(self.labels[i]))
 
     def subset(self, indices) -> "SequenceData":
         idx = np.asarray(indices, dtype=np.int64)
@@ -127,25 +115,15 @@ def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool = True) -> li
     return toks
 
 
-def generate_corpus(spec: GrammarSpec, n: int, rng: RngStream,
-                    vocab: Vocab | None = None) -> tuple["SequenceData", Vocab]:
+def generate_corpus(spec: GrammarSpec, n: int, rng: RngStream
+                    ) -> tuple["SequenceData", Vocab]:
     """Sample n labeled sequences from a grammar, one child stream per item."""
-    if vocab is None:
-        vocab = vocab_for_grammar(spec)
+    vocab = vocab_for_grammar(spec)
     rows = [sample_sequence(spec, rng.child(i)) for i in range(n)]
     data, unknown = encode_sequences(rows, vocab, spec.seq_len)
     if unknown:
         raise DataError(f"grammar emitted {unknown} tokens missing from the vocabulary")
     return data, vocab
-
-
-def exact_sequence_nll(spec: GrammarSpec, vocab: Vocab,
-                       item: LabeledSequence) -> tuple[float, bool]:
-    """Exact grammar NLL in nats; (inf, True) when the grammar cannot
-    produce the sequence."""
-    toks = [vocab.decode_id(int(i)) for i in item.tokens]
-    nll = sequence_nll_tokens(spec, item.label, toks)
-    return nll, bool(np.isinf(nll))
 
 
 def dedupe(data: SequenceData) -> SequenceData:
@@ -225,7 +203,11 @@ def read_corpus(path, vocab: Vocab, seq_len: int) -> tuple["SequenceData", int]:
             raise DataError(f"{path}: line {lineno}: bad label {head!r}") from None
         if label < 0:
             raise DataError(f"{path}: line {lineno}: negative label")
-        rows.append((label, body.split()))
+        toks = body.split()
+        if len(toks) > seq_len:
+            raise DataError(f"{path}: line {lineno}: {len(toks)} tokens, longer than "
+                            f"corpus.seq_len = {seq_len}")
+        rows.append((label, toks))
     return encode_sequences(rows, vocab, seq_len)
 
 

@@ -47,7 +47,6 @@ class DiscriminatorConfig:
     kind: str
     vocab_size: int
     n_labels: int
-    seq_len: int
     d_embed: int = 32
     d_hidden: int = 32
     n_filters: int = 16
@@ -332,10 +331,10 @@ def score(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
                          batch_size, threads)
 
 
-def class_probs(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None = None,
-                batch_size: int = 2048) -> np.ndarray:
-    """Eval-mode class distribution for a softmax head."""
-    return _eval_batches(disc, tokens, labels, softmax_rows, batch_size, 1)
+def class_probs(disc: Discriminator, tokens: Tensor) -> np.ndarray:
+    """Eval-mode class distribution for a softmax head without a condition
+    block."""
+    return _eval_batches(disc, tokens, None, softmax_rows, 2048, 1)
 
 
 def loss_and_dlogits(disc: Discriminator, logits: Tensor,

@@ -13,6 +13,8 @@ import numpy as np
 from .corpus import PAD_ID, SequenceData
 from .numerics import RngStream, sigmoid
 
+BATCH_SIZE = 512  # (center, context) pairs per update
+
 
 def _skipgram_pairs(data: SequenceData, window: int) -> np.ndarray:
     """All (center, context) id pairs within `window`, pads skipped: row by
@@ -45,8 +47,7 @@ def _negative_table(data: SequenceData, vocab_size: int) -> np.ndarray:
 
 def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
                         rng: RngStream, window: int = 2, negatives: int = 5,
-                        epochs: int = 5, lr: float = 0.025,
-                        batch_size: int = 512) -> np.ndarray:
+                        epochs: int = 5, lr: float = 0.025) -> np.ndarray:
     """Train input vectors and return them as a (vocab_size, dim) table.
 
     The learning rate decays linearly over all updates down to 1e-4 of its
@@ -59,13 +60,13 @@ def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
     w_out = np.zeros((vocab_size, dim))
     cum = _negative_table(data, vocab_size)
 
-    n_batches = (len(pairs) + batch_size - 1) // batch_size
+    n_batches = (len(pairs) + BATCH_SIZE - 1) // BATCH_SIZE
     total_steps = epochs * n_batches
     step = 0
     for epoch in range(epochs):
         order = rng.child("shuffle", epoch).permutation(len(pairs))
         for b in range(n_batches):
-            batch = pairs[order[b * batch_size:(b + 1) * batch_size]]
+            batch = pairs[order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]]
             centers, contexts = batch[:, 0], batch[:, 1]
             u = rng.child("neg", epoch, b).uniform((len(batch), negatives))
             negs = np.searchsorted(cum, u, side="right")

@@ -48,9 +48,15 @@ def ngrams(seq: Sequence, n: int) -> Counter:
 
 
 def _sentence_bleu(candidate: Sequence, max_ref: Mapping[tuple, int],
-                   ref_lengths: list[int], max_n: int, eps: float) -> float:
+                   ref_lengths: list[int], max_n: int) -> float:
     """BLEU of one candidate from each n-gram's highest count in any reference
-    (keyed by the gram, so by n too) and the sorted distinct reference lengths."""
+    (keyed by the gram, so by n too) and the sorted distinct reference lengths.
+
+    Modified precisions are clipped by those counts for n = 1..max_n, and a
+    zero precision (an empty n-gram set too) is replaced by BLEU_EPS before the
+    geometric mean. The brevity penalty uses the reference length closest to
+    the candidate, shorter on ties. Inputs must already have pads removed.
+    """
     c = len(candidate)
     if c == 0:
         return 0.0
@@ -59,12 +65,12 @@ def _sentence_bleu(candidate: Sequence, max_ref: Mapping[tuple, int],
         cand_counts = ngrams(candidate, n)
         total = sum(cand_counts.values())
         if total == 0:
-            log_precisions += math.log(eps)
+            log_precisions += math.log(BLEU_EPS)
             continue
         matched = sum(min(count, max_ref.get(gram, 0))
                       for gram, count in cand_counts.items())
         p_n = matched / total
-        log_precisions += math.log(p_n) if p_n > 0 else math.log(eps)
+        log_precisions += math.log(p_n) if p_n > 0 else math.log(BLEU_EPS)
     k = bisect_left(ref_lengths, c)
     r = min(ref_lengths[max(k - 1, 0):k + 1], key=lambda L: (abs(L - c), L))
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
@@ -86,19 +92,6 @@ def _reference_table(references: list[Sequence], max_n: int
     return max_ref, sorted({len(ref) for ref in references})
 
 
-def bleu(candidate: Sequence, references: list[Sequence], max_n: int = 4,
-         eps: float = BLEU_EPS) -> float:
-    """Sentence BLEU with clipped modified precisions for n = 1..max_n.
-
-    Zero precisions (including empty n-gram sets) are replaced by `eps`
-    before the geometric mean. Brevity penalty uses the reference length
-    closest to the candidate, shorter on ties. Inputs must already have
-    pads removed.
-    """
-    return _sentence_bleu(candidate, *_reference_table(references, max_n),
-                          max_n, eps)
-
-
 def self_bleu(samples: list[Sequence], max_n: int = 4) -> float:
     """Mean BLEU of each sample against all the others; high values mean
     the sample set repeats itself. Each n-gram's two highest counts over
@@ -118,7 +111,7 @@ def self_bleu(samples: list[Sequence], max_n: int = 4) -> float:
         others = {gram: top2[gram][0] if k == top2[gram][1] else top2[gram][1]
                   for gram, k in own.items()}
         scores.append(_sentence_bleu(s, others, sorted(lengths - Counter([len(s)])),
-                                     max_n, BLEU_EPS))
+                                     max_n))
     return float(np.mean(scores))
 
 
@@ -126,7 +119,7 @@ def corpus_bleu_mean(samples: list[Sequence], references: list[Sequence],
                      max_n: int = 4) -> float:
     """Mean sentence BLEU of the samples, references counted once."""
     max_ref, ref_lengths = _reference_table(references, max_n)
-    return float(np.mean([_sentence_bleu(s, max_ref, ref_lengths, max_n, BLEU_EPS)
+    return float(np.mean([_sentence_bleu(s, max_ref, ref_lengths, max_n)
                           for s in samples]))
 
 
@@ -154,13 +147,11 @@ def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
                settings: EvalSettings) -> Discriminator:
     """Fit a fresh convolutional classifier, embeddings pretrained on its
     own training rows and then frozen."""
-    seq_len = tokens.shape[1]
     embed = pretrain_embeddings(SequenceData(tokens, targets), vocab_size,
                                 settings.d_embed, rng.child("embed"),
                                 epochs=settings.embed_epochs)
     cfg = DiscriminatorConfig(kind="cnn", vocab_size=vocab_size,
-                              n_labels=n_labels, seq_len=seq_len,
-                              d_embed=settings.d_embed,
+                              n_labels=n_labels, d_embed=settings.d_embed,
                               n_filters=settings.n_filters,
                               widths=settings.widths, dropout=settings.dropout,
                               l2=settings.l2, use_condition=use_condition,

@@ -150,13 +150,13 @@ def sequence_log_prob(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
 
 
 def mean_nll(params: ParamStore, dims: GeneratorDims, data: SequenceData,
-             batch_size: int = 64, exclude_pad: bool = True) -> float:
+             batch_size: int = 64) -> float:
     """Average per-sequence negative log-likelihood in nats."""
     total = 0.0
     for start in range(0, len(data), batch_size):
         tok = data.tokens[start:start + batch_size]
         lab = data.labels[start:start + batch_size]
-        total += float(-sequence_log_prob(params, dims, tok, lab, exclude_pad).sum())
+        total += float(-sequence_log_prob(params, dims, tok, lab).sum())
     check_finite("mean NLL", total)  # no optimizer step follows to catch it
     return total / len(data)
 
@@ -192,24 +192,24 @@ def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
 
 
 def mle_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
-             tokens: Tensor, labels: np.ndarray, exclude_pad: bool = True,
-             clip: float = 5.0) -> float:
+             tokens: Tensor, labels: np.ndarray, clip: float = 5.0) -> float:
     """One maximum-likelihood update, the policy step with unit rewards;
     returns mean NLL per sequence."""
     return -policy_gradient_step(params, dims, opt, tokens, labels,
-                                 np.ones(tokens.shape), exclude_pad, clip)
+                                 np.ones(tokens.shape), clip)
 
 
 def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
                          tokens: Tensor, labels: np.ndarray, rewards: np.ndarray,
-                         exclude_pad: bool = True, clip: float = 5.0) -> float:
-    """REINFORCE ascent on sum_t reward[b,t] * log p(x_bt); returns the
-    mean per-sequence weighted log-likelihood being maximized."""
+                         clip: float = 5.0) -> float:
+    """REINFORCE ascent on sum_t reward[b,t] * log p(x_bt) over non-pad
+    positions; returns the mean per-sequence weighted log-likelihood being
+    maximized."""
     if rewards.shape != tokens.shape:
         raise ValueError(f"rewards {rewards.shape} do not match tokens {tokens.shape}")
     cache = forward_states(params, dims, tokens, labels)
     B = len(tokens)
-    weights = rewards * pad_mask(tokens, exclude_pad)
+    weights = rewards * pad_mask(tokens, True)
     objective = float((weights * _token_log_probs(cache.logits, tokens)).sum() / B)
     # minimizing sum_t (R/B) * (-log p) is ascent on the reward-weighted
     # log-likelihood

@@ -2,10 +2,9 @@
 
 A grammar holds, per condition label, a weighted list of templates; each
 template is a sequence of slots and each slot is a categorical distribution
-over tokens. Because the generating process is fully known, every sequence
-has an exactly computable negative log-likelihood and the per-label entropy
-is available in closed form, which gives training code a ground-truth
-convergence target.
+over tokens. Because the generating process is fully known, the per-label
+entropy is available in closed form, which gives training code a
+ground-truth convergence target.
 
 Grammar files are flat structured text:
 
@@ -341,7 +340,7 @@ def format_grammar(spec: GrammarSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and exact scoring
+# Sampling
 # ---------------------------------------------------------------------------
 
 
@@ -360,45 +359,6 @@ def sample_sequence(spec: GrammarSpec, rng: RngStream) -> tuple[int, list[str]]:
                 len(slot.tokens) - 1)
         tokens.append(slot.tokens[k])
     return label, tokens
-
-
-def sequence_nll_tokens(spec: GrammarSpec, label: int, tokens: list[str]) -> float:
-    """Exact -log p(tokens | label), marginalized over templates.
-
-    Tokens beyond a template's slot count must be PAD. Returns inf when the
-    grammar cannot produce the sequence.
-    """
-    if label not in spec.labels:
-        return math.inf
-    if len(tokens) != spec.seq_len:
-        return math.inf
-    log_terms = []
-    for t in spec.labels[label]:
-        lp = math.log(t.weight)
-        ok = True
-        for pos in range(spec.seq_len):
-            tok = tokens[pos]
-            if pos < len(t.slots):
-                slot = t.slots[pos]
-                try:
-                    k = slot.tokens.index(tok)
-                except ValueError:
-                    ok = False
-                    break
-                p = slot.probs[k]
-                if p <= 0:
-                    ok = False
-                    break
-                lp += math.log(p)
-            elif tok != PAD_TOKEN:
-                ok = False
-                break
-        if ok:
-            log_terms.append(lp)
-    if not log_terms:
-        return math.inf
-    m = max(log_terms)
-    return -(m + math.log(sum(math.exp(x - m) for x in log_terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +473,13 @@ GRAMMAR_PRESETS = {
 }
 
 
-def resolve_grammar(name_or_path: str, seq_len: int | None = None) -> GrammarSpec:
-    """Load a preset by name or parse a grammar file from disk."""
+def resolve_grammar(name_or_path: str, seq_len: int) -> GrammarSpec:
+    """Build a preset by name at `seq_len`, or parse a grammar file from
+    disk, refusing one whose rows could be longer than `seq_len`."""
     if name_or_path in GRAMMAR_PRESETS:
-        if seq_len is None:
-            return GRAMMAR_PRESETS[name_or_path]()
         return GRAMMAR_PRESETS[name_or_path](seq_len)
-    return load_grammar(name_or_path)
+    spec = load_grammar(name_or_path)
+    if spec.seq_len > seq_len:
+        raise GrammarError(f"grammar file {name_or_path} sets seq_len = {spec.seq_len}, "
+                           f"longer than corpus.seq_len = {seq_len}")
+    return spec

@@ -101,9 +101,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self) -> Iterator[tuple[str, Param]]:
         return iter(self._params.items())
 
@@ -253,9 +250,6 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Reference implementations that only the tests use: a finite-difference
 gradient checker, exact rollout rewards by enumerating every completion,
-and a parser for the metrics CSV that `eval` writes."""
+the exact grammar NLL of one sequence, sentence BLEU against a reference
+list, and a parser for the metrics CSV that `eval` writes."""
 
 from __future__ import annotations
 
+import math
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from advseq.evaluation import MetricsReport
+from advseq.evaluation import MetricsReport, _reference_table, _sentence_bleu
 from advseq.generator import GeneratorDims, batch_log_probs
+from advseq.grammar import PAD_TOKEN, GrammarSpec
 from advseq.numerics import NumericError, ParamStore, RngStream
 
 
@@ -42,7 +45,7 @@ def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore
         if max_coords is not None and n > max_coords:
             if rng is None:
                 raise ValueError("sampling coordinates requires an rng")
-            coords = rng.child("fdc", name).choice(n, size=max_coords, replace=False)
+            coords = rng.child("fdc", name)._gen.choice(n, size=max_coords, replace=False)
         else:
             coords = range(n)
         a_flat = analytic[name].reshape(-1)
@@ -87,6 +90,52 @@ def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         rewards[:, p] = (w * vals).sum(axis=1)
     rewards[:, T - 1] = score_fn(tokens, labels)
     return rewards
+
+
+def sequence_nll_tokens(spec: GrammarSpec, label: int, tokens: list[str]) -> float:
+    """Exact -log p(tokens | label), marginalized over templates.
+
+    Tokens beyond a template's slot count must be PAD. Returns inf when the
+    grammar cannot produce the sequence.
+    """
+    if label not in spec.labels:
+        return math.inf
+    if len(tokens) != spec.seq_len:
+        return math.inf
+    log_terms = []
+    for t in spec.labels[label]:
+        lp = math.log(t.weight)
+        ok = True
+        for pos in range(spec.seq_len):
+            tok = tokens[pos]
+            if pos < len(t.slots):
+                slot = t.slots[pos]
+                try:
+                    k = slot.tokens.index(tok)
+                except ValueError:
+                    ok = False
+                    break
+                p = slot.probs[k]
+                if p <= 0:
+                    ok = False
+                    break
+                lp += math.log(p)
+            elif tok != PAD_TOKEN:
+                ok = False
+                break
+        if ok:
+            log_terms.append(lp)
+    if not log_terms:
+        return math.inf
+    m = max(log_terms)
+    return -(m + math.log(sum(math.exp(x - m) for x in log_terms)))
+
+
+def bleu(candidate: Sequence, references: list[Sequence], max_n: int = 4) -> float:
+    """Sentence BLEU of one candidate against its own reference list,
+    through the same per-sentence scorer as `corpus_bleu_mean` and
+    `self_bleu`."""
+    return _sentence_bleu(candidate, *_reference_table(references, max_n), max_n)
 
 
 def parse_metrics_csv(text: str) -> MetricsReport:

@@ -26,7 +26,7 @@ from advseq.discriminators import (KINDS, DiscriminatorConfig, backward,
                                    loss_and_dlogits)
 from advseq.embeddings import pretrain_embeddings
 from advseq.evaluation import (EvalSettings, adversarial_success,
-                               application_metrics, bleu, ere_suite,
+                               application_metrics, ere_suite,
                                median_over_seeds, self_bleu)
 from advseq.generator import (GeneratorDims, backward_coefs, batch_log_probs,
                               forward_states, init_generator_params, mean_nll,
@@ -34,7 +34,7 @@ from advseq.generator import (GeneratorDims, backward_coefs, batch_log_probs,
                               sequence_log_prob)
 from advseq.grammar import overlapping_preset, separable_preset
 from advseq.numerics import AdamState, RngStream
-from oracles import enumeration_rewards, finite_diff_check
+from oracles import bleu, enumeration_rewards, finite_diff_check
 
 EPS = 1e-9
 
@@ -86,8 +86,8 @@ def mle_runs(overlap):
                 best["params"] = params.copy()
 
         pretrain_generator(params, dims, splits.train, splits.valid,
-                           RngStream(seed, "pre"), epochs=300, patience=30,
-                           on_epoch=snap)
+                           RngStream(seed, "pre"), epochs=300, opt=AdamState(params),
+                           patience=30, on_epoch=snap)
         runs.append((best["params"],
                      mean_nll(best["params"], dims, splits.test)))
     FIXTURE_COST["mle"] = time.monotonic() - t0
@@ -120,7 +120,7 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
 
     for kind in KINDS:
         cfg = DiscriminatorConfig(kind=kind, vocab_size=6, n_labels=2,
-                                  seq_len=5, d_embed=4, d_hidden=3,
+                                  d_embed=4, d_hidden=3,
                                   n_filters=3, widths=(2, 3), n_buckets=64,
                                   dropout=0.0, l2=0.05)
         embed = RngStream(301, kind).uniform_range(-0.4, 0.4, (6, 4))
@@ -211,13 +211,16 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
         embed = pretrain_embeddings(splits.train, len(vocab), 32,
                                     RngStream(seed, "emb"), epochs=3)
         cfg = DiscriminatorConfig(kind="cnn", vocab_size=len(vocab),
-                                  n_labels=2, seq_len=spec.seq_len)
+                                  n_labels=2)
         disc = init_discriminator(cfg, embed, RngStream(seed, "dinit"))
         pretrain_discriminator(disc, params, dims, splits.train,
-                               RngStream(seed, "dpre"), epochs=3)
-        hist, _ = adversarial_train(params, dims, disc, splits.train,
-                                    splits.test, sched,
-                                    RngStream(seed, "adv"))
+                               RngStream(seed, "dpre"), epochs=3,
+                               opt=AdamState(disc.params))
+        hist = adversarial_train(params, dims, disc, splits.train,
+                                 splits.test, sched, RngStream(seed, "adv"),
+                                 rollout_params=params.copy(),
+                                 g_opt=AdamState(params, lr=sched.g_lr),
+                                 d_opt=AdamState(disc.params, lr=sched.d_lr))
         margins.append(hist[-1]["nll_test"] - base)
     elapsed = (time.monotonic() - t0 + FIXTURE_COST["overlap"]
                + FIXTURE_COST["mle"])
@@ -292,35 +295,36 @@ def test_criterion_05_reward_machinery_closed_forms(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 6. REINFORCE sanity on a two-armed bandit
+# 6. REINFORCE sanity on a one-step bandit
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_06_policy_gradient_solves_bandit(capsys):
     t0 = time.monotonic()
-    dims = GeneratorDims(vocab_size=2, n_labels=2, d_embed=3, d_hidden=3,
+    # arms: the begin marker, the pad (whose positions carry no reward) and
+    # the rewarded token 2
+    dims = GeneratorDims(vocab_size=3, n_labels=2, d_embed=3, d_hidden=3,
                          d_label=2)
     params = init_generator_params(dims, RngStream(330, "init"))
     opt = AdamState(params, lr=0.01)
-    tokens = np.array([[1]])
+    tokens = np.array([[2]])
     labels = np.array([0])
     rewards = np.ones((1, 1))
 
     def p_win():
         logits = forward_states(params, dims, tokens, labels).logits[0, 0]
         e = np.exp(logits - logits.max())
-        return float(e[1] / e.sum())
+        return float(e[2] / e.sum())
 
     probs = [p_win()]
     for _ in range(200):
-        policy_gradient_step(params, dims, opt, tokens, labels, rewards,
-                             exclude_pad=False)
+        policy_gradient_step(params, dims, opt, tokens, labels, rewards)
         probs.append(p_win())
 
     elapsed = time.monotonic() - t0
     monotone = bool(np.all(np.diff(probs[:51]) > 0))
     ok = monotone and probs[200] > 0.95 and elapsed < BUDGETS[6]
-    verdict(capsys, 6, "policy gradient solves the two-armed bandit", ok,
+    verdict(capsys, 6, "policy gradient solves the three-armed bandit", ok,
             elapsed)
     assert ok, (monotone, probs[200])
 
@@ -399,7 +403,8 @@ def test_criterion_09_synthetic_data_carries_labels(capsys):
     dims = GeneratorDims(len(vocab), 2, d_embed=48, d_hidden=64, d_label=8)
     params = init_generator_params(dims, RngStream(7, "init"))
     pretrain_generator(params, dims, splits.train, splits.valid,
-                       RngStream(7, "pre"), epochs=200, patience=20)
+                       RngStream(7, "pre"), epochs=200, opt=AdamState(params),
+                       patience=20)
     got = application_metrics(params, dims, splits.train, splits.test,
                               RngStream(251, "app"), EvalSettings(epochs=25),
                               len(vocab), n_seeds=3)

@@ -330,7 +330,7 @@ def test_policy_step_returns_reward_weighted_log_likelihood():
 
 def make_disc(seed: int = 157):
     cfg = DiscriminatorConfig(kind="fasttext", vocab_size=DIMS.vocab_size,
-                              n_labels=2, seq_len=4, d_embed=6, n_buckets=64,
+                              n_labels=2, d_embed=6, n_buckets=64,
                               dropout=0.1, l2=0.01)
     embed = RngStream(seed, "embed").uniform_range(-0.3, 0.3,
                                                    (DIMS.vocab_size, 6))
@@ -343,7 +343,8 @@ def test_pretrain_generator_improves_and_logs():
     params = init_generator_params(DIMS, RngStream(159))
     start = mean_nll(params, DIMS, valid)
     history = pretrain_generator(params, DIMS, data, valid, RngStream(160),
-                                 epochs=8, batch_size=16, lr=5e-3)
+                                 epochs=8, opt=AdamState(params, lr=5e-3),
+                                 batch_size=16)
     assert [r["epoch"] for r in history] == list(range(8))
     assert history[-1]["valid_nll"] < start
     assert all(r["train_nll"] > 0 for r in history)
@@ -354,8 +355,8 @@ def test_pretrain_generator_early_stops():
     valid = tiny_corpus(n=12, seed=161)
     params = init_generator_params(DIMS, RngStream(162))
     history = pretrain_generator(params, DIMS, data, valid, RngStream(163),
-                                 epochs=400, batch_size=16, lr=5e-3,
-                                 patience=5)
+                                 epochs=400, opt=AdamState(params, lr=5e-3),
+                                 batch_size=16, patience=5)
     assert len(history) < 400  # patience ended the loop
 
 
@@ -390,7 +391,8 @@ def test_exhausted_prior_valid_trains_nothing():
     before = {n: p.value.copy() for n, p in params.items()}
     rows = []
     history = pretrain_generator(params, DIMS, data, valid, RngStream(166),
-                                 epochs=6, batch_size=16, patience=2,
+                                 epochs=6, opt=AdamState(params), batch_size=16,
+                                 patience=2,
                                  start_epoch=3, prior_valid=(2.0, 2.5, 2.5),
                                  on_epoch=rows.append)
     assert history == [] and rows == []
@@ -402,8 +404,8 @@ def test_pretrain_discriminator_beats_coin_flipping():
     data = tiny_corpus(n=48)
     gen = init_generator_params(DIMS, RngStream(167))
     disc = make_disc()
-    history = pretrain_discriminator(disc, gen, DIMS, data, RngStream(168),
-                                     epochs=6, batch_size=16, lr=5e-3)
+    history = pretrain_discriminator(disc, gen, DIMS, data, RngStream(168), epochs=6,
+                                     opt=AdamState(disc.params, lr=5e-3), batch_size=16)
     assert len(history) == 6
     assert history[-1]["d_loss"] < math.log(2)
     assert history[-1]["d_acc"] > 0.5
@@ -421,25 +423,35 @@ def small_schedule(iterations: int = 3) -> TrainSchedule:
                          g_lr=1e-4, d_lr=1e-3)
 
 
+def fresh_state(gen, disc, sched: TrainSchedule) -> dict:
+    """What a fresh `advtrain` builds: the rollout network as a copy of the
+    generator and new Adam states for both players."""
+    return {"rollout_params": gen.copy(), "g_opt": AdamState(gen, lr=sched.g_lr),
+            "d_opt": AdamState(disc.params, lr=sched.d_lr)}
+
+
 def test_zero_iterations_is_a_no_op():
     data = tiny_corpus()
     gen = init_generator_params(DIMS, RngStream(169))
     before = {n: p.value.copy() for n, p in gen.items()}
     disc = make_disc()
-    history, rollout = adversarial_train(gen, DIMS, disc, data, data,
-                                         small_schedule(0), RngStream(170))
+    sched = small_schedule(0)
+    state = fresh_state(gen, disc, sched)
+    history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(170),
+                                **state)
     assert history == []
     for n, p in gen.items():
         assert np.array_equal(p.value, before[n])
-        assert np.array_equal(rollout.value(n), before[n])
+        assert np.array_equal(state["rollout_params"].value(n), before[n])
 
 
 def test_history_rows_carry_the_metric_columns():
     data = tiny_corpus()
     gen = init_generator_params(DIMS, RngStream(171))
     disc = make_disc(seed=172)
-    history, _ = adversarial_train(gen, DIMS, disc, data, data,
-                                   small_schedule(2), RngStream(173))
+    sched = small_schedule(2)
+    history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(173),
+                                **fresh_state(gen, disc, sched))
     assert len(history) == 2
     for i, row in enumerate(history):
         assert row["iteration"] == i
@@ -454,8 +466,9 @@ def test_same_stream_reproduces_the_run():
     def run():
         gen = init_generator_params(DIMS, RngStream(174))
         disc = make_disc(seed=175)
-        history, _ = adversarial_train(gen, DIMS, disc, data, data,
-                                       small_schedule(3), RngStream(176))
+        sched = small_schedule(3)
+        history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(176),
+                                    **fresh_state(gen, disc, sched))
         return strip_wall(history), {n: p.value.copy() for n, p in gen.items()}
 
     h1, p1 = run()
@@ -484,9 +497,9 @@ def test_resume_continues_the_exact_trajectory():
             snap["g_opt"] = {k: v.copy() for k, v in g_opt.state_tensors().items()}
             snap["d_opt"] = {k: v.copy() for k, v in d_opt.state_tensors().items()}
 
-    full_hist, _ = adversarial_train(gen, DIMS, disc, data, data, sched,
-                                     RngStream(179), rollout_params=rollout_params,
-                                     g_opt=g_opt, d_opt=d_opt, on_epoch=capture)
+    full_hist = adversarial_train(gen, DIMS, disc, data, data, sched,
+                                  RngStream(179), rollout_params=rollout_params,
+                                  g_opt=g_opt, d_opt=d_opt, on_epoch=capture)
 
     gen2 = snap["gen"]
     disc2 = make_disc(seed=178)
@@ -496,10 +509,10 @@ def test_resume_continues_the_exact_trajectory():
     g_opt2.load_state_tensors(snap["g_opt"])
     d_opt2 = AdamState(disc2.params, lr=sched.d_lr)
     d_opt2.load_state_tensors(snap["d_opt"])
-    tail_hist, _ = adversarial_train(gen2, DIMS, disc2, data, data, sched,
-                                     RngStream(179), rollout_params=snap["roll"],
-                                     g_opt=g_opt2, d_opt=d_opt2,
-                                     start_iteration=2)
+    tail_hist = adversarial_train(gen2, DIMS, disc2, data, data, sched,
+                                  RngStream(179), rollout_params=snap["roll"],
+                                  g_opt=g_opt2, d_opt=d_opt2,
+                                  start_iteration=2)
     assert strip_wall(full_hist[2:]) == strip_wall(tail_hist)
     for n, p in gen.items():
         assert np.array_equal(p.value, gen2.value(n))
@@ -512,12 +525,13 @@ def test_rollout_network_trails_the_generator():
     gen = init_generator_params(DIMS, RngStream(180))
     disc = make_disc(seed=181)
     sched = small_schedule(3)
-    rollout_params = gen.copy()
+    state = fresh_state(gen, disc, sched)
+    rollout_params = state["rollout_params"]
     theta_prev = gen.copy()
     gaps = []
 
     def gap(a, b):
-        return max(float(np.max(np.abs(a.value(n) - b.value(n)))) for n in a.names())
+        return max(float(np.max(np.abs(p.value - b.value(n)))) for n, p in a.items())
 
     def capture(row):
         nonlocal theta_prev
@@ -526,7 +540,7 @@ def test_rollout_network_trails_the_generator():
         theta_prev = gen.copy()
 
     adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(182),
-                      rollout_params=rollout_params, on_epoch=capture)
+                      on_epoch=capture, **state)
     prev_gap = 0.0  # rollout starts as a clone of the generator
     for new_gap, move in gaps:
         assert new_gap <= sched.alpha * (prev_gap + move) + 1e-12

@@ -125,6 +125,18 @@ def test_bad_grammar_file_exit_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_grammar_file_longer_than_seq_len_exit_2(tmp_path, capsys):
+    # 26 slots under the default corpus.seq_len = 20: every later read would
+    # cut the rows to 20 tokens
+    long = tmp_path / "long.grammar"
+    slots = "".join(f"slot = w{i}\n" for i in range(26))
+    long.write_text(f"seq_len = 30\n[label 0]\n[template weight = 1.0]\n{slots}")
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, "--set", f"corpus.grammar={long}") == 2
+    assert "seq_len = 30, longer than corpus.seq_len = 20" in capsys.readouterr().err
+    assert os.listdir(d) == []  # nothing written
+
+
 def test_missing_grammar_file_exit_2(tmp_path, capsys):
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED,
@@ -195,6 +207,14 @@ def test_corrupt_checkpoint_exit_4(trained, tmp_path, capsys):
     assert "artifact error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_missing_ckpt_path_exit_2(trained, tmp_path, capsys, command):
+    # a mistyped --ckpt is a usage error, not a corrupt artifact
+    nope = str(tmp_path / "nope.ckpt")
+    assert run(command, "--run-dir", trained, "--ckpt", nope) == 2
+    assert capsys.readouterr().err.startswith(f"error: missing {nope}")
+
+
 def test_digest_mismatch_exit_2(trained, capsys):
     # a model-shaping override invalidates stored checkpoints
     assert run("sample", "--run-dir", trained, "--n", "2",
@@ -251,6 +271,23 @@ def test_non_utf8_input_exit_2(pretrained, tmp_path, capsys, name):
         fh.write(b"\xff\n")
     assert run("pretrain-g", "--run-dir", d) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,damage,needle", [
+    ("corpus_train.txt", lambda text: "2" + text[1:], "label 2 is outside the grammar's 2"),
+    ("corpus_valid.txt", lambda text: "", "no rows"),
+], ids=["label", "empty"])
+def test_unusable_corpus_split_exit_2(pretrained, tmp_path, capsys, name, damage, needle):
+    # a label the generator has no row for, or an empty split, would end in
+    # a raw IndexError or ZeroDivisionError during training
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    path = os.path.join(d, name)
+    text = read(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(damage(text))
+    assert run("pretrain-g", "--run-dir", d, "--resume", "--set", "pretrain.g_epochs=3") == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_non_integer_metrics_key_exit_4(pretrained, tmp_path, capsys):

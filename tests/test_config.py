@@ -70,6 +70,16 @@ def test_set_pair_needs_equals():
     ("adv.delta=0", "adv.delta"),
     ("adv.iterations=-1", "adv.iterations"),
     ("adv.rollouts=0", "adv.rollouts"),
+    ("model.d_embed=0", "model.d_embed must be positive"),
+    ("model.d_hidden=0", "model.d_hidden must be positive"),
+    ("model.d_label=0", "model.d_label must be positive"),
+    ("disc.d_embed=0", "disc.d_embed must be positive"),
+    ("disc.d_hidden=0", "disc.d_hidden must be positive"),
+    ("disc.n_filters=0", "disc.n_filters must be positive"),
+    ("disc.n_buckets=0", "disc.n_buckets must be positive"),
+    ("embed.window=-1", "embed.window must be positive"),
+    ("disc.dropout=1.0", r"disc.dropout must lie in \[0, 1\)"),
+    ("disc.dropout=-0.1", r"disc.dropout must lie in \[0, 1\)"),
 ])
 def test_validation_rejections(pair, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -83,9 +93,9 @@ def test_typed_views_reflect_overrides():
     assert dims.vocab_size == 30 and dims.d_hidden == 48
     sched = cfg.schedule()
     assert sched.rollouts == 4 and sched.alpha == 0.8
-    disc = cfg.disc_config(30, 2, 20)
+    disc = cfg.disc_config(30, 2)
     assert disc.kind == "cnn" and disc.dropout == 0.3
-    assert cfg.disc_config(30, 2, 20, kind="birnn").kind == "birnn"
+    assert cfg.disc_config(30, 2, kind="birnn").kind == "birnn"
     ev = cfg.eval_settings()
     assert ev.epochs == 9 and ev.dropout == 0.3
     assert cfg.d_pretrain_epochs("cnn") == 17

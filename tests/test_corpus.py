@@ -8,14 +8,21 @@ import pytest
 
 from advseq.corpus import (BOS_ID, PAD_ID, DataError, SequenceData, Vocab,
                            decode_sequence, dedupe, encode_sequences,
-                           exact_sequence_nll, generate_corpus, read_corpus,
-                           read_vocab, split_corpus, vocab_for_grammar,
-                           write_corpus, write_vocab)
+                           generate_corpus, read_corpus, read_vocab,
+                           split_corpus, vocab_for_grammar, write_corpus,
+                           write_vocab)
 from advseq.grammar import (BOS_TOKEN, PAD_TOKEN, overlapping_preset,
                             parse_grammar, separable_preset)
 from advseq.numerics import RngStream
+from oracles import sequence_nll_tokens
 
 from test_grammar import TINY
+
+
+def exact_nll(spec, vocab, tokens, label) -> float:
+    """The oracle's exact NLL of one stored row (pads kept)."""
+    return sequence_nll_tokens(spec, int(label),
+                               decode_sequence(tokens, vocab, strip_pad=False))
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +40,7 @@ def test_vocab_reserved_ids_and_sorting():
     assert v.decode_id(BOS_ID) == BOS_TOKEN
     assert v.decode_id(PAD_ID) == PAD_TOKEN
     assert v.id_to_token[2:] == ["apple", "mango", "zebra"]
-    assert len(v) == 5 and "mango" in v and "kiwi" not in v
+    assert len(v) == 5 and "mango" in v.token_to_id and "kiwi" not in v.token_to_id
 
 
 def test_vocab_rejects_bad_layouts():
@@ -133,7 +140,7 @@ def test_unigram_frequencies_match_grammar(tiny_spec):
 def test_mean_exact_nll_matches_entropy(tiny_spec):
     n = 4000
     data, vocab = generate_corpus(tiny_spec, n, RngStream(7, "corpus"))
-    nlls = np.array([exact_sequence_nll(tiny_spec, vocab, data[i])[0]
+    nlls = np.array([exact_nll(tiny_spec, vocab, data.tokens[i], data.labels[i])
                      for i in range(n)])
     assert np.all(np.isfinite(nlls))
     se = float(nlls.std(ddof=1)) / math.sqrt(n)
@@ -145,17 +152,15 @@ def test_overlapping_preset_nll_is_exactly_entropy():
     data, vocab = generate_corpus(spec, 40, RngStream(8, "corpus"))
     h = spec.conditional_entropy()
     for i in range(len(data)):
-        nll, impossible = exact_sequence_nll(spec, vocab, data[i])
-        assert not impossible
+        nll = exact_nll(spec, vocab, data.tokens[i], data.labels[i])
         assert abs(nll - h) < 1e-9
 
 
 def test_exact_nll_flags_impossible_sequences(tiny_spec):
     data, vocab = generate_corpus(tiny_spec, 5, RngStream(9, "corpus"))
-    item = data[0]
-    item.tokens[0] = PAD_ID  # no template starts with a pad
-    nll, impossible = exact_sequence_nll(tiny_spec, vocab, item)
-    assert impossible and math.isinf(nll)
+    tokens = data.tokens[0].copy()
+    tokens[0] = PAD_ID  # no template starts with a pad
+    assert math.isinf(exact_nll(tiny_spec, vocab, tokens, data.labels[0]))
 
 
 def test_separable_corpus_obeys_unigram_presence_rule():
@@ -167,7 +172,7 @@ def test_separable_corpus_obeys_unigram_presence_rule():
     for i in range(len(data)):
         present = set(data.tokens[i].tolist())
         guess = max(spec.label_ids(), key=lambda lb: len(present & marker_ids[lb]))
-        hits += guess == data[i].label
+        hits += guess == data.labels[i]
     assert hits == len(data)
 
 
@@ -283,6 +288,15 @@ def test_read_corpus_errors_cite_lines(tmp_path):
     path.write_text("-1\ta\n")
     with pytest.raises(DataError, match="negative"):
         read_corpus(path, Vocab.from_tokens(["a"]), 3)
+
+
+def test_read_corpus_refuses_rows_longer_than_seq_len(tmp_path):
+    # cutting such a row would train on, and score against, other text
+    path = tmp_path / "corpus.tsv"
+    path.write_text("0\ta b\n1\ta b a b\n")
+    with pytest.raises(DataError, match=r"corpus.tsv: line 2: 4 tokens, longer than "
+                                        r"corpus.seq_len = 3"):
+        read_corpus(path, Vocab.from_tokens(["a", "b"]), 3)
 
 
 def test_vocab_file_roundtrip(tmp_path, tiny_spec):

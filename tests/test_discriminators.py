@@ -21,7 +21,7 @@ EMBED = RngStream(80, "embed").uniform_range(-0.3, 0.3, (V, D_E))
 
 def make_disc(kind: str, seed: int = 81, dropout: float = 0.2,
               l2: float = 0.001, **overrides) -> Discriminator:
-    cfg = DiscriminatorConfig(kind=kind, vocab_size=V, n_labels=2, seq_len=T,
+    cfg = DiscriminatorConfig(kind=kind, vocab_size=V, n_labels=2,
                               d_embed=D_E, d_hidden=8, n_filters=8,
                               widths=(2, 3), dropout=dropout, l2=l2, **overrides)
     return init_discriminator(cfg, EMBED, RngStream(seed, kind))
@@ -113,7 +113,7 @@ def test_fasttext_forward_matches_hand_computation():
 
 
 def test_cnn_forward_matches_hand_computation():
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2, seq_len=4,
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2,
                               d_embed=D_E, n_filters=2, widths=(2,),
                               dropout=0.0, l2=0.0)
     disc = init_discriminator(cfg, EMBED, RngStream(88))
@@ -134,7 +134,7 @@ def test_cnn_forward_matches_hand_computation():
 
 
 def test_birnn_forward_matches_hand_computation():
-    cfg = DiscriminatorConfig(kind="birnn", vocab_size=V, n_labels=2, seq_len=3,
+    cfg = DiscriminatorConfig(kind="birnn", vocab_size=V, n_labels=2,
                               d_embed=3, d_hidden=2, dropout=0.0, l2=0.0)
     embed = RngStream(89, "e").uniform_range(-0.4, 0.4, (V, 3))
     disc = init_discriminator(cfg, embed, RngStream(89))
@@ -255,7 +255,7 @@ def window_cnn(disc: Discriminator, tokens: np.ndarray, ds: np.ndarray):
 def wide_cnn(seed: int = 130) -> Discriminator:
     """Widths (2, 3, 4) over T = 20, biases spread across zero, and filter 1
     of width 3 negative everywhere."""
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2, seq_len=20,
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2,
                               d_embed=D_E, n_filters=8, widths=(2, 3, 4), dropout=0.0)
     disc = init_discriminator(cfg, EMBED, RngStream(seed))
     for w in cfg.widths:
@@ -331,7 +331,7 @@ def test_attention_uniform_when_scores_constant():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gradients_pass_finite_differences(kind):
-    cfg = DiscriminatorConfig(kind=kind, vocab_size=6, n_labels=2, seq_len=5,
+    cfg = DiscriminatorConfig(kind=kind, vocab_size=6, n_labels=2,
                               d_embed=4, d_hidden=3, n_filters=3, widths=(2, 3),
                               n_buckets=64, dropout=0.0, l2=0.05)
     embed = RngStream(96, kind).uniform_range(-0.4, 0.4, (6, 4))
@@ -355,7 +355,7 @@ def test_gradients_pass_finite_differences(kind):
 
 
 def test_cnn_gradients_pass_finite_differences_with_three_widths():
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2, seq_len=7,
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2,
                               d_embed=4, n_filters=3, widths=(2, 3, 4), dropout=0.0,
                               l2=0.05)
     embed = RngStream(134).uniform_range(-0.4, 0.4, (6, 4))
@@ -381,7 +381,7 @@ def test_cnn_gradients_pass_finite_differences_with_three_widths():
 
 
 def test_softmax_head_gradients_pass_finite_differences():
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2, seq_len=5,
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2,
                               d_embed=4, n_filters=3, widths=(2,), dropout=0.0,
                               l2=0.0, use_condition=False, n_out=3)
     embed = RngStream(101).uniform_range(-0.4, 0.4, (6, 4))
@@ -495,10 +495,10 @@ def test_training_dropout_needs_a_stream_and_uses_it():
 
 
 def test_init_rejects_unknown_kind_and_bad_embedding():
-    cfg = DiscriminatorConfig(kind="transformer", vocab_size=V, n_labels=2, seq_len=T)
+    cfg = DiscriminatorConfig(kind="transformer", vocab_size=V, n_labels=2)
     with pytest.raises(ValueError, match="kind"):
         init_discriminator(cfg, EMBED, RngStream(122))
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2, seq_len=T,
+    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2,
                               d_embed=D_E + 1)
     with pytest.raises(ValueError, match="embedding"):
         init_discriminator(cfg, EMBED, RngStream(123))
@@ -512,7 +512,7 @@ def test_conditional_forward_requires_labels():
 
 
 def test_score_refuses_softmax_heads_and_class_probs_normalize():
-    cfg = DiscriminatorConfig(kind="fasttext", vocab_size=V, n_labels=2, seq_len=T,
+    cfg = DiscriminatorConfig(kind="fasttext", vocab_size=V, n_labels=2,
                               d_embed=D_E, use_condition=False, n_out=3)
     disc = init_discriminator(cfg, EMBED, RngStream(125))
     randomize_head(disc)

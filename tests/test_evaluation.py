@@ -9,7 +9,7 @@ from hypothesis import strategies as some
 
 from advseq.corpus import DataError, SequenceData, generate_corpus
 from advseq.evaluation import (EvalSettings, MetricsReport,
-                               adversarial_success, application_metrics, bleu,
+                               adversarial_success, application_metrics,
                                classifier_accuracy, corpus_bleu_mean,
                                downstream_classification, ere_suite,
                                generate_eval_samples, macro_metrics,
@@ -19,7 +19,7 @@ from advseq.evaluation import (EvalSettings, MetricsReport,
 from advseq.generator import GeneratorDims, init_generator_params, mean_nll
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
-from oracles import parse_metrics_csv
+from oracles import bleu, parse_metrics_csv
 
 EPS = 1e-9
 

@@ -9,8 +9,9 @@ import pytest
 from advseq.grammar import (PAD_TOKEN, GrammarError, GrammarSpec, Slot,
                             Template, format_grammar, overlapping_preset,
                             parse_grammar, sample_sequence, separable_preset,
-                            sequence_nll_tokens, uniform_slot)
+                            uniform_slot)
 from advseq.numerics import RngStream
+from oracles import sequence_nll_tokens
 
 TINY = """\
 separable = false
