@@ -27,9 +27,8 @@ import numpy as np
 
 from .corpus import SequenceData
 from .discriminators import Discriminator, score, train_step
-from .generator import (GeneratorDims, forward_states, hoist, mean_nll, mle_step,
-                        policy_gradient_step, sample_batch, step_logits,
-                        _sample_from_logits)
+from .generator import (GeneratorDims, forward_states, free_run, hoist, mean_nll,
+                        mle_step, policy_gradient_step, sample_batch)
 from .numerics import AdamState, ParamStore, RngStream, sigmoid
 
 ODA_CAP = 1e6
@@ -117,17 +116,10 @@ def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         seqs = np.tile(tokens[None, :, None, :], (T - 1, 1, K, 1)).reshape(n_rows, T)
         h = np.repeat(cache.scan.hs[1:T], K, axis=1).reshape(n_rows, -1)
         c = np.repeat(cache.scan.cs[1:T], K, axis=1).reshape(n_rows, -1)
-        prev = np.repeat(tokens.T[:T - 1], K, axis=1).reshape(n_rows)
         labels_rows = np.tile(labels[None, :, None], (T - 1, 1, K)).reshape(n_rows)
-        hz = hoist(rollout_params, dims)
-        cond = hz.cond[labels_rows]
         u = rng.uniform((n_rows, T))
-        for q in range(1, T):
-            a = q * B * K
-            logits = step_logits(hz, cond[:a], h[:a], c[:a], prev[:a])
-            drawn = _sample_from_logits(logits, u[:a, q])
-            seqs[:a, q] = drawn
-            prev[:a] = drawn
+        free_run(hoist(rollout_params, dims), labels_rows, h, c, seqs, u[:, 1:],
+                 range(B * K, n_rows + 1, B * K))
         scores = score_fn(seqs, labels_rows)
         rewards[:, :T - 1] = scores.reshape(T - 1, B, K).mean(axis=2).T
     rewards[:, T - 1] = score_fn(tokens, labels)

@@ -409,8 +409,6 @@ def cmd_pretrain_d(args) -> int:
     cfg = resolve_config(args, paths)
     grammar, vocab, splits, digest = load_run_data(paths, cfg)
     kind = args.kind or cfg["disc.kind"]
-    if kind not in KINDS:
-        raise CliError(f"--kind must be one of {KINDS}, got {kind!r}")
     gen_params, dims = load_run_state(
         _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
     root = RngStream(cfg["run.seed"])

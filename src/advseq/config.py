@@ -135,6 +135,8 @@ class RunConfig:
                     "embed.window"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
+        if self["corpus.seq_len"] < (w := max(EvalSettings.widths)):  # macro eval trains a cnn
+            raise ConfigError(f"corpus.seq_len must be at least {w}, the widest cnn filter")
         if not 0.0 <= self["disc.dropout"] < 1.0:
             raise ConfigError(f"disc.dropout must lie in [0, 1), got {self['disc.dropout']}")
 

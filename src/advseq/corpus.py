@@ -150,7 +150,7 @@ def split_corpus(data: SequenceData, ratios: tuple[float, float, float],
     """Label-stratified shuffle split after removing duplicate rows.
 
     Duplicates are removed first so no identical sequence can land in two
-    splits. Refuses corpora with fewer than 10 rows.
+    splits. Refuses fewer than 10 rows, and ratios that leave a split empty.
     """
     if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
         raise DataError(f"split ratios {ratios} must be nonnegative and sum to 1")
@@ -165,6 +165,8 @@ def split_corpus(data: SequenceData, ratios: tuple[float, float, float],
         parts[0].extend(idx[:bounds[0]])
         parts[1].extend(idx[bounds[0]:bounds[1]])
         parts[2].extend(idx[bounds[1]:bounds[2]])
+    if empty := [name for name, p in zip(("train", "valid", "test"), parts) if not p]:
+        raise DataError(f"split {ratios} leaves the {' and '.join(empty)} split empty")
     subsets = [data.subset(sorted(p)) for p in parts]
     return SplitDataset(*subsets)
 

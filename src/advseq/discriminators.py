@@ -217,7 +217,7 @@ def _lstm_seq_backward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor
     """BPTT for d.<direction>; the embeddings are frozen, so dX is dropped."""
     T, B, d_h = dH.shape
     gW = p[f"d.{direction}.W"].grad
-    dA = scan_backward(dH, s, p.value(f"d.{direction}.W")[:d_h] * gate_scale(d_h))
+    dA = scan_backward(dH, s, p.value(f"d.{direction}.W")[:d_h])
     dA = dA.reshape(T * B, 4 * d_h)
     gW[:d_h] += s.hs[:-1].reshape(T * B, d_h).T @ dA
     gW[d_h:] += embed[ids.reshape(-1)].T @ dA

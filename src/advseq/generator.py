@@ -8,14 +8,15 @@ both maximum likelihood and policy-gradient training: each is a
 per-position weighting of d(-log p)/d(logits), so training steps differ
 only in the coefficient table they feed to it.
 
-Sampling draws one child stream per batch item, which keeps results
-independent of batch decomposition and worker count.
+One free-running loop, `free_run`, serves sampling and rollouts. Sampling
+draws one child stream per item, which keeps results independent of batch
+decomposition and worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,14 +90,13 @@ def shifted_inputs(tokens: Tensor) -> np.ndarray:
     return inputs
 
 
-def step_logits(hz: Hoisted, cond: Tensor, h: Tensor, c: Tensor,
+def step_logits(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor,
                 input_ids: np.ndarray) -> Tensor:
-    """One free-running step from the batch's rows `cond` of hz.cond:
-    advances the state (h, c) in place and returns the logits."""
+    """One free-running step for rows conditioned on `labels`: advances the
+    state (h, c) in place and returns the logits."""
     a = hz.table[input_ids]
-    a += cond
-    a += h @ hz.W_h
-    cell(a, c, h, c)
+    a += hz.cond[labels]
+    cell(a, hz.W_h, h, c, h, c)
     logits = h @ hz.W_out
     logits += hz.b_out
     return logits
@@ -179,7 +179,7 @@ def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
     g["gen.out.W"] += cache.hs.reshape(B * T, d_h).T @ dlogits
     g["gen.out.b"] += dlogits.sum(axis=0, keepdims=True)
     dH = (dlogits @ params.value("gen.out.W").T).reshape(B, T, d_h).transpose(1, 0, 2)
-    dA = scan_backward(dH, cache.scan, W[:d_h] * gate_scale(d_h))
+    dA = scan_backward(dH, cache.scan, W[:d_h])
     dA_seq = dA.sum(axis=0)                  # (B, 4d): the label's input is the same each step
     dA = dA.reshape(T * B, -1)
     ids = shifted_inputs(tokens).T.reshape(-1)   # time-major, like dA's rows
@@ -228,6 +228,17 @@ def _sample_from_logits(logits: Tensor, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, logits.shape[1] - 1)
 
 
+def free_run(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor, seqs: np.ndarray,
+             u: np.ndarray, active: Sequence[int]) -> None:
+    """Draw the last len(active) columns of seqs (rows, T) in place, step i
+    by the first active[i] rows from their uniforms u[:, i]. Row r starts
+    from state (h[r], c[r]) having read the token before its first draw."""
+    first = seqs.shape[1] - len(active)
+    for i, a in enumerate(active):
+        logits = step_logits(hz, labels[:a], h[:a], c[:a], seqs[:a, first + i - 1])
+        seqs[:a, first + i] = _sample_from_logits(logits, u[:a, i])
+
+
 def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
                  seq_len: int, rng: RngStream, item_offset: int = 0) -> np.ndarray:
     """Free-running generation of one sequence per label entry.
@@ -237,12 +248,7 @@ def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
     """
     B = len(labels)
     u = np.stack([rng.child(item_offset + i).uniform(seq_len) for i in range(B)])
-    hz = hoist(params, dims)
-    cond = hz.cond[labels]
     h, c = np.zeros((2, B, dims.d_hidden))
-    prev = np.full(B, BOS_ID, dtype=np.int64)
-    out = np.empty((B, seq_len), dtype=np.int64)
-    for t in range(seq_len):
-        prev = _sample_from_logits(step_logits(hz, cond, h, c, prev), u[:, t])
-        out[:, t] = prev
-    return out
+    out = np.full((B, seq_len + 1), BOS_ID, dtype=np.int64)
+    free_run(hoist(params, dims), labels, h, c, out, u, [B] * seq_len)
+    return out[:, 1:]

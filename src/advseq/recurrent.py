@@ -1,5 +1,5 @@
-"""One LSTM scan, shared by the generator (teacher-forced pass, sampling,
-rollouts) and the bidirectional classifier.
+"""One LSTM step and scan, shared by the generator (teacher-forced pass,
+sampling, rollouts) and the bidirectional classifier.
 
 Weights, biases and gate blocks hold the input, forget, output and
 candidate gates in that order along their 4*d columns:
@@ -9,14 +9,15 @@ candidate gates in that order along their 4*d columns:
     c_t = f * c_{t-1} + i * g,  h_t = o * tanh(c_t)
 
 Callers hoist the input projection xa_t = x_t @ W_x + b out of the loop
-and pass all T steps at once (the generator as rows of its (V, 4d) token
-table embed @ W_x plus a label projection, the classifier as one X @ W_x
-GEMM over all T*B rows), so only h @ W_h runs per step. One tanh gives
+for all T steps (the generator as rows of its (V, 4d) token table
+embed @ W_x plus a label projection, the classifier as one X @ W_x GEMM
+over all T*B rows), so only h @ W_h runs per step, inside `cell`, which
+both `scan` and the generator's free-running loop call. One tanh gives
 every gate, as sigmoid(x) = 0.5*(1 + tanh(x/2)): callers fold the halving
 into W_x, W_h and b by multiplying them by `gate_scale(d)`, which is exact.
-`scan_backward` returns the (T, B, 4d) gradients dA of the unfolded
-pre-activations; each gradient is then one GEMM after the loop:
-dW_h = h_prev^T dA, dW_x = X^T dA, db = sum dA, dX = dA W_x^T.
+`scan_backward` takes W_h as stored and returns the (T, B, 4d) gradients
+dA of the unfolded pre-activations; each gradient is then one GEMM after
+the loop: dW_h = h_prev^T dA, dW_x = X^T dA, db = sum dA, dX = dA W_x^T.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ def gate_scale(d: int) -> Tensor:
     return scale
 
 
-def cell(a: Tensor, c_prev: Tensor, h: Tensor, c: Tensor) -> None:
-    """One step from folded pre-activations a (B, 4d), which become the gates
-    i|f|o|g in place; the new state goes into h and c (which may be c_prev)."""
+def cell(a: Tensor, W_h: Tensor, h_prev: Tensor, c_prev: Tensor, h: Tensor, c: Tensor) -> None:
+    """One step from folded projections a (B, 4d) and W_h: a becomes the gates
+    i|f|o|g in place, and the new state goes into h and c (which may alias)."""
     d = c_prev.shape[1]
     scale = gate_scale(d)
+    a += h_prev @ W_h
     np.tanh(a, out=a)
     a *= scale
     a += 1.0 - scale                     # 0.5 on i|f|o, 0 on g
@@ -63,16 +65,14 @@ def scan(xa: Tensor, W_h: Tensor) -> Scan:
     T, B, d4 = xa.shape
     hs, cs = np.zeros((2, T + 1, B, d4 // 4))
     for t in range(T):
-        xa[t] += hs[t] @ W_h
-        cell(xa[t], cs[t], hs[t + 1], cs[t + 1])
+        cell(xa[t], W_h, hs[t], cs[t], hs[t + 1], cs[t + 1])
     return Scan(hs, cs, xa)
 
 
 def scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
     """BPTT from dH (T, B, d), each step's direct loss gradient on its
-    hidden state, with the folded W_h given to `scan`."""
+    hidden state, with W_h as stored (the one given to `scan`, unfolded)."""
     T, B, d = dH.shape
-    W_raw_T = (W_h / gate_scale(d)).T
     shift = 2.0 * gate_scale(d) - 1.0    # 0 on i|f|o, 1 on g
     dA = np.empty((T, B, 4 * d))
     dh, dc = np.zeros((2, B, d))
@@ -88,5 +88,5 @@ def scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
         np.multiply(dc, G[:, :d], out=da[:, 3 * d:])
         da *= (1.0 - G) * (G + shift)  # s(1 - s) on i|f|o, (1 - g)(1 + g) on g
         dc *= G[:, d:2 * d]
-        dh = da @ W_raw_T
+        dh = da @ W_h.T
     return dA

@@ -14,7 +14,7 @@ from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 pretrain_discriminator, pretrain_generator,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
-from advseq.corpus import PAD_ID, SequenceData
+from advseq.corpus import BOS_ID, PAD_ID, SequenceData
 from advseq.discriminators import DiscriminatorConfig, init_discriminator
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
@@ -197,6 +197,52 @@ def test_deterministic_rollout_network_gives_exact_completions():
         completed = tokens.copy()
         completed[:, p + 1:] = 3
         assert np.max(np.abs(rewards[:, p] - mean_score_fn(completed, labels))) < 1e-12
+
+
+def test_rollout_rows_match_a_straight_line_oracle():
+    params = init_generator_params(DIMS, RngStream(160))
+    tokens = RngStream(161).integers(0, 4, (3, 5))
+    labels = np.array([0, 1, 1])
+    (B, T), K = tokens.shape, 2
+    scored = []
+
+    def recording_score_fn(rows, row_labels):
+        scored.append((rows.copy(), row_labels.copy()))
+        return mean_score_fn(rows, row_labels)
+
+    mc_rollout_rewards(params, DIMS, recording_score_fn, tokens, labels, K, RngStream(162))
+    rows, row_labels = scored[0]
+    # the one block of uniforms the rollouts draw, column q for position q
+    u = RngStream(162).uniform(((T - 1) * B * K, T))
+
+    def sig(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    embed, lab = params.value("gen.embed"), params.value("gen.label_embed")
+    W, b = params.value("gen.lstm.W"), params.value("gen.lstm.b")[0]
+    Wo, bo = params.value("gen.out.W"), params.value("gen.out.b")[0]
+    d = DIMS.d_hidden
+    assert rows.shape == ((T - 1) * B * K, T)
+    for p in range(T - 1):
+        for bi in range(B):
+            for k in range(K):
+                r = p * B * K + bi * K + k
+                assert row_labels[r] == labels[bi]
+                h, c, prev = np.zeros(d), np.zeros(d), BOS_ID
+                expected = []
+                for q in range(T):
+                    a = np.concatenate([h, embed[prev], lab[labels[bi]]]) @ W + b
+                    i, f, o = sig(a[:d]), sig(a[d:2 * d]), sig(a[2 * d:3 * d])
+                    c = f * c + i * np.tanh(a[3 * d:])
+                    h = o * np.tanh(c)
+                    if q <= p:                       # teacher-forced prefix
+                        prev = tokens[bi, q]
+                    else:                            # inverse-CDF draw from u[r, q]
+                        probs = np.exp(h @ Wo + bo - np.max(h @ Wo + bo))
+                        cum = np.cumsum(probs / probs.sum())
+                        prev = min(int((cum < u[r, q]).sum()), DIMS.vocab_size - 1)
+                    expected.append(prev)
+                assert rows[r].tolist() == expected, (p, bi, k)
 
 
 def test_rollout_rewards_deterministic_in_the_stream():

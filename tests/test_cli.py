@@ -137,6 +137,29 @@ def test_grammar_file_longer_than_seq_len_exit_2(tmp_path, capsys):
     assert os.listdir(d) == []  # nothing written
 
 
+def test_empty_split_exit_2(tmp_path, capsys):
+    # every later command would refuse the run for a split with no rows
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, "--seed", "1", "--set", "corpus.n=200",
+               "--set", "corpus.split=0.9,0.1,0.0") == 2
+    assert "leaves the test split empty" in capsys.readouterr().err
+    assert os.listdir(d) == []  # nothing written
+
+
+def test_seq_len_below_cnn_filter_width_exit_2(tmp_path, capsys):
+    # the cnn evaluator of eval's macro tier has filters of width 4, so
+    # pretrain-d and eval would end in a raw ValueError
+    short = tmp_path / "short.grammar"
+    slots = "slot = a | b | c | d\n" * 3
+    short.write_text(f"seq_len = 3\n[label 0]\n[template weight = 1.0]\n{slots}"
+                     f"[label 1]\n[template weight = 1.0]\n{slots}")
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, "--set", f"corpus.grammar={short}",
+               "--set", "corpus.seq_len=3") == 2
+    assert "corpus.seq_len must be at least 4" in capsys.readouterr().err
+    assert os.listdir(d) == []  # nothing written
+
+
 def test_missing_grammar_file_exit_2(tmp_path, capsys):
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED,

@@ -63,6 +63,7 @@ def test_set_pair_needs_equals():
     ("adv.rescale=softmax", "adv.rescale"),
     ("adv.alpha=1.5", "alpha"),
     ("corpus.n=0", "positive"),
+    ("corpus.seq_len=3", "corpus.seq_len must be at least 4"),
     ("corpus.split=0.5,0.5", "corpus.split"),
     ("corpus.split=0.5,0.4,0.2", "corpus.split"),
     ("adv.g_steps=0", "adv.g_steps"),

@@ -84,7 +84,7 @@ def test_backward_matches_finite_differences():
         return float(np.sum(wh * run_scan(W, b, X).hs[1:]))
 
     s = run_scan(W, b, X)
-    dA = scan_backward(wh, s, W[:d_h] * scale)
+    dA = scan_backward(wh, s, W[:d_h])
     flat = dA.reshape(T * batch, 4 * d_h)
     grads = {
         "W_h": s.hs[:-1].reshape(T * batch, d_h).T @ flat,
