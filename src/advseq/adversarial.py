@@ -29,7 +29,7 @@ from .corpus import SequenceData
 from .discriminators import Discriminator, score, train_step
 from .generator import (GeneratorDims, forward_states, free_run, hoist, mean_nll,
                         mle_step, policy_gradient_step, sample_batch)
-from .numerics import AdamState, ParamStore, RngStream, sigmoid
+from .numerics import AdamState, ParamStore, RngStream, Workspace, sigmoid
 
 ODA_CAP = 1e6
 RESCALE_MODES = ("none", "oda", "bra")
@@ -96,20 +96,22 @@ def discriminator_score_fn(disc: Discriminator, threads: int = 1,
 
 def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
                        score_fn: ScoreFn, tokens: np.ndarray, labels: np.ndarray,
-                       n_rollouts: int, rng: RngStream) -> np.ndarray:
+                       n_rollouts: int, rng: RngStream,
+                       ws: Workspace | None = None) -> np.ndarray:
     """Per-position rewards for sampled sequences, shape (B, T).
 
     Position t < T-1 gets the mean score of n_rollouts completions of the
     prefix ending at t; the final position is scored directly. Completions
     are generated by the rollout network restarted from its own
     teacher-forced state at the cut, with all rollout randomness drawn up
-    front from one stream.
+    front from one stream. The teacher-forced pass runs in `ws` (a fresh
+    workspace when none is given) and is dead when this returns.
     """
     B, T = tokens.shape
     K = n_rollouts
     rewards = np.empty((B, T))
     if T > 1:
-        cache = forward_states(rollout_params, dims, tokens, labels)
+        cache = forward_states(rollout_params, dims, tokens, labels, ws)
         n_rows = (T - 1) * B * K
         # row r = p*B*K + b*K + k, cuts p ascending so the active set at
         # generation position q is exactly the first q*B*K rows
@@ -192,6 +194,7 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
     stopped trains nothing more, and epoch indices key the shuffle streams,
     so the continued trajectory matches an uninterrupted run.
     """
+    ws = Workspace()   # every step's teacher-forced pass, reused across batches
     history: list[dict] = []
     best = np.inf
     stale = 0
@@ -209,8 +212,8 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
         losses = []
         for idx in iterate_batches(len(train), batch_size, order):
             losses.append(mle_step(params, dims, opt, train.tokens[idx],
-                                   train.labels[idx], clip=PRETRAIN_CLIP))
-        valid_nll = mean_nll(params, dims, valid)
+                                   train.labels[idx], clip=PRETRAIN_CLIP, ws=ws))
+        valid_nll = mean_nll(params, dims, valid, ws=ws)
         row = {"epoch": epoch, "train_nll": float(np.mean(losses)),
                "valid_nll": valid_nll,
                "wall_seconds": time.perf_counter() - t0}
@@ -293,20 +296,24 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
     for i in range(start_iteration, sched.iterations):
         g_objs, reward_means = [], []
         for g in range(sched.g_steps):
+            # one workspace per generator step, shared by its three
+            # teacher-forced passes; the previous one is freed here, so no
+            # buffer is held through the rollouts, where memory peaks
+            ws = Workspace()
             idx = rng.child("glabels", i, g).integers(0, len(train), sched.batch_size)
             labels = train.labels[idx]
             tokens = sample_batch(gen_params, dims, labels, train.seq_len,
                                   rng.child("gsample", i, g))
             raw = mc_rollout_rewards(rollout_params, dims, score_fn, tokens,
-                                     labels, sched.rollouts, rng.child("mc", i, g))
+                                     labels, sched.rollouts, rng.child("mc", i, g), ws)
             shaped = apply_reward_shaping(raw, sched)
             g_objs.append(policy_gradient_step(gen_params, dims, g_opt, tokens,
-                                               labels, shaped, clip=sched.clip))
+                                               labels, shaped, clip=sched.clip, ws=ws))
             reward_means.append(float(raw.mean()))
             if sched.teacher_forcing:
                 ridx = rng.child("tf", i, g).integers(0, len(train), sched.batch_size)
                 mle_step(gen_params, dims, g_opt, train.tokens[ridx],
-                         train.labels[ridx], clip=sched.clip)
+                         train.labels[ridx], clip=sched.clip, ws=ws)
         d_losses, d_accs = [], []
         for d in range(sched.d_steps):
             idx = rng.child("dreal", i, d).integers(0, len(train), sched.batch_size)

@@ -6,7 +6,10 @@ inputs are projected through tables made once per call (`hoist`), and the
 teacher-forced pass is one `recurrent.scan`. The same backward pass serves
 both maximum likelihood and policy-gradient training: each is a
 per-position weighting of d(-log p)/d(logits), so training steps differ
-only in the coefficient table they feed to it.
+only in the coefficient table they feed to it. The teacher-forced pass and
+its backward write their large arrays into a caller-owned `Workspace`
+whose buffers only grow, so a training loop that keeps one allocates them
+once, whatever its batch sizes.
 
 One free-running loop, `free_run`, serves sampling and rollouts. Sampling
 draws one child stream per item, which keeps results independent of batch
@@ -21,8 +24,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import BOS_ID, PAD_ID, SequenceData
-from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
-                       check_finite, clip_gradients, log_softmax_rows, softmax_rows)
+from .numerics import (AdamState, ParamStore, RngStream, Tensor, Workspace, adam_step,
+                       check_finite, clip_gradients, softmax_rows)
 from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 INIT_RANGE = 0.08
@@ -76,6 +79,10 @@ def hoist(params: ParamStore, dims: GeneratorDims) -> Hoisted:
 
 @dataclass
 class GenCache:
+    """Arrays of one teacher-forced pass. All but `labels` are views into the
+    workspace that `forward_states` was given, so a cache stays valid until
+    that workspace is passed to `forward_states` again."""
+
     labels: np.ndarray             # (B,)
     scan: Scan                     # time-major states and gates
     hs: np.ndarray                 # (B, T, d_h) post-step hidden states
@@ -103,26 +110,42 @@ def step_logits(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor,
 
 
 def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
-                   labels: np.ndarray) -> GenCache:
+                   labels: np.ndarray, ws: Workspace | None = None) -> GenCache:
     """Teacher-forced pass over a (B, T) token batch, keeping every
     intermediate needed for backprop and for restarting generation at an
-    arbitrary position."""
+    arbitrary position.
+
+    The cache is built in `ws` (a fresh workspace when none is given) and
+    stays valid until `ws` is used for another pass."""
+    ws = Workspace() if ws is None else ws
     B, T = tokens.shape
+    d_h, V = dims.d_hidden, dims.vocab_size
     hz = hoist(params, dims)
-    xa = hz.table[shifted_inputs(tokens).T]
+    # mode="clip" lets np.take write into `out` directly; "raise" buffers it
+    xa = np.take(hz.table, shifted_inputs(tokens).T, axis=0, mode="clip",
+                 out=ws.take("gates", (T, B, 4 * d_h)))
     xa += hz.cond[labels]
-    s = scan(xa, hz.W_h)
-    hs = s.hs[1:].transpose(1, 0, 2).reshape(B * T, dims.d_hidden)
-    logits = hs @ hz.W_out
+    s = scan(xa, hz.W_h, ws)
+    hs = ws.take("hs", (B, T, d_h))
+    np.copyto(hs, s.hs[1:].transpose(1, 0, 2))
+    logits = np.matmul(hs.reshape(B * T, d_h), hz.W_out, out=ws.take("logits", (B * T, V)))
     logits += hz.b_out
-    return GenCache(labels, s, hs.reshape(B, T, -1), logits.reshape(B, T, -1))
+    return GenCache(labels, s, hs, logits.reshape(B, T, V))
 
 
-def _token_log_probs(logits: Tensor, tokens: Tensor) -> np.ndarray:
-    """log p(x_t | x_<t, y) per position from (B, T, V) logits, as (B, T)."""
+def _token_log_probs(logits: Tensor, tokens: Tensor, ws: Workspace) -> np.ndarray:
+    """log p(x_t | x_<t, y) per position from (B, T, V) logits, as (B, T):
+    (x - max) - log(sum exp(x - max)) at each target, the values a full
+    log-softmax table would hold there."""
     B, T, V = logits.shape
-    logp = log_softmax_rows(logits.reshape(B * T, V))
-    return np.take_along_axis(logp, tokens.reshape(B * T, 1), axis=1).reshape(B, T)
+    flat = logits.reshape(B * T, V)
+    top = flat.max(axis=1, keepdims=True)
+    e = np.subtract(flat, top, out=ws.take("probs", (B * T, V)))
+    np.exp(e, out=e)
+    logp = np.take_along_axis(flat, tokens.reshape(B * T, 1), axis=1)
+    logp -= top
+    logp -= np.log(e.sum(axis=1, keepdims=True))
+    return logp.reshape(B, T)
 
 
 def pad_mask(tokens: Tensor, exclude_pad: bool) -> np.ndarray:
@@ -133,87 +156,99 @@ def pad_mask(tokens: Tensor, exclude_pad: bool) -> np.ndarray:
 
 
 def batch_log_probs(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
-                    labels: np.ndarray, exclude_pad: bool = True
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    labels: np.ndarray, exclude_pad: bool = True,
+                    ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-position log p(x_t | x_<t, y) and the contribution mask."""
-    cache = forward_states(params, dims, tokens, labels)
-    return _token_log_probs(cache.logits, tokens), pad_mask(tokens, exclude_pad)
+    ws = Workspace() if ws is None else ws
+    cache = forward_states(params, dims, tokens, labels, ws)
+    return _token_log_probs(cache.logits, tokens, ws), pad_mask(tokens, exclude_pad)
 
 
 def sequence_log_prob(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
-                      labels: np.ndarray, exclude_pad: bool = True) -> np.ndarray:
+                      labels: np.ndarray, exclude_pad: bool = True,
+                      ws: Workspace | None = None) -> np.ndarray:
     """log p(x | y) per sequence. With exclude_pad=False this is the exact
     model probability, so exp of it sums to one over all length-T id
     sequences."""
-    logp, mask = batch_log_probs(params, dims, tokens, labels, exclude_pad)
+    logp, mask = batch_log_probs(params, dims, tokens, labels, exclude_pad, ws)
     return (logp * mask).sum(axis=1)
 
 
 def mean_nll(params: ParamStore, dims: GeneratorDims, data: SequenceData,
-             batch_size: int = 64) -> float:
+             batch_size: int = 64, ws: Workspace | None = None) -> float:
     """Average per-sequence negative log-likelihood in nats."""
+    ws = Workspace() if ws is None else ws
     total = 0.0
     for start in range(0, len(data), batch_size):
         tok = data.tokens[start:start + batch_size]
         lab = data.labels[start:start + batch_size]
-        total += float(-sequence_log_prob(params, dims, tok, lab).sum())
+        total += float(-sequence_log_prob(params, dims, tok, lab, ws=ws).sum())
     check_finite("mean NLL", total)  # no optimizer step follows to catch it
     return total / len(data)
 
 
 def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
-                   tokens: Tensor, coefs: np.ndarray) -> None:
+                   tokens: Tensor, coefs: np.ndarray, ws: Workspace | None = None) -> None:
     """Accumulate gradients of sum_{b,t} coefs[b,t] * (-log p(x_bt)).
 
     coefs = mask/B gives mean NLL; coefs = -reward*mask/B gives the
     policy-gradient objective. Only the scan's backward loops over time;
     the output layer and the gradients from its dA are one op over B*T rows.
+    Scratch arrays come from `ws` (a fresh workspace when none is given),
+    which may be the one holding `cache`: the cache is only read.
     """
+    ws = Workspace() if ws is None else ws
     B, T = tokens.shape
     d_h, d_e = dims.d_hidden, dims.d_embed
     W = params.value("gen.lstm.W")
     g = {name: p.grad for name, p in params.items()}
-    dlogits = softmax_rows(cache.logits.reshape(B * T, -1))
+    dlogits = softmax_rows(cache.logits.reshape(B * T, -1),
+                           out=ws.take("probs", (B * T, dims.vocab_size)))
     dlogits[np.arange(B * T), tokens.reshape(-1)] -= 1.0
     dlogits *= coefs.reshape(B * T, 1)
     g["gen.out.W"] += cache.hs.reshape(B * T, d_h).T @ dlogits
     g["gen.out.b"] += dlogits.sum(axis=0, keepdims=True)
-    dH = (dlogits @ params.value("gen.out.W").T).reshape(B, T, d_h).transpose(1, 0, 2)
-    dA = scan_backward(dH, cache.scan, W[:d_h])
+    dH = np.matmul(dlogits, params.value("gen.out.W").T, out=ws.take("dH", (B * T, d_h)))
+    dA = scan_backward(dH.reshape(B, T, d_h).transpose(1, 0, 2), cache.scan, W[:d_h], ws)
     dA_seq = dA.sum(axis=0)                  # (B, 4d): the label's input is the same each step
     dA = dA.reshape(T * B, -1)
     ids = shifted_inputs(tokens).T.reshape(-1)   # time-major, like dA's rows
     g["gen.lstm.W"][:d_h] += cache.scan.hs[:-1].reshape(T * B, d_h).T @ dA
-    g["gen.lstm.W"][d_h:d_h + d_e] += params.value("gen.embed")[ids].T @ dA
+    rows = np.take(params.value("gen.embed"), ids, axis=0, mode="clip",
+                   out=ws.take("embed_rows", (T * B, d_e)))
+    g["gen.lstm.W"][d_h:d_h + d_e] += rows.T @ dA
     g["gen.lstm.W"][d_h + d_e:] += params.value("gen.label_embed")[cache.labels].T @ dA_seq
     g["gen.lstm.b"] += dA_seq.sum(axis=0, keepdims=True)
-    np.add.at(g["gen.embed"], ids, dA @ W[d_h:d_h + d_e].T)
+    np.add.at(g["gen.embed"], ids, np.matmul(dA, W[d_h:d_h + d_e].T, out=rows))
     np.add.at(g["gen.label_embed"], cache.labels, dA_seq @ W[d_h + d_e:].T)
 
 
 def mle_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
-             tokens: Tensor, labels: np.ndarray, clip: float = 5.0) -> float:
+             tokens: Tensor, labels: np.ndarray, clip: float = 5.0,
+             ws: Workspace | None = None) -> float:
     """One maximum-likelihood update, the policy step with unit rewards;
     returns mean NLL per sequence."""
     return -policy_gradient_step(params, dims, opt, tokens, labels,
-                                 np.ones(tokens.shape), clip)
+                                 np.ones(tokens.shape), clip, ws)
 
 
 def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
                          tokens: Tensor, labels: np.ndarray, rewards: np.ndarray,
-                         clip: float = 5.0) -> float:
+                         clip: float = 5.0, ws: Workspace | None = None) -> float:
     """REINFORCE ascent on sum_t reward[b,t] * log p(x_bt) over non-pad
     positions; returns the mean per-sequence weighted log-likelihood being
-    maximized."""
+    maximized. The pass runs in `ws`, which a training loop keeps across
+    steps (a fresh workspace when none is given)."""
     if rewards.shape != tokens.shape:
         raise ValueError(f"rewards {rewards.shape} do not match tokens {tokens.shape}")
-    cache = forward_states(params, dims, tokens, labels)
+    ws = Workspace() if ws is None else ws
+    cache = forward_states(params, dims, tokens, labels, ws)
     B = len(tokens)
     weights = rewards * pad_mask(tokens, True)
-    objective = float((weights * _token_log_probs(cache.logits, tokens)).sum() / B)
+    objective = float((weights * _token_log_probs(cache.logits, tokens, ws)).sum() / B)
     # minimizing sum_t (R/B) * (-log p) is ascent on the reward-weighted
     # log-likelihood
-    backward_coefs(params, dims, cache, tokens, weights / B)
+    backward_coefs(params, dims, cache, tokens, weights / B, ws)
     clip_gradients(params, clip)
     adam_step(params, opt)
     return objective

@@ -3,13 +3,15 @@
 Tensors are plain 2-D numpy float64 arrays ("row-major reals with shape
 metadata"). On top of them this module provides stable nonlinearities, named
 parameter stores with gradient accumulators, an adaptive-moment (Adam)
-optimizer, counter-based seeded random streams, and an order-preserving
-parallel map whose results do not depend on the worker count.
+optimizer, grow-only scratch workspaces, counter-based seeded random
+streams, and an order-preserving parallel map whose results do not depend
+on the worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
@@ -44,12 +46,13 @@ def relu(x: Tensor) -> Tensor:
     return np.maximum(x, 0.0)
 
 
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax via max subtraction; safe for entries up to +-1e3."""
+def softmax_rows(logits: Tensor, out: Tensor | None = None) -> Tensor:
+    """Row-wise softmax via max subtraction; safe for entries up to +-1e3.
+    Written into `out` when given."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got {logits.shape}")
-    e = logits - logits.max(axis=1, keepdims=True)
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -137,6 +140,34 @@ def clip_gradients(params: ParamStore, max_norm: float) -> float:
         for _, p in params.items():
             p.grad *= scale
     return norm
+
+
+# ---------------------------------------------------------------------------
+# Scratch buffers
+# ---------------------------------------------------------------------------
+
+
+class Workspace:
+    """Named float64 scratch buffers that only grow.
+
+    `take(name, shape)` returns a C-contiguous view of the leading elements
+    of the buffer `name`, reallocating it only when the request is larger
+    than any before. Batches of every size then share one block per name,
+    and a training loop that owns a workspace allocates its large arrays
+    once. An array handed out stays valid until the same name is taken
+    again, so the caller that owns the workspace decides how long results
+    built in it live.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, Tensor] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------

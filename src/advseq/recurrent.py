@@ -18,6 +18,8 @@ into W_x, W_h and b by multiplying them by `gate_scale(d)`, which is exact.
 `scan_backward` takes W_h as stored and returns the (T, B, 4d) gradients
 dA of the unfolded pre-activations; each gradient is then one GEMM after
 the loop: dW_h = h_prev^T dA, dW_x = X^T dA, db = sum dA, dX = dA W_x^T.
+`scan` and `scan_backward` write their arrays into a caller's `Workspace`,
+so a training loop that keeps one allocates them once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Tensor
+from .numerics import Tensor, Workspace
 
 
 @lru_cache(maxsize=None)
@@ -59,34 +61,51 @@ class Scan(NamedTuple):
     gates: Tensor   # (T, B, 4d) i|f|o|g
 
 
-def scan(xa: Tensor, W_h: Tensor) -> Scan:
+def scan(xa: Tensor, W_h: Tensor, ws: Workspace | None = None) -> Scan:
     """Run from a zero state over folded hoisted projections xa (T, B, 4d),
-    which become the gates."""
+    which become the gates. The states are the workspace's "states" buffer
+    (a fresh workspace when none is given)."""
+    ws = Workspace() if ws is None else ws
     T, B, d4 = xa.shape
-    hs, cs = np.zeros((2, T + 1, B, d4 // 4))
+    hs, cs = ws.take("states", (2, T + 1, B, d4 // 4))
+    hs[0] = 0.0
+    cs[0] = 0.0
     for t in range(T):
         cell(xa[t], W_h, hs[t], cs[t], hs[t + 1], cs[t + 1])
     return Scan(hs, cs, xa)
 
 
-def scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
+def scan_backward(dH: Tensor, s: Scan, W_h: Tensor, ws: Workspace | None = None) -> Tensor:
     """BPTT from dH (T, B, d), each step's direct loss gradient on its
-    hidden state, with W_h as stored (the one given to `scan`, unfolded)."""
+    hidden state, with W_h as stored (the one given to `scan`, unfolded).
+    Returns the workspace's "dA" buffer (a fresh workspace when none is
+    given); every element's arithmetic is that of the step-by-step chain
+    rule, in the same order."""
+    ws = Workspace() if ws is None else ws
     T, B, d = dH.shape
     shift = 2.0 * gate_scale(d) - 1.0    # 0 on i|f|o, 1 on g
-    dA = np.empty((T, B, 4 * d))
-    dh, dc = np.zeros((2, B, d))
+    # each dA[t] starts as 1 - G and is scaled in place by (G + shift) and
+    # then by the chain-rule products
+    dA = np.subtract(1.0, s.gates, out=ws.take("dA", (T, B, 4 * d)))
+    dh, dc, tanh_c, sech2, prod = ws.take("bptt", (5, B, d))
+    scale = ws.take("bptt_gates", (B, 4 * d))
+    dh[...] = 0.0
+    dc[...] = 0.0
     for t in range(T - 1, -1, -1):
         G = s.gates[t]
-        tanh_c = np.tanh(s.cs[t + 1])
+        np.tanh(s.cs[t + 1], out=tanh_c)
         dh += dH[t]
-        dc += dh * G[:, 2 * d:3 * d] * (1.0 - tanh_c * tanh_c)
+        np.multiply(tanh_c, tanh_c, out=sech2)
+        np.subtract(1.0, sech2, out=sech2)
+        np.multiply(dh, G[:, 2 * d:3 * d], out=prod)
+        prod *= sech2
+        dc += prod
         da = dA[t]
-        np.multiply(dc, G[:, 3 * d:], out=da[:, :d])
-        np.multiply(dc, s.cs[t], out=da[:, d:2 * d])
-        np.multiply(dh, tanh_c, out=da[:, 2 * d:3 * d])
-        np.multiply(dc, G[:, :d], out=da[:, 3 * d:])
-        da *= (1.0 - G) * (G + shift)  # s(1 - s) on i|f|o, (1 - g)(1 + g) on g
+        da *= np.add(G, shift, out=scale)  # s(1 - s) on i|f|o, (1 - g)(1 + g) on g
+        da[:, :d] *= np.multiply(dc, G[:, 3 * d:], out=prod)
+        da[:, d:2 * d] *= np.multiply(dc, s.cs[t], out=prod)
+        da[:, 2 * d:3 * d] *= np.multiply(dh, tanh_c, out=prod)
+        da[:, 3 * d:] *= np.multiply(dc, G[:, :d], out=prod)
         dc *= G[:, d:2 * d]
-        dh = da @ W_h.T
+        np.matmul(da, W_h.T, out=dh)
     return dA

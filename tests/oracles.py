@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use: a finite-difference
 gradient checker, exact rollout rewards by enumerating every completion,
-the exact grammar NLL of one sequence, sentence BLEU against a reference
-list, and a parser for the metrics CSV that `eval` writes."""
+step-by-step BPTT through the LSTM scan, the exact grammar NLL of one
+sequence, sentence BLEU against a reference list, and a parser for the
+metrics CSV that `eval` writes."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 from advseq.evaluation import MetricsReport, _reference_table, _sentence_bleu
 from advseq.generator import GeneratorDims, batch_log_probs
 from advseq.grammar import PAD_TOKEN, GrammarSpec
-from advseq.numerics import NumericError, ParamStore, RngStream
+from advseq.numerics import NumericError, ParamStore, RngStream, Tensor
+from advseq.recurrent import Scan, gate_scale
 
 
 def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore,
@@ -90,6 +92,30 @@ def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         rewards[:, p] = (w * vals).sum(axis=1)
     rewards[:, T - 1] = score_fn(tokens, labels)
     return rewards
+
+
+def loop_scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
+    """BPTT through `recurrent.scan` one step at a time, each gate's
+    derivative table built inside the loop from fresh arrays: the order of
+    arithmetic `recurrent.scan_backward` must reproduce bit for bit."""
+    T, B, d = dH.shape
+    shift = 2.0 * gate_scale(d) - 1.0    # 0 on i|f|o, 1 on g
+    dA = np.empty((T, B, 4 * d))
+    dh, dc = np.zeros((2, B, d))
+    for t in range(T - 1, -1, -1):
+        G = s.gates[t]
+        tanh_c = np.tanh(s.cs[t + 1])
+        dh += dH[t]
+        dc += dh * G[:, 2 * d:3 * d] * (1.0 - tanh_c * tanh_c)
+        da = dA[t]
+        np.multiply(dc, G[:, 3 * d:], out=da[:, :d])
+        np.multiply(dc, s.cs[t], out=da[:, d:2 * d])
+        np.multiply(dh, tanh_c, out=da[:, 2 * d:3 * d])
+        np.multiply(dc, G[:, :d], out=da[:, 3 * d:])
+        da *= (1.0 - G) * (G + shift)  # s(1 - s) on i|f|o, (1 - g)(1 + g) on g
+        dc *= G[:, d:2 * d]
+        dh = da @ W_h.T
+    return dA
 
 
 def sequence_nll_tokens(spec: GrammarSpec, label: int, tokens: list[str]) -> float:

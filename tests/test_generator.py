@@ -15,7 +15,7 @@ from advseq.generator import (GeneratorDims, backward_coefs, forward_states,
                               policy_gradient_step, sample_batch,
                               sequence_log_prob, shifted_inputs)
 from advseq.grammar import parse_grammar
-from advseq.numerics import AdamState, ParamStore, RngStream
+from advseq.numerics import AdamState, ParamStore, RngStream, Workspace
 from oracles import finite_diff_check
 
 SMALL = GeneratorDims(vocab_size=5, n_labels=2, d_embed=3, d_hidden=3, d_label=2)
@@ -90,6 +90,18 @@ def test_changing_the_label_changes_the_logits():
     a = forward_states(params, SMALL, tokens, np.array([0])).logits
     b = forward_states(params, SMALL, tokens, np.array([1])).logits
     assert np.max(np.abs(a - b)) > 1e-6
+
+
+def test_caches_from_different_workspaces_share_no_memory():
+    params = init_generator_params(SMALL, RngStream(52, "init"))
+    tokens = np.array([[2, 3, 4], [4, 2, 3]])
+    a = forward_states(params, SMALL, tokens, np.array([0, 1]), ws=Workspace())
+    b = forward_states(params, SMALL, tokens, np.array([1, 0]), ws=Workspace())
+    arrays_a = (a.hs, a.logits, *a.scan)
+    arrays_b = (b.hs, b.logits, *b.scan)
+    for x in arrays_a:
+        for y in arrays_b:
+            assert not np.shares_memory(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +207,55 @@ def test_backward_accumulates_into_existing_grads():
     backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5))
     for n, p in params.items():
         assert np.allclose(p.grad, 2 * once[n], rtol=0, atol=1e-15), n
+
+
+DESK = GeneratorDims(vocab_size=62, n_labels=4)   # the desk preset's dims
+
+
+def desk_batches(seed: int, n: int) -> SequenceData:
+    rng = RngStream(seed)
+    return SequenceData(rng.child("tok").integers(0, DESK.vocab_size, (n, 20)),
+                        rng.child("lab").integers(0, DESK.n_labels, n))
+
+
+def test_reused_workspace_matches_fresh_ones_bitwise():
+    # ragged batches take views of buffers sized for a larger batch, and
+    # what an earlier batch left there must not reach the result
+    data = desk_batches(65, 198)
+    runs = []
+    for shared in (Workspace(), None):
+        params = init_generator_params(DESK, RngStream(65, "init"))
+        opt = AdamState(params, lr=0.01)
+        losses, start = [], 0
+        for B in (64, 50, 64, 6):
+            ws = shared if shared is not None else Workspace()
+            losses.append(mle_step(params, DESK, opt, data.tokens[start:start + B],
+                                   data.labels[start:start + B], ws=ws))
+            start += B
+        ws = shared if shared is not None else Workspace()
+        losses.append(mean_nll(params, DESK, data, ws=ws))
+        runs.append((losses, {n: p.value.copy() for n, p in params.items()}))
+    (reused, reused_params), (fresh, fresh_params) = runs
+    assert np.array_equal(reused, fresh)
+    for n in fresh_params:
+        assert np.array_equal(reused_params[n], fresh_params[n]), n
+
+
+def test_mle_step_faults_in_almost_no_pages():
+    # a step that allocates its large blocks afresh hands them back to the
+    # OS and faults them in again: well over a thousand pages at this shape
+    resource = pytest.importorskip("resource")
+    data = desk_batches(66, 64 * 21)
+    params = init_generator_params(DESK, RngStream(66, "init"))
+    opt = AdamState(params, lr=0.01)
+    ws = Workspace()
+    mle_step(params, DESK, opt, data.tokens[:64], data.labels[:64], ws=ws)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k in range(1, 21):
+        rows = slice(64 * k, 64 * (k + 1))
+        mle_step(params, DESK, opt, data.tokens[rows], data.labels[rows], ws=ws)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 20 < 50, faults
 
 
 def test_zero_rewards_leave_parameters_unchanged():

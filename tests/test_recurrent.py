@@ -1,10 +1,15 @@
 """LSTM scan forward against a straight-line per-row oracle, backward
-against finite differences, and batch rows against each other."""
+against finite differences and against step-by-step BPTT, and batch rows
+against each other."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as some
+from hypothesis.extra.numpy import arrays
 
-from advseq.numerics import RngStream
-from advseq.recurrent import gate_scale, scan, scan_backward
+from advseq.numerics import RngStream, Workspace
+from advseq.recurrent import Scan, gate_scale, scan, scan_backward
+from oracles import loop_scan_backward
 
 
 def cell_params(d_h: int, d_x: int, rng: RngStream):
@@ -130,3 +135,21 @@ def test_scan_rows_are_independent_bitwise():
             assert np.array_equal(part.cs, whole.cs[:, rows])
             assert np.array_equal(part.gates, whole.gates[:, rows])
             assert np.array_equal(scan_backward(dH[:, rows], part, W_h), dA[:, rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=some.data(), T=some.integers(1, 6), B=some.integers(1, 5), d=some.integers(1, 4))
+def test_backward_equals_step_by_step_bptt_bitwise(data, T, B, d):
+    def draw(shape, bound):
+        return data.draw(arrays(np.float64, shape, elements=some.floats(-bound, bound)))
+
+    s = Scan(np.zeros((T + 1, B, d)), draw((T + 1, B, d), 3.0), draw((T, B, 4 * d), 1.0))
+    dH, W_h = draw((T, B, d), 10.0), draw((d, 4 * d), 1.0)
+    expected = loop_scan_backward(dH, s, W_h)
+    assert np.array_equal(scan_backward(dH, s, W_h), expected)
+    # a workspace that served a larger pass first hands out views of
+    # stale memory, which must not leak into the result
+    ws = Workspace()
+    big = Scan(np.ones((7, 5, 4)), np.ones((7, 5, 4)), np.full((6, 5, 16), 0.5))
+    scan_backward(np.ones((6, 5, 4)), big, np.ones((4, 16)), ws)
+    assert np.array_equal(scan_backward(dH, s, W_h, ws), expected)
