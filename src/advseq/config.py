@@ -10,6 +10,7 @@ loaded into a differently-shaped run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -139,6 +140,11 @@ class RunConfig:
             raise ConfigError(f"corpus.seq_len must be at least {w}, the widest cnn filter")
         if not 0.0 <= self["disc.dropout"] < 1.0:
             raise ConfigError(f"disc.dropout must lie in [0, 1), got {self['disc.dropout']}")
+        for key in ("embed.negatives", "embed.epochs"):
+            if self[key] < 0:
+                raise ConfigError(f"{key} must be >= 0, got {self[key]}")
+        if not (math.isfinite(self["embed.lr"]) and self["embed.lr"] > 0):
+            raise ConfigError(f"embed.lr must be finite and positive, got {self['embed.lr']}")
 
     # typed views consumed by the training and evaluation code
 

@@ -2,8 +2,21 @@
 
 Trains small dense vectors on a token corpus so the discriminators can
 start from frozen, distribution-aware embeddings instead of random ones.
-Updates are applied with scatter-adds over minibatches of (center, context)
-pairs, which keeps the result deterministic for a given stream.
+Each minibatch of (center, context) pairs is one update. Its center rows
+are scored against every output row at once (a (B, V) table), and the
+gradients of the context and the K negatives are summed into a (B, V)
+coefficient table C, so repeated draws add up. Three matrix products then
+apply the update: C @ w_out for the centers' gradients, C.T @ (center
+rows) for the output rows, and a one-hot product for the input rows. The
+result is deterministic for a given stream.
+
+The dense form does B*V*d work per batch where per-pair gathers and
+scatter-adds do B*(1+K)*d, but runs as a few large BLAS calls instead of
+many small scatters. With K = 5 it is faster up to a vocabulary of roughly
+400 tokens (every shipped grammar has about 60) and slower beyond. On 400
+rows of uniform random tokens (T = 20, d = 32, 2 epochs, one BLAS thread,
+2-vCPU x86) it took 0.3 s against 0.4 s at V = 300, 0.65 s against 0.45 s
+at V = 600, and 2.1 s against 0.4 s at V = 2,000.
 """
 
 from __future__ import annotations
@@ -11,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import PAD_ID, SequenceData
-from .numerics import RngStream, sigmoid
+from .numerics import RngStream, check_finite, sigmoid
 
 BATCH_SIZE = 512  # (center, context) pairs per update
 
@@ -72,17 +85,22 @@ def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
             negs = np.searchsorted(cum, u, side="right")
             np.clip(negs, 0, vocab_size - 1, out=negs)
 
-            v = w_in[centers]                      # (B, d)
-            u_pos = w_out[contexts]                # (B, d)
-            u_neg = w_out[negs]                    # (B, K, d)
-            g_pos = sigmoid((v * u_pos).sum(axis=1)) - 1.0          # (B,)
-            g_neg = sigmoid(np.einsum("bkd,bd->bk", u_neg, v))      # (B, K)
+            B = len(batch)
+            ids = np.concatenate([contexts[:, None], negs], axis=1)   # (B, 1+K)
+            v = w_in[centers]                                         # (B, d)
+            g = sigmoid(np.take_along_axis(v @ w_out.T, ids, axis=1))
+            g[:, 0] -= 1.0
+            # C[b, t]: d loss_b / d score(b, t), repeated draws of t added up
+            row_start = np.arange(B) * vocab_size
+            C = np.bincount((row_start[:, None] + ids).ravel(), weights=g.ravel(),
+                            minlength=B * vocab_size).reshape(B, vocab_size)
+            onehot = np.zeros((B, vocab_size))
+            onehot.ravel()[row_start + centers] = 1.0
 
             lr_t = lr * max(1.0 - step / total_steps, 1e-4)
-            dv = g_pos[:, None] * u_pos + np.einsum("bk,bkd->bd", g_neg, u_neg)
-            np.add.at(w_in, centers, -lr_t * dv)
-            np.add.at(w_out, contexts, -lr_t * g_pos[:, None] * v)
-            np.add.at(w_out, negs.reshape(-1),
-                      (-lr_t * g_neg[..., None] * v[:, None, :]).reshape(-1, dim))
+            dv = C @ w_out                                            # (B, d)
+            w_out -= lr_t * (C.T @ v)
+            w_in -= lr_t * (onehot.T @ dv)
             step += 1
+    check_finite("skip-gram embeddings", w_in)
     return w_in

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: a finite-difference
 gradient checker, exact rollout rewards by enumerating every completion,
-step-by-step BPTT through the LSTM scan, the exact grammar NLL of one
-sequence, sentence BLEU against a reference list, and a parser for the
-metrics CSV that `eval` writes."""
+step-by-step BPTT through the LSTM scan, skip-gram training with per-pair
+gathers and scatter-adds, the exact grammar NLL of one sequence, sentence
+BLEU against a reference list, and a parser for the metrics CSV that
+`eval` writes."""
 
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from advseq.corpus import SequenceData
+from advseq.embeddings import BATCH_SIZE, _negative_table, _skipgram_pairs
 from advseq.evaluation import MetricsReport, _reference_table, _sentence_bleu
 from advseq.generator import GeneratorDims, batch_log_probs
 from advseq.grammar import PAD_TOKEN, GrammarSpec
-from advseq.numerics import NumericError, ParamStore, RngStream, Tensor
+from advseq.numerics import NumericError, ParamStore, RngStream, Tensor, sigmoid
 from advseq.recurrent import Scan, gate_scale
 
 
@@ -116,6 +119,49 @@ def loop_scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
         dc *= G[:, d:2 * d]
         dh = da @ W_h.T
     return dA
+
+
+def loop_pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
+                             rng: RngStream, window: int = 2, negatives: int = 5,
+                             epochs: int = 5, lr: float = 0.025) -> np.ndarray:
+    """`embeddings.pretrain_embeddings` with each batch's update built pair
+    by pair: the context and negative rows gathered, their scores and
+    gradients taken per pair, and every row update scatter-added. Same
+    streams, pair order and schedule, so the two tables differ only in the
+    order of floating-point sums."""
+    pairs = _skipgram_pairs(data, window)
+    w_in = rng.child("init").uniform_range(-0.5 / dim, 0.5 / dim, (vocab_size, dim))
+    if len(pairs) == 0:
+        return w_in
+    w_out = np.zeros((vocab_size, dim))
+    cum = _negative_table(data, vocab_size)
+
+    n_batches = (len(pairs) + BATCH_SIZE - 1) // BATCH_SIZE
+    total_steps = epochs * n_batches
+    step = 0
+    for epoch in range(epochs):
+        order = rng.child("shuffle", epoch).permutation(len(pairs))
+        for b in range(n_batches):
+            batch = pairs[order[b * BATCH_SIZE:(b + 1) * BATCH_SIZE]]
+            centers, contexts = batch[:, 0], batch[:, 1]
+            u = rng.child("neg", epoch, b).uniform((len(batch), negatives))
+            negs = np.searchsorted(cum, u, side="right")
+            np.clip(negs, 0, vocab_size - 1, out=negs)
+
+            v = w_in[centers]                      # (B, d)
+            u_pos = w_out[contexts]                # (B, d)
+            u_neg = w_out[negs]                    # (B, K, d)
+            g_pos = sigmoid((v * u_pos).sum(axis=1)) - 1.0          # (B,)
+            g_neg = sigmoid(np.einsum("bkd,bd->bk", u_neg, v))      # (B, K)
+
+            lr_t = lr * max(1.0 - step / total_steps, 1e-4)
+            dv = g_pos[:, None] * u_pos + np.einsum("bk,bkd->bd", g_neg, u_neg)
+            np.add.at(w_in, centers, -lr_t * dv)
+            np.add.at(w_out, contexts, -lr_t * g_pos[:, None] * v)
+            np.add.at(w_out, negs.reshape(-1),
+                      (-lr_t * g_neg[..., None] * v[:, None, :]).reshape(-1, dim))
+            step += 1
+    return w_in
 
 
 def sequence_nll_tokens(spec: GrammarSpec, label: int, tokens: list[str]) -> float:

@@ -371,6 +371,20 @@ def test_nan_weight_is_a_numeric_failure(trained, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_diverging_skip_gram_exits_3_and_saves_no_table(tmp_path, capsys):
+    # a table that left the finite range must not reach embeddings.ckpt,
+    # where every later pretrain-d would load it and fail again
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST,
+               "--set", "embed.lr=1e6", "--set", "embed.epochs=10") == 0
+    assert run("pretrain-g", "--run-dir", d) == 0
+    with np.errstate(all="ignore"):
+        assert run("pretrain-d", "--run-dir", d) == 3
+    assert "skip-gram embeddings" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "embeddings.ckpt"))
+    assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
+
+
 # ---------------------------------------------------------------------------
 # Training pipeline artifacts
 # ---------------------------------------------------------------------------

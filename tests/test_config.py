@@ -81,10 +81,21 @@ def test_set_pair_needs_equals():
     ("embed.window=-1", "embed.window must be positive"),
     ("disc.dropout=1.0", r"disc.dropout must lie in \[0, 1\)"),
     ("disc.dropout=-0.1", r"disc.dropout must lie in \[0, 1\)"),
+    ("embed.negatives=-1", "embed.negatives must be >= 0"),
+    ("embed.epochs=-1", "embed.epochs must be >= 0"),
+    ("embed.lr=0", "embed.lr must be finite and positive"),
+    ("embed.lr=-0.1", "embed.lr must be finite and positive"),
+    ("embed.lr=nan", "embed.lr must be finite and positive"),
+    ("embed.lr=inf", "embed.lr must be finite and positive"),
 ])
 def test_validation_rejections(pair, needle):
     with pytest.raises(ConfigError, match=needle):
         base(pair)
+
+
+def test_embed_zero_negatives_and_epochs_are_valid():
+    cfg = base("embed.negatives=0", "embed.epochs=0")
+    assert cfg["embed.negatives"] == 0 and cfg["embed.epochs"] == 0
 
 
 def test_typed_views_reflect_overrides():

@@ -1,4 +1,5 @@
-"""Skip-gram pretraining sanity: co-occurring tokens end up aligned."""
+"""Skip-gram pretraining: co-occurring tokens end up aligned, the dense
+update matches the per-pair loop, and a diverging run is refused."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as some
 
 from advseq.corpus import (PAD_ID, SequenceData, Vocab, encode_sequences,
                            generate_corpus)
-from advseq.embeddings import _skipgram_pairs, pretrain_embeddings
-from advseq.grammar import separable_preset
-from advseq.numerics import RngStream
+from advseq.embeddings import BATCH_SIZE, _skipgram_pairs, pretrain_embeddings
+from advseq.grammar import overlapping_preset, separable_preset
+from advseq.numerics import NumericError, RngStream
+from oracles import loop_pretrain_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +102,60 @@ def test_skipgram_pairs_match_the_loop(rows, window):
     want = loop_skipgram_pairs(data, window)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the dense coefficient-table update against the per-pair loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,n,epochs", [(overlapping_preset(), 350, 3),
+                                           (separable_preset(), 400, 2)])
+def test_matches_the_per_pair_loop_on_a_preset(spec, n, epochs):
+    data, vocab = generate_corpus(spec, n, RngStream(72, "corpus"))
+    args = (data, len(vocab), 16, RngStream(72, "embed"))
+    got = pretrain_embeddings(*args, epochs=epochs)
+    want = loop_pretrain_embeddings(*args, epochs=epochs)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+# tiny vocabularies, so negatives repeat within a row and collide with the
+# context, and sometimes more than one batch with a ragged last one. lr is
+# kept small: with V this small each output row takes hundreds of summed
+# updates per batch, and at the default rate the table can grow without
+# bound, where the two summation orders drift apart.
+@given(vocab_size=some.integers(3, 8), negatives=some.integers(0, 5),
+       window=some.integers(1, 3), n_rows=some.integers(1, 50),
+       width=some.integers(1, 12), epochs=some.integers(1, 3),
+       seed=some.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_matches_the_per_pair_loop(vocab_size, negatives, window, n_rows, width,
+                                   epochs, seed):
+    tokens = np.random.default_rng(seed).integers(PAD_ID, vocab_size, (n_rows, width))
+    data = SequenceData(tokens, np.zeros(n_rows, dtype=np.int64))
+    args = (data, vocab_size, 4, RngStream(seed, "embed"))
+    kw = dict(window=window, negatives=negatives, epochs=epochs, lr=0.005)
+    got = pretrain_embeddings(*args, **kw)
+    want = loop_pretrain_embeddings(*args, **kw)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_a_diverging_table_is_a_numeric_failure():
+    data, vocab = generate_corpus(overlapping_preset(), 100, RngStream(73, "corpus"))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="skip-gram"):
+        pretrain_embeddings(data, len(vocab), 8, RngStream(73, "embed"), lr=1e6)
+
+
+def test_training_faults_in_few_pages_per_batch():
+    # the (B, V) tables are freed and reallocated every batch; they must
+    # come back from the heap, not from fresh pages. A form that faults in
+    # its update arrays anew costs hundreds of pages per batch; this one
+    # took 0 to 11 per batch at this shape, alone and inside the suite
+    resource = pytest.importorskip("resource")
+    data, vocab = generate_corpus(overlapping_preset(), 350, RngStream(74, "corpus"))
+    n_batches = 3 * -(-len(_skipgram_pairs(data, 2)) // BATCH_SIZE)
+    pretrain_embeddings(data, len(vocab), 32, RngStream(74, "embed"), epochs=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pretrain_embeddings(data, len(vocab), 32, RngStream(74, "embed"), epochs=3)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / n_batches < 40, faults
