@@ -29,7 +29,7 @@ from .corpus import SequenceData
 from .discriminators import Discriminator, score, train_step
 from .generator import (GeneratorDims, forward_states, free_run, hoist, mean_nll,
                         mle_step, policy_gradient_step, sample_batch)
-from .numerics import AdamState, ParamStore, RngStream, Workspace, sigmoid
+from .numerics import AdamState, ParamStore, RngStream, Workspace, chunk_slices, sigmoid
 
 ODA_CAP = 1e6
 RESCALE_MODES = ("none", "oda", "bra")
@@ -39,19 +39,19 @@ MIN_DELTA = 1e-4       # validation NLL gain that resets early-stopping patience
 
 @dataclass
 class TrainSchedule:
-    iterations: int = 30
-    g_steps: int = 5
-    d_steps: int = 5
-    batch_size: int = 32
-    rollouts: int = 8
-    alpha: float = 0.8
-    rescale: str = "oda"
-    delta: float = 12.0
-    baseline: bool = True
-    teacher_forcing: bool = True
-    g_lr: float = 1e-4
-    d_lr: float = 1e-3
-    clip: float = 5.0
+    iterations: int
+    g_steps: int
+    d_steps: int
+    batch_size: int
+    rollouts: int
+    alpha: float
+    rescale: str
+    delta: float
+    baseline: bool
+    teacher_forcing: bool
+    g_lr: float
+    d_lr: float
+    clip: float
 
     def validate(self) -> None:
         if self.rescale not in RESCALE_MODES:
@@ -96,16 +96,15 @@ def discriminator_score_fn(disc: Discriminator, threads: int = 1,
 
 def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
                        score_fn: ScoreFn, tokens: np.ndarray, labels: np.ndarray,
-                       n_rollouts: int, rng: RngStream,
-                       ws: Workspace | None = None) -> np.ndarray:
+                       n_rollouts: int, rng: RngStream, ws: Workspace) -> np.ndarray:
     """Per-position rewards for sampled sequences, shape (B, T).
 
     Position t < T-1 gets the mean score of n_rollouts completions of the
     prefix ending at t; the final position is scored directly. Completions
     are generated by the rollout network restarted from its own
     teacher-forced state at the cut, with all rollout randomness drawn up
-    front from one stream. The teacher-forced pass runs in `ws` (a fresh
-    workspace when none is given) and is dead when this returns.
+    front from one stream. The teacher-forced pass runs in `ws` and is dead
+    when this returns.
     """
     B, T = tokens.shape
     K = n_rollouts
@@ -173,16 +172,20 @@ def apply_reward_shaping(rewards: np.ndarray, sched: TrainSchedule) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def iterate_batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _epochs_since_best(valid_nlls: list[float]) -> int:
+    """Epochs since the validation NLL last beat its best by MIN_DELTA."""
+    best, stale = np.inf, 0
+    for v in valid_nlls:
+        best, stale = (v, 0) if v < best - MIN_DELTA else (best, stale + 1)
+    return stale
 
 
 def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                        train: SequenceData, valid: SequenceData, rng: RngStream,
                        epochs: int, opt: AdamState, batch_size: int = 64,
                        patience: int = 20, start_epoch: int = 0,
-                       prior_valid: tuple = (), on_epoch=None) -> list[dict]:
+                       prior_valid: tuple = (), *,
+                       on_epoch: Callable[[dict], None]) -> list[dict]:
     """Teacher-forced maximum likelihood with early stopping on validation
     NLL. Training always keeps the latest weights; stopping just ends the
     loop once `patience` epochs pass without improvement. `on_epoch(row)`
@@ -196,21 +199,15 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
     """
     ws = Workspace()   # every step's teacher-forced pass, reused across batches
     history: list[dict] = []
-    best = np.inf
-    stale = 0
-    for v in prior_valid:
-        if v < best - MIN_DELTA:
-            best = v
-            stale = 0
-        else:
-            stale += 1
+    valid_nlls = list(prior_valid)
     t0 = time.perf_counter()
     for epoch in range(start_epoch, epochs):
-        if stale >= max(patience, 1):  # a patience below 1 acts as 1
+        if _epochs_since_best(valid_nlls) >= max(patience, 1):  # a patience below 1 acts as 1
             break
         order = rng.child("order", epoch).permutation(len(train))
         losses = []
-        for idx in iterate_batches(len(train), batch_size, order):
+        for sl in chunk_slices(len(train), batch_size):
+            idx = order[sl]
             losses.append(mle_step(params, dims, opt, train.tokens[idx],
                                    train.labels[idx], clip=PRETRAIN_CLIP, ws=ws))
         valid_nll = mean_nll(params, dims, valid, ws=ws)
@@ -218,13 +215,8 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                "valid_nll": valid_nll,
                "wall_seconds": time.perf_counter() - t0}
         history.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
-        if valid_nll < best - MIN_DELTA:
-            best = valid_nll
-            stale = 0
-        else:
-            stale += 1
+        valid_nlls.append(valid_nll)
+        on_epoch(row)
     return history
 
 
@@ -245,8 +237,8 @@ def discriminator_step(disc: Discriminator, opt: AdamState, gen_params: ParamSto
 def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                            dims: GeneratorDims, train: SequenceData,
                            rng: RngStream, epochs: int, opt: AdamState,
-                           batch_size: int = 64, start_epoch: int = 0,
-                           on_epoch=None) -> list[dict]:
+                           batch_size: int = 64, start_epoch: int = 0, *,
+                           on_epoch: Callable[[dict], None]) -> list[dict]:
     """Real-vs-generated pretraining, one discriminator_step per batch;
     `on_epoch(row)` runs after every epoch."""
     history: list[dict] = []
@@ -254,8 +246,8 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
     for epoch in range(start_epoch, epochs):
         order = rng.child("order", epoch).permutation(len(train))
         losses, accs = [], []
-        for b, idx in enumerate(iterate_batches(len(train), batch_size, order)):
-            loss, acc = discriminator_step(disc, opt, gen_params, dims, train, idx,
+        for b, sl in enumerate(chunk_slices(len(train), batch_size)):
+            loss, acc = discriminator_step(disc, opt, gen_params, dims, train, order[sl],
                                            rng.child("fake", epoch, b),
                                            rng.child("drop", epoch, b), PRETRAIN_CLIP)
             losses.append(loss)
@@ -264,8 +256,7 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                "d_acc": float(np.mean(accs)),
                "wall_seconds": time.perf_counter() - t0}
         history.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
+        on_epoch(row)
     return history
 
 
@@ -278,8 +269,8 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                       disc: Discriminator, train: SequenceData,
                       monitor: SequenceData, sched: TrainSchedule, rng: RngStream,
                       rollout_params: ParamStore, g_opt: AdamState, d_opt: AdamState,
-                      start_iteration: int = 0, threads: int = 1,
-                      on_epoch=None) -> list[dict]:
+                      start_iteration: int = 0, threads: int = 1, *,
+                      on_epoch: Callable[[dict], None]) -> list[dict]:
     """Alternate policy-gradient generator steps with discriminator steps,
     updating every given state in place; `on_epoch(row)` runs after every
     iteration. A fresh run starts the rollout network as a copy of the
@@ -331,6 +322,5 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                "nll_test": mean_nll(gen_params, dims, monitor),
                "wall_seconds": time.perf_counter() - t0}
         history.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
+        on_epoch(row)
     return history

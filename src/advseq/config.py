@@ -136,7 +136,8 @@ class RunConfig:
                     "embed.window"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
-        if self["corpus.seq_len"] < (w := max(EvalSettings.widths)):  # macro eval trains a cnn
+        # every eval trains a cnn evaluator with the default filter widths
+        if self["corpus.seq_len"] < (w := max(DiscriminatorConfig.widths)):
             raise ConfigError(f"corpus.seq_len must be at least {w}, the widest cnn filter")
         if not 0.0 <= self["disc.dropout"] < 1.0:
             raise ConfigError(f"disc.dropout must lie in [0, 1), got {self['disc.dropout']}")
@@ -145,6 +146,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 0, got {self[key]}")
         if not (math.isfinite(self["embed.lr"]) and self["embed.lr"] > 0):
             raise ConfigError(f"embed.lr must be finite and positive, got {self['embed.lr']}")
+        for key in ("pretrain.g_lr", "pretrain.d_lr", "adv.g_lr", "adv.d_lr"):
+            if not (math.isfinite(self[key]) and self[key] >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {self[key]}")
+        if not (math.isfinite(self["adv.clip"]) and self["adv.clip"] > 0):
+            raise ConfigError(f"adv.clip must be finite and positive, got {self['adv.clip']}")
 
     # typed views consumed by the training and evaluation code
 
@@ -168,9 +174,8 @@ class RunConfig:
                              g_lr=self["adv.g_lr"], d_lr=self["adv.d_lr"],
                              clip=self["adv.clip"])
 
-    def disc_config(self, vocab_size: int, n_labels: int,
-                    kind: str | None = None) -> DiscriminatorConfig:
-        return DiscriminatorConfig(kind=kind or self["disc.kind"],
+    def disc_config(self, vocab_size: int, n_labels: int, kind: str) -> DiscriminatorConfig:
+        return DiscriminatorConfig(kind=kind,
                                    vocab_size=vocab_size, n_labels=n_labels,
                                    d_embed=self["disc.d_embed"],
                                    d_hidden=self["disc.d_hidden"],
@@ -199,22 +204,21 @@ def _parse_pair(key: str, raw: str, where: str) -> Any:
         raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
 
-def parse_config_text(text: str, source: str = "config") -> dict[str, Any]:
+def parse_config_text(text: str) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}: line {lineno}: expected key = value")
+            raise ConfigError(f"config: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         out[key.strip()] = _parse_pair(key.strip(), value.strip(),
-                                       f"{source}: line {lineno}")
+                                       f"config: line {lineno}")
     return out
 
 
-def make_config(preset: str = "desk", file_text: str | None = None,
-                set_pairs: list[str] | None = None) -> RunConfig:
+def make_config(preset: str, file_text: str | None, set_pairs: list[str]) -> RunConfig:
     """Resolve preset, optional file, and --set overrides, then validate."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
@@ -222,7 +226,7 @@ def make_config(preset: str = "desk", file_text: str | None = None,
     values.update(PRESETS[preset])
     if file_text is not None:
         values.update(parse_config_text(file_text))
-    for pair in set_pairs or []:
+    for pair in set_pairs:
         if "=" not in pair:
             raise ConfigError(f"--set {pair!r}: expected key=value")
         key, _, value = pair.partition("=")

@@ -268,9 +268,8 @@ _BACKWARDS = {"fasttext": _fasttext_backward, "cnn": _cnn_backward, "birnn": _bi
 @dataclass
 class ForwardCache:
     body: Any
-    features: Tensor       # post-dropout head input without condition block
+    features: Tensor       # head input: post-dropout features, then the one-hot block
     drop_mask: Tensor | None
-    labels: np.ndarray | None
 
 
 def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
@@ -295,7 +294,7 @@ def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
     else:
         head_in = s
     logits = head_in @ disc.params.value("d.head.W") + disc.params.value("d.head.b")
-    return logits, ForwardCache(body, head_in, drop_mask, labels)
+    return logits, ForwardCache(body, head_in, drop_mask)
 
 
 def backward(disc: Discriminator, cache: ForwardCache, dlogits: Tensor) -> None:

@@ -34,7 +34,7 @@ from .discriminators import (Discriminator, DiscriminatorConfig, class_probs,
                              init_discriminator, score, train_step)
 from .embeddings import pretrain_embeddings
 from .generator import GeneratorDims, mean_nll, sample_batch
-from .numerics import AdamState, ParamStore, RngStream
+from .numerics import AdamState, ParamStore, RngStream, chunk_slices
 
 BLEU_EPS = 1e-9
 
@@ -128,17 +128,18 @@ def corpus_bleu_mean(samples: list[Sequence], references: list[Sequence],
 # ---------------------------------------------------------------------------
 
 
+EVAL_BATCH_SIZE = 64
+EVAL_LR = 1e-3
+EVAL_EMBED_EPOCHS = 3   # skip-gram epochs over each evaluator's training rows
+
+
 @dataclass(frozen=True)
 class EvalSettings:
-    epochs: int = 25
-    batch_size: int = 64
-    lr: float = 1e-3
-    embed_epochs: int = 3
-    d_embed: int = 32
-    n_filters: int = 16
-    widths: tuple[int, ...] = (2, 3, 4)
-    dropout: float = 0.2
-    l2: float = 0.1
+    epochs: int
+    d_embed: int
+    n_filters: int
+    dropout: float
+    l2: float
 
 
 def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
@@ -149,20 +150,18 @@ def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
     own training rows and then frozen."""
     embed = pretrain_embeddings(SequenceData(tokens, targets), vocab_size,
                                 settings.d_embed, rng.child("embed"),
-                                epochs=settings.embed_epochs)
+                                epochs=EVAL_EMBED_EPOCHS)
     cfg = DiscriminatorConfig(kind="cnn", vocab_size=vocab_size,
                               n_labels=n_labels, d_embed=settings.d_embed,
-                              n_filters=settings.n_filters,
-                              widths=settings.widths, dropout=settings.dropout,
+                              n_filters=settings.n_filters, dropout=settings.dropout,
                               l2=settings.l2, use_condition=use_condition,
                               n_out=n_out)
     disc = init_discriminator(cfg, embed, rng.child("init"))
-    opt = AdamState(disc.params, lr=settings.lr)
-    n = len(tokens)
+    opt = AdamState(disc.params, lr=EVAL_LR)
     for epoch in range(settings.epochs):
-        order = rng.child("order", epoch).permutation(n)
-        for b, start in enumerate(range(0, n, settings.batch_size)):
-            idx = order[start:start + settings.batch_size]
+        order = rng.child("order", epoch).permutation(len(tokens))
+        for b, sl in enumerate(chunk_slices(len(tokens), EVAL_BATCH_SIZE)):
+            idx = order[sl]
             lab = None if labels is None else labels[idx]
             train_step(disc, opt, tokens[idx], lab, targets[idx],
                        rng.child("drop", epoch, b))

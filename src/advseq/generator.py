@@ -35,9 +35,9 @@ INIT_RANGE = 0.08
 class GeneratorDims:
     vocab_size: int
     n_labels: int
-    d_embed: int = 32
-    d_hidden: int = 32
-    d_label: int = 8
+    d_embed: int
+    d_hidden: int
+    d_label: int
 
 
 def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
@@ -110,14 +110,13 @@ def step_logits(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor,
 
 
 def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
-                   labels: np.ndarray, ws: Workspace | None = None) -> GenCache:
+                   labels: np.ndarray, ws: Workspace) -> GenCache:
     """Teacher-forced pass over a (B, T) token batch, keeping every
     intermediate needed for backprop and for restarting generation at an
     arbitrary position.
 
-    The cache is built in `ws` (a fresh workspace when none is given) and
-    stays valid until `ws` is used for another pass."""
-    ws = Workspace() if ws is None else ws
+    The cache is built in `ws` and stays valid until `ws` is used for
+    another pass."""
     B, T = tokens.shape
     d_h, V = dims.d_hidden, dims.vocab_size
     hz = hoist(params, dims)
@@ -148,56 +147,44 @@ def _token_log_probs(logits: Tensor, tokens: Tensor, ws: Workspace) -> np.ndarra
     return logp.reshape(B, T)
 
 
-def pad_mask(tokens: Tensor, exclude_pad: bool) -> np.ndarray:
-    """1.0 where a position contributes to losses and metrics."""
-    if exclude_pad:
-        return (tokens != PAD_ID).astype(np.float64)
-    return np.ones_like(tokens, dtype=np.float64)
+def pad_mask(tokens: Tensor) -> np.ndarray:
+    """1.0 where a position contributes to losses and metrics: not a pad."""
+    return (tokens != PAD_ID).astype(np.float64)
 
 
 def batch_log_probs(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
-                    labels: np.ndarray, exclude_pad: bool = True,
-                    ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position log p(x_t | x_<t, y) and the contribution mask."""
-    ws = Workspace() if ws is None else ws
+                    labels: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position log p(x_t | x_<t, y) and the contribution mask. Summed
+    over every position, pads included, the log-probs are the exact model
+    log-probability of the row."""
     cache = forward_states(params, dims, tokens, labels, ws)
-    return _token_log_probs(cache.logits, tokens, ws), pad_mask(tokens, exclude_pad)
-
-
-def sequence_log_prob(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
-                      labels: np.ndarray, exclude_pad: bool = True,
-                      ws: Workspace | None = None) -> np.ndarray:
-    """log p(x | y) per sequence. With exclude_pad=False this is the exact
-    model probability, so exp of it sums to one over all length-T id
-    sequences."""
-    logp, mask = batch_log_probs(params, dims, tokens, labels, exclude_pad, ws)
-    return (logp * mask).sum(axis=1)
+    return _token_log_probs(cache.logits, tokens, ws), pad_mask(tokens)
 
 
 def mean_nll(params: ParamStore, dims: GeneratorDims, data: SequenceData,
              batch_size: int = 64, ws: Workspace | None = None) -> float:
-    """Average per-sequence negative log-likelihood in nats."""
+    """Average per-sequence negative log-likelihood in nats, pads excluded."""
     ws = Workspace() if ws is None else ws
     total = 0.0
     for start in range(0, len(data), batch_size):
         tok = data.tokens[start:start + batch_size]
         lab = data.labels[start:start + batch_size]
-        total += float(-sequence_log_prob(params, dims, tok, lab, ws=ws).sum())
+        logp, mask = batch_log_probs(params, dims, tok, lab, ws)
+        total += float(-(logp * mask).sum(axis=1).sum())
     check_finite("mean NLL", total)  # no optimizer step follows to catch it
     return total / len(data)
 
 
 def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
-                   tokens: Tensor, coefs: np.ndarray, ws: Workspace | None = None) -> None:
+                   tokens: Tensor, coefs: np.ndarray, ws: Workspace) -> None:
     """Accumulate gradients of sum_{b,t} coefs[b,t] * (-log p(x_bt)).
 
     coefs = mask/B gives mean NLL; coefs = -reward*mask/B gives the
     policy-gradient objective. Only the scan's backward loops over time;
     the output layer and the gradients from its dA are one op over B*T rows.
-    Scratch arrays come from `ws` (a fresh workspace when none is given),
-    which may be the one holding `cache`: the cache is only read.
+    Scratch arrays come from `ws`, which may be the one holding `cache`:
+    the cache is only read.
     """
-    ws = Workspace() if ws is None else ws
     B, T = tokens.shape
     d_h, d_e = dims.d_hidden, dims.d_embed
     W = params.value("gen.lstm.W")
@@ -224,8 +211,7 @@ def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
 
 
 def mle_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
-             tokens: Tensor, labels: np.ndarray, clip: float = 5.0,
-             ws: Workspace | None = None) -> float:
+             tokens: Tensor, labels: np.ndarray, clip: float, ws: Workspace) -> float:
     """One maximum-likelihood update, the policy step with unit rewards;
     returns mean NLL per sequence."""
     return -policy_gradient_step(params, dims, opt, tokens, labels,
@@ -234,17 +220,16 @@ def mle_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
 
 def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState,
                          tokens: Tensor, labels: np.ndarray, rewards: np.ndarray,
-                         clip: float = 5.0, ws: Workspace | None = None) -> float:
+                         clip: float, ws: Workspace) -> float:
     """REINFORCE ascent on sum_t reward[b,t] * log p(x_bt) over non-pad
     positions; returns the mean per-sequence weighted log-likelihood being
     maximized. The pass runs in `ws`, which a training loop keeps across
-    steps (a fresh workspace when none is given)."""
+    steps."""
     if rewards.shape != tokens.shape:
         raise ValueError(f"rewards {rewards.shape} do not match tokens {tokens.shape}")
-    ws = Workspace() if ws is None else ws
     cache = forward_states(params, dims, tokens, labels, ws)
     B = len(tokens)
-    weights = rewards * pad_mask(tokens, True)
+    weights = rewards * pad_mask(tokens)
     objective = float((weights * _token_log_probs(cache.logits, tokens, ws)).sum() / B)
     # minimizing sum_t (R/B) * (-log p) is ascent on the reward-weighted
     # log-likelihood

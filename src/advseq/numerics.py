@@ -98,12 +98,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def items(self) -> Iterator[tuple[str, Param]]:
         return iter(self._params.items())
 
@@ -132,10 +126,14 @@ def global_grad_norm(params: ParamStore) -> float:
 def clip_gradients(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so the global norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. A norm that overflows (finite gradients above
+    about 1e154) raises NumericError: scaling by max_norm / inf would zero
+    every gradient and turn the step into a silent no-op.
     """
     norm = global_grad_norm(params)
-    if max_norm is not None and norm > max_norm and norm > 0.0:
+    if not math.isfinite(norm):
+        raise NumericError(f"global gradient norm is {norm}")
+    if norm > max_norm:
         scale = max_norm / norm
         for _, p in params.items():
             p.grad *= scale
@@ -175,15 +173,16 @@ class Workspace:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators plus step counter for a ParamStore."""
 
-    def __init__(self, params: ParamStore, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float = 1e-3):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
@@ -215,17 +214,16 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * p.grad
-        v *= b2
-        v += (1.0 - b2) * (p.grad * p.grad)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.value -= state.lr * update
         if not np.all(np.isfinite(p.value)):
             raise NumericError(f"non-finite value for parameter '{name}' after update")
@@ -267,16 +265,16 @@ class RngStream:
     def child(self, *path) -> "RngStream":
         return RngStream(self.seed, *self.path, *path)
 
-    def uniform(self, size=None) -> Tensor:
+    def uniform(self, size) -> Tensor:
         return self._gen.random(size)
 
-    def normal(self, size=None, scale: float = 1.0) -> Tensor:
+    def normal(self, size, scale: float = 1.0) -> Tensor:
         return self._gen.standard_normal(size) * scale
 
-    def uniform_range(self, low: float, high: float, size=None) -> Tensor:
+    def uniform_range(self, low: float, high: float, size) -> Tensor:
         return low + (high - low) * self._gen.random(size)
 
-    def integers(self, low: int, high: int, size=None):
+    def integers(self, low: int, high: int, size):
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:

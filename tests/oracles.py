@@ -1,25 +1,36 @@
 """Reference implementations that only the tests use: a finite-difference
-gradient checker, exact rollout rewards by enumerating every completion,
-step-by-step BPTT through the LSTM scan, skip-gram training with per-pair
-gathers and scatter-adds, the exact grammar NLL of one sequence, sentence
-BLEU against a reference list, and a parser for the metrics CSV that
-`eval` writes."""
+gradient checker, the exact model log-probability of a row, exact rollout
+rewards by enumerating every completion, step-by-step BPTT through the LSTM
+scan, skip-gram training with per-pair gathers and scatter-adds, the exact
+grammar NLL of one sequence, sentence BLEU against a reference list, and a
+parser for the metrics CSV that `eval` writes. Also `desk`, which builds
+the typed config views from the schema's defaults."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
+from advseq.config import make_config
 from advseq.corpus import SequenceData
 from advseq.embeddings import BATCH_SIZE, _negative_table, _skipgram_pairs
 from advseq.evaluation import MetricsReport, _reference_table, _sentence_bleu
 from advseq.generator import GeneratorDims, batch_log_probs
 from advseq.grammar import PAD_TOKEN, GrammarSpec
-from advseq.numerics import NumericError, ParamStore, RngStream, Tensor, sigmoid
+from advseq.numerics import NumericError, ParamStore, RngStream, Tensor, Workspace, sigmoid
 from advseq.recurrent import Scan, gate_scale
+
+
+def desk(view: str, *args, **fields):
+    """`RunConfig.<view>(*args)` of the desk preset, whose values are the
+    schema's defaults, with `fields` replaced: `desk("schedule",
+    rollouts=4)`, `desk("generator_dims", 62, 4)`."""
+    cfg = make_config("desk", None, ["run.seed=0"])
+    return dataclasses.replace(getattr(cfg, view)(*args), **fields)
 
 
 def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore,
@@ -72,6 +83,14 @@ def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore
     return worst
 
 
+def exact_log_prob(params: ParamStore, dims: GeneratorDims, tokens: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """log p(x | y) per row, summed over every position, pads included: exp
+    of it sums to one over all length-T id sequences."""
+    logp, _ = batch_log_probs(params, dims, tokens, labels, Workspace())
+    return logp.sum(axis=1)
+
+
 def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
                         score_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         tokens: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -89,7 +108,7 @@ def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         full = np.repeat(tokens, n_suf, axis=0)            # (B*n_suf, T)
         full[:, p + 1:] = np.tile(suffixes, (B, 1))
         labs = np.repeat(labels, n_suf)
-        logp, _ = batch_log_probs(rollout_params, dims, full, labs, exclude_pad=False)
+        logp, _ = batch_log_probs(rollout_params, dims, full, labs, Workspace())
         w = np.exp(logp[:, p + 1:].sum(axis=1)).reshape(B, n_suf)
         vals = score_fn(full, labs).reshape(B, n_suf)
         rewards[:, p] = (w * vals).sum(axis=1)

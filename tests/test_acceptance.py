@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from advseq.adversarial import (TrainSchedule, adversarial_train,
-                                pretrain_discriminator, pretrain_generator,
-                                rescale_bra, rescale_oda, soft_update)
+from advseq.adversarial import (adversarial_train, pretrain_discriminator,
+                                pretrain_generator, rescale_bra, rescale_oda,
+                                soft_update)
 from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
 from advseq.corpus import PAD_ID, generate_corpus, split_corpus
@@ -25,16 +25,14 @@ from advseq.discriminators import (KINDS, DiscriminatorConfig, backward,
                                    forward, init_discriminator,
                                    loss_and_dlogits)
 from advseq.embeddings import pretrain_embeddings
-from advseq.evaluation import (EvalSettings, adversarial_success,
-                               application_metrics, ere_suite,
-                               median_over_seeds, self_bleu)
+from advseq.evaluation import (adversarial_success, application_metrics,
+                               ere_suite, median_over_seeds, self_bleu)
 from advseq.generator import (GeneratorDims, backward_coefs, batch_log_probs,
                               forward_states, init_generator_params, mean_nll,
-                              pad_mask, policy_gradient_step,
-                              sequence_log_prob)
+                              pad_mask, policy_gradient_step)
 from advseq.grammar import overlapping_preset, separable_preset
-from advseq.numerics import AdamState, RngStream
-from oracles import bleu, enumeration_rewards, finite_diff_check
+from advseq.numerics import AdamState, RngStream, Workspace
+from oracles import bleu, desk, enumeration_rewards, exact_log_prob, finite_diff_check
 
 EPS = 1e-9
 
@@ -110,12 +108,12 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
     labels = np.array([0, 1])
 
     def gen_loss(ps):
-        logp, mask = batch_log_probs(ps, dims, tokens, labels)
+        logp, mask = batch_log_probs(ps, dims, tokens, labels, Workspace())
         return float(-(logp * mask).sum() / tokens.shape[0])
 
     params.zero_grads()
-    cache = forward_states(params, dims, tokens, labels)
-    backward_coefs(params, dims, cache, tokens, pad_mask(tokens, True) / 2)
+    cache = forward_states(params, dims, tokens, labels, Workspace())
+    backward_coefs(params, dims, cache, tokens, pad_mask(tokens) / 2, Workspace())
     errs["generator"] = finite_diff_check(gen_loss, params)
 
     for kind in KINDS:
@@ -164,9 +162,7 @@ def test_criterion_02_sequence_probabilities_sum_to_one(capsys):
                     dtype=np.int64)
     gaps = []
     for label in (0, 1):
-        lp = sequence_log_prob(params, dims, seqs,
-                               np.full(len(seqs), label, dtype=np.int64),
-                               exclude_pad=False)
+        lp = exact_log_prob(params, dims, seqs, np.full(len(seqs), label, dtype=np.int64))
         gaps.append(abs(float(np.exp(lp).sum()) - 1.0))
     elapsed = time.monotonic() - t0
     ok = max(gaps) < 1e-10 and elapsed < BUDGETS[2]
@@ -203,8 +199,8 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
     t0 = time.monotonic()
     spec, vocab, splits = overlap
     dims, runs = mle_runs
-    sched = TrainSchedule(iterations=10, g_steps=1, d_steps=1, batch_size=32,
-                          rollouts=4, rescale="oda")
+    sched = desk("schedule", iterations=10, g_steps=1, d_steps=1, batch_size=32,
+                 rollouts=4, rescale="oda")
     margins = []
     for seed, (mle_params, base) in enumerate(runs):
         params = mle_params.copy()
@@ -215,12 +211,13 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
         disc = init_discriminator(cfg, embed, RngStream(seed, "dinit"))
         pretrain_discriminator(disc, params, dims, splits.train,
                                RngStream(seed, "dpre"), epochs=3,
-                               opt=AdamState(disc.params))
+                               opt=AdamState(disc.params), on_epoch=lambda row: None)
         hist = adversarial_train(params, dims, disc, splits.train,
                                  splits.test, sched, RngStream(seed, "adv"),
                                  rollout_params=params.copy(),
                                  g_opt=AdamState(params, lr=sched.g_lr),
-                                 d_opt=AdamState(disc.params, lr=sched.d_lr))
+                                 d_opt=AdamState(disc.params, lr=sched.d_lr),
+                                 on_epoch=lambda row: None)
         margins.append(hist[-1]["nll_test"] - base)
     elapsed = (time.monotonic() - t0 + FIXTURE_COST["overlap"]
                + FIXTURE_COST["mle"])
@@ -264,8 +261,7 @@ def test_criterion_05_reward_machinery_closed_forms(capsys):
                     done = tokens[b].copy()
                     done[p + 1:] = suffix
                     lp, _ = batch_log_probs(params, dims, done[None, :],
-                                            labels[b:b + 1],
-                                            exclude_pad=False)
+                                            labels[b:b + 1], Workspace())
                     prob = math.exp(float(lp[0, p + 1:].sum()))
                     mass += prob
                     want += prob * score(done[None, :], labels[b:b + 1])[0]
@@ -312,13 +308,13 @@ def test_criterion_06_policy_gradient_solves_bandit(capsys):
     rewards = np.ones((1, 1))
 
     def p_win():
-        logits = forward_states(params, dims, tokens, labels).logits[0, 0]
+        logits = forward_states(params, dims, tokens, labels, Workspace()).logits[0, 0]
         e = np.exp(logits - logits.max())
         return float(e[2] / e.sum())
 
     probs = [p_win()]
     for _ in range(200):
-        policy_gradient_step(params, dims, opt, tokens, labels, rewards)
+        policy_gradient_step(params, dims, opt, tokens, labels, rewards, 5.0, Workspace())
         probs.append(p_win())
 
     elapsed = time.monotonic() - t0
@@ -369,7 +365,7 @@ def test_criterion_07_bleu_matches_hand_counts(capsys):
 def test_criterion_08_macro_suite_is_calibrated(overlap, capsys):
     t0 = time.monotonic()
     _, vocab, splits = overlap
-    settings = EvalSettings(epochs=60)
+    settings = desk("eval_settings", epochs=60)
     test, train = splits.test, splits.train
     copies = train.subset(range(len(test)))  # real rows posing as synthetic
     stand_in = train.subset(range(400, 798))
@@ -404,9 +400,9 @@ def test_criterion_09_synthetic_data_carries_labels(capsys):
     params = init_generator_params(dims, RngStream(7, "init"))
     pretrain_generator(params, dims, splits.train, splits.valid,
                        RngStream(7, "pre"), epochs=200, opt=AdamState(params),
-                       patience=20)
+                       patience=20, on_epoch=lambda row: None)
     got = application_metrics(params, dims, splits.train, splits.test,
-                              RngStream(251, "app"), EvalSettings(epochs=25),
+                              RngStream(251, "app"), desk("eval_settings", epochs=25),
                               len(vocab), n_seeds=3)
     elapsed = time.monotonic() - t0
     ok = (got["acc_synth"] >= 0.9 * got["acc_real"]

@@ -19,8 +19,8 @@ from advseq.discriminators import DiscriminatorConfig, init_discriminator
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
                               policy_gradient_step, sample_batch)
-from advseq.numerics import AdamState, RngStream
-from oracles import enumeration_rewards
+from advseq.numerics import AdamState, RngStream, Workspace
+from oracles import desk, enumeration_rewards
 
 DIMS = GeneratorDims(vocab_size=4, n_labels=2, d_embed=4, d_hidden=4, d_label=2)
 
@@ -111,9 +111,9 @@ def test_baseline_removes_column_means():
 
 def test_apply_reward_shaping_combines_modes():
     rewards = RngStream(132).uniform((8, 3))
-    sched = TrainSchedule(rescale="none", baseline=False)
+    sched = desk("schedule", rescale="none", baseline=False)
     assert np.array_equal(apply_reward_shaping(rewards, sched), rewards)
-    sched = TrainSchedule(rescale="oda", baseline=True)
+    sched = desk("schedule", rescale="oda", baseline=True)
     out = apply_reward_shaping(rewards, sched)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-12
 
@@ -163,7 +163,7 @@ def test_final_position_is_scored_directly():
     tokens = np.array([[2, 3, 2], [3, 3, 1]])
     labels = np.array([0, 1])
     rewards = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels,
-                                 n_rollouts=4, rng=RngStream(136))
+                                 n_rollouts=4, rng=RngStream(136), ws=Workspace())
     assert np.array_equal(rewards[:, -1], mean_score_fn(tokens, labels))
 
 
@@ -172,7 +172,7 @@ def test_length_one_sequences_skip_rollouts():
     tokens = np.array([[2], [3]])
     labels = np.array([1, 0])
     rewards = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels,
-                                 n_rollouts=3, rng=RngStream(138))
+                                 n_rollouts=3, rng=RngStream(138), ws=Workspace())
     assert rewards.shape == (2, 1)
     assert np.array_equal(rewards[:, 0], mean_score_fn(tokens, labels))
 
@@ -182,7 +182,7 @@ def test_constant_score_means_constant_rewards():
     tokens = RngStream(140).integers(0, 4, (5, 4))
     labels = RngStream(141).integers(0, 2, 5)
     rewards = mc_rollout_rewards(params, DIMS, lambda t, l: np.full(len(t), 0.7),
-                                 tokens, labels, n_rollouts=3, rng=RngStream(142))
+                                 tokens, labels, n_rollouts=3, rng=RngStream(142), ws=Workspace())
     assert np.max(np.abs(rewards - 0.7)) < 1e-15
 
 
@@ -192,7 +192,7 @@ def test_deterministic_rollout_network_gives_exact_completions():
     tokens = np.array([[2, 0, 2, 1], [0, 2, 3, 2]])
     labels = np.array([0, 1])
     rewards = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels,
-                                 n_rollouts=5, rng=RngStream(144))
+                                 n_rollouts=5, rng=RngStream(144), ws=Workspace())
     for p in range(3):
         completed = tokens.copy()
         completed[:, p + 1:] = 3
@@ -210,7 +210,8 @@ def test_rollout_rows_match_a_straight_line_oracle():
         scored.append((rows.copy(), row_labels.copy()))
         return mean_score_fn(rows, row_labels)
 
-    mc_rollout_rewards(params, DIMS, recording_score_fn, tokens, labels, K, RngStream(162))
+    mc_rollout_rewards(params, DIMS, recording_score_fn, tokens, labels, K, RngStream(162),
+                       Workspace())
     rows, row_labels = scored[0]
     # the one block of uniforms the rollouts draw, column q for position q
     u = RngStream(162).uniform(((T - 1) * B * K, T))
@@ -250,11 +251,11 @@ def test_rollout_rewards_deterministic_in_the_stream():
     tokens = RngStream(146).integers(0, 4, (6, 4))
     labels = RngStream(147).integers(0, 2, 6)
     a = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels, 4,
-                           RngStream(148))
+                           RngStream(148), Workspace())
     b = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels, 4,
-                           RngStream(148))
+                           RngStream(148), Workspace())
     c = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels, 4,
-                           RngStream(149))
+                           RngStream(149), Workspace())
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -271,14 +272,13 @@ def test_enumeration_matches_hand_expectation():
 
     rewards = enumeration_rewards(params, dims, last_token_score, tokens, labels)
     # position 0: expectation of the score over the next-token distribution
-    logp, _ = batch_log_probs(params, dims, tokens, labels, exclude_pad=False)
+    logp, _ = batch_log_probs(params, dims, tokens, labels, Workspace())
     for b in range(2):
         probs = []
         for v in range(2):
             alt = tokens[b].copy()
             alt[1] = v
-            lp, _ = batch_log_probs(params, dims, alt[None, :], labels[b:b + 1],
-                                    exclude_pad=False)
+            lp, _ = batch_log_probs(params, dims, alt[None, :], labels[b:b + 1], Workspace())
             probs.append(math.exp(lp[0, 1]))
         assert abs(sum(probs) - 1.0) < 1e-12
         expected = probs[0] * 0.2 + probs[1] * 0.7
@@ -296,7 +296,8 @@ def test_monte_carlo_approaches_enumeration():
         return (toks * np.array([0.11, 0.07, 0.05])).sum(axis=1) / 2.0 + 0.1 * labs
 
     exact = enumeration_rewards(params, dims, fn, tokens, labels)
-    mc = mc_rollout_rewards(params, dims, fn, tokens, labels, 4000, RngStream(152))
+    mc = mc_rollout_rewards(params, dims, fn, tokens, labels, 4000, RngStream(152),
+                            Workspace())
     assert np.max(np.abs(mc - exact)) < 0.02
 
 
@@ -312,9 +313,9 @@ def test_doubling_rollouts_cuts_reward_variance():
     small, big = [], []
     for trial in range(100):
         small.append(mc_rollout_rewards(params, dims, fn, tokens, labels, 8,
-                                        RngStream(154, "s", trial))[0, 0])
+                                        RngStream(154, "s", trial), Workspace())[0, 0])
         big.append(mc_rollout_rewards(params, dims, fn, tokens, labels, 16,
-                                      RngStream(154, "b", trial))[0, 0])
+                                      RngStream(154, "b", trial), Workspace())[0, 0])
     ratio = np.var(big, ddof=1) / np.var(small, ddof=1)
     assert ratio < 0.75
 
@@ -325,19 +326,19 @@ def test_doubling_rollouts_cuts_reward_variance():
 
 
 def test_schedule_validation():
-    TrainSchedule(iterations=0).validate()  # explicit no-op is fine
+    desk("schedule", iterations=0).validate()  # explicit no-op is fine
     with pytest.raises(ValueError, match="rescale"):
-        TrainSchedule(rescale="log").validate()
+        desk("schedule", rescale="log").validate()
     with pytest.raises(ValueError, match="alpha"):
-        TrainSchedule(alpha=1.5).validate()
+        desk("schedule", alpha=1.5).validate()
     with pytest.raises(ValueError, match="iterations"):
-        TrainSchedule(iterations=-1).validate()
+        desk("schedule", iterations=-1).validate()
     with pytest.raises(ValueError, match="iterations"):
-        TrainSchedule(g_steps=0).validate()
+        desk("schedule", g_steps=0).validate()
     with pytest.raises(ValueError, match="delta"):
-        TrainSchedule(delta=0.0).validate()
+        desk("schedule", delta=0.0).validate()
     with pytest.raises(ValueError, match="rollouts"):
-        TrainSchedule(rollouts=0).validate()
+        desk("schedule", rollouts=0).validate()
 
 
 def test_teacher_forcing_is_a_maximum_likelihood_step():
@@ -348,8 +349,8 @@ def test_teacher_forcing_is_a_maximum_likelihood_step():
     b = a.copy()
     opt_a = AdamState(a, lr=1e-3)
     opt_b = AdamState(b, lr=1e-3)
-    la = mle_step(a, DIMS, opt_a, data.tokens[:8], data.labels[:8])
-    lb = mle_step(b, DIMS, opt_b, data.tokens[:8], data.labels[:8])
+    la = mle_step(a, DIMS, opt_a, data.tokens[:8], data.labels[:8], 5.0, Workspace())
+    lb = mle_step(b, DIMS, opt_b, data.tokens[:8], data.labels[:8], 5.0, Workspace())
     assert la == lb
     for n, p in a.items():
         assert np.array_equal(p.value, b.value(n))
@@ -361,11 +362,11 @@ def test_policy_step_returns_reward_weighted_log_likelihood():
     tokens, labels = data.tokens[:8].copy(), data.labels[:8]
     tokens[2, 2:] = PAD_ID
     rewards = RngStream(159).normal(tokens.shape)
-    logp, mask = batch_log_probs(params, DIMS, tokens, labels)
+    logp, mask = batch_log_probs(params, DIMS, tokens, labels, Workspace())
     assert np.any(rewards * mask < 0) and np.any(rewards * mask > 0)
     want = float((rewards * mask * logp).sum() / len(tokens))
     got = policy_gradient_step(params, DIMS, AdamState(params, lr=1e-3), tokens, labels,
-                               rewards)
+                               rewards, 5.0, Workspace())
     assert abs(got - want) < 1e-12
 
 
@@ -390,7 +391,7 @@ def test_pretrain_generator_improves_and_logs():
     start = mean_nll(params, DIMS, valid)
     history = pretrain_generator(params, DIMS, data, valid, RngStream(160),
                                  epochs=8, opt=AdamState(params, lr=5e-3),
-                                 batch_size=16)
+                                 batch_size=16, on_epoch=lambda row: None)
     assert [r["epoch"] for r in history] == list(range(8))
     assert history[-1]["valid_nll"] < start
     assert all(r["train_nll"] > 0 for r in history)
@@ -402,7 +403,7 @@ def test_pretrain_generator_early_stops():
     params = init_generator_params(DIMS, RngStream(162))
     history = pretrain_generator(params, DIMS, data, valid, RngStream(163),
                                  epochs=400, opt=AdamState(params, lr=5e-3),
-                                 batch_size=16, patience=5)
+                                 batch_size=16, patience=5, on_epoch=lambda row: None)
     assert len(history) < 400  # patience ended the loop
 
 
@@ -413,15 +414,17 @@ def test_pretrain_generator_resume_matches_uninterrupted_run():
     full = init_generator_params(DIMS, RngStream(165))
     full_opt = AdamState(full, lr=5e-3)
     full_hist = pretrain_generator(full, DIMS, data, valid, RngStream(166),
-                                   epochs=6, batch_size=16, opt=full_opt)
+                                   epochs=6, batch_size=16, opt=full_opt,
+                                   on_epoch=lambda row: None)
 
     part = init_generator_params(DIMS, RngStream(165))
     part_opt = AdamState(part, lr=5e-3)
     first = pretrain_generator(part, DIMS, data, valid, RngStream(166),
-                               epochs=3, batch_size=16, opt=part_opt)
+                               epochs=3, batch_size=16, opt=part_opt,
+                               on_epoch=lambda row: None)
     second = pretrain_generator(part, DIMS, data, valid, RngStream(166),
                                 epochs=6, batch_size=16, opt=part_opt,
-                                start_epoch=3,
+                                start_epoch=3, on_epoch=lambda row: None,
                                 prior_valid=tuple(r["valid_nll"] for r in first))
     assert strip_wall(full_hist) == strip_wall(first + second)
     for n, p in full.items():
@@ -451,7 +454,8 @@ def test_pretrain_discriminator_beats_coin_flipping():
     gen = init_generator_params(DIMS, RngStream(167))
     disc = make_disc()
     history = pretrain_discriminator(disc, gen, DIMS, data, RngStream(168), epochs=6,
-                                     opt=AdamState(disc.params, lr=5e-3), batch_size=16)
+                                     opt=AdamState(disc.params, lr=5e-3), batch_size=16,
+                                     on_epoch=lambda row: None)
     assert len(history) == 6
     assert history[-1]["d_loss"] < math.log(2)
     assert history[-1]["d_acc"] > 0.5
@@ -463,10 +467,9 @@ def test_pretrain_discriminator_beats_coin_flipping():
 
 
 def small_schedule(iterations: int = 3) -> TrainSchedule:
-    return TrainSchedule(iterations=iterations, g_steps=2, d_steps=2,
-                         batch_size=8, rollouts=3, alpha=0.8, rescale="oda",
-                         baseline=True, teacher_forcing=True,
-                         g_lr=1e-4, d_lr=1e-3)
+    return desk("schedule", iterations=iterations, g_steps=2, d_steps=2,
+                batch_size=8, rollouts=3, alpha=0.8, rescale="oda",
+                baseline=True, teacher_forcing=True, g_lr=1e-4, d_lr=1e-3)
 
 
 def fresh_state(gen, disc, sched: TrainSchedule) -> dict:
@@ -484,7 +487,7 @@ def test_zero_iterations_is_a_no_op():
     sched = small_schedule(0)
     state = fresh_state(gen, disc, sched)
     history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(170),
-                                **state)
+                                on_epoch=lambda row: None, **state)
     assert history == []
     for n, p in gen.items():
         assert np.array_equal(p.value, before[n])
@@ -497,7 +500,7 @@ def test_history_rows_carry_the_metric_columns():
     disc = make_disc(seed=172)
     sched = small_schedule(2)
     history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(173),
-                                **fresh_state(gen, disc, sched))
+                                on_epoch=lambda row: None, **fresh_state(gen, disc, sched))
     assert len(history) == 2
     for i, row in enumerate(history):
         assert row["iteration"] == i
@@ -514,6 +517,7 @@ def test_same_stream_reproduces_the_run():
         disc = make_disc(seed=175)
         sched = small_schedule(3)
         history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(176),
+                                    on_epoch=lambda row: None,
                                     **fresh_state(gen, disc, sched))
         return strip_wall(history), {n: p.value.copy() for n, p in gen.items()}
 
@@ -558,7 +562,7 @@ def test_resume_continues_the_exact_trajectory():
     tail_hist = adversarial_train(gen2, DIMS, disc2, data, data, sched,
                                   RngStream(179), rollout_params=snap["roll"],
                                   g_opt=g_opt2, d_opt=d_opt2,
-                                  start_iteration=2)
+                                  start_iteration=2, on_epoch=lambda row: None)
     assert strip_wall(full_hist[2:]) == strip_wall(tail_hist)
     for n, p in gen.items():
         assert np.array_equal(p.value, gen2.value(n))

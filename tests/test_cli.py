@@ -385,6 +385,20 @@ def test_diverging_skip_gram_exits_3_and_saves_no_table(tmp_path, capsys):
     assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
 
 
+def test_overflowing_gradient_norm_exits_3(tmp_path, capsys):
+    # a finite table of entries near 1e258 gives finite discriminator
+    # gradients whose squared sum overflows; the clip must not scale them
+    # all to zero and report an untrained discriminator as a success
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST,
+               "--set", "embed.lr=1e12", "--set", "embed.epochs=3") == 0
+    assert run("pretrain-g", "--run-dir", d) == 0
+    with np.errstate(all="ignore"):
+        assert run("pretrain-d", "--run-dir", d) == 3
+    assert "gradient norm" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
+
+
 # ---------------------------------------------------------------------------
 # Training pipeline artifacts
 # ---------------------------------------------------------------------------

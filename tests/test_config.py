@@ -7,7 +7,7 @@ from advseq.config import (ConfigError, RunConfig, canonical_text,
 
 
 def base(*pairs):
-    return make_config(set_pairs=["run.seed=7", *pairs])
+    return make_config("desk", None, ["run.seed=7", *pairs])
 
 
 def test_defaults_resolve():
@@ -22,7 +22,7 @@ def test_defaults_resolve():
 
 def test_seed_is_required():
     with pytest.raises(ConfigError, match="run.seed"):
-        make_config()
+        make_config("desk", None, [])
 
 
 def test_precedence_preset_file_set():
@@ -55,7 +55,7 @@ def test_parse_text_shape_and_value_errors():
 
 def test_set_pair_needs_equals():
     with pytest.raises(ConfigError, match="--set"):
-        make_config(set_pairs=["run.seed"])
+        make_config("desk", None, ["run.seed"])
 
 
 @pytest.mark.parametrize("pair,needle", [
@@ -87,6 +87,14 @@ def test_set_pair_needs_equals():
     ("embed.lr=-0.1", "embed.lr must be finite and positive"),
     ("embed.lr=nan", "embed.lr must be finite and positive"),
     ("embed.lr=inf", "embed.lr must be finite and positive"),
+    ("pretrain.g_lr=-1e-3", "pretrain.g_lr must be finite and >= 0"),
+    ("pretrain.d_lr=inf", "pretrain.d_lr must be finite and >= 0"),
+    ("adv.g_lr=-1e-4", "adv.g_lr must be finite and >= 0"),
+    ("adv.d_lr=nan", "adv.d_lr must be finite and >= 0"),
+    ("adv.clip=-1", "adv.clip must be finite and positive"),
+    ("adv.clip=0", "adv.clip must be finite and positive"),
+    ("adv.clip=nan", "adv.clip must be finite and positive"),
+    ("adv.clip=inf", "adv.clip must be finite and positive"),
 ])
 def test_validation_rejections(pair, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -105,7 +113,7 @@ def test_typed_views_reflect_overrides():
     assert dims.vocab_size == 30 and dims.d_hidden == 48
     sched = cfg.schedule()
     assert sched.rollouts == 4 and sched.alpha == 0.8
-    disc = cfg.disc_config(30, 2)
+    disc = cfg.disc_config(30, 2, cfg["disc.kind"])
     assert disc.kind == "cnn" and disc.dropout == 0.3
     assert cfg.disc_config(30, 2, kind="birnn").kind == "birnn"
     ev = cfg.eval_settings()
@@ -116,7 +124,7 @@ def test_typed_views_reflect_overrides():
 
 def test_canonical_text_is_stable_and_parseable():
     via_set = base()
-    via_file = make_config(file_text="run.seed = 7")
+    via_file = make_config("desk", "run.seed = 7", [])
     text = canonical_text(via_set)
     assert text == canonical_text(via_file)
     assert text.endswith("\n")
@@ -126,7 +134,7 @@ def test_canonical_text_is_stable_and_parseable():
     assert "corpus.split = 0.7,0.1,0.2" in lines
     assert "adv.baseline = true" in lines
     # a canonical dump feeds back in as a config file without drift
-    again = make_config(file_text=text)
+    again = make_config("desk", text, [])
     assert canonical_text(again) == text
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as some
 
 from advseq.corpus import DataError, SequenceData, generate_corpus
-from advseq.evaluation import (EvalSettings, MetricsReport,
+from advseq.evaluation import (MetricsReport,
                                adversarial_success, application_metrics,
                                classifier_accuracy, corpus_bleu_mean,
                                downstream_classification, ere_suite,
@@ -19,14 +19,13 @@ from advseq.evaluation import (EvalSettings, MetricsReport,
 from advseq.generator import GeneratorDims, init_generator_params, mean_nll
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
-from oracles import bleu, parse_metrics_csv
+from oracles import bleu, desk, parse_metrics_csv
 
 EPS = 1e-9
 
 # Cheap settings for shape-and-key tests where the trained values are
 # irrelevant; the calibrated probes below use near-default settings.
-FAST = EvalSettings(epochs=1, batch_size=8, embed_epochs=1, d_embed=8,
-                    n_filters=4, widths=(2, 3), dropout=0.0, l2=0.01)
+FAST = desk("eval_settings", epochs=1, d_embed=8, n_filters=4, dropout=0.0, l2=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def eval_corpus():
 def probe_settings():
     # default evaluator sizing; longer schedule because the probes here
     # train on a few hundred rows rather than thousands
-    return EvalSettings(epochs=60)
+    return desk("eval_settings", epochs=60)
 
 
 @pytest.fixture(scope="module")
@@ -273,11 +272,11 @@ def test_downstream_ordering(eval_corpus, probe_settings, untrained_samples):
 
 def test_median_over_seeds_matches_hand_median():
     def fn(stream):
-        return {"v": float(stream.uniform())}
+        return {"v": float(stream.uniform(1)[0])}
 
     base = RngStream(77, "med")
     got = median_over_seeds(fn, base, n_seeds=3)
-    vals = [float(RngStream(77, "med").child("seed", s).uniform())
+    vals = [float(RngStream(77, "med").child("seed", s).uniform(1)[0])
             for s in range(3)]
     assert got == {"v": float(np.median(vals))}
     assert median_over_seeds(fn, RngStream(77, "med"), n_seeds=3) == got

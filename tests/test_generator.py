@@ -12,11 +12,10 @@ from advseq.corpus import BOS_ID, PAD_ID, SequenceData, generate_corpus
 from advseq.generator import (GeneratorDims, backward_coefs, forward_states,
                               init_generator_params, batch_log_probs,
                               mean_nll, mle_step, pad_mask,
-                              policy_gradient_step, sample_batch,
-                              sequence_log_prob, shifted_inputs)
+                              policy_gradient_step, sample_batch, shifted_inputs)
 from advseq.grammar import parse_grammar
 from advseq.numerics import AdamState, ParamStore, RngStream, Workspace
-from oracles import finite_diff_check
+from oracles import desk, exact_log_prob, finite_diff_check
 
 SMALL = GeneratorDims(vocab_size=5, n_labels=2, d_embed=3, d_hidden=3, d_label=2)
 
@@ -27,7 +26,7 @@ def all_sequences(vocab_size: int, seq_len: int) -> np.ndarray:
 
 
 def masked_nll(params: ParamStore, dims: GeneratorDims, tokens, labels) -> float:
-    logp, mask = batch_log_probs(params, dims, tokens, labels)
+    logp, mask = batch_log_probs(params, dims, tokens, labels, Workspace())
     return float(-(logp * mask).sum() / tokens.shape[0])
 
 
@@ -47,7 +46,7 @@ def test_forward_matches_straight_line_reference():
     params = init_generator_params(dims, RngStream(50, "init"))
     tokens = np.array([[2, 3, 1], [3, 0, 2]])
     labels = np.array([1, 0])
-    cache = forward_states(params, dims, tokens, labels)
+    cache = forward_states(params, dims, tokens, labels, Workspace())
 
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -80,15 +79,15 @@ def test_hidden_states_bounded():
     params = init_generator_params(SMALL, RngStream(51, "init"))
     params["gen.lstm.W"].value *= 40.0  # push the cell hard
     tokens = RngStream(51, "tok").integers(0, SMALL.vocab_size, (4, 6))
-    cache = forward_states(params, SMALL, tokens, np.array([0, 1, 0, 1]))
+    cache = forward_states(params, SMALL, tokens, np.array([0, 1, 0, 1]), Workspace())
     assert np.all(np.abs(cache.hs) < 1.0)
 
 
 def test_changing_the_label_changes_the_logits():
     params = init_generator_params(SMALL, RngStream(52, "init"))
     tokens = np.array([[2, 3, 4]])
-    a = forward_states(params, SMALL, tokens, np.array([0])).logits
-    b = forward_states(params, SMALL, tokens, np.array([1])).logits
+    a = forward_states(params, SMALL, tokens, np.array([0]), Workspace()).logits
+    b = forward_states(params, SMALL, tokens, np.array([1]), Workspace()).logits
     assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -114,8 +113,7 @@ def test_uniform_model_sequence_nll():
     params = init_generator_params(dims, RngStream(53, "init"))
     params["gen.out.W"].value[...] = 0.0  # logits constant -> uniform
     tokens = RngStream(53, "tok").integers(0, 10, (3, 5))
-    lp = sequence_log_prob(params, dims, tokens, np.array([0, 1, 0]),
-                           exclude_pad=False)
+    lp = exact_log_prob(params, dims, tokens, np.array([0, 1, 0]))
     assert np.max(np.abs(lp + 5 * math.log(10))) < 1e-12
 
 
@@ -123,8 +121,7 @@ def test_forced_token_gives_probability_one():
     params = init_generator_params(SMALL, RngStream(54, "init"))
     params["gen.out.b"].value[0, 3] += 50.0  # logit gap ~50 nats
     tokens = np.full((2, 4), 3, dtype=np.int64)
-    lp = sequence_log_prob(params, SMALL, tokens, np.array([0, 1]),
-                           exclude_pad=False)
+    lp = exact_log_prob(params, SMALL, tokens, np.array([0, 1]))
     assert np.all(lp > -1e-9)
     draws = sample_batch(params, SMALL, np.array([0, 1]), 4, RngStream(54, "draw"))
     assert np.all(draws == 3)
@@ -136,16 +133,13 @@ def test_probability_mass_sums_to_one_per_label():
     params["gen.out.W"].value *= 5.0  # away from uniform
     seqs = all_sequences(3, 3)
     for label in (0, 1):
-        lp = sequence_log_prob(params, dims, seqs,
-                               np.full(len(seqs), label, dtype=np.int64),
-                               exclude_pad=False)
+        lp = exact_log_prob(params, dims, seqs, np.full(len(seqs), label, dtype=np.int64))
         assert abs(float(np.exp(lp).sum()) - 1.0) < 1e-10
 
 
 def test_pad_mask_modes():
     tokens = np.array([[2, PAD_ID, 3]])
-    assert np.array_equal(pad_mask(tokens, True), [[1.0, 0.0, 1.0]])
-    assert np.array_equal(pad_mask(tokens, False), [[1.0, 1.0, 1.0]])
+    assert np.array_equal(pad_mask(tokens), [[1.0, 0.0, 1.0]])
 
 
 def test_mean_nll_batch_boundary_invariant():
@@ -172,8 +166,8 @@ def test_mle_gradient_matches_finite_differences():
         return masked_nll(ps, dims, tokens, labels)
 
     params.zero_grads()
-    cache = forward_states(params, dims, tokens, labels)
-    backward_coefs(params, dims, cache, tokens, pad_mask(tokens, True) / 2)
+    cache = forward_states(params, dims, tokens, labels, Workspace())
+    backward_coefs(params, dims, cache, tokens, pad_mask(tokens) / 2, Workspace())
     assert finite_diff_check(loss_fn, params) < 1e-4
 
 
@@ -184,15 +178,15 @@ def test_reward_weighted_gradient_matches_finite_differences():
     # per-position rewards of both signs; pads carry rewards the mask drops
     rewards = np.array([[0.9, -1.3, 0.2, 2.0], [-0.4, 5.0, 1.7, -0.8],
                         [0.05, -2.2, 1.1, 0.6]])
-    weights = rewards * pad_mask(tokens, True) / len(tokens)
+    weights = rewards * pad_mask(tokens) / len(tokens)
 
     def loss_fn(ps):
-        logp, _ = batch_log_probs(ps, SMALL, tokens, labels)
+        logp, _ = batch_log_probs(ps, SMALL, tokens, labels, Workspace())
         return float(-(weights * logp).sum())
 
     params.zero_grads()
-    cache = forward_states(params, SMALL, tokens, labels)
-    backward_coefs(params, SMALL, cache, tokens, weights)
+    cache = forward_states(params, SMALL, tokens, labels, Workspace())
+    backward_coefs(params, SMALL, cache, tokens, weights, Workspace())
     assert finite_diff_check(loss_fn, params) < 1e-4
 
 
@@ -200,16 +194,16 @@ def test_backward_accumulates_into_existing_grads():
     params = init_generator_params(SMALL, RngStream(34, "init"))
     tokens = np.array([[2, 3, 4], [4, 2, 2]])
     labels = np.array([1, 0])
-    cache = forward_states(params, SMALL, tokens, labels)
+    cache = forward_states(params, SMALL, tokens, labels, Workspace())
     params.zero_grads()
-    backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5))
+    backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5), Workspace())
     once = {n: p.grad.copy() for n, p in params.items()}
-    backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5))
+    backward_coefs(params, SMALL, cache, tokens, np.full((2, 3), 0.5), Workspace())
     for n, p in params.items():
         assert np.allclose(p.grad, 2 * once[n], rtol=0, atol=1e-15), n
 
 
-DESK = GeneratorDims(vocab_size=62, n_labels=4)   # the desk preset's dims
+DESK = desk("generator_dims", 62, 4)   # the desk preset's dims
 
 
 def desk_batches(seed: int, n: int) -> SequenceData:
@@ -230,7 +224,7 @@ def test_reused_workspace_matches_fresh_ones_bitwise():
         for B in (64, 50, 64, 6):
             ws = shared if shared is not None else Workspace()
             losses.append(mle_step(params, DESK, opt, data.tokens[start:start + B],
-                                   data.labels[start:start + B], ws=ws))
+                                   data.labels[start:start + B], clip=5.0, ws=ws))
             start += B
         ws = shared if shared is not None else Workspace()
         losses.append(mean_nll(params, DESK, data, ws=ws))
@@ -249,11 +243,11 @@ def test_mle_step_faults_in_almost_no_pages():
     params = init_generator_params(DESK, RngStream(66, "init"))
     opt = AdamState(params, lr=0.01)
     ws = Workspace()
-    mle_step(params, DESK, opt, data.tokens[:64], data.labels[:64], ws=ws)
+    mle_step(params, DESK, opt, data.tokens[:64], data.labels[:64], clip=5.0, ws=ws)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for k in range(1, 21):
         rows = slice(64 * k, 64 * (k + 1))
-        mle_step(params, DESK, opt, data.tokens[rows], data.labels[rows], ws=ws)
+        mle_step(params, DESK, opt, data.tokens[rows], data.labels[rows], clip=5.0, ws=ws)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 20 < 50, faults
 
@@ -264,7 +258,7 @@ def test_zero_rewards_leave_parameters_unchanged():
     opt = AdamState(params, lr=0.05)
     tokens = np.array([[2, 3, 4]])
     obj = policy_gradient_step(params, SMALL, opt, tokens, np.array([0]),
-                               np.zeros((1, 3)))
+                               np.zeros((1, 3)), clip=5.0, ws=Workspace())
     assert obj == 0.0
     for n, p in params.items():
         assert np.array_equal(p.value, before[n])
@@ -275,7 +269,7 @@ def test_policy_gradient_rejects_misshapen_rewards():
     opt = AdamState(params)
     with pytest.raises(ValueError, match="rewards"):
         policy_gradient_step(params, SMALL, opt, np.array([[2, 3]]),
-                             np.array([0]), np.zeros((1, 3)))
+                             np.array([0]), np.zeros((1, 3)), clip=5.0, ws=Workspace())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +285,7 @@ def test_memorizes_one_sequence():
     labels = np.array([1])
     loss = math.inf
     for _ in range(300):
-        loss = mle_step(params, dims, opt, tokens, labels)
+        loss = mle_step(params, dims, opt, tokens, labels, clip=5.0, ws=Workspace())
     assert loss < 0.01
 
 
@@ -323,7 +317,7 @@ def test_trained_model_is_condition_sensitive():
     params = init_generator_params(dims, RngStream(62, "init"))
     opt = AdamState(params, lr=0.02)
     for _ in range(60):
-        mle_step(params, dims, opt, data.tokens, data.labels)
+        mle_step(params, dims, opt, data.tokens, data.labels, clip=5.0, ws=Workspace())
     matched = mean_nll(params, dims, data)
     flipped = mean_nll(params, dims, SequenceData(data.tokens, 1 - data.labels))
     assert matched < 3.0           # near the 3*ln2 grammar entropy
@@ -356,8 +350,7 @@ def test_sampled_frequencies_match_exact_model_probabilities():
     draws = sample_batch(params, dims, labels, 2, RngStream(64, "draw"))
 
     seqs = all_sequences(3, 2)
-    lp = sequence_log_prob(params, dims, seqs, np.zeros(9, dtype=np.int64),
-                           exclude_pad=False)
+    lp = exact_log_prob(params, dims, seqs, np.zeros(9, dtype=np.int64))
     expected = np.exp(lp) * len(labels)
     counts = np.bincount(draws[:, 0] * 3 + draws[:, 1], minlength=9)
     assert abs(float(np.exp(lp).sum()) - 1.0) < 1e-10

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advseq.numerics import (AdamState, NumericError, ParamStore, RngStream,
+from advseq.numerics import (ADAM_EPS, AdamState, NumericError, ParamStore, RngStream,
                              adam_step, check_finite, chunk_slices,
                              clip_gradients, global_grad_norm, log_softmax_rows,
                              pmap, relu, sigmoid, softmax_rows)
@@ -98,6 +98,18 @@ def test_clip_gradients_scales_to_max_norm():
     assert abs(global_grad_norm(ps) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("grad", [1e200, np.inf, np.nan])
+def test_clip_gradients_refuses_a_non_finite_norm(grad):
+    # 1e200 is finite, but its square overflows the norm's float64 sum;
+    # scaling by max_norm / inf would zero every gradient instead
+    ps = small_store(RngStream(4))
+    for _, p in ps.items():
+        p.grad[...] = 1.0
+    ps["w1"].grad[0, 0] = grad
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="gradient norm"):
+        clip_gradients(ps, 5.0)
+
+
 def test_clip_gradients_leaves_small_gradients_alone():
     ps = small_store(RngStream(5))
     for _, p in ps.items():
@@ -125,7 +137,7 @@ def test_adam_first_step_matches_sign_update():
     adam_step(ps, opt)
     for n, p in ps.items():
         delta = p.value - before[n]
-        expected = -opt.lr * grads[n] / (np.abs(grads[n]) + opt.eps)
+        expected = -opt.lr * grads[n] / (np.abs(grads[n]) + ADAM_EPS)
         assert np.max(np.abs(delta - expected)) < 1e-6
 
 

@@ -1,14 +1,52 @@
-"""`src/` carries only what the commands and the benchmark run: every
-function and class defined under `src/advseq` is referenced from `src/` or
-`bench/` outside its own body, and not only from code that is itself
-unreferenced."""
+"""`src/` carries only what the commands and the benchmark run.
+
+Every function and class defined under `src/advseq` is referenced from
+`src/` or `bench/` outside its own body, and not only from code that is
+itself unreferenced. Every option is set by some caller there too: each
+defaulted parameter and each defaulted dataclass field is passed by keyword
+or position from a call in `src/` or `bench/`, save the few in `TEST_ONLY`
+that the invariance and oracle tests need, and a `None` default, being a
+fallback, is left out by at least one such call. Operator methods, whose
+use the walk cannot see, each name it in `OPERATORS`. And the config schema
+is the one home of a run's defaults: a field that `RunConfig` fills from
+`SCHEMA` has no default of its own."""
 
 import ast
 import os
+from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "advseq")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# options that only tests set, each kept for the test that needs it
+TEST_ONLY = {
+    "generator.sample_batch.item_offset":
+        "chunked sampling must reproduce the unsplit draw (chunk invariance)",
+    "adversarial.discriminator_score_fn.chunk":
+        "a small scoring grid lets the thread-invariance test split 50 rows",
+    "numerics.RngStream.normal.scale":
+        "test_thread_count_does_not_change_scores draws a scaled head",
+    "generator.mean_nll.batch_size":
+        "test_mean_nll_batch_boundary_invariant moves the batch boundary",
+    "evaluation.self_bleu.max_n": "hand-counted n=1 cases and the max_n sweep",
+    "evaluation.corpus_bleu_mean.max_n": "hand-counted n=1 cases and the max_n sweep",
+    "discriminators.DiscriminatorConfig.widths": "the cnn tests vary the filter widths",
+}
+
+# the typed views that RunConfig fills from SCHEMA
+SCHEMA_VIEWS = ("GeneratorDims", "TrainSchedule", "EvalSettings")
+
+# operator methods, which the name walk cannot see used, and their use
+OPERATORS = {
+    "cli.RunLock.__enter__": "`with RunLock(paths):` guards every training command",
+    "cli.RunLock.__exit__": "`with RunLock(paths):` guards every training command",
+    "config.RunConfig.__getitem__": "`cfg[key]` reads every setting",
+    "corpus.Vocab.__len__": "`len(vocab)` sizes every model",
+    "corpus.SequenceData.__len__": "`len(data)` bounds every batching loop",
+    "numerics.ParamStore.__getitem__": "`params[name].grad` in every backward pass",
+}
 
 
 def parse_tree(top: str) -> dict[str, ast.Module]:
@@ -64,10 +102,27 @@ def unreferenced_names(src_trees: dict[str, ast.Module],
         dead += found
 
 
+def operator_methods(src_trees: dict[str, ast.Module]) -> list[str]:
+    """`module.Class.name` of every dunder method but `__init__`."""
+    out = []
+    for path, tree in src_trees.items():
+        module = os.path.splitext(os.path.basename(path))[0]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                out += [f"{module}.{cls.name}.{f.name}" for f in cls.body
+                        if isinstance(f, FUNCS) and f.name.startswith("__")
+                        and f.name.endswith("__") and f.name != "__init__"]
+    return sorted(out)
+
+
 def test_every_src_name_is_reached_from_src_or_bench():
     src = parse_tree(PACKAGE)
     assert src, PACKAGE
     assert unreferenced_names(src, parse_tree(os.path.join(ROOT, "bench"))) == []
+
+
+def test_every_operator_method_names_its_use():
+    assert operator_methods(parse_tree(PACKAGE)) == sorted(OPERATORS)
 
 
 def test_the_walk_follows_chains_and_skips_own_bodies():
@@ -80,3 +135,188 @@ def test_the_walk_follows_chains_and_skips_own_bodies():
         "    def unused(self):\n        return 0\n")}
     user = {"b.py": ast.parse("import m\nm.used()\nm.Shell()\n")}
     assert unreferenced_names(src, user) == ["m.Shell.unused", "m.chained", "m.dead"]
+
+
+class Option(NamedTuple):
+    label: str            # module[.Class][.function].name
+    callee: str           # the name a call uses: the function, or the class
+    name: str
+    position: int | None  # index among a call's positional arguments
+    none_default: bool
+
+
+class Call(NamedTuple):
+    n_pos: int                # positional arguments before any *args
+    keywords: set[str]
+    splat: bool               # has *args or **kwargs, so it may set anything
+    forwarded: dict           # argument slot -> label of the caller's own parameter passed as is
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _is_none(node: ast.AST | None) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _walk(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Module]
+          ) -> tuple[list[Option], dict[str, list[Call]], set[str]]:
+    """Every defaulted parameter and defaulted dataclass field of
+    `src_trees`; every call in both tree sets by callee name (`f(...)`,
+    `x.f(...)`, `Class(...)`); and every name used other than as a callee.
+    A method's positions skip `self`; `__init__` parameters and dataclass
+    fields are set by calling the class."""
+    opts: list[Option] = []
+    calls: dict[str, list[Call]] = {}
+    values: set[str] = set()
+
+    def visit(node: ast.AST, prefix: str, cls: ast.ClassDef | None, owner: str | None,
+              in_src: bool) -> None:
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            slots = [*enumerate(node.args), *((k.arg, k.value) for k in node.keywords if k.arg)]
+            calls.setdefault(name, []).append(Call(
+                sum(not isinstance(a, ast.Starred) for a in node.args),
+                {k.arg for k in node.keywords if k.arg},
+                any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords),
+                {slot: f"{owner}.{a.id}" for slot, a in slots
+                 if owner and isinstance(a, ast.Name)}))
+            children = [c for c in children if c is not f]
+            children += [] if isinstance(f, ast.Name) else list(ast.iter_child_nodes(f))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            values.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            values.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            prefix, cls, owner = f"{prefix}.{node.name}", node, None
+            if in_src and _is_dataclass(node):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                opts.extend(Option(f"{prefix}.{f.target.id}", node.name, f.target.id, i,
+                                   _is_none(f.value))
+                            for i, f in enumerate(fields) if f.value is not None)
+        elif isinstance(node, FUNCS):
+            a = node.args
+            method = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            init = method and node.name == "__init__"
+            owner = prefix if init else f"{prefix}.{node.name}"
+            callee = cls.name if init else node.name
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            if in_src:
+                opts.extend(Option(f"{owner}.{arg.arg}", callee, arg.arg, i - method, _is_none(d))
+                            for i, (arg, d) in enumerate(zip(positional[first:], a.defaults),
+                                                         start=first))
+                opts.extend(Option(f"{owner}.{arg.arg}", callee, arg.arg, None, _is_none(d))
+                            for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            prefix, cls = f"{prefix}.{node.name}", None
+        for child in children:
+            visit(child, prefix, cls, owner, in_src)
+
+    for trees, in_src in ((src_trees, True), (user_trees, False)):
+        for path, tree in trees.items():
+            visit(tree, os.path.splitext(os.path.basename(path))[0], None, None, in_src)
+    return opts, calls, values
+
+
+def _sets(call: Call, opt: Option, unset: set[str]) -> bool:
+    """Whether `call` may set `opt`: an argument in its slot that is not
+    one of the caller's own never-set options passed on."""
+    if call.splat:
+        return True
+    if opt.name in call.keywords:
+        slot = opt.name
+    elif opt.position is not None and opt.position < call.n_pos:
+        slot = opt.position
+    else:
+        return False
+    return call.forwarded.get(slot) not in unset
+
+
+def unset_options(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Module],
+                  test_only: set[str]) -> tuple[list[str], list[str]]:
+    """Labels of the options of `src_trees` that no call in `src_trees` or
+    `user_trees` sets, and of the None defaults (fallbacks) that every such
+    call sets, so that none reaches the fallback. A call that only passes on
+    its caller's own never-set option does not set it, unless that option is
+    in `test_only`, repeated until nothing new is found. A function also
+    used other than as a callee (kept in a table, passed as a callback) is
+    exempt from both. Names match without regard to scope, so a clash of
+    names can hide a finding."""
+    opts, calls, values = _walk(src_trees, user_trees)
+    classes = {n.name for t in src_trees.values() for n in ast.walk(t)
+               if isinstance(n, ast.ClassDef)}
+    checked = [o for o in opts if o.callee not in values or o.callee in classes]
+    never_set: set[str] = set()
+    while True:
+        found = {o.label for o in checked
+                 if not any(_sets(c, o, never_set - test_only) for c in calls.get(o.callee, []))}
+        if found == never_set:
+            break
+        never_set = found
+    never_omitted = [o.label for o in checked if o.none_default and o.label not in never_set
+                     and all(_sets(c, o, set()) for c in calls.get(o.callee, []))]
+    return sorted(never_set), sorted(never_omitted)
+
+
+def restated_defaults(src_trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """For each of SCHEMA_VIEWS, the fields that a call in `RunConfig` fills
+    from `self[<key>]` and that have a default of their own."""
+    filled: dict[str, set[str]] = {view: set() for view in SCHEMA_VIEWS}
+    defaulted: dict[str, set[str]] = {view: set() for view in SCHEMA_VIEWS}
+    for tree in src_trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name in defaulted:
+                defaulted[node.name] |= {f.target.id for f in node.body
+                                         if isinstance(f, ast.AnnAssign) and f.value is not None}
+            if node.name != "RunConfig":
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) in filled:
+                    filled[call.func.id] |= {
+                        k.arg for k in call.keywords if isinstance(k.value, ast.Subscript)
+                        and getattr(k.value.value, "id", None) == "self"}
+    assert all(filled.values()), f"RunConfig no longer fills every one of {SCHEMA_VIEWS}"
+    return {view: sorted(filled[view] & defaulted[view]) for view in SCHEMA_VIEWS
+            if filled[view] & defaulted[view]}
+
+
+def test_every_option_has_a_caller_in_src_or_bench():
+    src = parse_tree(PACKAGE)
+    never_set, never_omitted = unset_options(src, parse_tree(os.path.join(ROOT, "bench")),
+                                             set(TEST_ONLY))
+    assert never_set == sorted(TEST_ONLY)
+    assert never_omitted == []
+
+
+def test_schema_is_the_only_home_of_run_defaults():
+    assert restated_defaults(parse_tree(PACKAGE)) == {}
+
+
+def test_the_option_walk_matches_keywords_positions_and_values():
+    src = {"m.py": ast.parse(
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, c=2, *, d=None, e=None):\n    return a\n"
+        "def hook(x, y=0):\n    return x\n"
+        "TABLE = {'h': hook}\n"
+        "class K:\n"
+        "    def __init__(self, p, q=0.5):\n        self.p = p\n"
+        "    def meth(self, r=None):\n        return r\n"
+        "@dataclass\n"
+        "class D:\n    u: int\n    v: int = 3\n    w: int = 4\n"
+        "def outer(a, flag=True):\n    return inner(a, flag)\n"
+        "def inner(a, flag=True):\n    return a\n")}
+    user = {"b.py": ast.parse(
+        "import m\nm.f(0, 1, d=2)\nm.f(0, 1, d=3, e=None)\nm.K(1).meth(2)\nm.D(1, 2)\n"
+        "m.outer(1)\n")}
+    never_set, never_omitted = unset_options(src, user, set())
+    assert never_set == ["m.D.w", "m.K.q", "m.f.c", "m.inner.flag", "m.outer.flag"]
+    assert never_omitted == ["m.K.meth.r", "m.f.d"]
