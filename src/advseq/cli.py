@@ -412,7 +412,7 @@ def cmd_pretrain_d(args) -> int:
     gen_params, dims = load_run_state(
         _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
     root = RngStream(cfg["run.seed"])
-    epochs = cfg.d_pretrain_epochs(kind)
+    epochs = cfg[f"pretrain.d_epochs_{kind}"]
     with RunLock(paths):
         dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
         start = 0

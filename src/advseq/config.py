@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -136,6 +137,9 @@ class RunConfig:
                     "embed.window"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
+        if self["run.threads"] > (cpus := os.cpu_count() or 1):
+            raise ConfigError(f"run.threads must be at most {cpus}, this machine's "
+                              f"CPU count, got {self['run.threads']}")
         # every eval trains a cnn evaluator with the default filter widths
         if self["corpus.seq_len"] < (w := max(DiscriminatorConfig.widths)):
             raise ConfigError(f"corpus.seq_len must be at least {w}, the widest cnn filter")
@@ -189,9 +193,6 @@ class RunConfig:
                             d_embed=self["disc.d_embed"],
                             n_filters=self["disc.n_filters"],
                             dropout=self["disc.dropout"], l2=self["disc.l2"])
-
-    def d_pretrain_epochs(self, kind: str) -> int:
-        return self[f"pretrain.d_epochs_{kind}"]
 
 
 def _parse_pair(key: str, raw: str, where: str) -> Any:

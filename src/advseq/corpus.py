@@ -51,10 +51,6 @@ class Vocab:
         return self.id_to_token[idx]
 
 
-def vocab_for_grammar(spec: GrammarSpec) -> Vocab:
-    return Vocab.from_tokens(spec.token_set())
-
-
 class SequenceData:
     """A batchable array of same-length labeled sequences."""
 
@@ -118,7 +114,7 @@ def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool = True) -> li
 def generate_corpus(spec: GrammarSpec, n: int, rng: RngStream
                     ) -> tuple["SequenceData", Vocab]:
     """Sample n labeled sequences from a grammar, one child stream per item."""
-    vocab = vocab_for_grammar(spec)
+    vocab = Vocab.from_tokens(spec.token_set())
     rows = [sample_sequence(spec, rng.child(i)) for i in range(n)]
     data, unknown = encode_sequences(rows, vocab, spec.seq_len)
     if unknown:

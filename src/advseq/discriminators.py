@@ -20,12 +20,20 @@ cnn and birnn bodies project the vocabulary once: cnn tap i of width w is
 the (V, F) table embed @ W_w[i*d_e:(i+1)*d_e], a window's pre-activation is
 the bias plus w gathered rows, and relu (which commutes with max) runs once
 on the pooled features.
+
+Eval-mode birnn scoring (`score`, `class_probs`) reads each batch of its
+grid as a prefix tree, since Monte Carlo rollout rows repeat their sample's
+columns 0..p, and steps each LSTM direction once per distinct prefix of its
+read order. It keeps no input gather and no gate or cell history, and its
+results are bit-identical to `forward`'s, because an LSTM step's rows do
+not depend on which rows share its product. cnn and fasttext score through
+`forward`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -33,7 +41,7 @@ from .corpus import PAD_ID
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
                        check_finite, chunk_slices, clip_gradients, log_softmax_rows,
                        pmap, relu, sigmoid, softmax_rows)
-from .recurrent import Scan, gate_scale, scan, scan_backward
+from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 KINDS = ("fasttext", "cnn", "birnn")
 
@@ -201,15 +209,15 @@ def _cnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
         p[f"d.conv{w}.b"].grad += dpooled.sum(axis=0)
 
 
-def _lstm_seq_forward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor) -> Scan:
-    """Scan d.<direction> (W's rows [h ; x]) over token ids (T, B); x @ W_x + b
-    is a gather from one (V, 4d) projection of the frozen embedding table."""
+def _lstm_folded(p: ParamStore, direction: str, embed: Tensor) -> tuple[Tensor, Tensor]:
+    """d.<direction> (W's rows [h ; x]) folded by `gate_scale`: the (V, 4d)
+    table of x @ W_x + b over the frozen embedding table, and W_h."""
     W = p.value(f"d.{direction}.W")
     d_h = W.shape[1] // 4
     W = W * gate_scale(d_h)
     table = embed @ W[d_h:]
     table += p.value(f"d.{direction}.b") * gate_scale(d_h)
-    return scan(table[ids], W[:d_h])
+    return table, W[:d_h]
 
 
 def _lstm_seq_backward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor,
@@ -228,13 +236,23 @@ def _birnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
     """Time-major throughout: H is (T, B, 2*d_h)."""
     p = disc.params
     ids = (tokens.T, tokens[:, ::-1].T)                      # read forward, backward
-    scans = [_lstm_seq_forward(p, k, disc.embed, i) for k, i in zip(("fwd", "bwd"), ids)]
+    scans = []
+    for direction, i in zip(("fwd", "bwd"), ids):
+        table, W_h = _lstm_folded(p, direction, disc.embed)
+        scans.append(scan(table[i], W_h))
     H = np.concatenate([scans[0].hs[1:], scans[1].hs[:0:-1]], axis=2)
+    s, u, alpha = _attend(p, H)
+    return s, {"H": H, "u": u, "alpha": alpha, "ids": ids, "scans": scans}
+
+
+def _attend(p: ParamStore, H: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Additive self-attention over H (T, B, 2*d_h): the pooled (B, 2*d_h)
+    features, the (T*B, d_att) tanh layer and the (B, T) weights."""
     T, B, d2 = H.shape
     u = np.tanh(H.reshape(T * B, d2) @ p.value("d.att.W") + p.value("d.att.b"))
     alpha = softmax_rows((u @ p.value("d.att.u")[0]).reshape(T, B).T)   # (B, T)
     s = (alpha[:, None, :] @ H.transpose(1, 0, 2))[:, 0]
-    return s, {"H": H, "u": u, "alpha": alpha, "ids": ids, "scans": scans}
+    return s, u, alpha
 
 
 def _birnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
@@ -261,6 +279,56 @@ _BACKWARDS = {"fasttext": _fasttext_backward, "cnn": _cnn_backward, "birnn": _bi
 
 
 # ---------------------------------------------------------------------------
+# Eval-mode features over a prefix tree
+# ---------------------------------------------------------------------------
+
+
+class PrefixStep(NamedTuple):
+    rows: np.ndarray      # (m,) one row holding each distinct prefix that ends here
+    parents: np.ndarray   # (m,) each prefix's id at the previous step (0 before step 0)
+    ids: np.ndarray       # (B,) each row's prefix id, in [0, m)
+
+
+def prefix_tree(ids: np.ndarray) -> list[PrefixStep]:
+    """The distinct prefixes of the rows of token ids (T, B), read in step
+    order, step by step. A step with one distinct prefix among several rows
+    lists its row twice: numpy sends a one-row product to gemv, whose bits
+    can differ from the same row's in a gemm."""
+    B = ids.shape[1]
+    base = int(ids.max()) + 1 if ids.size else 1
+    prev = np.zeros(B, dtype=np.int64)
+    steps = []
+    for col in ids:
+        _, rows, inv = np.unique(prev * base + col, return_index=True, return_inverse=True)
+        if len(rows) == 1 < B:
+            rows = np.repeat(rows, 2)
+        steps.append(PrefixStep(rows, prev[rows], inv))
+        prev = inv
+    return steps
+
+
+def _birnn_eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
+    """The features of `_birnn_features`, bit for bit: each direction steps
+    once per distinct prefix of its read order (for bwd, the rows' suffixes)
+    from its parent's state, and writes each row's hidden state into H."""
+    p = disc.params
+    B, T = tokens.shape
+    d_h = disc.cfg.d_hidden
+    H = np.empty((T, B, 2 * d_h))
+    for direction, ids, out in (("fwd", tokens.T, H[:, :, :d_h]),
+                                ("bwd", tokens[:, ::-1].T, H[::-1, :, d_h:])):
+        table, W_h = _lstm_folded(p, direction, disc.embed)
+        h = c = np.zeros((1, d_h))
+        for t, step in enumerate(prefix_tree(ids)):
+            a = table[ids[t, step.rows]]
+            h_prev, c_prev = h[step.parents], c[step.parents]
+            h, c = np.empty((2, len(step.rows), d_h))
+            cell(a, W_h, h_prev, c_prev, h, c)
+            out[t] = h[step.ids]
+    return _attend(p, H)[0]
+
+
+# ---------------------------------------------------------------------------
 # Head, loss, and training
 # ---------------------------------------------------------------------------
 
@@ -272,28 +340,32 @@ class ForwardCache:
     drop_mask: Tensor | None
 
 
-def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-            train: bool = False, drop_rng: RngStream | None = None
-            ) -> tuple[Tensor, ForwardCache]:
-    """Head logits (B, n_out). Dropout only runs when train=True."""
+def _head(disc: Discriminator, s: Tensor, labels: np.ndarray | None) -> tuple[Tensor, Tensor]:
+    """The head's input (features, then the one-hot block) and its logits."""
     cfg = disc.cfg
-    s, body = _FEATURES[cfg.kind](disc, tokens)
-    drop_mask = None
-    if train and cfg.dropout > 0.0:
-        if drop_rng is None:
-            raise ValueError("training forward pass needs a dropout stream")
-        keep = 1.0 - cfg.dropout
-        drop_mask = (drop_rng.uniform(s.shape) < keep).astype(np.float64) / keep
-        s = s * drop_mask
     if cfg.use_condition:
         if labels is None:
             raise ValueError("conditional discriminator needs labels")
-        onehot = np.zeros((len(tokens), cfg.n_labels))
-        onehot[np.arange(len(tokens)), labels] = 1.0
+        onehot = np.zeros((len(s), cfg.n_labels))
+        onehot[np.arange(len(s)), labels] = 1.0
         head_in = np.concatenate([s, onehot], axis=1)
     else:
         head_in = s
-    logits = head_in @ disc.params.value("d.head.W") + disc.params.value("d.head.b")
+    return head_in, head_in @ disc.params.value("d.head.W") + disc.params.value("d.head.b")
+
+
+def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
+            drop_rng: RngStream | None = None) -> tuple[Tensor, ForwardCache]:
+    """Head logits (B, n_out). Dropout runs when a stream is given, that is,
+    in training."""
+    cfg = disc.cfg
+    s, body = _FEATURES[cfg.kind](disc, tokens)
+    drop_mask = None
+    if drop_rng is not None and cfg.dropout > 0.0:
+        keep = 1.0 - cfg.dropout
+        drop_mask = (drop_rng.uniform(s.shape) < keep).astype(np.float64) / keep
+        s = s * drop_mask
+    head_in, logits = _head(disc, s, labels)
     return logits, ForwardCache(body, head_in, drop_mask)
 
 
@@ -312,9 +384,15 @@ def _eval_batches(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None
                   head, batch_size: int, threads: int) -> np.ndarray:
     """head(eval-mode logits) over a fixed grid of batch_size-row batches;
     the grid, not the worker count, decides which rows share a forward
-    pass. Non-finite logits stop here, before any caller acts on them."""
+    pass. birnn scores each batch over its prefix tree, cnn and fasttext
+    through `forward`. Non-finite logits stop here, before any caller acts
+    on them."""
     def one(sl: slice) -> np.ndarray:
-        logits, _ = forward(disc, tokens[sl], None if labels is None else labels[sl])
+        rows, lab = tokens[sl], None if labels is None else labels[sl]
+        if disc.cfg.kind == "birnn":
+            logits = _head(disc, _birnn_eval_features(disc, rows), lab)[1]
+        else:
+            logits = forward(disc, rows, lab)[0]
         check_finite("discriminator logits", logits)
         return head(logits)
     parts = pmap(one, chunk_slices(len(tokens), batch_size), threads)
@@ -363,7 +441,9 @@ def train_step(disc: Discriminator, opt: AdamState, tokens: Tensor,
                labels: np.ndarray | None, targets: np.ndarray,
                drop_rng: RngStream | None, clip: float = 5.0) -> tuple[float, float]:
     """One supervised update; returns (loss, accuracy) on the batch."""
-    logits, cache = forward(disc, tokens, labels, train=True, drop_rng=drop_rng)
+    if drop_rng is None and disc.cfg.dropout > 0.0:
+        raise ValueError("a training step with dropout needs a dropout stream")
+    logits, cache = forward(disc, tokens, labels, drop_rng)
     loss, acc, dlogits = loss_and_dlogits(disc, logits, targets)
     backward(disc, cache, dlogits)
     disc.params["d.head.W"].grad += disc.cfg.l2 * disc.params.value("d.head.W")

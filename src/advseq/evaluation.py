@@ -287,22 +287,14 @@ def median_over_seeds(fn: Callable[[RngStream], dict[str, float]],
     return {k: float(np.median([r[k] for r in results])) for k in results[0]}
 
 
-def generate_eval_samples(params: ParamStore, dims: GeneratorDims,
-                          labels: np.ndarray, seq_len: int,
-                          rng: RngStream) -> SequenceData:
-    tokens = sample_batch(params, dims, labels, seq_len, rng)
-    return SequenceData(tokens, labels)
-
-
 def micro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
                   rng: RngStream, n_samples: int = 200) -> dict[str, float]:
     """Held-out NLL plus BLEU-vs-test and self-BLEU over fresh samples."""
     if len(test) < 1 or n_samples < 2:
         raise DataError("micro metrics need a nonempty test set and >= 2 samples")
     labels = test.labels[rng.child("labels").integers(0, len(test), n_samples)]
-    samples = generate_eval_samples(params, dims, labels, test.seq_len,
-                                    rng.child("sample"))
-    sample_rows = [strip_pads(r) for r in samples.tokens]
+    samples = sample_batch(params, dims, labels, test.seq_len, rng.child("sample"))
+    sample_rows = [strip_pads(r) for r in samples]
     ref_rows = [strip_pads(r) for r in test.tokens]
     return {
         "nll_test": mean_nll(params, dims, test),
@@ -316,10 +308,10 @@ def macro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
                   n_seeds: int = 3) -> dict[str, float]:
     """AdverSuc and the reliability probes, median over evaluator seeds."""
     labels = test.labels
-    generated = generate_eval_samples(params, dims, labels, test.seq_len,
-                                      rng.child("gen_a"))
-    generated_b = generate_eval_samples(params, dims, labels, test.seq_len,
-                                        rng.child("gen_b"))
+    generated = SequenceData(sample_batch(params, dims, labels, test.seq_len,
+                                          rng.child("gen_a")), labels)
+    generated_b = SequenceData(sample_batch(params, dims, labels, test.seq_len,
+                                            rng.child("gen_b")), labels)
 
     def one_seed(stream: RngStream) -> dict[str, float]:
         out = {"adversuc": adversarial_success(test, generated, stream.child("adv"),
@@ -339,8 +331,9 @@ def application_metrics(params: ParamStore, dims: GeneratorDims,
     label mix to the real training set, median over seeds."""
     if len(real_train) < 2 or len(test) < 2:
         raise DataError("application metrics need nonempty train and test sets")
-    synth = generate_eval_samples(params, dims, real_train.labels,
-                                  real_train.seq_len, rng.child("synth"))
+    synth = SequenceData(sample_batch(params, dims, real_train.labels,
+                                      real_train.seq_len, rng.child("synth")),
+                         real_train.labels)
 
     def one_seed(stream: RngStream) -> dict[str, float]:
         return downstream_classification(real_train, synth, test, stream,

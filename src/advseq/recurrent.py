@@ -9,10 +9,12 @@ candidate gates in that order along their 4*d columns:
     c_t = f * c_{t-1} + i * g,  h_t = o * tanh(c_t)
 
 Callers hoist the input projection xa_t = x_t @ W_x + b out of the loop
-for all T steps (the generator as rows of its (V, 4d) token table
-embed @ W_x plus a label projection, the classifier as one X @ W_x GEMM
-over all T*B rows), so only h @ W_h runs per step, inside `cell`, which
-both `scan` and the generator's free-running loop call. One tanh gives
+for all T steps (as rows of a (V, 4d) token table embed @ W_x, plus a
+label projection in the generator), so only h @ W_h runs per step, inside
+`cell`, which `scan`, the generator's free-running loop and the
+classifier's prefix-tree scoring call. A row's result does not depend on
+which rows share the step, except that numpy sends a one-row product to
+gemv, whose bits can differ from gemm's. One tanh gives
 every gate, as sigmoid(x) = 0.5*(1 + tanh(x/2)): callers fold the halving
 into W_x, W_h and b by multiplying them by `gate_scale(d)`, which is exact.
 `scan_backward` takes W_h as stored and returns the (T, B, 4d) gradients

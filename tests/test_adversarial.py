@@ -246,6 +246,27 @@ def test_rollout_rows_match_a_straight_line_oracle():
                 assert rows[r].tolist() == expected, (p, bi, k)
 
 
+@pytest.mark.parametrize("B,T,K", [(3, 5, 2), (2, 1, 3), (4, 2, 1)])
+def test_score_fn_is_called_with_tokens_and_labels_only(B, T, K):
+    # the traced benchmark run wraps the third positional argument as
+    # counting(tokens, labels) and counts the rows each call scores
+    params = init_generator_params(DIMS, RngStream(163))
+    tokens = RngStream(164, T).integers(0, 4, (B, T))
+    labels = RngStream(165, T).integers(0, 2, B)
+    calls = []
+
+    def strict_score_fn(*args, **kwargs):
+        calls.append((args, kwargs))
+        rows, row_labels = args
+        assert rows.ndim == 2 and rows.shape[1] == T and row_labels.shape == (len(rows),)
+        return mean_score_fn(rows, row_labels)
+
+    mc_rollout_rewards(params, DIMS, strict_score_fn, tokens, labels, K, RngStream(166),
+                       Workspace())
+    assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
+    assert sum(len(args[0]) for args, _ in calls) == (T - 1) * B * K + B
+
+
 def test_rollout_rewards_deterministic_in_the_stream():
     params = init_generator_params(DIMS, RngStream(145))
     tokens = RngStream(146).integers(0, 4, (6, 4))

@@ -167,6 +167,15 @@ def test_missing_grammar_file_exit_2(tmp_path, capsys):
     assert "cannot read grammar" in capsys.readouterr().err
 
 
+def test_more_threads_than_cpus_exit_2(tmp_path, capsys):
+    # refused by validation before any worker starts
+    d = str(tmp_path / "run")
+    too_many = str((os.cpu_count() or 1) + 1)
+    assert run("corpus-gen", "--run-dir", d, *SEED, "--set", f"run.threads={too_many}") == 2
+    assert "run.threads must be at most" in capsys.readouterr().err
+    assert os.listdir(d) == []
+
+
 def test_unknown_config_key_exit_2(tmp_path, capsys):
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, "--set", "bogus=1") == 2

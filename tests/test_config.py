@@ -1,5 +1,7 @@
 """Configuration: precedence, schema typing, canonical text, digest scope."""
 
+import os
+
 import pytest
 
 from advseq.config import (ConfigError, RunConfig, canonical_text,
@@ -95,6 +97,9 @@ def test_set_pair_needs_equals():
     ("adv.clip=0", "adv.clip must be finite and positive"),
     ("adv.clip=nan", "adv.clip must be finite and positive"),
     ("adv.clip=inf", "adv.clip must be finite and positive"),
+    # validation only: no thread is started
+    pytest.param(f"run.threads={(os.cpu_count() or 1) + 1}", "run.threads must be at most",
+                 id="run.threads-above-cpu-count"),
 ])
 def test_validation_rejections(pair, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -118,8 +123,8 @@ def test_typed_views_reflect_overrides():
     assert cfg.disc_config(30, 2, kind="birnn").kind == "birnn"
     ev = cfg.eval_settings()
     assert ev.epochs == 9 and ev.dropout == 0.3
-    assert cfg.d_pretrain_epochs("cnn") == 17
-    assert cfg.d_pretrain_epochs("fasttext") == 30
+    assert cfg["pretrain.d_epochs_cnn"] == 17
+    assert cfg["pretrain.d_epochs_fasttext"] == 30
 
 
 def test_canonical_text_is_stable_and_parseable():
@@ -156,5 +161,5 @@ def test_digest_covers_model_shaping_keys():
 def test_digest_ignores_schedule_and_threads():
     ref = _digest(base())
     for pair in ("adv.iterations=99", "pretrain.g_epochs=5", "eval.epochs=2",
-                 "run.threads=8", "adv.g_lr=0.01", "eval.seeds=1"):
+                 "run.threads=2", "adv.g_lr=0.01", "eval.seeds=1"):
         assert _digest(base(pair)) == ref, pair

@@ -9,7 +9,7 @@ import pytest
 from advseq.corpus import (BOS_ID, PAD_ID, DataError, SequenceData, Vocab,
                            decode_sequence, dedupe, encode_sequences,
                            generate_corpus, read_corpus, read_vocab,
-                           split_corpus, vocab_for_grammar, write_corpus,
+                           split_corpus, write_corpus,
                            write_vocab)
 from advseq.grammar import (BOS_TOKEN, PAD_TOKEN, overlapping_preset,
                             parse_grammar, separable_preset)
@@ -57,7 +57,7 @@ def test_unknown_tokens_collapse_to_pad():
 
 
 def test_decode_encode_identity(tiny_spec):
-    v = vocab_for_grammar(tiny_spec)
+    v = Vocab.from_tokens(tiny_spec.token_set())
     for tok in tiny_spec.token_set():
         assert v.decode_id(v.encode_token(tok)) == tok
 
@@ -300,7 +300,7 @@ def test_read_corpus_refuses_rows_longer_than_seq_len(tmp_path):
 
 
 def test_vocab_file_roundtrip(tmp_path, tiny_spec):
-    vocab = vocab_for_grammar(tiny_spec)
+    vocab = Vocab.from_tokens(tiny_spec.token_set())
     path = tmp_path / "vocab.txt"
     write_vocab(path, vocab)
     assert read_vocab(path).id_to_token == vocab.id_to_token

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as some
 
 from advseq.corpus import PAD_ID
 from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
-                                   _cnn_backward, _cnn_features, backward,
+                                   _birnn_eval_features, _cnn_backward,
+                                   _cnn_features, backward,
                                    bigram_buckets, class_probs, forward,
                                    init_discriminator, loss_and_dlogits,
-                                   score, train_step)
-from advseq.numerics import AdamState, RngStream
+                                   prefix_tree, score, train_step)
+from advseq.numerics import AdamState, RngStream, sigmoid, softmax_rows
 from oracles import finite_diff_check
 
 V, T, D_E = 8, 6, 12
@@ -166,6 +169,79 @@ def test_birnn_forward_matches_hand_computation():
     alpha /= alpha.sum()
     s = sum(a * h for a, h in zip(alpha, H))
     assert abs(logits[0, 0] - head_logit(disc, s, 1)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# eval-mode scoring against forward()
+# ---------------------------------------------------------------------------
+
+
+def rollout_rows(samples: np.ndarray, K: int, completions: np.ndarray) -> np.ndarray:
+    """The rollout layout: row p*B*K + b*K + k keeps columns 0..p of sample b
+    and takes the rest from completions[row]."""
+    B, T = samples.shape
+    rows = completions.copy()
+    for p in range(T - 1):
+        for b in range(B):
+            block = slice((p * B + b) * K, (p * B + b + 1) * K)
+            rows[block, :p + 1] = samples[b, :p + 1]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=some.sampled_from(KINDS), T=some.integers(2, 7), B=some.integers(1, 4),
+       K=some.integers(1, 3), widths=some.sets(some.integers(1, 4), min_size=1, max_size=3),
+       d_hidden=some.sampled_from([1, 8, 32]), softmax_head=some.booleans(),
+       seed=some.integers(0, 2**16), data=some.data())
+def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hidden,
+                                                    softmax_head, seed, data):
+    # score and class_probs give, row by row, the bits of the head over
+    # forward()'s logits on the same chunk grid, on rows that share prefixes
+    widths = tuple(sorted(w for w in widths if w <= T)) or (1,)
+    cfg = DiscriminatorConfig(kind=kind, vocab_size=V, n_labels=2, d_embed=D_E,
+                              d_hidden=d_hidden, n_filters=4, widths=widths,
+                              use_condition=not softmax_head, n_out=3 if softmax_head else 1)
+    disc = init_discriminator(cfg, EMBED, RngStream(seed, kind))
+    randomize_head(disc, seed)
+    stream = RngStream(seed, "rows")
+    samples = stream.child("s").integers(2, V, (B, T))
+    samples[-1] = samples[0]                                  # a duplicate sample
+    completions = stream.child("c").integers(2, 2 + data.draw(some.integers(1, V - 2)),
+                                             ((T - 1) * B * K, T))
+    pads = stream.child("pad").uniform(completions.shape) < data.draw(some.sampled_from([0, 0.2]))
+    completions[pads] = PAD_ID                                # PAD in mid-row too
+    tokens = rollout_rows(samples, K, completions)
+    labels = stream.child("lab").integers(0, 2, len(tokens))
+    chunk = data.draw(some.integers(1, len(tokens) + 1))      # may split a cut block
+    grid = [slice(i, i + chunk) for i in range(0, len(tokens), chunk)]
+    passes = [forward(disc, tokens[sl], None if softmax_head else labels[sl]) for sl in grid]
+    if softmax_head:
+        want = np.concatenate([softmax_rows(z) for z, _ in passes])
+        got = np.concatenate([class_probs(disc, tokens[sl]) for sl in grid])
+    else:
+        want = sigmoid(np.concatenate([z for z, _ in passes])[:, 0])
+        got = score(disc, tokens, labels, batch_size=chunk)
+    for r in range(len(tokens)):
+        assert np.array_equal(got[r], want[r]), r
+    if kind == "birnn":
+        # the features themselves, where a last-bit difference cannot round away
+        for sl, (_, cache) in zip(grid, passes):
+            assert np.array_equal(_birnn_eval_features(disc, tokens[sl]),
+                                  cache.features[:, :cfg.feature_dim()])
+
+
+def test_prefix_tree_shares_each_distinct_prefix():
+    tokens = np.array([[2, 3, 4], [2, 3, 5], [2, 6, 4], [2, 3, 4]])
+    steps = prefix_tree(tokens.T)
+    assert [len(set(step.ids)) for step in steps] == [1, 2, 3]
+    assert len(steps[0].rows) == 2 and len(set(steps[0].rows)) == 1  # gemv guard
+    assert steps[2].ids[0] == steps[2].ids[3]
+    for t, step in enumerate(steps):
+        # each row reaches its prefix's representative through the parents
+        reps = step.rows[step.ids]
+        assert np.array_equal(tokens[reps, :t + 1], tokens[:, :t + 1])
+        if t:
+            assert np.array_equal(step.parents[step.ids], steps[t - 1].ids)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +556,17 @@ def test_training_dropout_needs_a_stream_and_uses_it():
     disc = make_disc("cnn", seed=118)
     randomize_head(disc)
     tokens, labels = random_batch(RngStream(119))
+    targets = RngStream(119, "y").integers(0, 2, len(tokens))
     with pytest.raises(ValueError, match="dropout"):
-        forward(disc, tokens, labels, train=True)
-    a, _ = forward(disc, tokens, labels, train=True, drop_rng=RngStream(120))
-    b, _ = forward(disc, tokens, labels, train=True, drop_rng=RngStream(120))
-    c, _ = forward(disc, tokens, labels, train=True, drop_rng=RngStream(121))
+        train_step(disc, AdamState(disc.params), tokens, labels, targets, None)
+    a, _ = forward(disc, tokens, labels, drop_rng=RngStream(120))
+    b, _ = forward(disc, tokens, labels, drop_rng=RngStream(120))
+    c, _ = forward(disc, tokens, labels, drop_rng=RngStream(121))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # without a stream the pass is the eval-mode one that score() reads
+    assert np.array_equal(sigmoid(forward(disc, tokens, labels)[0][:, 0]),
+                          score(disc, tokens, labels))
 
 
 # ---------------------------------------------------------------------------

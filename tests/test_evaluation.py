@@ -12,11 +12,11 @@ from advseq.evaluation import (MetricsReport,
                                adversarial_success, application_metrics,
                                classifier_accuracy, corpus_bleu_mean,
                                downstream_classification, ere_suite,
-                               generate_eval_samples, macro_metrics,
+                               macro_metrics,
                                median_over_seeds, micro_metrics, ngrams,
                                random_sequences, self_bleu,
                                strip_pads)
-from advseq.generator import GeneratorDims, init_generator_params, mean_nll
+from advseq.generator import GeneratorDims, init_generator_params, mean_nll, sample_batch
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
 from oracles import bleu, desk, parse_metrics_csv
@@ -196,8 +196,9 @@ def untrained_samples(eval_corpus):
     spec, data, vocab = eval_corpus
     dims = GeneratorDims(len(vocab), 2, d_embed=16, d_hidden=16, d_label=4)
     params = init_generator_params(dims, RngStream(5, "init"))
-    fake = generate_eval_samples(params, dims, data.subset(range(400)).labels,
-                                 spec.seq_len, RngStream(6, "gen"))
+    labels = data.subset(range(400)).labels
+    fake = SequenceData(sample_batch(params, dims, labels, spec.seq_len, RngStream(6, "gen")),
+                        labels)
     return dims, params, fake
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as some
 from hypothesis.extra.numpy import arrays
 
 from advseq.numerics import RngStream, Workspace
-from advseq.recurrent import Scan, gate_scale, scan, scan_backward
+from advseq.recurrent import Scan, cell, gate_scale, scan, scan_backward
 from oracles import loop_scan_backward
 
 
@@ -135,6 +135,28 @@ def test_scan_rows_are_independent_bitwise():
             assert np.array_equal(part.cs, whole.cs[:, rows])
             assert np.array_equal(part.gates, whole.gates[:, rows])
             assert np.array_equal(scan_backward(dH[:, rows], part, W_h), dA[:, rows])
+
+
+def test_cell_rows_are_independent_bitwise_at_chunk_size():
+    # what birnn scoring over a prefix tree rests on: one step over rows
+    # gathered from a 2048-row batch, in any order and with repeats, gives
+    # those rows' bits of the whole batch's step (one row alone is not
+    # covered: numpy sends a one-row product to gemv)
+    d, B = 32, 2048
+    rng = RngStream(35)
+    W_h = rng.child("w").normal((d, 4 * d), scale=0.3) * gate_scale(d)
+    a = rng.child("a").normal((B, 4 * d))
+    h_prev = rng.child("h").uniform_range(-1.0, 1.0, (B, d))
+    c_prev = rng.child("c").normal((B, d))
+    h, c = np.empty((2, B, d))
+    cell(a.copy(), W_h, h_prev, c_prev, h, c)
+    for m in (2, 3, 7, 64, 257, 1500, 2047):
+        rows = rng.child("rows", m).permutation(B)[:m]
+        rows[-1] = rows[0]
+        h_sub, c_sub = np.empty((2, m, d))
+        cell(a[rows], W_h, h_prev[rows], c_prev[rows], h_sub, c_sub)
+        assert np.array_equal(h_sub, h[rows]), m
+        assert np.array_equal(c_sub, c[rows]), m
 
 
 @settings(max_examples=200, deadline=None)
