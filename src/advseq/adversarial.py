@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import SequenceData
-from .discriminators import Discriminator, score, train_step
+from .discriminators import SCORE_ROWS, Discriminator, score, train_step
 from .generator import (GeneratorDims, forward_states, free_run, hoist, mean_nll,
                         mle_step, policy_gradient_step, sample_batch)
 from .numerics import AdamState, ParamStore, RngStream, Workspace, chunk_slices, sigmoid
@@ -87,8 +87,8 @@ def soft_update(rollout_params: ParamStore, gen_params: ParamStore,
 ScoreFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def discriminator_score_fn(disc: Discriminator, threads: int = 1,
-                           chunk: int = 2048) -> ScoreFn:
+def discriminator_score_fn(disc: Discriminator, threads: int,
+                           chunk: int = SCORE_ROWS) -> ScoreFn:
     """Eval-mode scoring in a fixed grid of `chunk`-row batches, so the
     worker count cannot change the result."""
     return lambda tokens, labels: score(disc, tokens, labels, chunk, threads)
@@ -144,7 +144,7 @@ def rank_tensor(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rescale_bra(rewards: np.ndarray, delta: float = 12.0) -> np.ndarray:
+def rescale_bra(rewards: np.ndarray, delta: float) -> np.ndarray:
     """Batch-rank rescale sigma(delta * (0.5 - rank/B)); the batch median
     lands near 0.5 regardless of the raw score scale."""
     B = rewards.shape[0]
@@ -182,9 +182,9 @@ def _epochs_since_best(valid_nlls: list[float]) -> int:
 
 def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                        train: SequenceData, valid: SequenceData, rng: RngStream,
-                       epochs: int, opt: AdamState, batch_size: int = 64,
-                       patience: int = 20, start_epoch: int = 0,
-                       prior_valid: tuple = (), *,
+                       epochs: int, opt: AdamState, batch_size: int,
+                       patience: int, start_epoch: int,
+                       prior_valid: tuple, *,
                        on_epoch: Callable[[dict], None]) -> list[dict]:
     """Teacher-forced maximum likelihood with early stopping on validation
     NLL. Training always keeps the latest weights; stopping just ends the
@@ -237,7 +237,7 @@ def discriminator_step(disc: Discriminator, opt: AdamState, gen_params: ParamSto
 def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                            dims: GeneratorDims, train: SequenceData,
                            rng: RngStream, epochs: int, opt: AdamState,
-                           batch_size: int = 64, start_epoch: int = 0, *,
+                           batch_size: int, start_epoch: int, *,
                            on_epoch: Callable[[dict], None]) -> list[dict]:
     """Real-vs-generated pretraining, one discriminator_step per batch;
     `on_epoch(row)` runs after every epoch."""
@@ -269,7 +269,7 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                       disc: Discriminator, train: SequenceData,
                       monitor: SequenceData, sched: TrainSchedule, rng: RngStream,
                       rollout_params: ParamStore, g_opt: AdamState, d_opt: AdamState,
-                      start_iteration: int = 0, threads: int = 1, *,
+                      start_iteration: int, threads: int, *,
                       on_epoch: Callable[[dict], None]) -> list[dict]:
     """Alternate policy-gradient generator steps with discriminator steps,
     updating every given state in place; `on_epoch(row)` runs after every

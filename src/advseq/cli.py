@@ -539,7 +539,7 @@ def cmd_eval(args) -> int:
     grammar, vocab, splits, digest = load_run_data(paths, cfg)
     params, dims, ckpt_path = _pick_generator(paths, args, digest)
     root = RngStream(cfg["run.seed"]).child("eval")
-    settings = cfg.eval_settings()
+    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind="cnn")
     tiers = ("micro", "macro", "application") if args.tier == "all" else (args.tier,)
     metrics: dict[str, float] = {}
     skipped: dict[str, str] = {}
@@ -547,9 +547,9 @@ def cmd_eval(args) -> int:
         "micro": lambda: micro_metrics(params, dims, splits.test, root.child("micro"),
                                        n_samples=cfg["eval.n_samples"]),
         "macro": lambda: macro_metrics(params, dims, splits.test, root.child("macro"),
-                                       settings, len(vocab), n_seeds=cfg["eval.seeds"]),
+                                       dcfg, cfg["eval.epochs"], n_seeds=cfg["eval.seeds"]),
         "application": lambda: application_metrics(params, dims, splits.train, splits.test,
-                                                   root.child("app"), settings, len(vocab),
+                                                   root.child("app"), dcfg, cfg["eval.epochs"],
                                                    n_seeds=cfg["eval.seeds"])}
     with RunLock(paths):
         for tier in tiers:

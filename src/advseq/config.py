@@ -17,7 +17,6 @@ from typing import Any, Callable
 
 from .adversarial import TrainSchedule
 from .discriminators import KINDS, DiscriminatorConfig
-from .evaluation import EvalSettings
 from .generator import GeneratorDims
 
 
@@ -187,12 +186,6 @@ class RunConfig:
                                    n_buckets=self["disc.n_buckets"],
                                    dropout=self["disc.dropout"],
                                    l2=self["disc.l2"])
-
-    def eval_settings(self) -> EvalSettings:
-        return EvalSettings(epochs=self["eval.epochs"],
-                            d_embed=self["disc.d_embed"],
-                            n_filters=self["disc.n_filters"],
-                            dropout=self["disc.dropout"], l2=self["disc.l2"])
 
 
 def _parse_pair(key: str, raw: str, where: str) -> Any:

@@ -104,7 +104,7 @@ def encode_sequences(rows: list[tuple[int, list[str]]], vocab: Vocab,
     return SequenceData(tokens, labels), unknown
 
 
-def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool = True) -> list[str]:
+def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool) -> list[str]:
     toks = [vocab.decode_id(int(i)) for i in ids]
     if strip_pad:
         toks = [t for t in toks if t != PAD_TOKEN]

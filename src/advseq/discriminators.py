@@ -45,6 +45,10 @@ from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 KINDS = ("fasttext", "cnn", "birnn")
 
+# rows per eval-mode forward pass: the fixed scoring grid, so the worker
+# count never decides which rows share a product
+SCORE_ROWS = 2048
+
 # fixed mixing constants for the bigram bucket hash
 _BIGRAM_MULT_A = 1_000_003
 _BIGRAM_MULT_B = 8_191
@@ -55,13 +59,13 @@ class DiscriminatorConfig:
     kind: str
     vocab_size: int
     n_labels: int
-    d_embed: int = 32
-    d_hidden: int = 32
-    n_filters: int = 16
+    d_embed: int
+    d_hidden: int
+    n_filters: int
+    n_buckets: int
+    dropout: float
+    l2: float
     widths: tuple[int, ...] = (2, 3, 4)
-    n_buckets: int = 4096
-    dropout: float = 0.2
-    l2: float = 0.1
     use_condition: bool = True
     n_out: int = 1
 
@@ -400,7 +404,7 @@ def _eval_batches(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None
 
 
 def score(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-          batch_size: int = 2048, threads: int = 1) -> np.ndarray:
+          batch_size: int = SCORE_ROWS, threads: int = 1) -> np.ndarray:
     """Eval-mode P(real | sequence, label) for a sigmoid head."""
     if disc.cfg.n_out != 1:
         raise ValueError("score() expects a sigmoid head; use class_probs()")
@@ -411,7 +415,7 @@ def score(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
 def class_probs(disc: Discriminator, tokens: Tensor) -> np.ndarray:
     """Eval-mode class distribution for a softmax head without a condition
     block."""
-    return _eval_batches(disc, tokens, None, softmax_rows, 2048, 1)
+    return _eval_batches(disc, tokens, None, softmax_rows, SCORE_ROWS, 1)
 
 
 def loss_and_dlogits(disc: Discriminator, logits: Tensor,

@@ -16,7 +16,10 @@ and on their union, then compare test accuracies, measuring whether
 generated text can stand in for (or augment) real training data.
 
 Macro and application numbers are reported as the median over several
-evaluator seeds, since single evaluator trainings are noisy.
+evaluator seeds, since single evaluator trainings are noisy. Every
+evaluator is a fresh cnn of `dcfg`, the run's discriminator config of kind
+cnn, trained for `epochs` epochs; each probe sets its own n_labels, n_out
+and use_condition.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -133,32 +136,17 @@ EVAL_LR = 1e-3
 EVAL_EMBED_EPOCHS = 3   # skip-gram epochs over each evaluator's training rows
 
 
-@dataclass(frozen=True)
-class EvalSettings:
-    epochs: int
-    d_embed: int
-    n_filters: int
-    dropout: float
-    l2: float
-
-
 def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
-               targets: np.ndarray, n_labels: int, vocab_size: int,
-               n_out: int, use_condition: bool, rng: RngStream,
-               settings: EvalSettings) -> Discriminator:
-    """Fit a fresh convolutional classifier, embeddings pretrained on its
-    own training rows and then frozen."""
-    embed = pretrain_embeddings(SequenceData(tokens, targets), vocab_size,
-                                settings.d_embed, rng.child("embed"),
+               targets: np.ndarray, cfg: DiscriminatorConfig, epochs: int,
+               rng: RngStream) -> Discriminator:
+    """Fit a fresh classifier of `cfg` for `epochs` epochs, embeddings
+    pretrained on its own training rows and then frozen."""
+    embed = pretrain_embeddings(SequenceData(tokens, targets), cfg.vocab_size,
+                                cfg.d_embed, rng.child("embed"),
                                 epochs=EVAL_EMBED_EPOCHS)
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=vocab_size,
-                              n_labels=n_labels, d_embed=settings.d_embed,
-                              n_filters=settings.n_filters, dropout=settings.dropout,
-                              l2=settings.l2, use_condition=use_condition,
-                              n_out=n_out)
     disc = init_discriminator(cfg, embed, rng.child("init"))
     opt = AdamState(disc.params, lr=EVAL_LR)
-    for epoch in range(settings.epochs):
+    for epoch in range(epochs):
         order = rng.child("order", epoch).permutation(len(tokens))
         for b, sl in enumerate(chunk_slices(len(tokens), EVAL_BATCH_SIZE)):
             idx = order[sl]
@@ -177,7 +165,7 @@ def split_half(data: SequenceData, stream: RngStream
 
 
 def _binary_probe(pos: SequenceData, neg: SequenceData, rng: RngStream,
-                  settings: EvalSettings, vocab_size: int,
+                  dcfg: DiscriminatorConfig, epochs: int,
                   n_labels: int) -> float:
     """Train an evaluator on half of each side, return held-out accuracy."""
     if len(pos) < 4 or len(neg) < 4:
@@ -189,9 +177,8 @@ def _binary_probe(pos: SequenceData, neg: SequenceData, rng: RngStream,
     train = SequenceData.concat([pos_tr, neg_tr])
     targets = np.concatenate([np.ones(len(pos_tr), dtype=np.int64),
                               np.zeros(len(neg_tr), dtype=np.int64)])
-    disc = _train_cnn(train.tokens, train.labels, targets, n_labels, vocab_size,
-                      n_out=1, use_condition=True, rng=rng.child("train"),
-                      settings=settings)
+    cfg = replace(dcfg, n_labels=n_labels, n_out=1, use_condition=True)
+    disc = _train_cnn(train.tokens, train.labels, targets, cfg, epochs, rng.child("train"))
     test = SequenceData.concat([pos_te, neg_te])
     te_targets = np.concatenate([np.ones(len(pos_te)), np.zeros(len(neg_te))])
     preds = score(disc, test.tokens, test.labels) >= 0.5
@@ -199,12 +186,12 @@ def _binary_probe(pos: SequenceData, neg: SequenceData, rng: RngStream,
 
 
 def adversarial_success(real: SequenceData, generated: SequenceData,
-                        rng: RngStream, settings: EvalSettings,
-                        vocab_size: int) -> float:
+                        rng: RngStream, dcfg: DiscriminatorConfig,
+                        epochs: int) -> float:
     """Held-out error rate of a fresh real-vs-generated evaluator; 0.5
     means the evaluator cannot tell the sets apart at all."""
     n_labels = max(real.n_labels(), generated.n_labels())
-    acc = _binary_probe(real, generated, rng, settings, vocab_size, n_labels)
+    acc = _binary_probe(real, generated, rng, dcfg, epochs, n_labels)
     return 1.0 - acc
 
 
@@ -218,7 +205,7 @@ def random_sequences(n: int, seq_len: int, vocab_size: int, n_labels: int,
 
 
 def ere_suite(real: SequenceData, generated: SequenceData, rng: RngStream,
-              settings: EvalSettings, vocab_size: int) -> dict[str, float]:
+              dcfg: DiscriminatorConfig, epochs: int) -> dict[str, float]:
     """Evaluator reliability errors.
 
     ere1: |acc - 0.5| on real-vs-real (should be inseparable)
@@ -228,14 +215,14 @@ def ere_suite(real: SequenceData, generated: SequenceData, rng: RngStream,
     n_labels = max(real.n_labels(), generated.n_labels())
     real_a, real_b = split_half(real, rng.child("real_split"))
     gen_a, gen_b = split_half(generated, rng.child("gen_split"))
-    rand = random_sequences(len(real), real.seq_len, vocab_size, n_labels,
+    rand = random_sequences(len(real), real.seq_len, dcfg.vocab_size, n_labels,
                             rng.child("rand"))
-    acc1 = _binary_probe(real_a, real_b, rng.child("ere1"), settings,
-                         vocab_size, n_labels)
-    acc2 = _binary_probe(gen_a, gen_b, rng.child("ere2"), settings,
-                         vocab_size, n_labels)
-    acc3 = _binary_probe(real, rand, rng.child("ere3"), settings,
-                         vocab_size, n_labels)
+    acc1 = _binary_probe(real_a, real_b, rng.child("ere1"), dcfg,
+                         epochs, n_labels)
+    acc2 = _binary_probe(gen_a, gen_b, rng.child("ere2"), dcfg,
+                         epochs, n_labels)
+    acc3 = _binary_probe(real, rand, rng.child("ere3"), dcfg,
+                         epochs, n_labels)
     return {"ere1": abs(acc1 - 0.5), "ere2": abs(acc2 - 0.5),
             "ere3": abs(acc3 - 1.0)}
 
@@ -246,32 +233,31 @@ def ere_suite(real: SequenceData, generated: SequenceData, rng: RngStream,
 
 
 def classifier_accuracy(train: SequenceData, test: SequenceData,
-                        rng: RngStream, settings: EvalSettings,
-                        vocab_size: int, n_labels: int) -> float:
+                        rng: RngStream, dcfg: DiscriminatorConfig, epochs: int,
+                        n_labels: int) -> float:
     """Train a label classifier (condition head off, label as target) and
     return its test accuracy."""
-    disc = _train_cnn(train.tokens, None, train.labels, n_labels, vocab_size,
-                      n_out=n_labels, use_condition=False,
-                      rng=rng.child("train"), settings=settings)
+    cfg = replace(dcfg, n_labels=n_labels, n_out=n_labels, use_condition=False)
+    disc = _train_cnn(train.tokens, None, train.labels, cfg, epochs, rng.child("train"))
     probs = class_probs(disc, test.tokens)
     return float((probs.argmax(axis=1) == test.labels).mean())
 
 
 def downstream_classification(real_train: SequenceData,
                               synth_train: SequenceData, test: SequenceData,
-                              rng: RngStream, settings: EvalSettings,
-                              vocab_size: int) -> dict[str, float]:
+                              rng: RngStream, dcfg: DiscriminatorConfig,
+                              epochs: int) -> dict[str, float]:
     """Test accuracy when training on real data, generated data, and their
     union (augmentation)."""
     n_labels = max(real_train.n_labels(), test.n_labels())
     mix = SequenceData.concat([real_train, synth_train])
     return {
         "acc_real": classifier_accuracy(real_train, test, rng.child("real"),
-                                        settings, vocab_size, n_labels),
+                                        dcfg, epochs, n_labels),
         "acc_synth": classifier_accuracy(synth_train, test, rng.child("synth"),
-                                         settings, vocab_size, n_labels),
+                                         dcfg, epochs, n_labels),
         "acc_mix": classifier_accuracy(mix, test, rng.child("mix"),
-                                       settings, vocab_size, n_labels),
+                                       dcfg, epochs, n_labels),
     }
 
 
@@ -281,14 +267,14 @@ def downstream_classification(real_train: SequenceData,
 
 
 def median_over_seeds(fn: Callable[[RngStream], dict[str, float]],
-                      rng: RngStream, n_seeds: int = 3) -> dict[str, float]:
+                      rng: RngStream, n_seeds: int) -> dict[str, float]:
     """Run fn under n_seeds child streams, take the per-metric median."""
     results = [fn(rng.child("seed", s)) for s in range(n_seeds)]
     return {k: float(np.median([r[k] for r in results])) for k in results[0]}
 
 
 def micro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
-                  rng: RngStream, n_samples: int = 200) -> dict[str, float]:
+                  rng: RngStream, n_samples: int) -> dict[str, float]:
     """Held-out NLL plus BLEU-vs-test and self-BLEU over fresh samples."""
     if len(test) < 1 or n_samples < 2:
         raise DataError("micro metrics need a nonempty test set and >= 2 samples")
@@ -304,8 +290,8 @@ def micro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
 
 
 def macro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
-                  rng: RngStream, settings: EvalSettings, vocab_size: int,
-                  n_seeds: int = 3) -> dict[str, float]:
+                  rng: RngStream, dcfg: DiscriminatorConfig, epochs: int,
+                  n_seeds: int) -> dict[str, float]:
     """AdverSuc and the reliability probes, median over evaluator seeds."""
     labels = test.labels
     generated = SequenceData(sample_batch(params, dims, labels, test.seq_len,
@@ -315,9 +301,9 @@ def macro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
 
     def one_seed(stream: RngStream) -> dict[str, float]:
         out = {"adversuc": adversarial_success(test, generated, stream.child("adv"),
-                                               settings, vocab_size)}
+                                               dcfg, epochs)}
         out.update(ere_suite(test, SequenceData.concat([generated, generated_b]),
-                             stream.child("ere"), settings, vocab_size))
+                             stream.child("ere"), dcfg, epochs))
         return out
 
     return median_over_seeds(one_seed, rng.child("seeds"), n_seeds)
@@ -325,8 +311,8 @@ def macro_metrics(params: ParamStore, dims: GeneratorDims, test: SequenceData,
 
 def application_metrics(params: ParamStore, dims: GeneratorDims,
                         real_train: SequenceData, test: SequenceData,
-                        rng: RngStream, settings: EvalSettings,
-                        vocab_size: int, n_seeds: int = 3) -> dict[str, float]:
+                        rng: RngStream, dcfg: DiscriminatorConfig, epochs: int,
+                        n_seeds: int) -> dict[str, float]:
     """Downstream classification with generated data matched in size and
     label mix to the real training set, median over seeds."""
     if len(real_train) < 2 or len(test) < 2:
@@ -337,7 +323,7 @@ def application_metrics(params: ParamStore, dims: GeneratorDims,
 
     def one_seed(stream: RngStream) -> dict[str, float]:
         return downstream_classification(real_train, synth, test, stream,
-                                         settings, vocab_size)
+                                         dcfg, epochs)
 
     out = median_over_seeds(one_seed, rng.child("seeds"), n_seeds)
     counts = np.bincount(real_train.labels, minlength=2).astype(np.float64)
@@ -359,7 +345,7 @@ class MetricsReport:
     run_id: str
     seed: int
     metrics: dict[str, float]
-    skipped: dict[str, str] = field(default_factory=dict)
+    skipped: dict[str, str]
 
     def csv_text(self) -> str:
         header = ",".join(["run_id", "seed"] + list(self.metrics))

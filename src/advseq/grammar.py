@@ -69,8 +69,8 @@ class Template:
 class GrammarSpec:
     seq_len: int
     labels: dict[int, list[Template]]
+    separable: bool
     priors: dict[int, float] = field(default_factory=dict)
-    separable: bool = False
 
     def label_ids(self) -> list[int]:
         return sorted(self.labels)

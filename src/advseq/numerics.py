@@ -181,7 +181,7 @@ ADAM_EPS = 1e-8
 class AdamState:
     """First/second moment accumulators plus step counter for a ParamStore."""
 
-    def __init__(self, params: ParamStore, lr: float = 1e-3):
+    def __init__(self, params: ParamStore, lr: float):
         self.lr = float(lr)
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
@@ -286,7 +286,7 @@ class RngStream:
 # ---------------------------------------------------------------------------
 
 
-def pmap(fn: Callable, items: Sequence, threads: int = 1) -> list:
+def pmap(fn: Callable, items: Sequence, threads: int) -> list:
     """Order-preserving map over independent items.
 
     The work decomposition is fixed by the item list, never by the worker

@@ -239,4 +239,4 @@ def parse_metrics_csv(text: str) -> MetricsReport:
     if len(names) != len(cells) or names[:2] != ["run_id", "seed"]:
         raise ValueError("metrics CSV must start with run_id,seed columns")
     metrics = {n: float(c) for n, c in zip(names[2:], cells[2:])}
-    return MetricsReport(cells[0], int(cells[1]), metrics)
+    return MetricsReport(cells[0], int(cells[1]), metrics, {})

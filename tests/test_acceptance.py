@@ -84,8 +84,9 @@ def mle_runs(overlap):
                 best["params"] = params.copy()
 
         pretrain_generator(params, dims, splits.train, splits.valid,
-                           RngStream(seed, "pre"), epochs=300, opt=AdamState(params),
-                           patience=30, on_epoch=snap)
+                           RngStream(seed, "pre"), epochs=300, opt=AdamState(params, lr=1e-3),
+                           batch_size=64, patience=30, start_epoch=0, prior_valid=(),
+                           on_epoch=snap)
         runs.append((best["params"],
                      mean_nll(best["params"], dims, splits.test)))
     FIXTURE_COST["mle"] = time.monotonic() - t0
@@ -206,18 +207,18 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
         params = mle_params.copy()
         embed = pretrain_embeddings(splits.train, len(vocab), 32,
                                     RngStream(seed, "emb"), epochs=3)
-        cfg = DiscriminatorConfig(kind="cnn", vocab_size=len(vocab),
-                                  n_labels=2)
+        cfg = desk("disc_config", len(vocab), 2, "cnn")
         disc = init_discriminator(cfg, embed, RngStream(seed, "dinit"))
         pretrain_discriminator(disc, params, dims, splits.train,
                                RngStream(seed, "dpre"), epochs=3,
-                               opt=AdamState(disc.params), on_epoch=lambda row: None)
+                               opt=AdamState(disc.params, lr=1e-3), batch_size=64,
+                               start_epoch=0, on_epoch=lambda row: None)
         hist = adversarial_train(params, dims, disc, splits.train,
                                  splits.test, sched, RngStream(seed, "adv"),
                                  rollout_params=params.copy(),
                                  g_opt=AdamState(params, lr=sched.g_lr),
                                  d_opt=AdamState(disc.params, lr=sched.d_lr),
-                                 on_epoch=lambda row: None)
+                                 start_iteration=0, threads=1, on_epoch=lambda row: None)
         margins.append(hist[-1]["nll_test"] - base)
     elapsed = (time.monotonic() - t0 + FIXTURE_COST["overlap"]
                + FIXTURE_COST["mle"])
@@ -271,7 +272,7 @@ def test_criterion_05_reward_machinery_closed_forms(capsys):
     # fixed points of the two rescalers; 0.8/(1-0.8) rounds one ulp off 4.0
     ok = ok and abs(rescale_oda(np.array([[0.8]]))[0, 0] - 4.0) < 1e-12
     scores = np.arange(8, 0, -1, dtype=np.float64)[:, None]  # ranks 1..8
-    ok = ok and rescale_bra(scores)[3, 0] == 0.5  # rank B/2 -> sigmoid(0)
+    ok = ok and rescale_bra(scores, 12.0)[3, 0] == 0.5  # rank B/2 -> sigmoid(0)
 
     # soft update endpoints are bit-exact
     gen = init_generator_params(dims, RngStream(321, "g"))
@@ -365,17 +366,15 @@ def test_criterion_07_bleu_matches_hand_counts(capsys):
 def test_criterion_08_macro_suite_is_calibrated(overlap, capsys):
     t0 = time.monotonic()
     _, vocab, splits = overlap
-    settings = desk("eval_settings", epochs=60)
+    evaluator = desk("disc_config", len(vocab), 2, "cnn"), 60   # its cnn, its epochs
     test, train = splits.test, splits.train
     copies = train.subset(range(len(test)))  # real rows posing as synthetic
     stand_in = train.subset(range(400, 798))
 
     def probe(stream):
         out = {"adversuc": adversarial_success(test, copies,
-                                               stream.child("adv"),
-                                               settings, len(vocab))}
-        out.update(ere_suite(test, stand_in, stream.child("ere"), settings,
-                             len(vocab)))
+                                               stream.child("adv"), *evaluator)}
+        out.update(ere_suite(test, stand_in, stream.child("ere"), *evaluator))
         return out
 
     got = median_over_seeds(probe, RngStream(250, "macro"), n_seeds=3)
@@ -399,11 +398,12 @@ def test_criterion_09_synthetic_data_carries_labels(capsys):
     dims = GeneratorDims(len(vocab), 2, d_embed=48, d_hidden=64, d_label=8)
     params = init_generator_params(dims, RngStream(7, "init"))
     pretrain_generator(params, dims, splits.train, splits.valid,
-                       RngStream(7, "pre"), epochs=200, opt=AdamState(params),
-                       patience=20, on_epoch=lambda row: None)
+                       RngStream(7, "pre"), epochs=200, opt=AdamState(params, lr=1e-3),
+                       batch_size=64, patience=20, start_epoch=0, prior_valid=(),
+                       on_epoch=lambda row: None)
     got = application_metrics(params, dims, splits.train, splits.test,
-                              RngStream(251, "app"), desk("eval_settings", epochs=25),
-                              len(vocab), n_seeds=3)
+                              RngStream(251, "app"), desk("disc_config", len(vocab), 2, "cnn"),
+                              25, n_seeds=3)
     elapsed = time.monotonic() - t0
     ok = (got["acc_synth"] >= 0.9 * got["acc_real"]
           and got["acc_mix"] >= got["acc_synth"] - 0.02

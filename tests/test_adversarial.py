@@ -15,10 +15,10 @@ from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
 from advseq.corpus import BOS_ID, PAD_ID, SequenceData
-from advseq.discriminators import DiscriminatorConfig, init_discriminator
+from advseq.discriminators import init_discriminator
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
-                              policy_gradient_step, sample_batch)
+                              policy_gradient_step)
 from advseq.numerics import AdamState, RngStream, Workspace
 from oracles import desk, enumeration_rewards
 
@@ -90,7 +90,7 @@ def test_bra_depends_only_on_ranks(vals, transform):
     # float rounding can merge very close inputs, which changes the ranks
     # legitimately; only injective images exercise the invariant
     assume(len(np.unique(mapped)) == len(vals))
-    assert np.array_equal(rescale_bra(col), rescale_bra(mapped))
+    assert np.array_equal(rescale_bra(col, 12.0), rescale_bra(mapped, 12.0))
 
 
 def test_rank_tensor_descending_with_stable_ties():
@@ -397,9 +397,8 @@ def test_policy_step_returns_reward_weighted_log_likelihood():
 
 
 def make_disc(seed: int = 157):
-    cfg = DiscriminatorConfig(kind="fasttext", vocab_size=DIMS.vocab_size,
-                              n_labels=2, d_embed=6, n_buckets=64,
-                              dropout=0.1, l2=0.01)
+    cfg = desk("disc_config", DIMS.vocab_size, 2, "fasttext", d_embed=6, n_buckets=64,
+               dropout=0.1, l2=0.01)
     embed = RngStream(seed, "embed").uniform_range(-0.3, 0.3,
                                                    (DIMS.vocab_size, 6))
     return init_discriminator(cfg, embed, RngStream(seed, "disc"))
@@ -412,7 +411,8 @@ def test_pretrain_generator_improves_and_logs():
     start = mean_nll(params, DIMS, valid)
     history = pretrain_generator(params, DIMS, data, valid, RngStream(160),
                                  epochs=8, opt=AdamState(params, lr=5e-3),
-                                 batch_size=16, on_epoch=lambda row: None)
+                                 batch_size=16, patience=20, start_epoch=0, prior_valid=(),
+                                 on_epoch=lambda row: None)
     assert [r["epoch"] for r in history] == list(range(8))
     assert history[-1]["valid_nll"] < start
     assert all(r["train_nll"] > 0 for r in history)
@@ -424,7 +424,8 @@ def test_pretrain_generator_early_stops():
     params = init_generator_params(DIMS, RngStream(162))
     history = pretrain_generator(params, DIMS, data, valid, RngStream(163),
                                  epochs=400, opt=AdamState(params, lr=5e-3),
-                                 batch_size=16, patience=5, on_epoch=lambda row: None)
+                                 batch_size=16, patience=5, start_epoch=0, prior_valid=(),
+                                 on_epoch=lambda row: None)
     assert len(history) < 400  # patience ended the loop
 
 
@@ -435,16 +436,16 @@ def test_pretrain_generator_resume_matches_uninterrupted_run():
     full = init_generator_params(DIMS, RngStream(165))
     full_opt = AdamState(full, lr=5e-3)
     full_hist = pretrain_generator(full, DIMS, data, valid, RngStream(166),
-                                   epochs=6, batch_size=16, opt=full_opt,
-                                   on_epoch=lambda row: None)
+                                   epochs=6, batch_size=16, opt=full_opt, patience=20,
+                                   start_epoch=0, prior_valid=(), on_epoch=lambda row: None)
 
     part = init_generator_params(DIMS, RngStream(165))
     part_opt = AdamState(part, lr=5e-3)
     first = pretrain_generator(part, DIMS, data, valid, RngStream(166),
-                               epochs=3, batch_size=16, opt=part_opt,
-                               on_epoch=lambda row: None)
+                               epochs=3, batch_size=16, opt=part_opt, patience=20,
+                               start_epoch=0, prior_valid=(), on_epoch=lambda row: None)
     second = pretrain_generator(part, DIMS, data, valid, RngStream(166),
-                                epochs=6, batch_size=16, opt=part_opt,
+                                epochs=6, batch_size=16, opt=part_opt, patience=20,
                                 start_epoch=3, on_epoch=lambda row: None,
                                 prior_valid=tuple(r["valid_nll"] for r in first))
     assert strip_wall(full_hist) == strip_wall(first + second)
@@ -461,7 +462,7 @@ def test_exhausted_prior_valid_trains_nothing():
     before = {n: p.value.copy() for n, p in params.items()}
     rows = []
     history = pretrain_generator(params, DIMS, data, valid, RngStream(166),
-                                 epochs=6, opt=AdamState(params), batch_size=16,
+                                 epochs=6, opt=AdamState(params, lr=1e-3), batch_size=16,
                                  patience=2,
                                  start_epoch=3, prior_valid=(2.0, 2.5, 2.5),
                                  on_epoch=rows.append)
@@ -476,7 +477,7 @@ def test_pretrain_discriminator_beats_coin_flipping():
     disc = make_disc()
     history = pretrain_discriminator(disc, gen, DIMS, data, RngStream(168), epochs=6,
                                      opt=AdamState(disc.params, lr=5e-3), batch_size=16,
-                                     on_epoch=lambda row: None)
+                                     start_epoch=0, on_epoch=lambda row: None)
     assert len(history) == 6
     assert history[-1]["d_loss"] < math.log(2)
     assert history[-1]["d_acc"] > 0.5
@@ -508,7 +509,8 @@ def test_zero_iterations_is_a_no_op():
     sched = small_schedule(0)
     state = fresh_state(gen, disc, sched)
     history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(170),
-                                on_epoch=lambda row: None, **state)
+                                start_iteration=0, threads=1, on_epoch=lambda row: None,
+                                **state)
     assert history == []
     for n, p in gen.items():
         assert np.array_equal(p.value, before[n])
@@ -521,7 +523,8 @@ def test_history_rows_carry_the_metric_columns():
     disc = make_disc(seed=172)
     sched = small_schedule(2)
     history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(173),
-                                on_epoch=lambda row: None, **fresh_state(gen, disc, sched))
+                                start_iteration=0, threads=1, on_epoch=lambda row: None,
+                                **fresh_state(gen, disc, sched))
     assert len(history) == 2
     for i, row in enumerate(history):
         assert row["iteration"] == i
@@ -538,7 +541,7 @@ def test_same_stream_reproduces_the_run():
         disc = make_disc(seed=175)
         sched = small_schedule(3)
         history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(176),
-                                    on_epoch=lambda row: None,
+                                    start_iteration=0, threads=1, on_epoch=lambda row: None,
                                     **fresh_state(gen, disc, sched))
         return strip_wall(history), {n: p.value.copy() for n, p in gen.items()}
 
@@ -570,7 +573,8 @@ def test_resume_continues_the_exact_trajectory():
 
     full_hist = adversarial_train(gen, DIMS, disc, data, data, sched,
                                   RngStream(179), rollout_params=rollout_params,
-                                  g_opt=g_opt, d_opt=d_opt, on_epoch=capture)
+                                  g_opt=g_opt, d_opt=d_opt, start_iteration=0, threads=1,
+                                  on_epoch=capture)
 
     gen2 = snap["gen"]
     disc2 = make_disc(seed=178)
@@ -583,7 +587,7 @@ def test_resume_continues_the_exact_trajectory():
     tail_hist = adversarial_train(gen2, DIMS, disc2, data, data, sched,
                                   RngStream(179), rollout_params=snap["roll"],
                                   g_opt=g_opt2, d_opt=d_opt2,
-                                  start_iteration=2, on_epoch=lambda row: None)
+                                  start_iteration=2, threads=1, on_epoch=lambda row: None)
     assert strip_wall(full_hist[2:]) == strip_wall(tail_hist)
     for n, p in gen.items():
         assert np.array_equal(p.value, gen2.value(n))
@@ -611,7 +615,7 @@ def test_rollout_network_trails_the_generator():
         theta_prev = gen.copy()
 
     adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(182),
-                      on_epoch=capture, **state)
+                      start_iteration=0, threads=1, on_epoch=capture, **state)
     prev_gap = 0.0  # rollout starts as a clone of the generator
     for new_gap, move in gaps:
         assert new_gap <= sched.alpha * (prev_gap + move) + 1e-12

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import advseq
-from advseq import cli
+from advseq import cli, evaluation
 from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
 from oracles import parse_metrics_csv
@@ -689,3 +689,37 @@ def test_eval_macro_skips_when_test_split_too_small(tmp_path, capsys):
     assert "macro suite" in out and "skipped" in out
     report = parse_metrics_csv(read(os.path.join(d, "metrics.csv")))
     assert report.metrics == {}  # skipped suites write no columns
+
+
+def test_eval_reads_only_the_cnn_fields_of_disc(tmp_path, monkeypatch):
+    # every evaluator is a cnn built from disc.*, so neither disc.kind nor
+    # the fields only the other kinds read may move an evaluator's weights
+    # or a macro or application number; the first run keeps the desk
+    # values of all three
+    train_cnn, weights = evaluation._train_cnn, []
+
+    def recording(*args, **kwargs):
+        disc = train_cnn(*args, **kwargs)
+        weights[-1].append({n: p.value for n, p in disc.params.items()})
+        return disc
+
+    monkeypatch.setattr(evaluation, "_train_cnn", recording)
+    desk_disc = ["--set", "disc.kind=cnn", "--set", "disc.n_buckets=4096"]
+    reports = []
+    for i, setting in enumerate(["", "disc.kind=birnn", "disc.d_hidden=5", "disc.n_buckets=64"]):
+        d = str(tmp_path / str(i) / "run")
+        extra = ["--set", setting] if setting else []
+        weights.append([])
+        assert run("corpus-gen", "--run-dir", d, *SEED, *FAST, *desk_disc, *extra) == 0
+        assert run("pretrain-g", "--run-dir", d) == 0
+        assert run("eval", "--run-dir", d, "--tier", "all") == 0
+        reports.append(read(os.path.join(d, "metrics.csv")))
+    metrics = parse_metrics_csv(reports[0]).metrics
+    assert {"adversuc", "ere1", "acc_real", "acc_mix"} <= set(metrics)
+    assert reports[1:] == reports[:1] * 3
+    assert len(weights[0]) == 7   # four macro probes, three classifiers
+    for other in weights[1:]:
+        assert len(other) == 7
+        for want, got in zip(weights[0], other):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[n], want[n]) for n in want)

@@ -92,7 +92,7 @@ def test_encode_counts_unknown_tokens():
 def test_decode_sequence_strips_pads():
     v = Vocab.from_tokens(["a", "b"])
     data, _ = encode_sequences([(1, ["b", "a"])], v, 4)
-    assert decode_sequence(data.tokens[0], v) == ["b", "a"]
+    assert decode_sequence(data.tokens[0], v, strip_pad=True) == ["b", "a"]
     assert len(decode_sequence(data.tokens[0], v, strip_pad=False)) == 4
 
 

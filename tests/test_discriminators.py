@@ -16,7 +16,7 @@ from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    init_discriminator, loss_and_dlogits,
                                    prefix_tree, score, train_step)
 from advseq.numerics import AdamState, RngStream, sigmoid, softmax_rows
-from oracles import finite_diff_check
+from oracles import desk, finite_diff_check
 
 V, T, D_E = 8, 6, 12
 EMBED = RngStream(80, "embed").uniform_range(-0.3, 0.3, (V, D_E))
@@ -24,9 +24,8 @@ EMBED = RngStream(80, "embed").uniform_range(-0.3, 0.3, (V, D_E))
 
 def make_disc(kind: str, seed: int = 81, dropout: float = 0.2,
               l2: float = 0.001, **overrides) -> Discriminator:
-    cfg = DiscriminatorConfig(kind=kind, vocab_size=V, n_labels=2,
-                              d_embed=D_E, d_hidden=8, n_filters=8,
-                              widths=(2, 3), dropout=dropout, l2=l2, **overrides)
+    cfg = desk("disc_config", V, 2, kind, d_embed=D_E, d_hidden=8, n_filters=8,
+               widths=(2, 3), dropout=dropout, l2=l2, **overrides)
     return init_discriminator(cfg, EMBED, RngStream(seed, kind))
 
 
@@ -116,9 +115,8 @@ def test_fasttext_forward_matches_hand_computation():
 
 
 def test_cnn_forward_matches_hand_computation():
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2,
-                              d_embed=D_E, n_filters=2, widths=(2,),
-                              dropout=0.0, l2=0.0)
+    cfg = desk("disc_config", V, 2, "cnn", d_embed=D_E, n_filters=2, widths=(2,),
+               dropout=0.0, l2=0.0)
     disc = init_discriminator(cfg, EMBED, RngStream(88))
     randomize_head(disc)
     tokens = np.array([[2, 7, 3, 5]])
@@ -137,8 +135,7 @@ def test_cnn_forward_matches_hand_computation():
 
 
 def test_birnn_forward_matches_hand_computation():
-    cfg = DiscriminatorConfig(kind="birnn", vocab_size=V, n_labels=2,
-                              d_embed=3, d_hidden=2, dropout=0.0, l2=0.0)
+    cfg = desk("disc_config", V, 2, "birnn", d_embed=3, d_hidden=2, dropout=0.0, l2=0.0)
     embed = RngStream(89, "e").uniform_range(-0.4, 0.4, (V, 3))
     disc = init_discriminator(cfg, embed, RngStream(89))
     randomize_head(disc)
@@ -198,9 +195,8 @@ def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hi
     # score and class_probs give, row by row, the bits of the head over
     # forward()'s logits on the same chunk grid, on rows that share prefixes
     widths = tuple(sorted(w for w in widths if w <= T)) or (1,)
-    cfg = DiscriminatorConfig(kind=kind, vocab_size=V, n_labels=2, d_embed=D_E,
-                              d_hidden=d_hidden, n_filters=4, widths=widths,
-                              use_condition=not softmax_head, n_out=3 if softmax_head else 1)
+    cfg = desk("disc_config", V, 2, kind, d_embed=D_E, d_hidden=d_hidden, n_filters=4,
+               widths=widths, use_condition=not softmax_head, n_out=3 if softmax_head else 1)
     disc = init_discriminator(cfg, EMBED, RngStream(seed, kind))
     randomize_head(disc, seed)
     stream = RngStream(seed, "rows")
@@ -331,8 +327,8 @@ def window_cnn(disc: Discriminator, tokens: np.ndarray, ds: np.ndarray):
 def wide_cnn(seed: int = 130) -> Discriminator:
     """Widths (2, 3, 4) over T = 20, biases spread across zero, and filter 1
     of width 3 negative everywhere."""
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2,
-                              d_embed=D_E, n_filters=8, widths=(2, 3, 4), dropout=0.0)
+    cfg = desk("disc_config", V, 2, "cnn", d_embed=D_E, n_filters=8, widths=(2, 3, 4),
+               dropout=0.0)
     disc = init_discriminator(cfg, EMBED, RngStream(seed))
     for w in cfg.widths:
         disc.params[f"d.conv{w}.b"].value[...] = RngStream(seed, "b", w).normal((1, 8))
@@ -431,9 +427,8 @@ def test_gradients_pass_finite_differences(kind):
 
 
 def test_cnn_gradients_pass_finite_differences_with_three_widths():
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2,
-                              d_embed=4, n_filters=3, widths=(2, 3, 4), dropout=0.0,
-                              l2=0.05)
+    cfg = desk("disc_config", 6, 2, "cnn", d_embed=4, n_filters=3, widths=(2, 3, 4),
+               dropout=0.0, l2=0.05)
     embed = RngStream(134).uniform_range(-0.4, 0.4, (6, 4))
     disc = init_discriminator(cfg, embed, RngStream(135))
     randomize_head(disc, seed=136)
@@ -457,9 +452,8 @@ def test_cnn_gradients_pass_finite_differences_with_three_widths():
 
 
 def test_softmax_head_gradients_pass_finite_differences():
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=6, n_labels=2,
-                              d_embed=4, n_filters=3, widths=(2,), dropout=0.0,
-                              l2=0.0, use_condition=False, n_out=3)
+    cfg = desk("disc_config", 6, 2, "cnn", d_embed=4, n_filters=3, widths=(2,), dropout=0.0,
+               l2=0.0, use_condition=False, n_out=3)
     embed = RngStream(101).uniform_range(-0.4, 0.4, (6, 4))
     disc = init_discriminator(cfg, embed, RngStream(102))
     randomize_head(disc, seed=103)
@@ -511,7 +505,7 @@ def test_learns_linearly_separable_toy_within_200_steps(kind):
 def test_embedding_table_frozen_through_training():
     disc = make_disc("fasttext", seed=109)
     before = disc.embed.tobytes()
-    opt = AdamState(disc.params)
+    opt = AdamState(disc.params, lr=1e-3)
     for step in range(20):
         tokens, labels, targets = toy_batch(RngStream(110, step), n=32)
         train_step(disc, opt, tokens, labels, targets, RngStream(111, step))
@@ -558,7 +552,7 @@ def test_training_dropout_needs_a_stream_and_uses_it():
     tokens, labels = random_batch(RngStream(119))
     targets = RngStream(119, "y").integers(0, 2, len(tokens))
     with pytest.raises(ValueError, match="dropout"):
-        train_step(disc, AdamState(disc.params), tokens, labels, targets, None)
+        train_step(disc, AdamState(disc.params, lr=1e-3), tokens, labels, targets, None)
     a, _ = forward(disc, tokens, labels, drop_rng=RngStream(120))
     b, _ = forward(disc, tokens, labels, drop_rng=RngStream(120))
     c, _ = forward(disc, tokens, labels, drop_rng=RngStream(121))
@@ -575,11 +569,10 @@ def test_training_dropout_needs_a_stream_and_uses_it():
 
 
 def test_init_rejects_unknown_kind_and_bad_embedding():
-    cfg = DiscriminatorConfig(kind="transformer", vocab_size=V, n_labels=2)
+    cfg = desk("disc_config", V, 2, "transformer")
     with pytest.raises(ValueError, match="kind"):
         init_discriminator(cfg, EMBED, RngStream(122))
-    cfg = DiscriminatorConfig(kind="cnn", vocab_size=V, n_labels=2,
-                              d_embed=D_E + 1)
+    cfg = desk("disc_config", V, 2, "cnn", d_embed=D_E + 1)
     with pytest.raises(ValueError, match="embedding"):
         init_discriminator(cfg, EMBED, RngStream(123))
 
@@ -592,8 +585,7 @@ def test_conditional_forward_requires_labels():
 
 
 def test_score_refuses_softmax_heads_and_class_probs_normalize():
-    cfg = DiscriminatorConfig(kind="fasttext", vocab_size=V, n_labels=2,
-                              d_embed=D_E, use_condition=False, n_out=3)
+    cfg = desk("disc_config", V, 2, "fasttext", d_embed=D_E, use_condition=False, n_out=3)
     disc = init_discriminator(cfg, EMBED, RngStream(125))
     randomize_head(disc)
     tokens, _ = random_batch(RngStream(126))

@@ -18,7 +18,7 @@ from oracles import loop_pretrain_embeddings
 def trained():
     spec = separable_preset()
     data, vocab = generate_corpus(spec, 400, RngStream(21, "corpus"))
-    emb = pretrain_embeddings(data, len(vocab), 16, RngStream(21, "embed"))
+    emb = pretrain_embeddings(data, len(vocab), 16, RngStream(21, "embed"), epochs=5)
     return data, vocab, emb
 
 
@@ -50,16 +50,16 @@ def test_pretraining_is_deterministic():
     rows = [(i % 2, ["alpha", "beta"] if i % 2 == 0 else ["gamma", "delta"])
             for i in range(60)]
     data, _ = encode_sequences(rows, vocab, 2)
-    e1 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"))
-    e2 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"))
+    e1 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5)
+    e2 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5)
     assert np.array_equal(e1, e2)
-    e3 = pretrain_embeddings(data, len(vocab), 8, RngStream(24, "embed"))
+    e3 = pretrain_embeddings(data, len(vocab), 8, RngStream(24, "embed"), epochs=5)
     assert not np.array_equal(e1, e3)
 
 
 def test_empty_corpus_returns_initial_table():
     data = SequenceData(np.full((3, 4), 1, dtype=np.int64), np.zeros(3, dtype=np.int64))
-    emb = pretrain_embeddings(data, 6, 8, RngStream(25, "embed"))
+    emb = pretrain_embeddings(data, 6, 8, RngStream(25, "embed"), epochs=5)
     assert emb.shape == (6, 8)
     assert np.all(np.abs(emb) <= 0.5 / 8)  # untouched init range
 
@@ -143,7 +143,7 @@ def test_matches_the_per_pair_loop(vocab_size, negatives, window, n_rows, width,
 def test_a_diverging_table_is_a_numeric_failure():
     data, vocab = generate_corpus(overlapping_preset(), 100, RngStream(73, "corpus"))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="skip-gram"):
-        pretrain_embeddings(data, len(vocab), 8, RngStream(73, "embed"), lr=1e6)
+        pretrain_embeddings(data, len(vocab), 8, RngStream(73, "embed"), epochs=5, lr=1e6)
 
 
 def test_training_faults_in_few_pages_per_batch():

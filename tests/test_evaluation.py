@@ -23,9 +23,10 @@ from oracles import bleu, desk, parse_metrics_csv
 
 EPS = 1e-9
 
-# Cheap settings for shape-and-key tests where the trained values are
-# irrelevant; the calibrated probes below use near-default settings.
-FAST = desk("eval_settings", epochs=1, d_embed=8, n_filters=4, dropout=0.0, l2=0.01)
+# A cheap evaluator (its cnn over a vocabulary of 8, and its epochs) for
+# shape-and-key tests where the trained values are irrelevant; the
+# calibrated probes below use near-default settings.
+FAST = desk("disc_config", 8, 2, "cnn", d_embed=8, n_filters=4, dropout=0.0, l2=0.01), 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +186,10 @@ def eval_corpus():
 
 
 @pytest.fixture(scope="module")
-def probe_settings():
+def probe_settings(eval_corpus):
     # default evaluator sizing; longer schedule because the probes here
     # train on a few hundred rows rather than thousands
-    return desk("eval_settings", epochs=60)
+    return desk("disc_config", len(eval_corpus[2]), 2, "cnn"), 60
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +217,7 @@ def test_probe_sits_at_chance_on_real_vs_real(eval_corpus, probe_settings):
     spec, data, vocab = eval_corpus
     got = adversarial_success(data.subset(range(400)),
                               data.subset(range(400, 800)),
-                              RngStream(240), probe_settings, len(vocab))
+                              RngStream(240), *probe_settings)
     assert 0.3 <= got <= 0.7
 
 
@@ -224,7 +225,7 @@ def test_probe_flags_untrained_generator(eval_corpus, probe_settings,
                                          untrained_samples):
     spec, data, vocab = eval_corpus
     got = adversarial_success(data.subset(range(400)), untrained_samples[2],
-                              RngStream(241), probe_settings, len(vocab))
+                              RngStream(241), *probe_settings)
     assert got <= 0.15
 
 
@@ -232,7 +233,7 @@ def test_reliability_suite_bounds(eval_corpus, probe_settings,
                                   untrained_samples):
     spec, data, vocab = eval_corpus
     got = ere_suite(data.subset(range(400)), untrained_samples[2],
-                    RngStream(242), probe_settings, len(vocab))
+                    RngStream(242), *probe_settings)
     assert set(got) == {"ere1", "ere2", "ere3"}
     assert 0.0 <= got["ere1"] <= 0.15  # real vs real stays near chance
     assert 0.0 <= got["ere2"] <= 0.15  # generated vs generated too
@@ -243,14 +244,14 @@ def test_probe_refuses_tiny_sides(eval_corpus, probe_settings):
     spec, data, vocab = eval_corpus
     with pytest.raises(DataError, match="at least 4"):
         adversarial_success(data.subset(range(3)), data.subset(range(4, 8)),
-                            RngStream(1), probe_settings, len(vocab))
+                            RngStream(1), *probe_settings)
 
 
 def test_classifier_reads_label_exclusive_tokens(eval_corpus, probe_settings):
     spec, data, vocab = eval_corpus
     got = classifier_accuracy(data.subset(range(400)),
                               data.subset(range(1000, 1200)),
-                              RngStream(243), probe_settings, len(vocab), 2)
+                              RngStream(243), *probe_settings, 2)
     assert got >= 0.95
 
 
@@ -259,7 +260,7 @@ def test_downstream_ordering(eval_corpus, probe_settings, untrained_samples):
     got = downstream_classification(data.subset(range(400)),
                                     untrained_samples[2],
                                     data.subset(range(1000, 1200)),
-                                    RngStream(244), probe_settings, len(vocab))
+                                    RngStream(244), *probe_settings)
     assert set(got) == {"acc_real", "acc_synth", "acc_mix"}
     assert got["acc_real"] >= 0.9
     assert got["acc_synth"] <= 0.75  # untrained samples carry no label signal
@@ -311,7 +312,7 @@ def test_micro_metrics_guards():
                          np.zeros((0,), dtype=np.int64))
     test = SequenceData(np.array([[2, 3, 4]]), np.array([0]))
     with pytest.raises(DataError):
-        micro_metrics(params, dims, empty, RngStream(1))
+        micro_metrics(params, dims, empty, RngStream(1), n_samples=200)
     with pytest.raises(DataError):
         micro_metrics(params, dims, test, RngStream(1), n_samples=1)
 
@@ -319,7 +320,7 @@ def test_micro_metrics_guards():
 def test_macro_metrics_key_set():
     dims, params = _tiny_generator()
     real = random_sequences(24, 6, 8, 2, RngStream(60))
-    got = macro_metrics(params, dims, real, RngStream(61), FAST, 8, n_seeds=1)
+    got = macro_metrics(params, dims, real, RngStream(61), *FAST, n_seeds=1)
     assert set(got) == {"adversuc", "ere1", "ere2", "ere3"}
     assert 0.0 <= got["adversuc"] <= 1.0
     for k in ("ere1", "ere2", "ere3"):
@@ -332,8 +333,7 @@ def test_application_metrics_flags_heavy_imbalance():
     train = SequenceData(tokens, np.array([0] * 38 + [1] * 2))
     test = SequenceData(2 + RngStream(63).integers(0, 6, (10, 6)),
                         np.array([0, 1] * 5))
-    got = application_metrics(params, dims, train, test, RngStream(64), FAST,
-                              8, n_seeds=1)
+    got = application_metrics(params, dims, train, test, RngStream(64), *FAST, n_seeds=1)
     assert {"acc_real", "acc_synth", "acc_mix", "label_imbalance"} == set(got)
     assert got["label_imbalance"] == 19.0
 
@@ -344,8 +344,7 @@ def test_application_metrics_balanced_has_no_flag():
     train = SequenceData(tokens, np.array([0, 1] * 10))
     test = SequenceData(2 + RngStream(66).integers(0, 6, (10, 6)),
                         np.array([0, 1] * 5))
-    got = application_metrics(params, dims, train, test, RngStream(67), FAST,
-                              8, n_seeds=1)
+    got = application_metrics(params, dims, train, test, RngStream(67), *FAST, n_seeds=1)
     assert "label_imbalance" not in got
 
 
@@ -355,19 +354,19 @@ def test_application_metrics_guards():
     many = SequenceData(2 + RngStream(68).integers(0, 6, (8, 6)),
                         np.array([0, 1] * 4))
     with pytest.raises(DataError):
-        application_metrics(params, dims, one, many, RngStream(1), FAST, 8)
+        application_metrics(params, dims, one, many, RngStream(1), *FAST, n_seeds=1)
     with pytest.raises(DataError):
-        application_metrics(params, dims, many, one, RngStream(1), FAST, 8)
+        application_metrics(params, dims, many, one, RngStream(1), *FAST, n_seeds=1)
 
 
 def test_metrics_report_csv_bytes():
-    rep = MetricsReport("run1", 7, {"a": 0.25, "b": 1.5})
+    rep = MetricsReport("run1", 7, {"a": 0.25, "b": 1.5}, {})
     assert rep.csv_text() == "run_id,seed,a,b\nrun1,7,0.25,1.5\n"
 
 
 def test_metrics_report_csv_roundtrip():
     rep = MetricsReport("abc", 13, {"nll_test": 11.679270067241038,
-                                    "self_bleu": 1.0 / 3.0})
+                                    "self_bleu": 1.0 / 3.0}, {})
     back = parse_metrics_csv(rep.csv_text())
     assert back.run_id == "abc" and back.seed == 13
     assert back.metrics == rep.metrics  # repr floats roundtrip exactly

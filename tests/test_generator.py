@@ -266,7 +266,7 @@ def test_zero_rewards_leave_parameters_unchanged():
 
 def test_policy_gradient_rejects_misshapen_rewards():
     params = init_generator_params(SMALL, RngStream(60, "init"))
-    opt = AdamState(params)
+    opt = AdamState(params, lr=1e-3)
     with pytest.raises(ValueError, match="rewards"):
         policy_gradient_step(params, SMALL, opt, np.array([[2, 3]]),
                              np.array([0]), np.zeros((1, 3)), clip=5.0, ws=Workspace())

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from advseq.grammar import (PAD_TOKEN, GrammarError, GrammarSpec, Slot,
-                            Template, format_grammar, overlapping_preset,
+from advseq.grammar import (PAD_TOKEN, GrammarError, GrammarSpec, Template,
+                            format_grammar, overlapping_preset,
                             parse_grammar, sample_sequence, separable_preset,
                             uniform_slot)
 from advseq.numerics import RngStream
@@ -98,14 +98,16 @@ def test_parse_comments_and_blank_lines_ignored():
 
 def test_validate_rejects_nonconsecutive_labels():
     spec = GrammarSpec(seq_len=1, labels={0: [Template(1.0, [uniform_slot("a")])],
-                                          2: [Template(1.0, [uniform_slot("b")])]})
+                                          2: [Template(1.0, [uniform_slot("b")])]},
+                       separable=False)
     with pytest.raises(GrammarError, match="consecutive"):
         spec.validate()
 
 
 def test_validate_rejects_bad_template_weights():
     spec = GrammarSpec(seq_len=1, labels={0: [Template(0.6, [uniform_slot("a")]),
-                                              Template(0.6, [uniform_slot("b")])]})
+                                              Template(0.6, [uniform_slot("b")])]},
+                       separable=False)
     with pytest.raises(GrammarError, match="weights.*sum"):
         spec.validate()
 
@@ -119,7 +121,7 @@ def test_validate_rejects_partial_priors():
 
 def test_validate_rejects_too_many_slots():
     spec = GrammarSpec(seq_len=1, labels={
-        0: [Template(1.0, [uniform_slot("a"), uniform_slot("b")])]})
+        0: [Template(1.0, [uniform_slot("a"), uniform_slot("b")])]}, separable=False)
     with pytest.raises(GrammarError, match="slots"):
         spec.validate()
 

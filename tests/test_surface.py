@@ -4,12 +4,15 @@ Every function and class defined under `src/advseq` is referenced from
 `src/` or `bench/` outside its own body, and not only from code that is
 itself unreferenced. Every option is set by some caller there too: each
 defaulted parameter and each defaulted dataclass field is passed by keyword
-or position from a call in `src/` or `bench/`, save the few in `TEST_ONLY`
-that the invariance and oracle tests need, and a `None` default, being a
-fallback, is left out by at least one such call. Operator methods, whose
-use the walk cannot see, each name it in `OPERATORS`. And the config schema
-is the one home of a run's defaults: a field that `RunConfig` fills from
-`SCHEMA` has no default of its own."""
+or position from a call in `src/` or `bench/` (a `dataclasses.replace` call
+sets the fields it names), save the few in `TEST_ONLY` that the invariance
+and oracle tests need. And every default is one a command uses: at least
+one such call leaves the option out, as a default that every call
+overrides is reached only by tests. Operator methods, whose use the walk
+cannot see, each name it in `OPERATORS`. The config schema is the one home
+of a run's defaults: a field that `RunConfig` fills from `SCHEMA` has no
+default of its own. And no module under `src/`, `tests/` or `bench/`
+imports a name it never reads."""
 
 import ast
 import os
@@ -36,7 +39,7 @@ TEST_ONLY = {
 }
 
 # the typed views that RunConfig fills from SCHEMA
-SCHEMA_VIEWS = ("GeneratorDims", "TrainSchedule", "EvalSettings")
+SCHEMA_VIEWS = ("GeneratorDims", "TrainSchedule", "DiscriminatorConfig")
 
 # operator methods, which the name walk cannot see used, and their use
 OPERATORS = {
@@ -142,7 +145,6 @@ class Option(NamedTuple):
     callee: str           # the name a call uses: the function, or the class
     name: str
     position: int | None  # index among a call's positional arguments
-    none_default: bool
 
 
 class Call(NamedTuple):
@@ -156,10 +158,6 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
                for d in node.decorator_list)
-
-
-def _is_none(node: ast.AST | None) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
 
 
 def _walk(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Module]
@@ -197,8 +195,7 @@ def _walk(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Module]
             prefix, cls, owner = f"{prefix}.{node.name}", node, None
             if in_src and _is_dataclass(node):
                 fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
-                opts.extend(Option(f"{prefix}.{f.target.id}", node.name, f.target.id, i,
-                                   _is_none(f.value))
+                opts.extend(Option(f"{prefix}.{f.target.id}", node.name, f.target.id, i)
                             for i, f in enumerate(fields) if f.value is not None)
         elif isinstance(node, FUNCS):
             a = node.args
@@ -210,10 +207,9 @@ def _walk(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Module]
             positional = a.posonlyargs + a.args
             first = len(positional) - len(a.defaults)
             if in_src:
-                opts.extend(Option(f"{owner}.{arg.arg}", callee, arg.arg, i - method, _is_none(d))
-                            for i, (arg, d) in enumerate(zip(positional[first:], a.defaults),
-                                                         start=first))
-                opts.extend(Option(f"{owner}.{arg.arg}", callee, arg.arg, None, _is_none(d))
+                opts.extend(Option(f"{owner}.{arg.arg}", callee, arg.arg, i - method)
+                            for i, arg in enumerate(positional[first:], start=first))
+                opts.extend(Option(f"{owner}.{arg.arg}", callee, arg.arg, None)
                             for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
             prefix, cls = f"{prefix}.{node.name}", None
         for child in children:
@@ -242,25 +238,30 @@ def _sets(call: Call, opt: Option, unset: set[str]) -> bool:
 def unset_options(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Module],
                   test_only: set[str]) -> tuple[list[str], list[str]]:
     """Labels of the options of `src_trees` that no call in `src_trees` or
-    `user_trees` sets, and of the None defaults (fallbacks) that every such
-    call sets, so that none reaches the fallback. A call that only passes on
-    its caller's own never-set option does not set it, unless that option is
-    in `test_only`, repeated until nothing new is found. A function also
-    used other than as a callee (kept in a table, passed as a callback) is
-    exempt from both. Names match without regard to scope, so a clash of
-    names can hide a finding."""
+    `user_trees` sets, and of the defaults that every such call sets, so
+    that none reaches the default. A call that only passes on its caller's
+    own never-set option does not set it, unless that option is in
+    `test_only`, repeated until nothing new is found. A `replace(x, f=...)`
+    call sets field `f` of every dataclass, but, copying the fields it
+    leaves out, never reaches a default. A function also used other than as
+    a callee (kept in a table, passed as a callback) is exempt from both.
+    Names match without regard to scope, so a clash of names can hide a
+    finding."""
     opts, calls, values = _walk(src_trees, user_trees)
-    classes = {n.name for t in src_trees.values() for n in ast.walk(t)
+    classes = {n.name: _is_dataclass(n) for t in src_trees.values() for n in ast.walk(t)
                if isinstance(n, ast.ClassDef)}
     checked = [o for o in opts if o.callee not in values or o.callee in classes]
+    replaced = [c._replace(n_pos=0) for c in calls.get("replace", [])]
+    setters = {o.label: calls.get(o.callee, []) + (replaced if classes.get(o.callee) else [])
+               for o in checked}
     never_set: set[str] = set()
     while True:
         found = {o.label for o in checked
-                 if not any(_sets(c, o, never_set - test_only) for c in calls.get(o.callee, []))}
+                 if not any(_sets(c, o, never_set - test_only) for c in setters[o.label])}
         if found == never_set:
             break
         never_set = found
-    never_omitted = [o.label for o in checked if o.none_default and o.label not in never_set
+    never_omitted = [o.label for o in checked if o.label not in never_set
                      and all(_sets(c, o, set()) for c in calls.get(o.callee, []))]
     return sorted(never_set), sorted(never_omitted)
 
@@ -297,6 +298,29 @@ def test_every_option_has_a_caller_in_src_or_bench():
     assert never_omitted == []
 
 
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names that `tree`'s import statements bind and that no Name node
+    of it reads; `from __future__` imports bind nothing."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return sorted(bound - {n.id for n in ast.walk(tree)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports(ast.parse(
+        "from __future__ import annotations\nimport os.path, re as regex\n"
+        "from m import a, b as c\nprint(os.sep, a)\n")) == ["c", "regex"]
+    found = {path: names for top in ("src", "tests", "bench")
+             for path, tree in parse_tree(os.path.join(ROOT, top)).items()
+             if (names := unused_imports(tree))}
+    assert found == {}
+
+
 def test_schema_is_the_only_home_of_run_defaults():
     assert restated_defaults(parse_tree(PACKAGE)) == {}
 
@@ -312,11 +336,13 @@ def test_the_option_walk_matches_keywords_positions_and_values():
         "    def meth(self, r=None):\n        return r\n"
         "@dataclass\n"
         "class D:\n    u: int\n    v: int = 3\n    w: int = 4\n"
+        "@dataclass\n"
+        "class E:\n    s: int = 0\n    t: int = 0\n"
         "def outer(a, flag=True):\n    return inner(a, flag)\n"
         "def inner(a, flag=True):\n    return a\n")}
     user = {"b.py": ast.parse(
-        "import m\nm.f(0, 1, d=2)\nm.f(0, 1, d=3, e=None)\nm.K(1).meth(2)\nm.D(1, 2)\n"
-        "m.outer(1)\n")}
+        "import dataclasses, m\nm.f(0, 1, d=2)\nm.f(0, 1, d=3, e=None)\nm.K(1).meth(2)\n"
+        "m.D(1, 2)\nm.outer(1)\ndataclasses.replace(m.E(), t=2)\n")}
     never_set, never_omitted = unset_options(src, user, set())
-    assert never_set == ["m.D.w", "m.K.q", "m.f.c", "m.inner.flag", "m.outer.flag"]
-    assert never_omitted == ["m.K.meth.r", "m.f.d"]
+    assert never_set == ["m.D.w", "m.E.s", "m.K.q", "m.f.c", "m.inner.flag", "m.outer.flag"]
+    assert never_omitted == ["m.D.v", "m.K.meth.r", "m.f.b", "m.f.d"]
