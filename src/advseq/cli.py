@@ -14,18 +14,22 @@ environment variable, else ./run. corpus-gen pins the resolved
 configuration into <run>/config.txt; later commands read it back, so a run
 stays self-describing. Mutating commands hold a .lock file while working.
 Training commands checkpoint every epoch; --resume continues or extends them.
+Models are sized from the config alone; a checkpoint only fills them.
 
 Exit codes: 0 success, 2 usage or configuration problems, 3 numeric
-failures during training, 4 corrupt or mismatched artifacts, 130
-interrupted (Ctrl-C).
+failures during training, 4 corrupt or mismatched artifacts (a bad stored
+count, dims or block shape, a log missing rows), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .config import (ConfigError, RunConfig, canonical_text, config_digest,
 from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
                      decode_sequence, generate_corpus, read_corpus, read_vocab,
                      split_corpus, write_corpus, write_vocab)
-from .discriminators import KINDS, Discriminator, DiscriminatorConfig, init_discriminator
+from .discriminators import KINDS, init_discriminator
 from .embeddings import pretrain_embeddings
 from .evaluation import (MetricsReport, application_metrics, macro_metrics,
                          micro_metrics)
@@ -190,99 +194,110 @@ def load_run_data(paths: RunPaths, cfg: RunConfig
     return grammar, vocab, SplitDataset(*splits), digest
 
 
-def save_run_state(path: str, digest: bytes,
-                   gen: tuple[ParamStore, GeneratorDims] | None = None,
-                   rollout: ParamStore | None = None, disc: Discriminator | None = None,
-                   gopt: AdamState | None = None, dopt: AdamState | None = None,
-                   **counters: int) -> None:
-    """Write the given sections of a run in the one order every checkpoint
-    uses: generator + meta.dims | rollout. | discriminator + embed.table |
-    gopt. | dopt. | meta.<counter> (epoch or iteration)."""
-    tensors: dict[str, np.ndarray] = {}
-    if gen is not None:
-        params, dims = gen
-        tensors.update((name, p.value) for name, p in params.items())
-        tensors["meta.dims"] = np.array([[dims.vocab_size, dims.n_labels, dims.d_embed,
-                                          dims.d_hidden, dims.d_label]], dtype=np.float64)
-    if rollout is not None:
-        tensors.update((f"rollout.{name}", p.value) for name, p in rollout.items())
-    if disc is not None:
-        tensors.update((name, p.value) for name, p in disc.params.items())
-        tensors["embed.table"] = disc.embed
-    for prefix, opt in (("gopt.", gopt), ("dopt.", dopt)):
+def new_generator(cfg: RunConfig, vocab: Vocab,
+                  grammar: GrammarSpec) -> tuple[ParamStore, GeneratorDims]:
+    """The generator the config sizes, at its seeded initial weights."""
+    dims = cfg.generator_dims(len(vocab), len(grammar.labels))
+    return init_generator_params(dims, RngStream(cfg["run.seed"], "gen_init")), dims
+
+
+def _count(block: np.ndarray) -> int:
+    value = float(block[0, 0])
+    if not (value >= 0 and value.is_integer()):  # false for NaN and inf too
+        raise ValueError(f"holds {value!r}, not a whole number >= 0")
+    return int(value)
+
+
+def _same(expected: np.ndarray, block: np.ndarray) -> None:
+    if not np.array_equal(block, expected):
+        raise ValueError(f"holds {block.tolist()}, but the config gives {expected.tolist()}")
+
+
+def _run_blocks(run: dict, counters: dict[str, int]
+                ) -> list[tuple[str, np.ndarray, Callable[[np.ndarray], None]]]:
+    """Every block of a run checkpoint, in the one order all files keep:
+    generator + meta.dims | rollout. | discriminator | embed.table | gopt. |
+    dopt. | meta.<counter>. `run` maps the sections a file holds to their
+    objects: "gen" (its GeneratorDims in "dims"), "rollout" and "disc"
+    ParamStores, "embed" the discriminator's frozen table, "gopt" and
+    "dopt" AdamStates; `counters` holds the epoch or iteration. A block is
+    (name, array, load): save writes `array`; restore checks a stored
+    block's shape against it, then `load(block)` takes the block into the
+    object or raises ValueError for a value the object cannot take."""
+    blocks = []
+
+    def fill(name: str, array: np.ndarray) -> None:
+        blocks.append((name, array, functools.partial(np.copyto, array)))
+
+    def count(name: str, value: int, store: Callable[[int], None]) -> None:
+        blocks.append((name, np.array([[float(value)]]), lambda block: store(_count(block))))
+
+    if "gen" in run:
+        for name, p in run["gen"].items():
+            fill(name, p.value)
+        dims = np.array([dataclasses.astuple(run["dims"])], dtype=np.float64)
+        blocks.append(("meta.dims", dims, functools.partial(_same, dims)))
+    for section, prefix in (("rollout", "rollout."), ("disc", "")):
+        for name, p in run.get(section, ParamStore()).items():
+            fill(prefix + name, p.value)
+    if "embed" in run:
+        fill("embed.table", run["embed"])
+    for prefix, opt in (("gopt.", run.get("gopt")), ("dopt.", run.get("dopt"))):
         if opt is not None:
-            tensors.update((prefix + k, v) for k, v in opt.state_tensors().items())
-    for name, count in counters.items():
-        tensors[f"meta.{name}"] = np.array([[float(count)]])
-    save_tensors(path, tensors, digest)
+            for moment, arrays in (("m.", opt.m), ("v.", opt.v)):
+                for name, array in arrays.items():
+                    fill(prefix + moment + name, array)
+            count(prefix + "t", opt.t, functools.partial(setattr, opt, "t"))
+    for key, value in counters.items():
+        count(f"meta.{key}", value, functools.partial(counters.__setitem__, key))
+    return blocks
 
 
-class RunState:
-    """The sections of one checkpoint file, read once by load_run_state."""
-
-    def __init__(self, path: str, blocks: dict[str, np.ndarray]):
-        self.path = path
-        self.blocks = blocks
-
-    def tensor(self, key: str) -> np.ndarray:
-        if key not in self.blocks:
-            raise CheckpointError(f"{self.path}: missing tensor {key!r}")
-        return self.blocks[key]
-
-    def fill(self, params: ParamStore, prefix: str = "") -> ParamStore:
-        for name, p in params.items():
-            block = self.tensor(prefix + name)
-            if block.shape != p.value.shape:
-                raise CheckpointError(f"{self.path}: tensor {prefix + name!r} has shape "
-                                      f"{block.shape}, expected {p.value.shape}")
-            p.value[...] = block
-        return params
-
-    def generator(self) -> tuple[ParamStore, GeneratorDims]:
-        dims = GeneratorDims(*(int(x) for x in self.tensor("meta.dims")[0]))
-        return self.fill(init_generator_params(dims, RngStream(0, "ckpt-shape"))), dims
-
-    def discriminator(self, dcfg: DiscriminatorConfig) -> Discriminator:
-        disc = init_discriminator(dcfg, self.tensor("embed.table"),
-                                  RngStream(0, "ckpt-shape"))
-        self.fill(disc.params)
-        return disc
-
-    def adam(self, prefix: str, params: ParamStore, lr: float) -> AdamState:
-        opt = AdamState(params, lr=lr)
-        opt.load_state_tensors({k: self.tensor(prefix + k) for k in opt.state_tensors()})
-        return opt
-
-    def counter(self, name: str) -> int:
-        return int(self.tensor(f"meta.{name}")[0, 0])
+def save_run_state(path: str, digest: bytes, run: dict, **counter: int) -> None:
+    """Write the sections in `run`, and the epoch or iteration if given."""
+    save_tensors(path, {name: array for name, array, _ in _run_blocks(run, counter)}, digest)
 
 
-def load_run_state(path: str, digest: bytes) -> RunState:
-    """Read a checkpoint, refusing on a config-digest mismatch.
-
-    A bad digest is a usage problem (checkpoint from a different
-    configuration), not file corruption, so it raises CliError (exit 2)
-    rather than CheckpointError (exit 4).
-    """
-    blocks, stored = load_tensors(path)
+def restore_run_state(path: str, digest: bytes, run: dict, counter: str | None = None
+                      ) -> int | None:
+    """Fill the objects in `run` in place and return the stored `counter`,
+    if one is named. The config sized every object, so a missing block, a
+    block of another shape, dims other than the config's or a count that
+    is not a whole number >= 0 is a corrupt artifact (CheckpointError,
+    exit 4); a digest mismatch is a checkpoint of another configuration, a
+    usage problem (CliError, exit 2)."""
+    tensors, stored = load_tensors(path)
     if stored != digest:
         raise CliError(f"{path} was written under a different configuration "
                        f"(digest mismatch); refusing to load")
-    return RunState(path, blocks)
+    counters = {} if counter is None else {counter: 0}
+    for name, array, load in _run_blocks(run, counters):
+        block = tensors.get(name)
+        if block is None:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if block.shape != array.shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {block.shape}, "
+                                  f"expected {array.shape}")
+        try:
+            load(block)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: tensor {name!r} {e}") from None
+    return counters.get(counter)
 
 
-def load_or_make_embeddings(paths: RunPaths, cfg: RunConfig, vocab: Vocab,
-                            train: SequenceData, digest: bytes,
-                            root: RngStream) -> np.ndarray:
+def fill_embeddings(paths: RunPaths, cfg: RunConfig, vocab: Vocab, train: SequenceData,
+                    digest: bytes, root: RngStream, table: np.ndarray) -> None:
+    """Fill the discriminator's frozen table from embeddings.ckpt, or
+    pretrain it and write that file."""
     if os.path.exists(paths.embeddings):
-        return load_run_state(paths.embeddings, digest).tensor("embed.table")
-    table = pretrain_embeddings(train, len(vocab), cfg["disc.d_embed"],
-                                root.child("embed"),
-                                window=cfg["embed.window"],
-                                negatives=cfg["embed.negatives"],
-                                epochs=cfg["embed.epochs"], lr=cfg["embed.lr"])
-    save_tensors(paths.embeddings, {"embed.table": table}, digest)
-    return table
+        restore_run_state(paths.embeddings, digest, {"embed": table})
+        return
+    table[...] = pretrain_embeddings(train, len(vocab), cfg["disc.d_embed"],
+                                     root.child("embed"),
+                                     window=cfg["embed.window"],
+                                     negatives=cfg["embed.negatives"],
+                                     epochs=cfg["embed.epochs"], lr=cfg["embed.lr"])
+    save_run_state(paths.embeddings, digest, {"embed": table})
 
 
 # ---------------------------------------------------------------------------
@@ -319,26 +334,27 @@ def cmd_corpus_gen(args) -> int:
     return EXIT_OK
 
 
-def _read_csv_rows(path: str, columns: tuple[str, ...], upto: int) -> list[dict]:
-    """Rows of a metrics CSV whose integer key (first) column is <= upto,
-    every other cell parsed as a float.
+def _read_csv_rows(path: str, columns: tuple[str, ...], n: int) -> list[dict]:
+    """The first `n` rows of a training log, every cell but the key (first)
+    column parsed as a float.
 
-    A log this program wrote always has every column, integer keys and
-    numeric cells, so anything else is a corrupt artifact.
+    A log this program wrote always exists, has every column and numeric
+    cells, and its rows up to a checkpoint's counter hold keys 0..n-1 once
+    each and in order, so anything else is a corrupt artifact.
     """
-    if not os.path.exists(path):
-        return []
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")
-            for line in fh:
+            for _, line in zip(range(n), fh):
                 row = dict(zip(header, line.rstrip("\n").split(",")))
-                if int(row[columns[0]]) <= upto:
-                    rows.append({c: row[c] if c == columns[0] else float(row[c])
-                                 for c in columns})
-    except (KeyError, ValueError) as e:  # UnicodeDecodeError is a ValueError
-        raise CheckpointError(f"{path}: corrupt log ({type(e).__name__}: {e})") from None
+                rows.append({c: row[c] if c == columns[0] else float(row[c])
+                             for c in columns})
+    except (OSError, KeyError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"{path}: unusable log ({type(e).__name__}: {e})") from None
+    if [row[columns[0]] for row in rows] != [str(i) for i in range(n)]:
+        raise CheckpointError(f"{path}: its first rows are not {columns[0]} 0..{n - 1} "
+                              f"once each and in order, as the checkpoint needs")
     return rows
 
 
@@ -346,12 +362,12 @@ def _read_csv_rows(path: str, columns: tuple[str, ...], upto: int) -> list[dict]
 def _epoch_driver(log_path: str, columns: tuple[str, ...], setting: str, total: int,
                   start: int, save):
     """The one training driver and the only writer of training logs. Refuses
-    an empty range, rewrites the log's rows before `start` via a temporary
+    an empty range, rewrites the log's first `start` rows via a temporary
     file and yields them with the `on_epoch(row)` hook: append and flush the
     row, then `save(row)`, so the log never trails the checkpoint."""
     if start >= total:
         raise CliError(f"nothing to do: {setting} = {total} ends before {columns[0]} {start}")
-    kept = _read_csv_rows(log_path, columns, start - 1) if start else []
+    kept = _read_csv_rows(log_path, columns, start) if start else []
     def line(row: dict) -> str:  # repr(float(cell)) is the cell as written
         return ",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
                         for c in columns) + "\n"
@@ -370,23 +386,19 @@ def cmd_pretrain_g(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
     grammar, vocab, splits, digest = load_run_data(paths, cfg)
-    dims = cfg.generator_dims(len(vocab), len(grammar.labels))
     root = RngStream(cfg["run.seed"])
     epochs = cfg["pretrain.g_epochs"]
     with RunLock(paths):
+        params, dims = new_generator(cfg, vocab, grammar)
+        opt = AdamState(params, lr=cfg["pretrain.g_lr"])
+        run = {"gen": params, "dims": dims, "gopt": opt}
         start = 0
         if args.resume:
-            state = load_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"),
-                                   digest)
-            params, dims = state.generator()
-            opt = state.adam("gopt.", params, cfg["pretrain.g_lr"])
-            start = state.counter("epoch") + 1
-        else:
-            params = init_generator_params(dims, root.child("gen_init"))
-            opt = AdamState(params, lr=cfg["pretrain.g_lr"])
+            start = restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"),
+                                      digest, run, counter="epoch") + 1
         with _epoch_driver(paths.gen_pretrain_log, GPRE_COLUMNS, "pretrain.g_epochs",
                            epochs, start, lambda row: save_run_state(
-                               paths.gen_pretrain, digest, gen=(params, dims), gopt=opt,
+                               paths.gen_pretrain, digest, run,
                                epoch=row["epoch"])) as (prior, on_epoch):
             history = pretrain_generator(params, dims, splits.train, splits.valid,
                                          root.child("gpre"), epochs=epochs,
@@ -409,27 +421,28 @@ def cmd_pretrain_d(args) -> int:
     cfg = resolve_config(args, paths)
     grammar, vocab, splits, digest = load_run_data(paths, cfg)
     kind = args.kind or cfg["disc.kind"]
-    gen_params, dims = load_run_state(
-        _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
+    gen_params, dims = new_generator(cfg, vocab, grammar)
+    restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"), digest,
+                      {"gen": gen_params, "dims": dims})
     root = RngStream(cfg["run.seed"])
     epochs = cfg[f"pretrain.d_epochs_{kind}"]
     with RunLock(paths):
         dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
+        disc = init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
+                                  root.child("dinit", kind))
+        opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
+        run = {"disc": disc.params, "embed": disc.embed, "dopt": opt}
         start = 0
         if args.resume:
-            state = load_run_state(
-                _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}"), digest)
-            disc = state.discriminator(dcfg)
-            opt = state.adam("dopt.", disc.params, cfg["pretrain.d_lr"])
-            start = state.counter("epoch") + 1
+            start = restore_run_state(_require(paths.disc(kind),
+                                               f"advseq pretrain-d --kind {kind}"),
+                                      digest, run, counter="epoch") + 1
         with _epoch_driver(paths.disc_log(kind), DPRE_COLUMNS, f"pretrain.d_epochs_{kind}",
                            epochs, start, lambda row: save_run_state(
-                               paths.disc(kind), digest, disc=disc, dopt=opt,
+                               paths.disc(kind), digest, run,
                                epoch=row["epoch"])) as (_, on_epoch):
-            if not args.resume:  # built only once the driver accepts the epoch range
-                embed = load_or_make_embeddings(paths, cfg, vocab, splits.train, digest, root)
-                disc = init_discriminator(dcfg, embed, root.child("dinit", kind))
-                opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
+            if not args.resume:  # filled only once the driver accepts the epoch range
+                fill_embeddings(paths, cfg, vocab, splits.train, digest, root, disc.embed)
             history = pretrain_discriminator(disc, gen_params, dims, splits.train,
                                              root.child("dpre", kind), epochs=epochs,
                                              batch_size=cfg["pretrain.batch_size"],
@@ -449,31 +462,29 @@ def cmd_advtrain(args) -> int:
     root = RngStream(cfg["run.seed"])
     dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
     with RunLock(paths):
-        if args.resume:
-            # advtrain.ckpt holds every section, so nothing else is read
-            state = load_run_state(_require(paths.advtrain, "advseq advtrain"), digest)
-            gen_params, dims = state.generator()
-            rollout_params = state.fill(gen_params.copy(), prefix="rollout.")
-            disc = state.discriminator(dcfg)
-            g_opt = state.adam("gopt.", gen_params, sched.g_lr)
-            d_opt = state.adam("dopt.", disc.params, sched.d_lr)
-            start = state.counter("iteration") + 1
-        else:
+        gen_params, dims = new_generator(cfg, vocab, grammar)
+        disc = init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
+                                  root.child("dinit", kind))
+        if not args.resume:
             disc_ckpt = _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}")
-            disc = load_run_state(disc_ckpt, digest).discriminator(dcfg)
+            restore_run_state(disc_ckpt, digest, {"disc": disc.params, "embed": disc.embed})
             if os.path.exists(paths.advtrain):
                 raise CliError(f"{paths.advtrain} exists; pass --resume to continue "
                                f"or remove it to start over")
-            gen_params, dims = load_run_state(
-                _require(paths.gen_pretrain, "advseq pretrain-g"), digest).generator()
-            rollout_params = gen_params.copy()  # beta starts at theta
-            g_opt = AdamState(gen_params, lr=sched.g_lr)
-            d_opt = AdamState(disc.params, lr=sched.d_lr)
-            start = 0
+            restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"), digest,
+                              {"gen": gen_params, "dims": dims})
+        rollout_params = gen_params.copy()  # beta starts at theta
+        g_opt = AdamState(gen_params, lr=sched.g_lr)
+        d_opt = AdamState(disc.params, lr=sched.d_lr)
+        run = {"gen": gen_params, "dims": dims, "rollout": rollout_params,
+               "disc": disc.params, "embed": disc.embed, "gopt": g_opt, "dopt": d_opt}
+        start = 0
+        if args.resume:  # advtrain.ckpt holds every section, so nothing else is read
+            start = restore_run_state(_require(paths.advtrain, "advseq advtrain"), digest,
+                                      run, counter="iteration") + 1
         with _epoch_driver(paths.adv_metrics, ADV_COLUMNS, "adv.iterations",
                            sched.iterations, start, lambda row: save_run_state(
-                               paths.advtrain, digest, gen=(gen_params, dims),
-                               rollout=rollout_params, disc=disc, gopt=g_opt, dopt=d_opt,
+                               paths.advtrain, digest, run,
                                iteration=row["iteration"])) as (_, on_epoch):
             history = adversarial_train(gen_params, dims, disc, splits.train,
                                         splits.test, sched, root.child("adv"),
@@ -481,29 +492,30 @@ def cmd_advtrain(args) -> int:
                                         g_opt=g_opt, d_opt=d_opt,
                                         start_iteration=start,
                                         threads=cfg["run.threads"], on_epoch=on_epoch)
-        save_run_state(paths.gen_adv, digest, gen=(gen_params, dims))
+        save_run_state(paths.gen_adv, digest, {"gen": gen_params, "dims": dims})
     print(f"adversarial training done at iteration {sched.iterations - 1}; "
           f"test NLL {history[-1]['nll_test']:.4f}")
     return EXIT_OK
 
 
-def _pick_generator(paths: RunPaths, args, digest: bytes
-                    ) -> tuple[ParamStore, GeneratorDims, str]:
+def _pick_generator(paths: RunPaths, args, cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec,
+                    digest: bytes) -> tuple[ParamStore, GeneratorDims, str]:
     if args.ckpt:
         path = _require(args.ckpt, "advseq pretrain-g")
     elif os.path.exists(paths.gen_adv):
         path = paths.gen_adv
     else:
         path = _require(paths.gen_pretrain, "advseq pretrain-g")
-    params, dims = load_run_state(path, digest).generator()
+    params, dims = new_generator(cfg, vocab, grammar)
+    restore_run_state(path, digest, {"gen": params, "dims": dims})
     return params, dims, path
 
 
 def cmd_sample(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
-    _, vocab, _, digest = load_run_data(paths, cfg)
-    params, dims, path = _pick_generator(paths, args, digest)
+    grammar, vocab, _, digest = load_run_data(paths, cfg)
+    params, dims, path = _pick_generator(paths, args, cfg, vocab, grammar, digest)
     n_labels = dims.n_labels
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
@@ -537,7 +549,7 @@ def cmd_eval(args) -> int:
     paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
     grammar, vocab, splits, digest = load_run_data(paths, cfg)
-    params, dims, ckpt_path = _pick_generator(paths, args, digest)
+    params, dims, ckpt_path = _pick_generator(paths, args, cfg, vocab, grammar, digest)
     root = RngStream(cfg["run.seed"]).child("eval")
     dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind="cnn")
     tiers = ("micro", "macro", "application") if args.tier == "all" else (args.tier,)

@@ -187,22 +187,6 @@ class AdamState:
         self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
 
-    def state_tensors(self) -> dict[str, Tensor]:
-        """Flatten moments and step counter into named 2-D tensors."""
-        out: dict[str, Tensor] = {}
-        for name, arr in self.m.items():
-            out[f"m.{name}"] = arr
-        for name, arr in self.v.items():
-            out[f"v.{name}"] = arr
-        out["t"] = np.array([[float(self.t)]])
-        return out
-
-    def load_state_tensors(self, blocks: dict[str, Tensor]) -> None:
-        for name in self.m:
-            self.m[name][...] = blocks[f"m.{name}"]
-            self.v[name][...] = blocks[f"v.{name}"]
-        self.t = int(round(float(blocks["t"][0, 0])))
-
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
     """One bias-corrected adaptive-moment update; gradients are zeroed after.

@@ -568,8 +568,9 @@ def test_resume_continues_the_exact_trajectory():
             snap["gen"] = gen.copy()
             snap["disc"] = disc.params.copy()
             snap["roll"] = rollout_params.copy()
-            snap["g_opt"] = {k: v.copy() for k, v in g_opt.state_tensors().items()}
-            snap["d_opt"] = {k: v.copy() for k, v in d_opt.state_tensors().items()}
+            for key, opt in (("g_opt", g_opt), ("d_opt", d_opt)):
+                snap[key] = ({n: a.copy() for n, a in opt.m.items()},
+                             {n: a.copy() for n, a in opt.v.items()}, opt.t)
 
     full_hist = adversarial_train(gen, DIMS, disc, data, data, sched,
                                   RngStream(179), rollout_params=rollout_params,
@@ -581,9 +582,9 @@ def test_resume_continues_the_exact_trajectory():
     for name, p in disc2.params.items():
         p.value[...] = snap["disc"].value(name)
     g_opt2 = AdamState(gen2, lr=sched.g_lr)
-    g_opt2.load_state_tensors(snap["g_opt"])
+    g_opt2.m, g_opt2.v, g_opt2.t = snap["g_opt"]
     d_opt2 = AdamState(disc2.params, lr=sched.d_lr)
-    d_opt2.load_state_tensors(snap["d_opt"])
+    d_opt2.m, d_opt2.v, d_opt2.t = snap["d_opt"]
     tail_hist = adversarial_train(gen2, DIMS, disc2, data, data, sched,
                                   RngStream(179), rollout_params=snap["roll"],
                                   g_opt=g_opt2, d_opt=d_opt2,

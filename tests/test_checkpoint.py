@@ -8,7 +8,7 @@ import pytest
 
 from advseq.checkpoint import (DIGEST_LEN, MAGIC, VERSION, CheckpointError,
                                load_tensors, save_tensors)
-from advseq.cli import CliError, load_run_state
+from advseq.cli import CliError, restore_run_state, save_run_state
 
 DIGEST = bytes(range(DIGEST_LEN))
 
@@ -111,12 +111,16 @@ def test_unsupported_version(tmp_path):
         load_tensors(path)
 
 
-def test_digest_mismatch_refused(sample):
-    path, _ = sample
-    other = bytes(DIGEST_LEN)
+def test_digest_mismatch_refused(tmp_path):
+    path = str(tmp_path / "embeddings.ckpt")
+    stored = np.arange(6.0).reshape(2, 3)
+    save_run_state(path, DIGEST, {"embed": stored})
+    table = np.zeros((2, 3))
     with pytest.raises(CliError, match="different configuration"):
-        load_run_state(str(path), other)
-    assert "w" in load_run_state(str(path), DIGEST).blocks
+        restore_run_state(path, bytes(DIGEST_LEN), {"embed": table})
+    assert not table.any()
+    restore_run_state(path, DIGEST, {"embed": table})
+    assert np.array_equal(table, stored)
 
 
 def test_truncated_body_passes_crc_still_caught(sample):

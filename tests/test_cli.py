@@ -561,6 +561,32 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+@pytest.mark.parametrize("damage", ["drop", "repeat", "remove"])
+@pytest.mark.parametrize("command", list(INTERRUPTIBLE))
+def test_resume_refuses_a_log_without_each_row_once_in_order(pretrained, tmp_path, capsys,
+                                                             command, damage):
+    # the rows before the checkpoint's counter are the history a resume
+    # replays and keeps, so a hole or a repeat in them is a corrupt log
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    more, _, log, _ = INTERRUPTIBLE[command]
+    if command == "advtrain":
+        assert run("advtrain", "--run-dir", d, "--set", "adv.iterations=2") == 0
+    path = os.path.join(d, log)
+    lines = read(path).splitlines(keepends=True)
+    if damage == "remove":
+        os.remove(path)
+    else:
+        lines[1:2] = [] if damage == "drop" else lines[1:2] * 2
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    capsys.readouterr()
+    assert run(command, "--run-dir", d, "--resume", *more) == 4
+    assert log in capsys.readouterr().err
+    if damage != "remove":
+        assert read(path) == "".join(lines)  # the damaged log is left as found
+
+
 @pytest.mark.parametrize("command", list(INTERRUPTIBLE))
 def test_sigkill_then_resume_matches_straight_run(pretrained, tmp_path, command):
     d = str(tmp_path / "run")

@@ -3,19 +3,24 @@
 One small run directory is built per module and copied for each example.
 Each artifact kind is truncated, has one bit flipped or has one byte
 overwritten, and the command that reads it runs through `cli.main`: only
-exits 0, 2 (usage), 3 (numeric) and 4 (corrupt artifact) may occur.
+exits 0, 2 (usage), 3 (numeric) and 4 (corrupt artifact) may occur. A
+checkpoint also gets one block rewritten under its own digest, so its
+checksum stays valid and only the reader's checks of stored values apply.
 """
 
 import contextlib
 import io
+import math
 import os
 import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
 
 from test_cli import FAST, SEED
@@ -65,16 +70,59 @@ def damage(path: str, data) -> None:
         fh.write(blob)
 
 
-@pytest.mark.parametrize("artifact", list(READERS))
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_damaged_artifact_ends_in_a_documented_exit(run_dir, artifact, data):
+def run_damaged(run_dir: str, artifact: str, damage_fn) -> tuple[int, str]:
+    """Exit code and stderr of the command that reads `artifact`, run on a
+    copy of `run_dir` in which `damage_fn(path)` has damaged it."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         d = os.path.join(tmp, "run")
         shutil.copytree(run_dir, d)
-        damage(os.path.join(d, artifact), data)
+        damage_fn(os.path.join(d, artifact))
         argv = READERS[artifact]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([argv[0], "--run-dir", d, *argv[1:]])  # anything raised fails
-    assert code in DOCUMENTED_EXITS, (code, err.getvalue())
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("artifact", list(READERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_artifact_ends_in_a_documented_exit(run_dir, artifact, data):
+    code, err = run_damaged(run_dir, artifact, lambda path: damage(path, data))
+    assert code in DOCUMENTED_EXITS, (code, err)
+
+
+# checkpoint -> its blocks that hold counts, dims or the frozen table
+STORED_VALUES = {
+    "embeddings.ckpt": ("embed.table",),
+    "gen_pretrain.ckpt": ("meta.epoch", "meta.dims", "gopt.t"),
+    "disc_fasttext.ckpt": ("embed.table", "dopt.t", "meta.epoch"),
+    "advtrain.ckpt": ("meta.dims", "embed.table", "gopt.t", "dopt.t", "meta.iteration"),
+    "gen_adv.ckpt": ("meta.dims",),
+}
+# no mid-sized dims: a reader that sized arrays from them would allocate
+# gigabytes before it failed
+BAD_VALUES = (math.nan, math.inf, -1.0, 0.5, 1e12, "wrong shape")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.sampled_from([(artifact, block, value)
+                             for artifact, blocks in STORED_VALUES.items()
+                             for block in blocks for value in BAD_VALUES]))
+def test_bad_block_under_a_valid_checksum_ends_in_a_documented_exit(run_dir, case):
+    # the file's own digest is kept, so only the reader's checks of each
+    # stored value stand between it and a traceback
+    artifact, name, value = case
+
+    def rewrite(path: str) -> None:
+        blocks, digest = load_tensors(path)
+        block = blocks[name]
+        blocks[name] = (np.append(block, block[:, :1], axis=1) if value == "wrong shape"
+                        else np.full_like(block, value))
+        save_tensors(path, blocks, digest)
+
+    code, err = run_damaged(run_dir, artifact, rewrite)
+    # a count of 1e12 is whole and >= 0, and the table may hold any value
+    refused = value == "wrong shape" or name == "meta.dims" or (
+        name != "embed.table" and value != 1e12)
+    assert code == 4 if refused else code in DOCUMENTED_EXITS, (code, err)

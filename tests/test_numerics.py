@@ -150,7 +150,8 @@ def test_adam_state_roundtrip_resumes_exactly():
         for step in range(6):
             if step == 3 and steps_then_restore:
                 saved = ({n: p.value.copy() for n, p in ps.items()},
-                         {k: v.copy() for k, v in opt.state_tensors().items()})
+                         ({n: a.copy() for n, a in opt.m.items()},
+                          {n: a.copy() for n, a in opt.v.items()}, opt.t))
             for n, p in ps.items():
                 p.grad[...] = stream.child("g", step, n).normal(p.value.shape)
             adam_step(ps, opt)
@@ -161,7 +162,7 @@ def test_adam_state_roundtrip_resumes_exactly():
     for n, p in ps2.items():
         p.value[...] = saved[0][n]
     opt2 = AdamState(ps2, lr=1e-2)
-    opt2.load_state_tensors(saved[1])
+    opt2.m, opt2.v, opt2.t = saved[1]
     stream = RngStream(9)
     for step in range(3, 6):
         for n, p in ps2.items():
