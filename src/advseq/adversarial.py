@@ -14,14 +14,15 @@ discriminator is. Either way a per-position batch-mean baseline can be
 subtracted to cut gradient variance.
 
 Pretraining loops for both players live here too, so every training
-entry point shares one file.
+entry point shares one file. Each of the three loops is a generator that
+trains one epoch or iteration per step and yields its row of metrics; the
+caller owns the clock, the log and the checkpoint.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -184,12 +185,11 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
                        train: SequenceData, valid: SequenceData, rng: RngStream,
                        epochs: int, opt: AdamState, batch_size: int,
                        patience: int, start_epoch: int,
-                       prior_valid: tuple, *,
-                       on_epoch: Callable[[dict], None]) -> list[dict]:
+                       prior_valid: tuple) -> Iterator[dict]:
     """Teacher-forced maximum likelihood with early stopping on validation
-    NLL. Training always keeps the latest weights; stopping just ends the
-    loop once `patience` epochs pass without improvement. `on_epoch(row)`
-    runs after every epoch.
+    NLL, yielding one row per epoch. Training always keeps the latest
+    weights; stopping just ends the loop once `patience` epochs pass
+    without improvement.
 
     Resuming: pass `start_epoch` plus the previous epochs' validation NLLs
     so the early-stopping state replays to where the interrupted run left
@@ -198,9 +198,7 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
     so the continued trajectory matches an uninterrupted run.
     """
     ws = Workspace()   # every step's teacher-forced pass, reused across batches
-    history: list[dict] = []
     valid_nlls = list(prior_valid)
-    t0 = time.perf_counter()
     for epoch in range(start_epoch, epochs):
         if _epochs_since_best(valid_nlls) >= max(patience, 1):  # a patience below 1 acts as 1
             break
@@ -211,13 +209,9 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
             losses.append(mle_step(params, dims, opt, train.tokens[idx],
                                    train.labels[idx], clip=PRETRAIN_CLIP, ws=ws))
         valid_nll = mean_nll(params, dims, valid, ws=ws)
-        row = {"epoch": epoch, "train_nll": float(np.mean(losses)),
-               "valid_nll": valid_nll,
-               "wall_seconds": time.perf_counter() - t0}
-        history.append(row)
         valid_nlls.append(valid_nll)
-        on_epoch(row)
-    return history
+        yield {"epoch": epoch, "train_nll": float(np.mean(losses)),
+               "valid_nll": valid_nll}
 
 
 def discriminator_step(disc: Discriminator, opt: AdamState, gen_params: ParamStore,
@@ -237,12 +231,9 @@ def discriminator_step(disc: Discriminator, opt: AdamState, gen_params: ParamSto
 def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                            dims: GeneratorDims, train: SequenceData,
                            rng: RngStream, epochs: int, opt: AdamState,
-                           batch_size: int, start_epoch: int, *,
-                           on_epoch: Callable[[dict], None]) -> list[dict]:
-    """Real-vs-generated pretraining, one discriminator_step per batch;
-    `on_epoch(row)` runs after every epoch."""
-    history: list[dict] = []
-    t0 = time.perf_counter()
+                           batch_size: int, start_epoch: int) -> Iterator[dict]:
+    """Real-vs-generated pretraining, one discriminator_step per batch,
+    yielding one row per epoch."""
     for epoch in range(start_epoch, epochs):
         order = rng.child("order", epoch).permutation(len(train))
         losses, accs = [], []
@@ -252,12 +243,8 @@ def pretrain_discriminator(disc: Discriminator, gen_params: ParamStore,
                                            rng.child("drop", epoch, b), PRETRAIN_CLIP)
             losses.append(loss)
             accs.append(acc)
-        row = {"epoch": epoch, "d_loss": float(np.mean(losses)),
-               "d_acc": float(np.mean(accs)),
-               "wall_seconds": time.perf_counter() - t0}
-        history.append(row)
-        on_epoch(row)
-    return history
+        yield {"epoch": epoch, "d_loss": float(np.mean(losses)),
+               "d_acc": float(np.mean(accs))}
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +256,9 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                       disc: Discriminator, train: SequenceData,
                       monitor: SequenceData, sched: TrainSchedule, rng: RngStream,
                       rollout_params: ParamStore, g_opt: AdamState, d_opt: AdamState,
-                      start_iteration: int, threads: int, *,
-                      on_epoch: Callable[[dict], None]) -> list[dict]:
+                      start_iteration: int, threads: int) -> Iterator[dict]:
     """Alternate policy-gradient generator steps with discriminator steps,
-    updating every given state in place; `on_epoch(row)` runs after every
+    updating every given state in place and yielding one row per
     iteration. A fresh run starts the rollout network as a copy of the
     generator.
 
@@ -280,10 +266,7 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
     streams, so resuming at `start_iteration` with restored parameters and
     optimizer states continues the original trajectory exactly.
     """
-    sched.validate()
     score_fn = discriminator_score_fn(disc, threads=threads)
-    history: list[dict] = []
-    t0 = time.perf_counter()
     for i in range(start_iteration, sched.iterations):
         g_objs, reward_means = [], []
         for g in range(sched.g_steps):
@@ -314,13 +297,9 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
             d_losses.append(loss)
             d_accs.append(acc)
         soft_update(rollout_params, gen_params, sched.alpha)
-        row = {"iteration": i,
+        yield {"iteration": i,
                "g_objective": float(np.mean(g_objs)),
                "mean_reward": float(np.mean(reward_means)),
                "d_loss": float(np.mean(d_losses)),
                "d_acc": float(np.mean(d_accs)),
-               "nll_test": mean_nll(gen_params, dims, monitor),
-               "wall_seconds": time.perf_counter() - t0}
-        history.append(row)
-        on_epoch(row)
-    return history
+               "nll_test": mean_nll(gen_params, dims, monitor)}

@@ -13,12 +13,15 @@ The run directory comes from --run-dir, else the ADVSEQ_RUN_DIR
 environment variable, else ./run. corpus-gen pins the resolved
 configuration into <run>/config.txt; later commands read it back, so a run
 stays self-describing. Mutating commands hold a .lock file while working.
-Training commands checkpoint every epoch; --resume continues or extends them.
+Each training loop yields one row per epoch or iteration to one driver,
+which stamps its wall time, appends it to the log and checkpoints the run;
+--resume continues or extends a run from its checkpoint.
 Models are sized from the config alone; a checkpoint only fills them.
 
 Exit codes: 0 success, 2 usage or configuration problems, 3 numeric
 failures during training, 4 corrupt or mismatched artifacts (a bad stored
-count, dims or block shape, a log missing rows), 130 interrupted (Ctrl-C).
+count, Adam moment, dims or block shape, a log missing rows), 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import dataclasses
 import functools
 import os
 import sys
-from typing import Callable
+import time
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -213,6 +217,12 @@ def _same(expected: np.ndarray, block: np.ndarray) -> None:
         raise ValueError(f"holds {block.tolist()}, but the config gives {expected.tolist()}")
 
 
+def _moment(array: np.ndarray, second: bool, block: np.ndarray) -> None:
+    if not np.isfinite(block).all() or second and (block < 0).any():
+        raise ValueError("holds a non-finite Adam moment or a negative second moment")
+    np.copyto(array, block)
+
+
 def _run_blocks(run: dict, counters: dict[str, int]
                 ) -> list[tuple[str, np.ndarray, Callable[[np.ndarray], None]]]:
     """Every block of a run checkpoint, in the one order all files keep:
@@ -246,7 +256,8 @@ def _run_blocks(run: dict, counters: dict[str, int]
         if opt is not None:
             for moment, arrays in (("m.", opt.m), ("v.", opt.v)):
                 for name, array in arrays.items():
-                    fill(prefix + moment + name, array)
+                    blocks.append((prefix + moment + name, array,
+                                   functools.partial(_moment, array, moment == "v.")))
             count(prefix + "t", opt.t, functools.partial(setattr, opt, "t"))
     for key, value in counters.items():
         count(f"meta.{key}", value, functools.partial(counters.__setitem__, key))
@@ -262,10 +273,10 @@ def restore_run_state(path: str, digest: bytes, run: dict, counter: str | None =
                       ) -> int | None:
     """Fill the objects in `run` in place and return the stored `counter`,
     if one is named. The config sized every object, so a missing block, a
-    block of another shape, dims other than the config's or a count that
-    is not a whole number >= 0 is a corrupt artifact (CheckpointError,
-    exit 4); a digest mismatch is a checkpoint of another configuration, a
-    usage problem (CliError, exit 2)."""
+    block of another shape, dims other than the config's, a count that is
+    not a whole number >= 0 or an Adam moment it cannot take is a corrupt
+    artifact (CheckpointError, exit 4); a digest mismatch is a checkpoint
+    of another configuration, a usage problem (CliError, exit 2)."""
     tensors, stored = load_tensors(path)
     if stored != digest:
         raise CliError(f"{path} was written under a different configuration "
@@ -358,15 +369,24 @@ def _read_csv_rows(path: str, columns: tuple[str, ...], n: int) -> list[dict]:
     return rows
 
 
-@contextlib.contextmanager
-def _epoch_driver(log_path: str, columns: tuple[str, ...], setting: str, total: int,
-                  start: int, save):
-    """The one training driver and the only writer of training logs. Refuses
-    an empty range, rewrites the log's first `start` rows via a temporary
-    file and yields them with the `on_epoch(row)` hook: append and flush the
-    row, then `save(row)`, so the log never trails the checkpoint."""
+def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: str,
+           hint: str, log_path: str, columns: tuple[str, ...],
+           loop: Callable[[int, list[dict]], Iterator[dict]]) -> tuple[int, dict | None]:
+    """The one training driver, and the only writer of training logs and of
+    per-row run checkpoints. On --resume it fills `run` from `ckpt` (`hint`
+    names the command that writes it) and starts after the stored counter,
+    the log's first column.
+    It refuses an empty range up to `cfg[setting]`, rewrites the log's kept
+    rows through a temporary file, then runs `loop(start, kept)`: each row
+    gets `wall_seconds` since the loop was built, is appended and flushed,
+    and only then is `run` saved, so the log never trails the checkpoint.
+    Returns `start` and the last row, None if the loop yielded none."""
+    key, total = columns[0], cfg[setting]
+    start = 0
+    if args.resume:
+        start = restore_run_state(_require(ckpt, hint), digest, run, counter=key) + 1
     if start >= total:
-        raise CliError(f"nothing to do: {setting} = {total} ends before {columns[0]} {start}")
+        raise CliError(f"nothing to do: {setting} = {total} ends before {key} {start}")
     kept = _read_csv_rows(log_path, columns, start) if start else []
     def line(row: dict) -> str:  # repr(float(cell)) is the cell as written
         return ",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
@@ -374,12 +394,16 @@ def _epoch_driver(log_path: str, columns: tuple[str, ...], setting: str, total: 
     with open(log_path + ".tmp", "w", encoding="utf-8") as fh:
         fh.writelines(line(row) for row in [dict(zip(columns, columns))] + kept)
     os.replace(log_path + ".tmp", log_path)
+    row = None
     with open(log_path, "a", encoding="utf-8") as fh:
-        def on_epoch(row: dict) -> None:
+        rows = loop(start, kept)
+        t0 = time.perf_counter()
+        for row in rows:
+            row["wall_seconds"] = time.perf_counter() - t0
             fh.write(line(row))
             fh.flush()
-            save(row)
-        yield kept, on_epoch
+            save_run_state(ckpt, digest, run, **{key: row[key]})
+    return start, row
 
 
 def cmd_pretrain_g(args) -> int:
@@ -387,27 +411,19 @@ def cmd_pretrain_g(args) -> int:
     cfg = resolve_config(args, paths)
     grammar, vocab, splits, digest = load_run_data(paths, cfg)
     root = RngStream(cfg["run.seed"])
-    epochs = cfg["pretrain.g_epochs"]
     with RunLock(paths):
         params, dims = new_generator(cfg, vocab, grammar)
         opt = AdamState(params, lr=cfg["pretrain.g_lr"])
         run = {"gen": params, "dims": dims, "gopt": opt}
-        start = 0
-        if args.resume:
-            start = restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"),
-                                      digest, run, counter="epoch") + 1
-        with _epoch_driver(paths.gen_pretrain_log, GPRE_COLUMNS, "pretrain.g_epochs",
-                           epochs, start, lambda row: save_run_state(
-                               paths.gen_pretrain, digest, run,
-                               epoch=row["epoch"])) as (prior, on_epoch):
-            history = pretrain_generator(params, dims, splits.train, splits.valid,
-                                         root.child("gpre"), epochs=epochs,
-                                         batch_size=cfg["pretrain.batch_size"],
-                                         patience=cfg["pretrain.patience"],
-                                         opt=opt, start_epoch=start, on_epoch=on_epoch,
-                                         prior_valid=tuple(r["valid_nll"] for r in prior))
-    if history:
-        last = history[-1]
+        start, last = _train(
+            args, cfg, "pretrain.g_epochs", digest, run, paths.gen_pretrain,
+            "advseq pretrain-g", paths.gen_pretrain_log, GPRE_COLUMNS,
+            lambda start, kept: pretrain_generator(
+                params, dims, splits.train, splits.valid, root.child("gpre"),
+                epochs=cfg["pretrain.g_epochs"], batch_size=cfg["pretrain.batch_size"],
+                patience=cfg["pretrain.patience"], opt=opt, start_epoch=start,
+                prior_valid=tuple(r["valid_nll"] for r in kept)))
+    if last:
         print(f"pretrained generator: epochs {start}..{last['epoch']}, "
               f"train NLL {last['train_nll']:.4f}, valid NLL {last['valid_nll']:.4f}")
         print(f"test NLL {mean_nll(params, dims, splits.test):.4f} nats")
@@ -425,29 +441,24 @@ def cmd_pretrain_d(args) -> int:
     restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"), digest,
                       {"gen": gen_params, "dims": dims})
     root = RngStream(cfg["run.seed"])
-    epochs = cfg[f"pretrain.d_epochs_{kind}"]
+    setting = f"pretrain.d_epochs_{kind}"
     with RunLock(paths):
         dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
         disc = init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
                                   root.child("dinit", kind))
         opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
-        run = {"disc": disc.params, "embed": disc.embed, "dopt": opt}
-        start = 0
-        if args.resume:
-            start = restore_run_state(_require(paths.disc(kind),
-                                               f"advseq pretrain-d --kind {kind}"),
-                                      digest, run, counter="epoch") + 1
-        with _epoch_driver(paths.disc_log(kind), DPRE_COLUMNS, f"pretrain.d_epochs_{kind}",
-                           epochs, start, lambda row: save_run_state(
-                               paths.disc(kind), digest, run,
-                               epoch=row["epoch"])) as (_, on_epoch):
+
+        def loop(start: int, kept: list[dict]) -> Iterator[dict]:
             if not args.resume:  # filled only once the driver accepts the epoch range
                 fill_embeddings(paths, cfg, vocab, splits.train, digest, root, disc.embed)
-            history = pretrain_discriminator(disc, gen_params, dims, splits.train,
-                                             root.child("dpre", kind), epochs=epochs,
-                                             batch_size=cfg["pretrain.batch_size"],
-                                             opt=opt, start_epoch=start, on_epoch=on_epoch)
-    last = history[-1]
+            return pretrain_discriminator(disc, gen_params, dims, splits.train,
+                                          root.child("dpre", kind), epochs=cfg[setting],
+                                          batch_size=cfg["pretrain.batch_size"],
+                                          opt=opt, start_epoch=start)
+        start, last = _train(args, cfg, setting, digest,
+                             {"disc": disc.params, "embed": disc.embed, "dopt": opt},
+                             paths.disc(kind), f"advseq pretrain-d --kind {kind}",
+                             paths.disc_log(kind), DPRE_COLUMNS, loop)
     print(f"pretrained {kind} discriminator: epochs {start}..{last['epoch']}, "
           f"loss {last['d_loss']:.4f}, accuracy {last['d_acc']:.4f}")
     return EXIT_OK
@@ -465,7 +476,7 @@ def cmd_advtrain(args) -> int:
         gen_params, dims = new_generator(cfg, vocab, grammar)
         disc = init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
                                   root.child("dinit", kind))
-        if not args.resume:
+        if not args.resume:  # on --resume, advtrain.ckpt holds every section
             disc_ckpt = _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}")
             restore_run_state(disc_ckpt, digest, {"disc": disc.params, "embed": disc.embed})
             if os.path.exists(paths.advtrain):
@@ -478,23 +489,15 @@ def cmd_advtrain(args) -> int:
         d_opt = AdamState(disc.params, lr=sched.d_lr)
         run = {"gen": gen_params, "dims": dims, "rollout": rollout_params,
                "disc": disc.params, "embed": disc.embed, "gopt": g_opt, "dopt": d_opt}
-        start = 0
-        if args.resume:  # advtrain.ckpt holds every section, so nothing else is read
-            start = restore_run_state(_require(paths.advtrain, "advseq advtrain"), digest,
-                                      run, counter="iteration") + 1
-        with _epoch_driver(paths.adv_metrics, ADV_COLUMNS, "adv.iterations",
-                           sched.iterations, start, lambda row: save_run_state(
-                               paths.advtrain, digest, run,
-                               iteration=row["iteration"])) as (_, on_epoch):
-            history = adversarial_train(gen_params, dims, disc, splits.train,
-                                        splits.test, sched, root.child("adv"),
-                                        rollout_params=rollout_params,
-                                        g_opt=g_opt, d_opt=d_opt,
-                                        start_iteration=start,
-                                        threads=cfg["run.threads"], on_epoch=on_epoch)
+        _, last = _train(args, cfg, "adv.iterations", digest, run, paths.advtrain,
+                         "advseq advtrain", paths.adv_metrics, ADV_COLUMNS,
+                         lambda start, kept: adversarial_train(
+                             gen_params, dims, disc, splits.train, splits.test, sched,
+                             root.child("adv"), rollout_params=rollout_params, g_opt=g_opt,
+                             d_opt=d_opt, start_iteration=start, threads=cfg["run.threads"]))
         save_run_state(paths.gen_adv, digest, {"gen": gen_params, "dims": dims})
     print(f"adversarial training done at iteration {sched.iterations - 1}; "
-          f"test NLL {history[-1]['nll_test']:.4f}")
+          f"test NLL {last['nll_test']:.4f}")
     return EXIT_OK
 
 

@@ -77,16 +77,13 @@ def mle_runs(overlap):
     for seed in (0, 1, 2):
         params = init_generator_params(dims, RngStream(seed, "init"))
         best = {"nll": math.inf, "params": params}
-
-        def snap(row, best=best, params=params):
+        for row in pretrain_generator(params, dims, splits.train, splits.valid,
+                                      RngStream(seed, "pre"), epochs=300,
+                                      opt=AdamState(params, lr=1e-3), batch_size=64,
+                                      patience=30, start_epoch=0, prior_valid=()):
             if row["valid_nll"] < best["nll"]:
                 best["nll"] = row["valid_nll"]
                 best["params"] = params.copy()
-
-        pretrain_generator(params, dims, splits.train, splits.valid,
-                           RngStream(seed, "pre"), epochs=300, opt=AdamState(params, lr=1e-3),
-                           batch_size=64, patience=30, start_epoch=0, prior_valid=(),
-                           on_epoch=snap)
         runs.append((best["params"],
                      mean_nll(best["params"], dims, splits.test)))
     FIXTURE_COST["mle"] = time.monotonic() - t0
@@ -209,16 +206,17 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
                                     RngStream(seed, "emb"), epochs=3)
         cfg = desk("disc_config", len(vocab), 2, "cnn")
         disc = init_discriminator(cfg, embed, RngStream(seed, "dinit"))
-        pretrain_discriminator(disc, params, dims, splits.train,
-                               RngStream(seed, "dpre"), epochs=3,
-                               opt=AdamState(disc.params, lr=1e-3), batch_size=64,
-                               start_epoch=0, on_epoch=lambda row: None)
-        hist = adversarial_train(params, dims, disc, splits.train,
-                                 splits.test, sched, RngStream(seed, "adv"),
-                                 rollout_params=params.copy(),
-                                 g_opt=AdamState(params, lr=sched.g_lr),
-                                 d_opt=AdamState(disc.params, lr=sched.d_lr),
-                                 start_iteration=0, threads=1, on_epoch=lambda row: None)
+        for _ in pretrain_discriminator(disc, params, dims, splits.train,
+                                        RngStream(seed, "dpre"), epochs=3,
+                                        opt=AdamState(disc.params, lr=1e-3), batch_size=64,
+                                        start_epoch=0):
+            pass
+        hist = list(adversarial_train(params, dims, disc, splits.train,
+                                      splits.test, sched, RngStream(seed, "adv"),
+                                      rollout_params=params.copy(),
+                                      g_opt=AdamState(params, lr=sched.g_lr),
+                                      d_opt=AdamState(disc.params, lr=sched.d_lr),
+                                      start_iteration=0, threads=1))
         margins.append(hist[-1]["nll_test"] - base)
     elapsed = (time.monotonic() - t0 + FIXTURE_COST["overlap"]
                + FIXTURE_COST["mle"])
@@ -397,10 +395,11 @@ def test_criterion_09_synthetic_data_carries_labels(capsys):
     splits = split_corpus(data, (0.7, 0.1, 0.2), RngStream(43, "split"))
     dims = GeneratorDims(len(vocab), 2, d_embed=48, d_hidden=64, d_label=8)
     params = init_generator_params(dims, RngStream(7, "init"))
-    pretrain_generator(params, dims, splits.train, splits.valid,
-                       RngStream(7, "pre"), epochs=200, opt=AdamState(params, lr=1e-3),
-                       batch_size=64, patience=20, start_epoch=0, prior_valid=(),
-                       on_epoch=lambda row: None)
+    for _ in pretrain_generator(params, dims, splits.train, splits.valid,
+                                RngStream(7, "pre"), epochs=200,
+                                opt=AdamState(params, lr=1e-3), batch_size=64,
+                                patience=20, start_epoch=0, prior_valid=()):
+        pass
     got = application_metrics(params, dims, splits.train, splits.test,
                               RngStream(251, "app"), desk("disc_config", len(vocab), 2, "cnn"),
                               25, n_seeds=3)

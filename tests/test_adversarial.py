@@ -25,10 +25,6 @@ from oracles import desk, enumeration_rewards
 DIMS = GeneratorDims(vocab_size=4, n_labels=2, d_embed=4, d_hidden=4, d_label=2)
 
 
-def strip_wall(rows):
-    return [{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows]
-
-
 def tiny_corpus(n: int = 24, seq_len: int = 4, seed: int = 130) -> SequenceData:
     rng = RngStream(seed)
     return SequenceData(rng.child("tok").integers(2, DIMS.vocab_size, (n, seq_len)),
@@ -409,10 +405,10 @@ def test_pretrain_generator_improves_and_logs():
     valid = tiny_corpus(n=12, seed=158)
     params = init_generator_params(DIMS, RngStream(159))
     start = mean_nll(params, DIMS, valid)
-    history = pretrain_generator(params, DIMS, data, valid, RngStream(160),
-                                 epochs=8, opt=AdamState(params, lr=5e-3),
-                                 batch_size=16, patience=20, start_epoch=0, prior_valid=(),
-                                 on_epoch=lambda row: None)
+    history = list(pretrain_generator(params, DIMS, data, valid, RngStream(160),
+                                      epochs=8, opt=AdamState(params, lr=5e-3),
+                                      batch_size=16, patience=20, start_epoch=0,
+                                      prior_valid=()))
     assert [r["epoch"] for r in history] == list(range(8))
     assert history[-1]["valid_nll"] < start
     assert all(r["train_nll"] > 0 for r in history)
@@ -422,10 +418,10 @@ def test_pretrain_generator_early_stops():
     data = tiny_corpus(n=40)
     valid = tiny_corpus(n=12, seed=161)
     params = init_generator_params(DIMS, RngStream(162))
-    history = pretrain_generator(params, DIMS, data, valid, RngStream(163),
-                                 epochs=400, opt=AdamState(params, lr=5e-3),
-                                 batch_size=16, patience=5, start_epoch=0, prior_valid=(),
-                                 on_epoch=lambda row: None)
+    history = list(pretrain_generator(params, DIMS, data, valid, RngStream(163),
+                                      epochs=400, opt=AdamState(params, lr=5e-3),
+                                      batch_size=16, patience=5, start_epoch=0,
+                                      prior_valid=()))
     assert len(history) < 400  # patience ended the loop
 
 
@@ -435,20 +431,20 @@ def test_pretrain_generator_resume_matches_uninterrupted_run():
 
     full = init_generator_params(DIMS, RngStream(165))
     full_opt = AdamState(full, lr=5e-3)
-    full_hist = pretrain_generator(full, DIMS, data, valid, RngStream(166),
-                                   epochs=6, batch_size=16, opt=full_opt, patience=20,
-                                   start_epoch=0, prior_valid=(), on_epoch=lambda row: None)
+    full_hist = list(pretrain_generator(full, DIMS, data, valid, RngStream(166),
+                                        epochs=6, batch_size=16, opt=full_opt, patience=20,
+                                        start_epoch=0, prior_valid=()))
 
     part = init_generator_params(DIMS, RngStream(165))
     part_opt = AdamState(part, lr=5e-3)
-    first = pretrain_generator(part, DIMS, data, valid, RngStream(166),
-                               epochs=3, batch_size=16, opt=part_opt, patience=20,
-                               start_epoch=0, prior_valid=(), on_epoch=lambda row: None)
-    second = pretrain_generator(part, DIMS, data, valid, RngStream(166),
-                                epochs=6, batch_size=16, opt=part_opt, patience=20,
-                                start_epoch=3, on_epoch=lambda row: None,
-                                prior_valid=tuple(r["valid_nll"] for r in first))
-    assert strip_wall(full_hist) == strip_wall(first + second)
+    first = list(pretrain_generator(part, DIMS, data, valid, RngStream(166),
+                                    epochs=3, batch_size=16, opt=part_opt, patience=20,
+                                    start_epoch=0, prior_valid=()))
+    second = list(pretrain_generator(part, DIMS, data, valid, RngStream(166),
+                                     epochs=6, batch_size=16, opt=part_opt, patience=20,
+                                     start_epoch=3,
+                                     prior_valid=tuple(r["valid_nll"] for r in first)))
+    assert full_hist == first + second
     for n, p in full.items():
         assert np.array_equal(p.value, part.value(n))
 
@@ -460,13 +456,11 @@ def test_exhausted_prior_valid_trains_nothing():
     valid = tiny_corpus(n=12, seed=164)
     params = init_generator_params(DIMS, RngStream(165))
     before = {n: p.value.copy() for n, p in params.items()}
-    rows = []
-    history = pretrain_generator(params, DIMS, data, valid, RngStream(166),
-                                 epochs=6, opt=AdamState(params, lr=1e-3), batch_size=16,
-                                 patience=2,
-                                 start_epoch=3, prior_valid=(2.0, 2.5, 2.5),
-                                 on_epoch=rows.append)
-    assert history == [] and rows == []
+    rows = list(pretrain_generator(params, DIMS, data, valid, RngStream(166),
+                                   epochs=6, opt=AdamState(params, lr=1e-3), batch_size=16,
+                                   patience=2,
+                                   start_epoch=3, prior_valid=(2.0, 2.5, 2.5)))
+    assert rows == []
     for n, p in params.items():
         assert np.array_equal(p.value, before[n])
 
@@ -475,9 +469,9 @@ def test_pretrain_discriminator_beats_coin_flipping():
     data = tiny_corpus(n=48)
     gen = init_generator_params(DIMS, RngStream(167))
     disc = make_disc()
-    history = pretrain_discriminator(disc, gen, DIMS, data, RngStream(168), epochs=6,
-                                     opt=AdamState(disc.params, lr=5e-3), batch_size=16,
-                                     start_epoch=0, on_epoch=lambda row: None)
+    history = list(pretrain_discriminator(disc, gen, DIMS, data, RngStream(168), epochs=6,
+                                          opt=AdamState(disc.params, lr=5e-3),
+                                          batch_size=16, start_epoch=0))
     assert len(history) == 6
     assert history[-1]["d_loss"] < math.log(2)
     assert history[-1]["d_acc"] > 0.5
@@ -508,9 +502,8 @@ def test_zero_iterations_is_a_no_op():
     disc = make_disc()
     sched = small_schedule(0)
     state = fresh_state(gen, disc, sched)
-    history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(170),
-                                start_iteration=0, threads=1, on_epoch=lambda row: None,
-                                **state)
+    history = list(adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(170),
+                                     start_iteration=0, threads=1, **state))
     assert history == []
     for n, p in gen.items():
         assert np.array_equal(p.value, before[n])
@@ -522,14 +515,14 @@ def test_history_rows_carry_the_metric_columns():
     gen = init_generator_params(DIMS, RngStream(171))
     disc = make_disc(seed=172)
     sched = small_schedule(2)
-    history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(173),
-                                start_iteration=0, threads=1, on_epoch=lambda row: None,
-                                **fresh_state(gen, disc, sched))
+    history = list(adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(173),
+                                     start_iteration=0, threads=1,
+                                     **fresh_state(gen, disc, sched)))
     assert len(history) == 2
     for i, row in enumerate(history):
         assert row["iteration"] == i
         assert set(row) == {"iteration", "g_objective", "mean_reward", "d_loss",
-                            "d_acc", "nll_test", "wall_seconds"}
+                            "d_acc", "nll_test"}
         assert math.isfinite(row["nll_test"])
 
 
@@ -540,10 +533,10 @@ def test_same_stream_reproduces_the_run():
         gen = init_generator_params(DIMS, RngStream(174))
         disc = make_disc(seed=175)
         sched = small_schedule(3)
-        history = adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(176),
-                                    start_iteration=0, threads=1, on_epoch=lambda row: None,
-                                    **fresh_state(gen, disc, sched))
-        return strip_wall(history), {n: p.value.copy() for n, p in gen.items()}
+        history = list(adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(176),
+                                         start_iteration=0, threads=1,
+                                         **fresh_state(gen, disc, sched)))
+        return history, {n: p.value.copy() for n, p in gen.items()}
 
     h1, p1 = run()
     h2, p2 = run()
@@ -562,8 +555,11 @@ def test_resume_continues_the_exact_trajectory():
     g_opt = AdamState(gen, lr=sched.g_lr)
     d_opt = AdamState(disc.params, lr=sched.d_lr)
     snap = {}
-
-    def capture(row):
+    full_hist = []
+    for row in adversarial_train(gen, DIMS, disc, data, data, sched,
+                                 RngStream(179), rollout_params=rollout_params,
+                                 g_opt=g_opt, d_opt=d_opt, start_iteration=0, threads=1):
+        full_hist.append(row)
         if row["iteration"] == 1:
             snap["gen"] = gen.copy()
             snap["disc"] = disc.params.copy()
@@ -571,11 +567,6 @@ def test_resume_continues_the_exact_trajectory():
             for key, opt in (("g_opt", g_opt), ("d_opt", d_opt)):
                 snap[key] = ({n: a.copy() for n, a in opt.m.items()},
                              {n: a.copy() for n, a in opt.v.items()}, opt.t)
-
-    full_hist = adversarial_train(gen, DIMS, disc, data, data, sched,
-                                  RngStream(179), rollout_params=rollout_params,
-                                  g_opt=g_opt, d_opt=d_opt, start_iteration=0, threads=1,
-                                  on_epoch=capture)
 
     gen2 = snap["gen"]
     disc2 = make_disc(seed=178)
@@ -585,11 +576,11 @@ def test_resume_continues_the_exact_trajectory():
     g_opt2.m, g_opt2.v, g_opt2.t = snap["g_opt"]
     d_opt2 = AdamState(disc2.params, lr=sched.d_lr)
     d_opt2.m, d_opt2.v, d_opt2.t = snap["d_opt"]
-    tail_hist = adversarial_train(gen2, DIMS, disc2, data, data, sched,
-                                  RngStream(179), rollout_params=snap["roll"],
-                                  g_opt=g_opt2, d_opt=d_opt2,
-                                  start_iteration=2, threads=1, on_epoch=lambda row: None)
-    assert strip_wall(full_hist[2:]) == strip_wall(tail_hist)
+    tail_hist = list(adversarial_train(gen2, DIMS, disc2, data, data, sched,
+                                       RngStream(179), rollout_params=snap["roll"],
+                                       g_opt=g_opt2, d_opt=d_opt2,
+                                       start_iteration=2, threads=1))
+    assert full_hist[2:] == tail_hist
     for n, p in gen.items():
         assert np.array_equal(p.value, gen2.value(n))
 
@@ -609,14 +600,11 @@ def test_rollout_network_trails_the_generator():
     def gap(a, b):
         return max(float(np.max(np.abs(p.value - b.value(n)))) for n, p in a.items())
 
-    def capture(row):
-        nonlocal theta_prev
+    for _ in adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(182),
+                               start_iteration=0, threads=1, **state):
         move = gap(gen, theta_prev)
         gaps.append((gap(rollout_params, gen), move))
         theta_prev = gen.copy()
-
-    adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(182),
-                      start_iteration=0, threads=1, on_epoch=capture, **state)
     prev_gap = 0.0  # rollout starts as a clone of the generator
     for new_gap, move in gaps:
         assert new_gap <= sched.alpha * (prev_gap + move) + 1e-12

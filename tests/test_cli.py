@@ -425,6 +425,15 @@ def test_pretrain_logs_well_formed(trained):
                                 "d_loss", "g_objective", "wall_seconds"}
 
 
+def test_every_log_row_has_its_wall_seconds(trained):
+    # the driver stamps each row with the seconds since its loop was built,
+    # so within one invocation the column never decreases
+    for log in ("gen_pretrain_log.csv", "disc_fasttext_log.csv", "advtrain_metrics.csv"):
+        walls = [float(r["wall_seconds"]) for r in csv_rows(os.path.join(trained, log))]
+        assert len(walls) >= 2 and walls[0] >= 0.0, log
+        assert walls == sorted(walls), log
+
+
 def test_pretrain_g_resume_extends_log(pretrained, tmp_path):
     d = str(tmp_path / "run")
     shutil.copytree(pretrained, d)

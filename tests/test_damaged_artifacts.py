@@ -92,11 +92,13 @@ def test_damaged_artifact_ends_in_a_documented_exit(run_dir, artifact, data):
     assert code in DOCUMENTED_EXITS, (code, err)
 
 
-# checkpoint -> its blocks that hold counts, dims or the frozen table
+# checkpoint -> its blocks that hold counts, dims, Adam moments or the frozen table
 STORED_VALUES = {
     "embeddings.ckpt": ("embed.table",),
-    "gen_pretrain.ckpt": ("meta.epoch", "meta.dims", "gopt.t"),
-    "disc_fasttext.ckpt": ("embed.table", "dopt.t", "meta.epoch"),
+    "gen_pretrain.ckpt": ("meta.epoch", "meta.dims", "gopt.t", "gopt.m.gen.out.b",
+                          "gopt.v.gen.out.b"),
+    "disc_fasttext.ckpt": ("embed.table", "dopt.t", "meta.epoch", "dopt.m.d.head.W",
+                           "dopt.v.d.head.W"),
     "advtrain.ckpt": ("meta.dims", "embed.table", "gopt.t", "dopt.t", "meta.iteration"),
     "gen_adv.ckpt": ("meta.dims",),
 }
@@ -105,10 +107,13 @@ STORED_VALUES = {
 BAD_VALUES = (math.nan, math.inf, -1.0, 0.5, 1e12, "wrong shape")
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=st.sampled_from([(artifact, block, value)
-                             for artifact, blocks in STORED_VALUES.items()
-                             for block in blocks for value in BAD_VALUES]))
+CASES = [(artifact, block, value) for artifact, blocks in STORED_VALUES.items()
+         for block in blocks for value in BAD_VALUES]
+
+
+# more examples than cases, so that hypothesis runs every case once
+@settings(max_examples=len(CASES) + 10, deadline=None, derandomize=True)
+@given(case=st.sampled_from(CASES))
 def test_bad_block_under_a_valid_checksum_ends_in_a_documented_exit(run_dir, case):
     # the file's own digest is kept, so only the reader's checks of each
     # stored value stand between it and a traceback
@@ -122,7 +127,18 @@ def test_bad_block_under_a_valid_checksum_ends_in_a_documented_exit(run_dir, cas
         save_tensors(path, blocks, digest)
 
     code, err = run_damaged(run_dir, artifact, rewrite)
-    # a count of 1e12 is whole and >= 0, and the table may hold any value
-    refused = value == "wrong shape" or name == "meta.dims" or (
-        name != "embed.table" and value != 1e12)
+    # of BAD_VALUES a count takes only 1e12 (whole and >= 0), the table any,
+    # a first moment any finite one and a second moment any finite one >= 0
+    if name == "embed.table":
+        takes = lambda v: True
+    elif ".m." in name:
+        takes = math.isfinite
+    elif ".v." in name:
+        takes = lambda v: math.isfinite(v) and v >= 0
+    else:
+        takes = lambda v: v == 1e12
+    refused = value == "wrong shape" or name == "meta.dims" or not takes(value)
     assert code == 4 if refused else code in DOCUMENTED_EXITS, (code, err)
+    if refused:
+        assert name in err, err
+

@@ -12,10 +12,17 @@ overrides is reached only by tests. Operator methods, whose use the walk
 cannot see, each name it in `OPERATORS`. The config schema is the one home
 of a run's defaults: a field that `RunConfig` fills from `SCHEMA` has no
 default of its own. And no module under `src/`, `tests/` or `bench/`
-imports a name it never reads."""
+imports a name it never reads. No call to a generator function of
+`src/advseq` (a training loop) is discarded as a bare statement, which
+would train nothing and raise nothing.
+
+`code_lines` counts the lines of a module that hold code, for the size of
+`src/` that CI reports next to its `wc -l` line count."""
 
 import ast
+import io
 import os
+import tokenize
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -346,3 +353,71 @@ def test_the_option_walk_matches_keywords_positions_and_values():
     never_set, never_omitted = unset_options(src, user, set())
     assert never_set == ["m.D.w", "m.E.s", "m.K.q", "m.f.c", "m.inner.flag", "m.outer.flag"]
     assert never_omitted == ["m.D.v", "m.K.meth.r", "m.f.b", "m.f.d"]
+
+
+def generator_functions(trees: dict[str, ast.Module]) -> set[str]:
+    """Names of the functions in `trees` whose own body, outside nested
+    defs and lambdas, yields."""
+    found = set()
+
+    def yields(node: ast.AST) -> bool:
+        return any(isinstance(c, (ast.Yield, ast.YieldFrom)) or not isinstance(
+                   c, (*DEFS, ast.Lambda)) and yields(c) for c in ast.iter_child_nodes(node))
+
+    for tree in trees.values():
+        found |= {n.name for n in ast.walk(tree) if isinstance(n, FUNCS) and yields(n)}
+    return found
+
+
+def discarded_calls(names: set[str], trees: dict[str, ast.Module]) -> list[str]:
+    """`path:line name` of each expression statement of `trees` that is
+    only a call to one of `names` (`f(...)` or `x.f(...)`)."""
+    return sorted(f"{path}:{node.lineno} {name}" for path, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                  and (name := getattr(node.value.func, "id", None)
+                       or getattr(node.value.func, "attr", None)) in names)
+
+
+def test_no_training_loop_is_called_and_discarded():
+    loops = generator_functions(parse_tree(PACKAGE))
+    assert {"pretrain_generator", "pretrain_discriminator", "adversarial_train"} <= loops
+    trees = {path: tree for top in ("src", "tests", "bench")
+             for path, tree in parse_tree(os.path.join(ROOT, top)).items()}
+    assert discarded_calls(loops, trees) == []
+
+
+def test_the_discard_walk_finds_a_bare_generator_call():
+    src = {"m.py": ast.parse(
+        "def loop(n):\n    for i in range(n):\n        yield i\n"
+        "def plain():\n    def inner():\n        yield 1\n    return inner\n"
+        "def wrapped():\n    return (i for i in range(2))\n")}
+    assert generator_functions(src) == {"inner", "loop"}
+    user = {"b.py": ast.parse(
+        "import m\nm.loop(3)\nlist(m.loop(3))\nfor _ in m.loop(2):\n    pass\n"
+        "x = m.loop(1)\nm.plain()\nloop(4)\n")}
+    assert discarded_calls(generator_functions(src), user) == ["b.py:2 loop", "b.py:8 loop"]
+
+
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold code: neither blank, nor only a comment,
+    nor part of a docstring (the leading string of a module, class or
+    function body). Deleting a comment or a blank line does not change it."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, *DEFS)) and ast.get_docstring(node, clean=False):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENDMARKER):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nimport os  # trailing\n\n\n'
+              'def f(a,\n      b):\n    """Doc."""\n    s = """not a\n    docstring"""\n'
+              '    return (a +\n\n            b)\n')
+    assert code_lines(source) == 7
+    assert code_lines("x = 1\n# gone\n\ny = 2\n") == code_lines("x = 1\ny = 2\n") == 2
