@@ -217,9 +217,9 @@ def _same(expected: np.ndarray, block: np.ndarray) -> None:
         raise ValueError(f"holds {block.tolist()}, but the config gives {expected.tolist()}")
 
 
-def _moment(array: np.ndarray, second: bool, block: np.ndarray) -> None:
-    if not np.isfinite(block).all() or second and (block < 0).any():
-        raise ValueError("holds a non-finite Adam moment or a negative second moment")
+def _finite(array: np.ndarray, second_moment: bool, block: np.ndarray) -> None:
+    if not np.isfinite(block).all() or second_moment and (block < 0).any():
+        raise ValueError("holds a non-finite value or a negative second moment")
     np.copyto(array, block)
 
 
@@ -250,14 +250,15 @@ def _run_blocks(run: dict, counters: dict[str, int]
     for section, prefix in (("rollout", "rollout."), ("disc", "")):
         for name, p in run.get(section, ParamStore()).items():
             fill(prefix + name, p.value)
-    if "embed" in run:
-        fill("embed.table", run["embed"])
+    if "embed" in run:   # frozen, so no later step would catch a bad value
+        blocks.append(("embed.table", run["embed"],
+                       functools.partial(_finite, run["embed"], False)))
     for prefix, opt in (("gopt.", run.get("gopt")), ("dopt.", run.get("dopt"))):
         if opt is not None:
             for moment, arrays in (("m.", opt.m), ("v.", opt.v)):
                 for name, array in arrays.items():
                     blocks.append((prefix + moment + name, array,
-                                   functools.partial(_moment, array, moment == "v.")))
+                                   functools.partial(_finite, array, moment == "v.")))
             count(prefix + "t", opt.t, functools.partial(setattr, opt, "t"))
     for key, value in counters.items():
         count(f"meta.{key}", value, functools.partial(counters.__setitem__, key))
@@ -274,9 +275,10 @@ def restore_run_state(path: str, digest: bytes, run: dict, counter: str | None =
     """Fill the objects in `run` in place and return the stored `counter`,
     if one is named. The config sized every object, so a missing block, a
     block of another shape, dims other than the config's, a count that is
-    not a whole number >= 0 or an Adam moment it cannot take is a corrupt
-    artifact (CheckpointError, exit 4); a digest mismatch is a checkpoint
-    of another configuration, a usage problem (CliError, exit 2)."""
+    not a whole number >= 0, or an Adam moment or embedding table it cannot
+    take is a corrupt artifact (CheckpointError, exit 4); a digest mismatch
+    is a checkpoint of another configuration, a usage problem (CliError,
+    exit 2)."""
     tensors, stored = load_tensors(path)
     if stored != digest:
         raise CliError(f"{path} was written under a different configuration "

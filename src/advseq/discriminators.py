@@ -26,8 +26,13 @@ grid as a prefix tree, since Monte Carlo rollout rows repeat their sample's
 columns 0..p, and steps each LSTM direction once per distinct prefix of its
 read order. It keeps no input gather and no gate or cell history, and its
 results are bit-identical to `forward`'s, because an LSTM step's rows do
-not depend on which rows share its product. cnn and fasttext score through
-`forward`.
+not depend on which rows share its product. Eval-mode cnn and fasttext
+bodies run over the `numerics.row_blocks` grid (256 rows) inside each
+batch, so cnn's (L, rows, F) window sums take 0.6 MB per width, not 5 MB.
+The head, and birnn's attention, take the whole batch: each ends in a
+matrix-vector product (the sigmoid head's one column, the attention
+scores), and the bits numpy's gemv gives a row depend on which rows share
+the product.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 from .corpus import PAD_ID
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
                        check_finite, chunk_slices, clip_gradients, log_softmax_rows,
-                       pmap, relu, sigmoid, softmax_rows)
+                       pmap, relu, row_blocks, sigmoid, softmax_rows)
 from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 KINDS = ("fasttext", "cnn", "birnn")
@@ -251,9 +256,12 @@ def _birnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
 
 def _attend(p: ParamStore, H: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Additive self-attention over H (T, B, 2*d_h): the pooled (B, 2*d_h)
-    features, the (T*B, d_att) tanh layer and the (B, T) weights."""
+    features, the (T*B, d_att) tanh layer, built in place, and the (B, T)
+    weights."""
     T, B, d2 = H.shape
-    u = np.tanh(H.reshape(T * B, d2) @ p.value("d.att.W") + p.value("d.att.b"))
+    u = H.reshape(T * B, d2) @ p.value("d.att.W")
+    u += p.value("d.att.b")
+    np.tanh(u, out=u)
     alpha = softmax_rows((u @ p.value("d.att.u")[0]).reshape(T, B).T)   # (B, T)
     s = (alpha[:, None, :] @ H.transpose(1, 0, 2))[:, 0]
     return s, u, alpha
@@ -359,7 +367,7 @@ def _head(disc: Discriminator, s: Tensor, labels: np.ndarray | None) -> tuple[Te
 
 
 def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-            drop_rng: RngStream | None = None) -> tuple[Tensor, ForwardCache]:
+            drop_rng: RngStream | None) -> tuple[Tensor, ForwardCache]:
     """Head logits (B, n_out). Dropout runs when a stream is given, that is,
     in training."""
     cfg = disc.cfg
@@ -388,15 +396,17 @@ def _eval_batches(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None
                   head, batch_size: int, threads: int) -> np.ndarray:
     """head(eval-mode logits) over a fixed grid of batch_size-row batches;
     the grid, not the worker count, decides which rows share a forward
-    pass. birnn scores each batch over its prefix tree, cnn and fasttext
-    through `forward`. Non-finite logits stop here, before any caller acts
-    on them."""
+    pass. birnn's features come from each batch's prefix tree, cnn's and
+    fasttext's from its row blocks; the head takes the batch whole.
+    Non-finite logits stop here, before any caller acts on them."""
     def one(sl: slice) -> np.ndarray:
-        rows, lab = tokens[sl], None if labels is None else labels[sl]
+        rows = tokens[sl]
         if disc.cfg.kind == "birnn":
-            logits = _head(disc, _birnn_eval_features(disc, rows), lab)[1]
+            s = _birnn_eval_features(disc, rows)
         else:
-            logits = forward(disc, rows, lab)[0]
+            s = np.concatenate([_FEATURES[disc.cfg.kind](disc, rows[b])[0]
+                                for b in row_blocks(len(rows))])
+        logits = _head(disc, s, None if labels is None else labels[sl])[1]
         check_finite("discriminator logits", logits)
         return head(logits)
     parts = pmap(one, chunk_slices(len(tokens), batch_size), threads)

@@ -13,7 +13,13 @@ once, whatever its batch sizes.
 
 One free-running loop, `free_run`, serves sampling and rollouts. Sampling
 draws one child stream per item, which keeps results independent of batch
-decomposition and worker count.
+decomposition and worker count. The loop steps its rows in the fixed grid
+of `numerics.row_blocks` (256 rows), one block through all of its steps
+before the next, so a step's (rows, 4d) gates and (rows, V) logits stay
+near the cache and no step holds them for all 4,864 rows of a desk
+rollout. A row's bits do not depend on its block, since a GEMM's rows do
+not depend on which rows share it; a block's one active row among several
+is listed twice, because numpy sends a one-row product to gemv.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .corpus import BOS_ID, PAD_ID, SequenceData
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, Workspace, adam_step,
-                       check_finite, clip_gradients, softmax_rows)
+                       check_finite, clip_gradients, pmap, row_blocks, softmax_rows)
 from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 INIT_RANGE = 0.08
@@ -249,14 +255,30 @@ def _sample_from_logits(logits: Tensor, u: np.ndarray) -> np.ndarray:
 
 
 def free_run(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor, seqs: np.ndarray,
-             u: np.ndarray, active: Sequence[int]) -> None:
+             u: np.ndarray, active: Sequence[int], threads: int) -> None:
     """Draw the last len(active) columns of seqs (rows, T) in place, step i
     by the first active[i] rows from their uniforms u[:, i]. Row r starts
-    from state (h[r], c[r]) having read the token before its first draw."""
+    from state (h[r], c[r]) having read the token before its first draw.
+
+    The rows run in the fixed `row_blocks` grid, blocks mapped over
+    `threads` workers, and a block takes all its steps before the next
+    starts. At each step its active rows are a prefix of the block. A
+    block's one active row among several active rows is listed twice, so
+    that it is not multiplied alone."""
     first = seqs.shape[1] - len(active)
-    for i, a in enumerate(active):
-        logits = step_logits(hz, labels[:a], h[:a], c[:a], seqs[:a, first + i - 1])
-        seqs[:a, first + i] = _sample_from_logits(logits, u[:a, i])
+
+    def run(block: slice) -> None:
+        for i, n in enumerate(active):
+            a = min(n, block.stop) - block.start
+            if a < 1:
+                continue
+            r = slice(block.start, block.start + a) if a > 1 or n == 1 else [block.start] * 2
+            hr, cr = h[r], c[r]
+            logits = step_logits(hz, labels[r], hr, cr, seqs[r, first + i - 1])
+            seqs[r, first + i] = _sample_from_logits(logits, u[r, i])
+            if isinstance(r, list):   # the listed row was stepped in copies
+                h[r], c[r] = hr, cr
+    pmap(run, row_blocks(len(seqs)), threads)
 
 
 def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
@@ -270,5 +292,5 @@ def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
     u = np.stack([rng.child(item_offset + i).uniform(seq_len) for i in range(B)])
     h, c = np.zeros((2, B, dims.d_hidden))
     out = np.full((B, seq_len + 1), BOS_ID, dtype=np.int64)
-    free_run(hoist(params, dims), labels, h, c, out, u, [B] * seq_len)
+    free_run(hoist(params, dims), labels, h, c, out, u, [B] * seq_len, 1)
     return out[:, 1:]

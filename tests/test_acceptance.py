@@ -128,12 +128,12 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
         targets = np.array([1, 0, 1, 0])
 
         def disc_loss(_ps, d=disc, tk=d_tokens, lb=d_labels, tg=targets):
-            logits, _ = forward(d, tk, lb)
+            logits, _ = forward(d, tk, lb, None)
             loss, _, _ = loss_and_dlogits(d, logits, tg)
             return loss
 
         disc.params.zero_grads()
-        logits, cache = forward(disc, d_tokens, d_labels)
+        logits, cache = forward(disc, d_tokens, d_labels, None)
         _, _, dlogits = loss_and_dlogits(disc, logits, targets)
         backward(disc, cache, dlogits)
         disc.params["d.head.W"].grad += cfg.l2 * disc.params.value("d.head.W")

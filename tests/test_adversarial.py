@@ -2,12 +2,15 @@
 soft-updated rollout network, and the adversarial loop's reproducibility."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from advseq import numerics
 from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 apply_reward_shaping, discriminator_score_fn,
                                 mc_rollout_rewards,
@@ -15,7 +18,7 @@ from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
 from advseq.corpus import BOS_ID, PAD_ID, SequenceData
-from advseq.discriminators import init_discriminator
+from advseq.discriminators import KINDS, init_discriminator
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
                               policy_gradient_step)
@@ -159,7 +162,7 @@ def test_final_position_is_scored_directly():
     tokens = np.array([[2, 3, 2], [3, 3, 1]])
     labels = np.array([0, 1])
     rewards = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels,
-                                 n_rollouts=4, rng=RngStream(136), ws=Workspace())
+                                 n_rollouts=4, rng=RngStream(136), ws=Workspace(), threads=1)
     assert np.array_equal(rewards[:, -1], mean_score_fn(tokens, labels))
 
 
@@ -168,7 +171,7 @@ def test_length_one_sequences_skip_rollouts():
     tokens = np.array([[2], [3]])
     labels = np.array([1, 0])
     rewards = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels,
-                                 n_rollouts=3, rng=RngStream(138), ws=Workspace())
+                                 n_rollouts=3, rng=RngStream(138), ws=Workspace(), threads=1)
     assert rewards.shape == (2, 1)
     assert np.array_equal(rewards[:, 0], mean_score_fn(tokens, labels))
 
@@ -178,7 +181,8 @@ def test_constant_score_means_constant_rewards():
     tokens = RngStream(140).integers(0, 4, (5, 4))
     labels = RngStream(141).integers(0, 2, 5)
     rewards = mc_rollout_rewards(params, DIMS, lambda t, l: np.full(len(t), 0.7),
-                                 tokens, labels, n_rollouts=3, rng=RngStream(142), ws=Workspace())
+                                 tokens, labels, n_rollouts=3, rng=RngStream(142),
+                                 ws=Workspace(), threads=1)
     assert np.max(np.abs(rewards - 0.7)) < 1e-15
 
 
@@ -188,7 +192,7 @@ def test_deterministic_rollout_network_gives_exact_completions():
     tokens = np.array([[2, 0, 2, 1], [0, 2, 3, 2]])
     labels = np.array([0, 1])
     rewards = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels,
-                                 n_rollouts=5, rng=RngStream(144), ws=Workspace())
+                                 n_rollouts=5, rng=RngStream(144), ws=Workspace(), threads=1)
     for p in range(3):
         completed = tokens.copy()
         completed[:, p + 1:] = 3
@@ -207,7 +211,7 @@ def test_rollout_rows_match_a_straight_line_oracle():
         return mean_score_fn(rows, row_labels)
 
     mc_rollout_rewards(params, DIMS, recording_score_fn, tokens, labels, K, RngStream(162),
-                       Workspace())
+                       Workspace(), 1)
     rows, row_labels = scored[0]
     # the one block of uniforms the rollouts draw, column q for position q
     u = RngStream(162).uniform(((T - 1) * B * K, T))
@@ -258,7 +262,7 @@ def test_score_fn_is_called_with_tokens_and_labels_only(B, T, K):
         return mean_score_fn(rows, row_labels)
 
     mc_rollout_rewards(params, DIMS, strict_score_fn, tokens, labels, K, RngStream(166),
-                       Workspace())
+                       Workspace(), 1)
     assert all(len(args) == 2 and not kwargs for args, kwargs in calls)
     assert sum(len(args[0]) for args, _ in calls) == (T - 1) * B * K + B
 
@@ -268,11 +272,11 @@ def test_rollout_rewards_deterministic_in_the_stream():
     tokens = RngStream(146).integers(0, 4, (6, 4))
     labels = RngStream(147).integers(0, 2, 6)
     a = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels, 4,
-                           RngStream(148), Workspace())
+                           RngStream(148), Workspace(), 1)
     b = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels, 4,
-                           RngStream(148), Workspace())
+                           RngStream(148), Workspace(), 1)
     c = mc_rollout_rewards(params, DIMS, mean_score_fn, tokens, labels, 4,
-                           RngStream(149), Workspace())
+                           RngStream(149), Workspace(), 1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -314,7 +318,7 @@ def test_monte_carlo_approaches_enumeration():
 
     exact = enumeration_rewards(params, dims, fn, tokens, labels)
     mc = mc_rollout_rewards(params, dims, fn, tokens, labels, 4000, RngStream(152),
-                            Workspace())
+                            Workspace(), 1)
     assert np.max(np.abs(mc - exact)) < 0.02
 
 
@@ -330,9 +334,9 @@ def test_doubling_rollouts_cuts_reward_variance():
     small, big = [], []
     for trial in range(100):
         small.append(mc_rollout_rewards(params, dims, fn, tokens, labels, 8,
-                                        RngStream(154, "s", trial), Workspace())[0, 0])
+                                        RngStream(154, "s", trial), Workspace(), 1)[0, 0])
         big.append(mc_rollout_rewards(params, dims, fn, tokens, labels, 16,
-                                      RngStream(154, "b", trial), Workspace())[0, 0])
+                                      RngStream(154, "b", trial), Workspace(), 1)[0, 0])
     ratio = np.var(big, ddof=1) / np.var(small, ddof=1)
     assert ratio < 0.75
 
@@ -620,3 +624,65 @@ def test_thread_count_does_not_change_scores():
     one = discriminator_score_fn(disc, threads=1, chunk=16)(tokens, labels)
     four = discriminator_score_fn(disc, threads=4, chunk=16)(tokens, labels)
     assert np.array_equal(one, four)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), B=st.integers(1, 4), T=st.integers(2, 6),
+       K=st.integers(1, 3), block=st.sampled_from([1, 2, 3, 5, 7, 16]),
+       threads=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+@example(kind="cnn", B=1, T=6, K=1, block=1, threads=2, seed=0)
+@example(kind="birnn", B=1, T=6, K=1, block=3, threads=1, seed=1)
+@example(kind="fasttext", B=1, T=5, K=1, block=2, threads=2, seed=2)
+def test_row_blocks_do_not_change_rollout_rewards(kind, B, T, K, block, threads, seed):
+    # the rewards of an unblocked run (one block) at one thread, bit for
+    # bit, for any block size, including ones that are not a multiple of
+    # B*K and B*K = 1, where a block steps one active row among several
+    params = init_generator_params(DIMS, RngStream(seed, "gen"))
+    tokens = RngStream(seed, "tok").integers(0, DIMS.vocab_size, (B, T))
+    labels = RngStream(seed, "lab").integers(0, 2, B)
+    # dims at which a product's rows can take other bits in another row set
+    cfg = desk("disc_config", DIMS.vocab_size, 2, kind, d_embed=8, d_hidden=8, n_filters=4,
+               widths=(1, 2))
+    disc = init_discriminator(cfg, RngStream(seed, "embed").normal((DIMS.vocab_size, 8)),
+                              RngStream(seed, "disc"))
+    disc.params["d.head.W"].value[...] = RngStream(seed, "head").normal(
+        disc.params.value("d.head.W").shape, scale=0.5)
+
+    def rewards(size: int, n_threads: int) -> np.ndarray:
+        with mock.patch.object(numerics, "ROW_BLOCK", size):
+            return mc_rollout_rewards(params, DIMS, discriminator_score_fn(disc, n_threads),
+                                      tokens, labels, K, RngStream(seed, "mc"), Workspace(),
+                                      n_threads)
+    assert np.array_equal(rewards(block, threads), rewards(10**9, 1))
+
+
+# tracemalloc peak of one call at adv_cnn's shape (V 62, 2 labels, desk
+# dims, B 32, K 8, T 20), in MiB. Measured 8.4 (cnn), 8.4 (fasttext) and
+# 40.8 (birnn); before generation and scoring ran in row blocks they were
+# 23.8, 25.8 and 49.6. What the call holds whatever the blocks is about
+# 5 MiB: the 4,864 rows' tokens, uniforms and (h, c) states and the
+# teacher-forced pass. birnn scoring adds a 2048-row batch's (T, rows,
+# 2*d_h) hidden states and (T*rows, d_att) attention layer, 30 MiB. The
+# bounds sit 3.6-4.2 MiB over the readings and under the old ones.
+ROLLOUT_PEAK_MIB = {"cnn": 12.0, "fasttext": 12.0, "birnn": 45.0}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_rollout_call_stays_within_its_memory_bound(kind):
+    V, n_labels = 62, 2
+    dims = desk("generator_dims", V, n_labels)
+    sched = desk("schedule")
+    params = init_generator_params(dims, RngStream(187))
+    labels = RngStream(188).integers(0, n_labels, sched.batch_size)
+    tokens = RngStream(189).integers(2, V, (sched.batch_size, 20))
+    cfg = desk("disc_config", V, n_labels, kind)
+    disc = init_discriminator(cfg, RngStream(190).normal((V, cfg.d_embed)),
+                              RngStream(191, kind))
+    tracemalloc.start()
+    try:
+        mc_rollout_rewards(params, dims, discriminator_score_fn(disc, 1), tokens, labels,
+                           sched.rollouts, RngStream(192), Workspace(), 1)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < ROLLOUT_PEAK_MIB[kind], peak

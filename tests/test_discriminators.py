@@ -2,12 +2,14 @@
 differences, and the shared head/training contracts."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as some
 
+from advseq import numerics
 from advseq.corpus import PAD_ID
 from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    _birnn_eval_features, _cnn_backward,
@@ -15,7 +17,7 @@ from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    bigram_buckets, class_probs, forward,
                                    init_discriminator, loss_and_dlogits,
                                    prefix_tree, score, train_step)
-from advseq.numerics import AdamState, RngStream, sigmoid, softmax_rows
+from advseq.numerics import ROW_BLOCK, AdamState, RngStream, sigmoid, softmax_rows
 from oracles import desk, finite_diff_check
 
 V, T, D_E = 8, 6, 12
@@ -52,7 +54,7 @@ def test_fresh_discriminator_scores_exactly_half(kind):
     assert np.all(score(disc, tokens, labels) == 0.5)
     targets = RngStream(84, kind).integers(0, 2, len(tokens))
     loss, acc, _ = loss_and_dlogits(
-        disc, forward(disc, tokens, labels)[0], targets)
+        disc, forward(disc, tokens, labels, None)[0], targets)
     assert abs(loss - math.log(2)) < 1e-6
 
 
@@ -71,7 +73,7 @@ def test_loss_includes_head_l2_penalty():
     randomize_head(disc)
     tokens, labels = random_batch(RngStream(86))
     targets = RngStream(87).integers(0, 2, len(tokens))
-    logits, _ = forward(disc, tokens, labels)
+    logits, _ = forward(disc, tokens, labels, None)
     loss, _, _ = loss_and_dlogits(disc, logits, targets)
     probs = 1.0 / (1.0 + np.exp(-logits[:, 0]))
     y = targets.astype(np.float64)
@@ -103,7 +105,7 @@ def test_fasttext_forward_matches_hand_computation():
     tokens = np.array([[2, 5, 3, PAD_ID, PAD_ID, PAD_ID],
                        [4, 4, 6, 7, 2, 3]])
     labels = np.array([1, 0])
-    logits, _ = forward(disc, tokens, labels)
+    logits, _ = forward(disc, tokens, labels, None)
     bigram = disc.params.value("d.bigram")
     for r in range(2):
         toks = [t for t in tokens[r] if t != PAD_ID]
@@ -120,7 +122,7 @@ def test_cnn_forward_matches_hand_computation():
     disc = init_discriminator(cfg, EMBED, RngStream(88))
     randomize_head(disc)
     tokens = np.array([[2, 7, 3, 5]])
-    logits, _ = forward(disc, tokens, np.array([0]))
+    logits, _ = forward(disc, tokens, np.array([0]), None)
     W = disc.params.value("d.conv2.W")
     b = disc.params.value("d.conv2.b")[0]
     acts = []
@@ -140,7 +142,7 @@ def test_birnn_forward_matches_hand_computation():
     disc = init_discriminator(cfg, embed, RngStream(89))
     randomize_head(disc)
     tokens = np.array([[5, 2, 7]])
-    logits, _ = forward(disc, tokens, np.array([1]))
+    logits, _ = forward(disc, tokens, np.array([1]), None)
     p = disc.params
 
     def run_lstm(xs, W, b):
@@ -193,7 +195,9 @@ def rollout_rows(samples: np.ndarray, K: int, completions: np.ndarray) -> np.nda
 def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hidden,
                                                     softmax_head, seed, data):
     # score and class_probs give, row by row, the bits of the head over
-    # forward()'s logits on the same chunk grid, on rows that share prefixes
+    # forward()'s logits on the same chunk grid, on rows that share
+    # prefixes; forward takes each chunk whole, scoring runs in row blocks
+    # of the shipped size or of a small one
     widths = tuple(sorted(w for w in widths if w <= T)) or (1,)
     cfg = desk("disc_config", V, 2, kind, d_embed=D_E, d_hidden=d_hidden, n_filters=4,
                widths=widths, use_condition=not softmax_head, n_out=3 if softmax_head else 1)
@@ -207,23 +211,43 @@ def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hi
     pads = stream.child("pad").uniform(completions.shape) < data.draw(some.sampled_from([0, 0.2]))
     completions[pads] = PAD_ID                                # PAD in mid-row too
     tokens = rollout_rows(samples, K, completions)
+    block = data.draw(some.sampled_from([ROW_BLOCK, 1, 2, 3, 5]))
+    n_rows = data.draw(some.sampled_from([0, block - 1, block + 1, 2 * block + 1]))
+    if n_rows:                                                # around the row-block edges
+        tokens = np.resize(tokens, (n_rows, T))
     labels = stream.child("lab").integers(0, 2, len(tokens))
     chunk = data.draw(some.integers(1, len(tokens) + 1))      # may split a cut block
     grid = [slice(i, i + chunk) for i in range(0, len(tokens), chunk)]
-    passes = [forward(disc, tokens[sl], None if softmax_head else labels[sl]) for sl in grid]
-    if softmax_head:
-        want = np.concatenate([softmax_rows(z) for z, _ in passes])
-        got = np.concatenate([class_probs(disc, tokens[sl]) for sl in grid])
-    else:
-        want = sigmoid(np.concatenate([z for z, _ in passes])[:, 0])
-        got = score(disc, tokens, labels, batch_size=chunk)
-    for r in range(len(tokens)):
-        assert np.array_equal(got[r], want[r]), r
-    if kind == "birnn":
-        # the features themselves, where a last-bit difference cannot round away
-        for sl, (_, cache) in zip(grid, passes):
-            assert np.array_equal(_birnn_eval_features(disc, tokens[sl]),
-                                  cache.features[:, :cfg.feature_dim()])
+    passes = [forward(disc, tokens[sl], None if softmax_head else labels[sl], None)
+              for sl in grid]
+    with mock.patch.object(numerics, "ROW_BLOCK", block):
+        if softmax_head:
+            want = np.concatenate([softmax_rows(z) for z, _ in passes])
+            got = np.concatenate([class_probs(disc, tokens[sl]) for sl in grid])
+        else:
+            want = sigmoid(np.concatenate([z for z, _ in passes])[:, 0])
+            got = score(disc, tokens, labels, batch_size=chunk)
+        for r in range(len(tokens)):
+            assert np.array_equal(got[r], want[r]), r
+        if kind == "birnn":
+            # the features themselves, where a last-bit difference cannot round away
+            for sl, (_, cache) in zip(grid, passes):
+                assert np.array_equal(_birnn_eval_features(disc, tokens[sl]),
+                                      cache.features[:, :cfg.feature_dim()])
+
+
+def test_birnn_eval_features_do_not_depend_on_the_row_block():
+    # the attention scores u @ att.u are a matrix-vector product, whose
+    # rows can take other bits in another row set; so attention runs over
+    # the whole batch, and no row block size changes the features
+    cfg = desk("disc_config", V, 2, "birnn", d_embed=D_E, d_hidden=8, use_condition=False)
+    for seed in range(40):
+        disc = init_discriminator(cfg, EMBED, RngStream(seed, "birnn"))
+        tokens = RngStream(seed, "rows").integers(2, V, (3 + seed, 2 + seed % 6))
+        want = forward(disc, tokens, None, None)[1].features
+        for block in (1, 2, 3, 5):
+            with mock.patch.object(numerics, "ROW_BLOCK", block):
+                assert np.array_equal(_birnn_eval_features(disc, tokens), want), (seed, block)
 
 
 def test_prefix_tree_shares_each_distinct_prefix():
@@ -289,7 +313,7 @@ def test_cnn_pooling_collapses_constant_sequences():
 def test_cnn_rejects_sequences_shorter_than_widest_filter():
     disc = make_disc("cnn")
     with pytest.raises(ValueError, match="filter width"):
-        forward(disc, np.full((1, 2), 4, dtype=np.int64), np.array([0]))
+        forward(disc, np.full((1, 2), 4, dtype=np.int64), np.array([0]), None)
 
 
 def window_cnn(disc: Discriminator, tokens: np.ndarray, ds: np.ndarray):
@@ -382,7 +406,7 @@ def test_highway_gate_closed_passes_features_through():
 def test_attention_weights_sum_to_one():
     disc = make_disc("birnn")
     tokens, labels = random_batch(RngStream(94), n=12)
-    _, cache = forward(disc, tokens, labels)
+    _, cache = forward(disc, tokens, labels, None)
     alpha = cache.body["alpha"]
     assert np.all(alpha >= 0)
     assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) < 1e-10
@@ -392,7 +416,7 @@ def test_attention_uniform_when_scores_constant():
     disc = make_disc("birnn")
     disc.params["d.att.u"].value[...] = 0.0  # all positions score 0
     tokens, labels = random_batch(RngStream(95), n=4)
-    _, cache = forward(disc, tokens, labels)
+    _, cache = forward(disc, tokens, labels, None)
     assert np.max(np.abs(cache.body["alpha"] - 1.0 / T)) < 1e-12
 
 
@@ -414,12 +438,12 @@ def test_gradients_pass_finite_differences(kind):
     targets = np.array([1, 0, 1, 0])
 
     def loss_fn(_ps, d=disc):
-        logits, _ = forward(d, tokens, labels)
+        logits, _ = forward(d, tokens, labels, None)
         loss, _, _ = loss_and_dlogits(d, logits, targets)
         return loss
 
     disc.params.zero_grads()
-    logits, cache = forward(disc, tokens, labels)
+    logits, cache = forward(disc, tokens, labels, None)
     _, _, dlogits = loss_and_dlogits(disc, logits, targets)
     backward(disc, cache, dlogits)
     disc.params["d.head.W"].grad += cfg.l2 * disc.params.value("d.head.W")
@@ -438,12 +462,12 @@ def test_cnn_gradients_pass_finite_differences_with_three_widths():
     targets = np.array([1, 0, 1, 0, 1])
 
     def loss_fn(_ps, d=disc):
-        logits, _ = forward(d, tokens, labels)
+        logits, _ = forward(d, tokens, labels, None)
         loss, _, _ = loss_and_dlogits(d, logits, targets)
         return loss
 
     disc.params.zero_grads()
-    logits, cache = forward(disc, tokens, labels)
+    logits, cache = forward(disc, tokens, labels, None)
     _, _, dlogits = loss_and_dlogits(disc, logits, targets)
     backward(disc, cache, dlogits)
     disc.params["d.head.W"].grad += cfg.l2 * disc.params.value("d.head.W")
@@ -461,12 +485,12 @@ def test_softmax_head_gradients_pass_finite_differences():
     targets = np.array([0, 2, 1, 2])
 
     def loss_fn(_ps, d=disc):
-        logits, _ = forward(d, tokens, None)
+        logits, _ = forward(d, tokens, None, None)
         loss, _, _ = loss_and_dlogits(d, logits, targets)
         return loss
 
     disc.params.zero_grads()
-    logits, cache = forward(disc, tokens, None)
+    logits, cache = forward(disc, tokens, None, None)
     _, _, dlogits = loss_and_dlogits(disc, logits, targets)
     backward(disc, cache, dlogits)
     assert finite_diff_check(loss_fn, disc.params) < 1e-4
@@ -497,7 +521,7 @@ def test_learns_linearly_separable_toy_within_200_steps(kind):
         tokens, labels, targets = toy_batch(RngStream(106, kind, step))
         train_step(disc, opt, tokens, labels, targets, RngStream(107, kind, step))
     tokens, labels, targets = toy_batch(RngStream(108, kind), n=200)
-    logits, _ = forward(disc, tokens, labels)
+    logits, _ = forward(disc, tokens, labels, None)
     _, acc, _ = loss_and_dlogits(disc, logits, targets)
     assert acc >= 0.99
 
@@ -559,7 +583,7 @@ def test_training_dropout_needs_a_stream_and_uses_it():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # without a stream the pass is the eval-mode one that score() reads
-    assert np.array_equal(sigmoid(forward(disc, tokens, labels)[0][:, 0]),
+    assert np.array_equal(sigmoid(forward(disc, tokens, labels, None)[0][:, 0]),
                           score(disc, tokens, labels))
 
 
@@ -581,7 +605,7 @@ def test_conditional_forward_requires_labels():
     disc = make_disc("fasttext")
     tokens, _ = random_batch(RngStream(124))
     with pytest.raises(ValueError, match="labels"):
-        forward(disc, tokens, None)
+        forward(disc, tokens, None, None)
 
 
 def test_score_refuses_softmax_heads_and_class_probs_normalize():
