@@ -97,16 +97,15 @@ def discriminator_score_fn(disc: Discriminator, threads: int,
 
 def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
                        score_fn: ScoreFn, tokens: np.ndarray, labels: np.ndarray,
-                       n_rollouts: int, rng: RngStream, ws: Workspace,
-                       threads: int) -> np.ndarray:
+                       n_rollouts: int, rng: RngStream, ws: Workspace) -> np.ndarray:
     """Per-position rewards for sampled sequences, shape (B, T).
 
     Position t < T-1 gets the mean score of n_rollouts completions of the
     prefix ending at t; the final position is scored directly. Completions
     are generated by the rollout network restarted from its own
     teacher-forced state at the cut, with all rollout randomness drawn up
-    front from one stream, in row blocks mapped over `threads` workers;
-    `score_fn` then scores all completions in one call. The teacher-forced
+    front from one stream, in row blocks; `score_fn` then scores all
+    completions in one call. The teacher-forced
     pass runs in `ws` and is dead when this returns.
     """
     B, T = tokens.shape
@@ -123,7 +122,7 @@ def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         labels_rows = np.tile(labels[None, :, None], (T - 1, 1, K)).reshape(n_rows)
         u = rng.uniform((n_rows, T))
         free_run(hoist(rollout_params, dims), labels_rows, h, c, seqs, u[:, 1:],
-                 range(B * K, n_rows + 1, B * K), threads)
+                 range(B * K, n_rows + 1, B * K))
         scores = score_fn(seqs, labels_rows)
         rewards[:, :T - 1] = scores.reshape(T - 1, B, K).mean(axis=2).T
     rewards[:, T - 1] = score_fn(tokens, labels)
@@ -281,8 +280,7 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
             tokens = sample_batch(gen_params, dims, labels, train.seq_len,
                                   rng.child("gsample", i, g))
             raw = mc_rollout_rewards(rollout_params, dims, score_fn, tokens,
-                                     labels, sched.rollouts, rng.child("mc", i, g), ws,
-                                     threads)
+                                     labels, sched.rollouts, rng.child("mc", i, g), ws)
             shaped = apply_reward_shaping(raw, sched)
             g_objs.append(policy_gradient_step(gen_params, dims, g_opt, tokens,
                                                labels, shaped, clip=sched.clip, ws=ws))

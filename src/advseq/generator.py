@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import BOS_ID, PAD_ID, SequenceData
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, Workspace, adam_step,
-                       check_finite, clip_gradients, pmap, row_blocks, softmax_rows)
+                       check_finite, clip_gradients, row_blocks, softmax_rows)
 from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 INIT_RANGE = 0.08
@@ -255,19 +255,17 @@ def _sample_from_logits(logits: Tensor, u: np.ndarray) -> np.ndarray:
 
 
 def free_run(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor, seqs: np.ndarray,
-             u: np.ndarray, active: Sequence[int], threads: int) -> None:
+             u: np.ndarray, active: Sequence[int]) -> None:
     """Draw the last len(active) columns of seqs (rows, T) in place, step i
     by the first active[i] rows from their uniforms u[:, i]. Row r starts
     from state (h[r], c[r]) having read the token before its first draw.
 
-    The rows run in the fixed `row_blocks` grid, blocks mapped over
-    `threads` workers, and a block takes all its steps before the next
-    starts. At each step its active rows are a prefix of the block. A
-    block's one active row among several active rows is listed twice, so
-    that it is not multiplied alone."""
+    The rows run in the fixed `row_blocks` grid, and a block takes all its
+    steps before the next starts. At each step its active rows are a prefix
+    of the block. A block's one active row among several active rows is
+    listed twice, so that it is not multiplied alone."""
     first = seqs.shape[1] - len(active)
-
-    def run(block: slice) -> None:
+    for block in row_blocks(len(seqs)):
         for i, n in enumerate(active):
             a = min(n, block.stop) - block.start
             if a < 1:
@@ -278,7 +276,6 @@ def free_run(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor, seqs: np.nda
             seqs[r, first + i] = _sample_from_logits(logits, u[r, i])
             if isinstance(r, list):   # the listed row was stepped in copies
                 h[r], c[r] = hr, cr
-    pmap(run, row_blocks(len(seqs)), threads)
 
 
 def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
@@ -292,5 +289,5 @@ def sample_batch(params: ParamStore, dims: GeneratorDims, labels: np.ndarray,
     u = np.stack([rng.child(item_offset + i).uniform(seq_len) for i in range(B)])
     h, c = np.zeros((2, B, dims.d_hidden))
     out = np.full((B, seq_len + 1), BOS_ID, dtype=np.int64)
-    free_run(hoist(params, dims), labels, h, c, out, u, [B] * seq_len, 1)
+    free_run(hoist(params, dims), labels, h, c, out, u, [B] * seq_len)
     return out[:, 1:]

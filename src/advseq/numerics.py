@@ -291,7 +291,7 @@ def chunk_slices(n: int, chunk: int) -> list[slice]:
 # fasttext scoring bodies): a block's (rows, 4d) gates and (L, rows, F)
 # window sums stay near the L2 cache. At adv_cnn's shape one rollout call
 # then peaks at 8.4 MiB, not 23.8; 128 rows took about 5% more CPU time,
-# 512 held 2.3 MiB more
+# 512 held 2.3 MiB more. At least 2, or a block would hold one row
 ROW_BLOCK = 256
 
 
@@ -299,7 +299,6 @@ def row_blocks(n: int) -> list[slice]:
     """The fixed grid of ROW_BLOCK-row slices of range(n). No block holds
     one row unless n is 1: numpy sends a one-row product to gemv, whose
     bits can differ from the same row's in a gemm. So a one-row remainder
-    joins the block before it, and a block is at least two rows."""
-    size = max(ROW_BLOCK, 2)
-    starts = list(range(0, n - 1 if n > 1 else n, size))
+    joins the block before it."""
+    starts = list(range(0, n - 1 if n > 1 else n, ROW_BLOCK))
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
