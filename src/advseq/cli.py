@@ -44,7 +44,7 @@ from .config import (ConfigError, RunConfig, canonical_text, config_digest,
 from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
                      decode_sequence, generate_corpus, read_corpus, read_vocab,
                      split_corpus, write_corpus, write_vocab)
-from .discriminators import KINDS, init_discriminator
+from .discriminators import KINDS, Discriminator, init_discriminator
 from .embeddings import pretrain_embeddings
 from .evaluation import (MetricsReport, application_metrics, macro_metrics,
                          micro_metrics)
@@ -203,6 +203,15 @@ def new_generator(cfg: RunConfig, vocab: Vocab,
     """The generator the config sizes, at its seeded initial weights."""
     dims = cfg.generator_dims(len(vocab), len(grammar.labels))
     return init_generator_params(dims, RngStream(cfg["run.seed"], "gen_init")), dims
+
+
+def new_discriminator(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec, kind: str,
+                      root: RngStream) -> Discriminator:
+    """The `kind` discriminator the config sizes, at its seeded initial
+    weights, over a zero table for a checkpoint or pretraining to fill."""
+    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
+    return init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
+                              root.child("dinit", kind))
 
 
 def _count(block: np.ndarray) -> int:
@@ -445,9 +454,7 @@ def cmd_pretrain_d(args) -> int:
     root = RngStream(cfg["run.seed"])
     setting = f"pretrain.d_epochs_{kind}"
     with RunLock(paths):
-        dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
-        disc = init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
-                                  root.child("dinit", kind))
+        disc = new_discriminator(cfg, vocab, grammar, kind, root)
         opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
 
         def loop(start: int, kept: list[dict]) -> Iterator[dict]:
@@ -473,11 +480,9 @@ def cmd_advtrain(args) -> int:
     kind = cfg["disc.kind"]
     sched = cfg.schedule()
     root = RngStream(cfg["run.seed"])
-    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
     with RunLock(paths):
         gen_params, dims = new_generator(cfg, vocab, grammar)
-        disc = init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
-                                  root.child("dinit", kind))
+        disc = new_discriminator(cfg, vocab, grammar, kind, root)
         if not args.resume:  # on --resume, advtrain.ckpt holds every section
             disc_ckpt = _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}")
             restore_run_state(disc_ckpt, digest, {"disc": disc.params, "embed": disc.embed})
@@ -614,45 +619,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "rollout rewards, plus its evaluation suite.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("corpus-gen", help="generate corpus, vocab, and splits")
-    _add_common(p)
-    p.set_defaults(fn=cmd_corpus_gen)
+    def command(name: str, fn: Callable, about: str, resume_from: str | None):
+        p = subs.add_parser(name, help=about)
+        _add_common(p)
+        if resume_from:
+            p.add_argument("--resume", action="store_true",
+                           help=f"continue from the {resume_from} checkpoint")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = subs.add_parser("pretrain-g", help="maximum-likelihood generator pretraining")
-    _add_common(p)
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the saved pretraining checkpoint")
-    p.set_defaults(fn=cmd_pretrain_g)
-
-    p = subs.add_parser("pretrain-d", help="discriminator pretraining")
-    _add_common(p)
+    command("corpus-gen", cmd_corpus_gen, "generate corpus, vocab, and splits", None)
+    command("pretrain-g", cmd_pretrain_g, "maximum-likelihood generator pretraining",
+            "saved pretraining")
+    p = command("pretrain-d", cmd_pretrain_d, "discriminator pretraining", "saved pretraining")
     p.add_argument("--kind", choices=KINDS, help="override disc.kind")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the saved pretraining checkpoint")
-    p.set_defaults(fn=cmd_pretrain_d)
-
-    p = subs.add_parser("advtrain", help="adversarial training")
-    _add_common(p)
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the latest adversarial checkpoint")
-    p.set_defaults(fn=cmd_advtrain)
-
-    p = subs.add_parser("sample", help="print generated sequences")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=10, help="number of sequences")
-    p.add_argument("--label", type=int, help="condition label (default: alternate)")
-    p.add_argument("--ckpt", help="generator checkpoint (default: adversarial, "
-                                  "then pretrained)")
-    p.add_argument("--out", help="write samples here instead of stdout")
-    p.set_defaults(fn=cmd_sample)
-
-    p = subs.add_parser("eval", help="run the evaluation tiers")
-    _add_common(p)
-    p.add_argument("--tier", default="all",
-                   choices=("all", "micro", "macro", "application"))
-    p.add_argument("--ckpt", help="generator checkpoint (default: adversarial, "
-                                  "then pretrained)")
-    p.set_defaults(fn=cmd_eval)
+    command("advtrain", cmd_advtrain, "adversarial training", "latest adversarial")
+    sample = command("sample", cmd_sample, "print generated sequences", None)
+    sample.add_argument("--n", type=int, default=10, help="number of sequences")
+    sample.add_argument("--label", type=int, help="condition label (default: alternate)")
+    sample.add_argument("--out", help="write samples here instead of stdout")
+    evaluate = command("eval", cmd_eval, "run the evaluation tiers", None)
+    evaluate.add_argument("--tier", default="all",
+                          choices=("all", "micro", "macro", "application"))
+    for p in (sample, evaluate):
+        p.add_argument("--ckpt", help="generator checkpoint (default: adversarial, "
+                                      "then pretrained)")
     return parser
 
 

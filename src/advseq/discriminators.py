@@ -21,18 +21,16 @@ the (V, F) table embed @ W_w[i*d_e:(i+1)*d_e], a window's pre-activation is
 the bias plus w gathered rows, and relu (which commutes with max) runs once
 on the pooled features.
 
-Eval-mode birnn scoring (`score`, `class_probs`) reads each batch of its
-grid as a prefix tree, since Monte Carlo rollout rows repeat their sample's
-columns 0..p, and steps each LSTM direction once per distinct prefix of its
-read order. It keeps no input gather and no gate or cell history, and its
-results are bit-identical to `forward`'s, because an LSTM step's rows do
-not depend on which rows share its product. Eval-mode cnn and fasttext
-bodies run over the `numerics.row_blocks` grid (256 rows) inside each
-batch, so cnn's (L, rows, F) window sums take 0.6 MB per width, not 5 MB.
-The head, and birnn's attention, take the whole batch: each ends in a
-matrix-vector product (the sigmoid head's one column, the attention
-scores), and the bits numpy's gemv gives a row depend on which rows share
-the product.
+Eval-mode scoring (`score`, `class_probs`) runs each body over the
+`numerics.row_blocks` grid (256 rows) inside each batch and keeps only the
+features of the whole batch: cnn's window sums take 0.6 MB per width, not
+5 MB, birnn's hidden states and attention layer 2.5 and 1.3 MB, not 20 and
+10. birnn reads each block as a prefix tree, since Monte Carlo rollout
+rows repeat their sample's columns 0..p, and steps each LSTM direction
+once per distinct prefix of its read order. Its features equal `forward`'s
+bit for bit, since neither an LSTM step's rows nor `_attend`'s depend on
+the other rows. The head takes the batch whole: the sigmoid head's one
+column is a gemv, and the bits gemv gives a row depend on the other rows.
 """
 
 from __future__ import annotations
@@ -257,12 +255,14 @@ def _birnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
 def _attend(p: ParamStore, H: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Additive self-attention over H (T, B, 2*d_h): the pooled (B, 2*d_h)
     features, the (T*B, d_att) tanh layer, built in place, and the (B, T)
-    weights."""
+    weights. No row's bits depend on the other rows: the score u @ att.u is
+    an einsum, where numpy's gemv would take rows four at a time."""
     T, B, d2 = H.shape
     u = H.reshape(T * B, d2) @ p.value("d.att.W")
     u += p.value("d.att.b")
     np.tanh(u, out=u)
-    alpha = softmax_rows((u @ p.value("d.att.u")[0]).reshape(T, B).T)   # (B, T)
+    scores = np.einsum("ij,j->i", u, p.value("d.att.u")[0])
+    alpha = softmax_rows(scores.reshape(T, B).T)                        # (B, T)
     s = (alpha[:, None, :] @ H.transpose(1, 0, 2))[:, 0]
     return s, u, alpha
 
@@ -303,19 +303,25 @@ class PrefixStep(NamedTuple):
 
 def prefix_tree(ids: np.ndarray) -> list[PrefixStep]:
     """The distinct prefixes of the rows of token ids (T, B), read in step
-    order, step by step. A step with one distinct prefix among several rows
+    order, step by step, numbered in lexicographic order from one stable
+    sort of the rows: a prefix's rows are a run of the sorted rows, held by
+    the run's first row. A step with one distinct prefix among several rows
     lists its row twice: numpy sends a one-row product to gemv, whose bits
     can differ from the same row's in a gemm."""
-    B = ids.shape[1]
-    base = int(ids.max()) + 1 if ids.size else 1
-    prev = np.zeros(B, dtype=np.int64)
+    order = np.lexsort(ids[::-1])            # column 0 is the primary key
+    ranked = ids[:, order]
+    starts = np.ones(ids.shape, dtype=bool)  # [t, j]: sorted row j starts a run
+    np.logical_or.accumulate(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[:, 1:])
+    inv = np.empty(ids.shape, dtype=np.int64)
+    inv[:, order] = np.cumsum(starts, axis=1) - 1
+    prev = np.zeros(ids.shape[1], dtype=np.int64)
     steps = []
-    for col in ids:
-        _, rows, inv = np.unique(prev * base + col, return_index=True, return_inverse=True)
-        if len(rows) == 1 < B:
+    for start, ids_t in zip(starts, inv):
+        rows = order[start]
+        if len(rows) == 1 < len(order):
             rows = np.repeat(rows, 2)
-        steps.append(PrefixStep(rows, prev[rows], inv))
-        prev = inv
+        steps.append(PrefixStep(rows, prev[rows], ids_t))
+        prev = ids_t
     return steps
 
 
@@ -338,6 +344,16 @@ def _birnn_eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
             cell(a, W_h, h_prev, c_prev, h, c)
             out[t] = h[step.ids]
     return _attend(p, H)[0]
+
+
+def _eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
+    """The eval-mode features of `forward`, bit for bit, one row block
+    (`numerics.row_blocks`) after another: birnn's from each block's prefix
+    tree, cnn's and fasttext's from their training bodies."""
+    kind = disc.cfg.kind
+    parts = [_birnn_eval_features(disc, tokens[b]) if kind == "birnn"
+             else _FEATURES[kind](disc, tokens[b])[0] for b in row_blocks(len(tokens))]
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +412,11 @@ def _eval_batches(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None
                   head, batch_size: int, threads: int) -> np.ndarray:
     """head(eval-mode logits) over a fixed grid of batch_size-row batches;
     the grid, not the worker count, decides which rows share a forward
-    pass. birnn's features come from each batch's prefix tree, cnn's and
-    fasttext's from its row blocks; the head takes the batch whole.
+    pass. Features come in row blocks; the head takes the batch whole.
     Non-finite logits stop here, before any caller acts on them."""
     def one(sl: slice) -> np.ndarray:
-        rows = tokens[sl]
-        if disc.cfg.kind == "birnn":
-            s = _birnn_eval_features(disc, rows)
-        else:
-            s = np.concatenate([_FEATURES[disc.cfg.kind](disc, rows[b])[0]
-                                for b in row_blocks(len(rows))])
-        logits = _head(disc, s, None if labels is None else labels[sl])[1]
+        logits = _head(disc, _eval_features(disc, tokens[sl]),
+                       None if labels is None else labels[sl])[1]
         check_finite("discriminator logits", logits)
         return head(logits)
     parts = pmap(one, chunk_slices(len(tokens), batch_size), threads)

@@ -24,9 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import PAD_ID, SequenceData
-from .numerics import RngStream, check_finite, sigmoid
+from .numerics import NumericError, RngStream, check_finite, sigmoid
 
 BATCH_SIZE = 512  # (center, context) pairs per update
+# Largest |entry| of a trained table. Preset tables stay below 4; at 100 two
+# rows' score can reach 1e4*d, far past where the logistic saturates, so the
+# summed batch updates fit nothing any more: the table has diverged.
+MAX_ENTRY = 100.0
 
 
 def _skipgram_pairs(data: SequenceData, window: int) -> np.ndarray:
@@ -103,4 +107,7 @@ def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
             w_in -= lr_t * (onehot.T @ dv)
             step += 1
     check_finite("skip-gram embeddings", w_in)
+    if (top := float(np.abs(w_in).max())) > MAX_ENTRY:
+        raise NumericError(f"skip-gram embeddings diverged: an entry of {top:.3g} "
+                           f"exceeds {MAX_ENTRY:g}")
     return w_in

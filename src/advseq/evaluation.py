@@ -217,14 +217,10 @@ def ere_suite(real: SequenceData, generated: SequenceData, rng: RngStream,
     gen_a, gen_b = split_half(generated, rng.child("gen_split"))
     rand = random_sequences(len(real), real.seq_len, dcfg.vocab_size, n_labels,
                             rng.child("rand"))
-    acc1 = _binary_probe(real_a, real_b, rng.child("ere1"), dcfg,
-                         epochs, n_labels)
-    acc2 = _binary_probe(gen_a, gen_b, rng.child("ere2"), dcfg,
-                         epochs, n_labels)
-    acc3 = _binary_probe(real, rand, rng.child("ere3"), dcfg,
-                         epochs, n_labels)
-    return {"ere1": abs(acc1 - 0.5), "ere2": abs(acc2 - 0.5),
-            "ere3": abs(acc3 - 1.0)}
+    probes = {"ere1": (real_a, real_b, 0.5), "ere2": (gen_a, gen_b, 0.5),
+              "ere3": (real, rand, 1.0)}
+    return {name: abs(_binary_probe(pos, neg, rng.child(name), dcfg, epochs, n_labels) - want)
+            for name, (pos, neg, want) in probes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +246,11 @@ def downstream_classification(real_train: SequenceData,
     """Test accuracy when training on real data, generated data, and their
     union (augmentation)."""
     n_labels = max(real_train.n_labels(), test.n_labels())
-    mix = SequenceData.concat([real_train, synth_train])
-    return {
-        "acc_real": classifier_accuracy(real_train, test, rng.child("real"),
-                                        dcfg, epochs, n_labels),
-        "acc_synth": classifier_accuracy(synth_train, test, rng.child("synth"),
-                                         dcfg, epochs, n_labels),
-        "acc_mix": classifier_accuracy(mix, test, rng.child("mix"),
-                                       dcfg, epochs, n_labels),
-    }
+    sets = {"real": real_train, "synth": synth_train,
+            "mix": SequenceData.concat([real_train, synth_train])}
+    return {f"acc_{name}": classifier_accuracy(train, test, rng.child(name), dcfg, epochs,
+                                               n_labels)
+            for name, train in sets.items()}
 
 
 # ---------------------------------------------------------------------------

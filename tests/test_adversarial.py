@@ -657,13 +657,13 @@ def test_row_blocks_do_not_change_rollout_rewards(kind, B, T, K, block, threads,
 
 # tracemalloc peak of one call at adv_cnn's shape (V 62, 2 labels, desk
 # dims, B 32, K 8, T 20), in MiB. Measured 8.4 (cnn), 8.4 (fasttext) and
-# 40.8 (birnn); before generation and scoring ran in row blocks they were
-# 23.8, 25.8 and 49.6. What the call holds whatever the blocks is about
+# 10.8 (birnn); before generation and scoring ran in row blocks they were
+# 23.8, 25.8 and 49.6, and 40.8 for birnn while its attention took a
+# 2048-row batch whole. What the call holds whatever the blocks is about
 # 5 MiB: the 4,864 rows' tokens, uniforms and (h, c) states and the
-# teacher-forced pass. birnn scoring adds a 2048-row batch's (T, rows,
-# 2*d_h) hidden states and (T*rows, d_att) attention layer, 30 MiB. The
-# bounds sit 3.6-4.2 MiB over the readings and under the old ones.
-ROLLOUT_PEAK_MIB = {"cnn": 12.0, "fasttext": 12.0, "birnn": 45.0}
+# teacher-forced pass. The bounds sit 3.6-4.2 MiB over the readings and
+# under the old ones.
+ROLLOUT_PEAK_MIB = {"cnn": 12.0, "fasttext": 12.0, "birnn": 15.0}
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -13,6 +13,7 @@ import advseq
 from advseq import cli, evaluation
 from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
+from advseq.corpus import read_vocab
 from oracles import parse_metrics_csv
 
 SEED = ["--seed", "11"]
@@ -394,14 +395,31 @@ def test_diverging_skip_gram_exits_3_and_saves_no_table(tmp_path, capsys):
     assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
 
 
-def test_overflowing_gradient_norm_exits_3(tmp_path, capsys):
-    # a finite table of entries near 1e258 gives finite discriminator
-    # gradients whose squared sum overflows; the clip must not scale them
-    # all to zero and report an untrained discriminator as a success
+def test_a_diverged_skipgram_table_exits_3(tmp_path, capsys):
+    # at embed.lr=1e12 the skip-gram table reaches entries near 1e258,
+    # finite but diverged; no discriminator may train on it
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST,
                "--set", "embed.lr=1e12", "--set", "embed.epochs=3") == 0
     assert run("pretrain-g", "--run-dir", d) == 0
+    with np.errstate(all="ignore"):
+        assert run("pretrain-d", "--run-dir", d) == 3
+    assert "skip-gram embeddings diverged" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "embeddings.ckpt"))
+
+
+def test_overflowing_gradient_norm_exits_3(tmp_path, capsys):
+    # a finite table of entries near 1e258 gives finite discriminator
+    # gradients whose squared sum overflows; the clip must not scale them
+    # all to zero and report an untrained discriminator as a success.
+    # Skip-gram refuses to train such a table, so it comes from a stored one
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
+    assert run("pretrain-g", "--run-dir", d) == 0
+    _, digest = load_tensors(os.path.join(d, "gen_pretrain.ckpt"))
+    n_tokens = len(read_vocab(os.path.join(d, "vocab.txt")))
+    table = np.random.default_rng(0).uniform(-1.0, 1.0, (n_tokens, 8)) * 1e258
+    save_tensors(os.path.join(d, "embeddings.ckpt"), {"embed.table": table}, digest)
     with np.errstate(all="ignore"):
         assert run("pretrain-d", "--run-dir", d) == 3
     assert "gradient norm" in capsys.readouterr().err

@@ -12,8 +12,8 @@ from hypothesis import strategies as some
 from advseq import numerics
 from advseq.corpus import PAD_ID
 from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
-                                   _birnn_eval_features, _cnn_backward,
-                                   _cnn_features, backward,
+                                   _attend, _birnn_eval_features, _cnn_backward,
+                                   _cnn_features, _eval_features, backward,
                                    bigram_buckets, class_probs, forward,
                                    init_discriminator, loss_and_dlogits,
                                    prefix_tree, score, train_step)
@@ -237,10 +237,11 @@ def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hi
 
 
 def test_birnn_eval_features_do_not_depend_on_the_row_block():
-    # the attention scores u @ att.u are a matrix-vector product, whose
-    # rows can take other bits in another row set; so attention runs over
-    # the whole batch, and no row block size changes the features. An
-    # _attend over row blocks passes the hypothesis test above, not this
+    # eval-mode birnn features run attention block by block; they must
+    # equal forward()'s over the whole batch for every block size, which
+    # holds only while _attend's rows do not depend on which rows share it.
+    # With a gemv score this fails at some seeds, while the hypothesis test
+    # above, which sees blocked features only through the head, can pass
     cfg = desk("disc_config", V, 2, "birnn", d_embed=D_E, d_hidden=8, use_condition=False)
     for seed in range(40):
         disc = init_discriminator(cfg, EMBED, RngStream(seed, "birnn"))
@@ -248,7 +249,34 @@ def test_birnn_eval_features_do_not_depend_on_the_row_block():
         want = forward(disc, tokens, None, None)[1].features
         for block in (2, 3, 5):
             with mock.patch.object(numerics, "ROW_BLOCK", block):
-                assert np.array_equal(_birnn_eval_features(disc, tokens), want), (seed, block)
+                assert np.array_equal(_eval_features(disc, tokens), want), (seed, block)
+
+
+# row subsets of every size mod 4: OpenBLAS's gemv takes rows four at a
+# time and the rest through another kernel. One row comes only as a whole
+# batch, as in `numerics.row_blocks`: a one-row product goes to gemv
+# whatever the score's form
+@settings(max_examples=200, deadline=None)
+@given(T=some.integers(1, 6), quads=some.integers(0, 5), rest=some.integers(0, 3),
+       extra=some.integers(0, 9), d_hidden=some.sampled_from([1, 3, 8, 32]),
+       seed=some.integers(0, 2**16))
+def test_attention_rows_do_not_depend_on_the_other_rows(T, quads, rest, extra, d_hidden,
+                                                        seed):
+    n = 4 * quads + rest
+    if n < 2:
+        n, extra = 1, 0
+    cfg = desk("disc_config", V, 2, "birnn", d_embed=D_E, d_hidden=d_hidden)
+    disc = init_discriminator(cfg, EMBED, RngStream(seed, "birnn"))
+    disc.params["d.att.b"].value[...] = RngStream(seed, "b").normal((1, d_hidden))
+    stream = RngStream(seed, "rows")
+    H = stream.child("H").normal((T, n + extra, 2 * d_hidden))
+    subset = np.sort(stream.child("pick").permutation(n + extra)[:n])
+    s, u, alpha = _attend(disc.params, H)
+    s_sub, u_sub, alpha_sub = _attend(disc.params, H[:, subset])
+    rows_of_u = (np.arange(T)[:, None] * (n + extra) + subset).ravel()
+    assert np.array_equal(u_sub, u[rows_of_u])
+    assert np.array_equal(alpha_sub, alpha[subset])
+    assert np.array_equal(s_sub, s[subset])
 
 
 def test_prefix_tree_shares_each_distinct_prefix():

@@ -146,6 +146,18 @@ def test_a_diverging_table_is_a_numeric_failure():
         pretrain_embeddings(data, len(vocab), 8, RngStream(73, "embed"), epochs=5, lr=1e6)
 
 
+def test_a_finite_but_diverged_table_is_a_numeric_failure():
+    # Zipf tokens (p ~ 1/rank over 60 tokens, the top one 21% of all): one
+    # output row takes hundreds of summed updates per batch and the table
+    # grows to about 1e18 while staying finite
+    V = 62
+    p = 1.0 / np.arange(1, V - 1)
+    tokens = 2 + np.random.default_rng(5).choice(V - 2, size=(400, 20), p=p / p.sum())
+    data = SequenceData(tokens, np.zeros(len(tokens), dtype=np.int64))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="diverged"):
+        pretrain_embeddings(data, V, 32, RngStream(3, "e"), epochs=5)
+
+
 def test_training_faults_in_few_pages_per_batch():
     # the (B, V) tables are freed and reallocated every batch; they must
     # come back from the heap, not from fresh pages. A form that faults in
