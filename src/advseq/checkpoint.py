@@ -7,13 +7,14 @@ Layout, all integers little-endian u32:
 
 Each block is: name length, utf-8 name, rows, cols, then rows*cols float64
 values row-major. Every tensor is stored 2-D; vectors go in as one row and
-scalars as 1x1. Writes go through a temp file and an atomic rename, so a
-crash can leave a stale temp file but never a torn checkpoint, and the
-trailing checksum turns silent truncation or corruption into a load error.
+scalars as 1x1. `write_atomic`, which every checkpoint and most text files
+go through, writes a temp file and renames it, so a crash never tears one;
+the trailing checksum turns silent truncation or corruption into a load error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zlib
@@ -48,13 +49,23 @@ def save_tensors(path, tensors: dict[str, np.ndarray], digest: bytes) -> None:
         parts.append(_pack_u32(arr.shape[1]))
         parts.append(arr.astype("<f8").tobytes(order="C"))
     body = b"".join(parts)
-    blob = body + _pack_u32(zlib.crc32(body) & 0xFFFFFFFF)
+    write_atomic(path, body + _pack_u32(zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def write_atomic(path, blob: bytes) -> None:
+    """Write `blob` to a temporary file beside `path`, fsync it and rename it
+    over `path`: `path` is old or new whole, and an exception leaves no temp file."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

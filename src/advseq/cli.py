@@ -38,7 +38,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .adversarial import adversarial_train, pretrain_discriminator, pretrain_generator
-from .checkpoint import CheckpointError, load_tensors, save_tensors
+from .checkpoint import CheckpointError, load_tensors, save_tensors, write_atomic
 from .config import (ConfigError, RunConfig, canonical_text, config_digest,
                      make_config)
 from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
@@ -339,14 +339,13 @@ def cmd_corpus_gen(args) -> int:
         root = RngStream(cfg["run.seed"])
         data, vocab = generate_corpus(grammar, cfg["corpus.n"], root.child("corpus"))
         splits = split_corpus(data, cfg["corpus.split"], root.child("split"))
-        with open(paths.config, "w", encoding="utf-8") as fh:
-            fh.write(canonical_text(cfg))
-        with open(paths.grammar, "w", encoding="utf-8") as fh:
-            fh.write(format_grammar(grammar))
+        # corpus_train.txt goes last: while it is missing, a rerun starts over
+        write_atomic(paths.config, canonical_text(cfg).encode("utf-8"))
+        write_atomic(paths.grammar, format_grammar(grammar).encode("utf-8"))
         write_vocab(paths.vocab, vocab)
-        write_corpus(paths.train, splits.train, vocab)
         write_corpus(paths.valid, splits.valid, vocab)
         write_corpus(paths.test, splits.test, vocab)
+        write_corpus(paths.train, splits.train, vocab)
     print(f"corpus: {len(splits.train)} train / {len(splits.valid)} valid / "
           f"{len(splits.test)} test, vocabulary {len(vocab)}")
     try:
@@ -388,7 +387,7 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
     names the command that writes it) and starts after the stored counter,
     the log's first column.
     It refuses an empty range up to `cfg[setting]`, rewrites the log's kept
-    rows through a temporary file, then runs `loop(start, kept)`: each row
+    rows through `write_atomic`, then runs `loop(start, kept)`: each row
     gets `wall_seconds` since the loop was built, is appended and flushed,
     and only then is `run` saved, so the log never trails the checkpoint.
     Returns `start` and the last row, None if the loop yielded none."""
@@ -402,9 +401,8 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
     def line(row: dict) -> str:  # repr(float(cell)) is the cell as written
         return ",".join(repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
                         for c in columns) + "\n"
-    with open(log_path + ".tmp", "w", encoding="utf-8") as fh:
-        fh.writelines(line(row) for row in [dict(zip(columns, columns))] + kept)
-    os.replace(log_path + ".tmp", log_path)
+    header = dict(zip(columns, columns))
+    write_atomic(log_path, "".join(map(line, [header] + kept)).encode("utf-8"))
     row = None
     with open(log_path, "a", encoding="utf-8") as fh:
         rows = loop(start, kept)
@@ -586,10 +584,8 @@ def cmd_eval(args) -> int:
                     metrics["nll_gap"] = metrics["nll_test"] - exact
         report = MetricsReport(os.path.basename(os.path.abspath(paths.run_dir)),
                                cfg["run.seed"], metrics, skipped)
-        with open(paths.metrics_csv, "w", encoding="utf-8") as fh:
-            fh.write(report.csv_text())
-        with open(paths.metrics_txt, "w", encoding="utf-8") as fh:
-            fh.write(report.text())
+        write_atomic(paths.metrics_csv, report.csv_text().encode("utf-8"))
+        write_atomic(paths.metrics_txt, report.text().encode("utf-8"))
     print(f"evaluated {ckpt_path}")
     sys.stdout.write(report.text())
     return EXIT_OK

@@ -3,7 +3,9 @@
 Token id 0 is the begin marker fed to the generator at the first step and
 id 1 is the shared pad/unknown id; both are excluded from losses and text
 metrics downstream. Sequences are stored as fixed-width int arrays of
-length `seq_len` with trailing pads.
+length `seq_len` with trailing pads. Generated rows and each line of a
+corpus file go straight into that array; files are written whole through
+`checkpoint.write_atomic`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import BOS_TOKEN, PAD_TOKEN, GrammarSpec, sample_sequence
+from .checkpoint import write_atomic
+from .grammar import BOS_TOKEN, PAD_TOKEN, GrammarSpec, sample_rows
 from .numerics import RngStream
 
 BOS_ID = 0
@@ -83,27 +86,6 @@ class SequenceData:
                             np.concatenate([p.labels for p in parts], axis=0))
 
 
-def encode_sequences(rows: list[tuple[int, list[str]]], vocab: Vocab,
-                     seq_len: int) -> tuple["SequenceData", int]:
-    """Map (label, tokens) rows to padded id arrays.
-
-    Returns the data plus a count of out-of-vocabulary tokens that were
-    collapsed onto the pad id.
-    """
-    n = len(rows)
-    tokens = np.full((n, seq_len), PAD_ID, dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    unknown = 0
-    for i, (label, toks) in enumerate(rows):
-        labels[i] = label
-        for j, tok in enumerate(toks[:seq_len]):
-            tid = vocab.encode_token(tok)
-            if tid == PAD_ID and tok != PAD_TOKEN:
-                unknown += 1
-            tokens[i, j] = tid
-    return SequenceData(tokens, labels), unknown
-
-
 def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool) -> list[str]:
     toks = [vocab.decode_id(int(i)) for i in ids]
     if strip_pad:
@@ -113,25 +95,20 @@ def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool) -> list[str]
 
 def generate_corpus(spec: GrammarSpec, n: int, rng: RngStream
                     ) -> tuple["SequenceData", Vocab]:
-    """Sample n labeled sequences from a grammar, one child stream per item."""
+    """Sample n labeled sequences from a grammar. Row i takes its label,
+    template and slot uniforms from child stream i, so no row depends on
+    n or on the others; `grammar.sample_rows` draws all rows at once."""
     vocab = Vocab.from_tokens(spec.token_set())
-    rows = [sample_sequence(spec, rng.child(i)) for i in range(n)]
-    data, unknown = encode_sequences(rows, vocab, spec.seq_len)
-    if unknown:
-        raise DataError(f"grammar emitted {unknown} tokens missing from the vocabulary")
-    return data, vocab
+    u = np.array([rng.child(i).uniform(2 + spec.seq_len) for i in range(n)])
+    labels, tokens = sample_rows(spec, u.reshape(n, 2 + spec.seq_len), vocab.token_to_id)
+    return SequenceData(tokens, labels), vocab
 
 
 def dedupe(data: SequenceData) -> SequenceData:
     """Drop exact (label, tokens) repeats, keeping first occurrences."""
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    for i in range(len(data)):
-        key = data.labels[i].tobytes() + data.tokens[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return data.subset(keep)
+    _, first = np.unique(np.column_stack([data.labels, data.tokens]), axis=0,
+                         return_index=True)
+    return data.subset(np.sort(first))
 
 
 @dataclass
@@ -173,10 +150,10 @@ def split_corpus(data: SequenceData, ratios: tuple[float, float, float],
 
 
 def write_corpus(path, data: SequenceData, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(data)):
-            toks = decode_sequence(data.tokens[i], vocab, strip_pad=True)
-            fh.write(f"{int(data.labels[i])}\t{' '.join(toks)}\n")
+    words = vocab.id_to_token
+    lines = [f"{label}\t{' '.join(words[t] for t in row if t != PAD_ID)}\n"
+             for label, row in zip(data.labels.tolist(), data.tokens.tolist())]
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def _read_lines(path) -> list[str]:
@@ -188,16 +165,21 @@ def _read_lines(path) -> list[str]:
 
 
 def read_corpus(path, vocab: Vocab, seq_len: int) -> tuple["SequenceData", int]:
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    """Parse a corpus file into ids line by line; also returns the count of
+    tokens outside the vocabulary, which become the pad id."""
+    lines = _read_lines(path)
+    tokens = np.full((len(lines), seq_len), PAD_ID, dtype=np.int64)
+    labels = np.zeros(len(lines), dtype=np.int64)
+    n = unknown = 0
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         if "\t" not in line:
             raise DataError(f"{path}: line {lineno}: expected label<TAB>tokens")
         head, _, body = line.partition("\t")
         try:
-            label = int(head)
-        except ValueError:
+            labels[n] = label = int(head)
+        except (ValueError, OverflowError):  # no int, or none that int64 holds
             raise DataError(f"{path}: line {lineno}: bad label {head!r}") from None
         if label < 0:
             raise DataError(f"{path}: line {lineno}: negative label")
@@ -205,14 +187,15 @@ def read_corpus(path, vocab: Vocab, seq_len: int) -> tuple["SequenceData", int]:
         if len(toks) > seq_len:
             raise DataError(f"{path}: line {lineno}: {len(toks)} tokens, longer than "
                             f"corpus.seq_len = {seq_len}")
-        rows.append((label, toks))
-    return encode_sequences(rows, vocab, seq_len)
+        ids = [vocab.encode_token(tok) for tok in toks]
+        unknown += ids.count(PAD_ID) - toks.count(PAD_TOKEN)
+        tokens[n, :len(ids)] = ids
+        n += 1
+    return SequenceData(tokens[:n], labels[:n]), unknown
 
 
 def write_vocab(path, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in vocab.id_to_token:
-            fh.write(tok + "\n")
+    write_atomic(path, "".join(tok + "\n" for tok in vocab.id_to_token).encode("utf-8"))
 
 
 def read_vocab(path) -> Vocab:

@@ -19,6 +19,9 @@ Grammar files are flat structured text:
 
 A slot line lists tokens separated by `|`; each token may carry an explicit
 probability (`calm 0.25 | tense 0.75`), otherwise the slot is uniform.
+
+`sample_rows` draws a whole corpus at once, each cumulative table built
+once and searched for all the rows that reach it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .numerics import RngStream
 
 BOS_TOKEN = "<bos>"
 PAD_TOKEN = "<pad>"
@@ -344,21 +345,30 @@ def format_grammar(spec: GrammarSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def sample_sequence(spec: GrammarSpec, rng: RngStream) -> tuple[int, list[str]]:
-    """Draw (label, tokens) with one stream; tokens are unpadded."""
-    u = rng.uniform(2 + spec.seq_len)
-    priors = np.array([spec.label_prior(lb) for lb in spec.label_ids()])
-    label = spec.label_ids()[int(np.searchsorted(np.cumsum(priors), u[0], side="right"))]
-    templates = spec.labels[label]
-    weights = np.array([t.weight for t in templates])
-    ti = min(int(np.searchsorted(np.cumsum(weights), u[1], side="right")), len(templates) - 1)
-    template = templates[ti]
-    tokens = []
-    for si, slot in enumerate(template.slots):
-        k = min(int(np.searchsorted(np.cumsum(slot.probs), u[2 + si], side="right")),
-                len(slot.tokens) - 1)
-        tokens.append(slot.tokens[k])
-    return label, tokens
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The entry of a cumulative table that each uniform falls in. Clamped
+    to the last entry, since a table's total may end just below 1."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def sample_rows(spec: GrammarSpec, u: np.ndarray, token_id: dict[str, int]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One row per line of the (n, 2 + seq_len) uniforms `u`: column 0 picks
+    the label, 1 its template, 2 + s the token of slot s. Returns (n,) labels
+    and (n, seq_len) ids under `token_id`, PAD past a template's slots; each
+    cumulative table is built once for all the rows that reach it."""
+    priors = np.cumsum([spec.label_prior(lb) for lb in spec.label_ids()])
+    labels = _pick(priors, u[:, 0])  # label ids are 0..L-1, by validation
+    ids = np.full((len(u), spec.seq_len), token_id[PAD_TOKEN], dtype=np.int64)
+    for label, templates in spec.labels.items():
+        rows = np.flatnonzero(labels == label)
+        picked = _pick(np.cumsum([t.weight for t in templates]), u[rows, 1])
+        for ti, template in enumerate(templates):
+            sel = rows[picked == ti]
+            for si, slot in enumerate(template.slots):
+                tokens = np.array([token_id[tok] for tok in slot.tokens])
+                ids[sel, si] = tokens[_pick(np.cumsum(slot.probs), u[sel, 2 + si])]
+    return labels, ids
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Reference implementations that only the tests use: a finite-difference
 gradient checker, the exact model log-probability of a row, exact rollout
 rewards by enumerating every completion, step-by-step BPTT through the LSTM
-scan, skip-gram training with per-pair gathers and scatter-adds, the exact
-grammar NLL of one sequence, sentence BLEU against a reference list, and a
-parser for the metrics CSV that `eval` writes. Also `desk`, which builds
-the typed config views from the schema's defaults."""
+scan, skip-gram training with per-pair gathers and scatter-adds, the
+per-row grammar sampler, the exact grammar NLL of one sequence, sentence
+BLEU against a reference list, and a parser for the metrics CSV that `eval`
+writes. Also `desk`, which builds the typed config views from the schema's
+defaults."""
 
 from __future__ import annotations
 
@@ -181,6 +182,21 @@ def loop_pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
                       (-lr_t * g_neg[..., None] * v[:, None, :]).reshape(-1, dim))
             step += 1
     return w_in
+
+
+def sample_sequence(spec: GrammarSpec, u: np.ndarray) -> tuple[int, list[str]]:
+    """Draw (label, tokens) from one row of 2 + seq_len uniforms, one
+    table at a time: u[0] picks the label, u[1] its template and u[2 + s]
+    the token of slot s, each the first cumulative entry above the uniform,
+    or the last entry. Tokens are unpadded."""
+    def pick(probs, x: float) -> int:
+        return min(int(np.searchsorted(np.cumsum(probs), x, side="right")), len(probs) - 1)
+
+    label = spec.label_ids()[pick([spec.label_prior(lb) for lb in spec.label_ids()], u[0])]
+    templates = spec.labels[label]
+    template = templates[pick([t.weight for t in templates], u[1])]
+    return label, [slot.tokens[pick(slot.probs, u[2 + si])]
+                   for si, slot in enumerate(template.slots)]
 
 
 def sequence_nll_tokens(spec: GrammarSpec, label: int, tokens: list[str]) -> float:

@@ -1,5 +1,6 @@
 """Command line: run-dir lifecycle, exit codes, resumability, determinism."""
 
+import hashlib
 import os
 import shutil
 import signal
@@ -30,6 +31,74 @@ for pair in ("corpus.n=60", "model.d_embed=8", "model.d_hidden=8",
 
 CORPUS_FILES = ("config.txt", "grammar.txt", "vocab.txt", "corpus_train.txt",
                 "corpus_valid.txt", "corpus_test.txt")
+
+
+# sha256 of each file corpus-gen writes at --seed 3 --set corpus.n=400, as the
+# per-row sampler wrote them; the table sampler must keep every byte
+CORPUS_SHA256 = {
+    "overlapping": {
+        "config.txt": "a31ea2b68d40a2500aa96cfb7bf1b713c61063cad8907aa16ad99bf6129a71f5",
+        "grammar.txt": "93dddca69120f48de201166ccc5f7ffa054d5cdcf76089895d6891eb7b33a916",
+        "vocab.txt": "9452dea6fe8ae58204b0feaecbbb733ea4c309f30b7ee8028d5668c0d84be3a8",
+        "corpus_train.txt": "b640da0dbd560442cdff235f59fb1b86dcc0bf639e4cfeb8ac91e9d2a7e4e477",
+        "corpus_valid.txt": "6c243e6b43875a16089071a0918c10692dc86dc41f3459ecf682b448af59f4e4",
+        "corpus_test.txt": "0d5b525ee42a209f5799ba7cf56797adf3f8f944d30a314e017095f47fcb831d",
+    },
+    "separable": {
+        "config.txt": "443e940bbf55178c53d95d184489a2fc38821e2bad8d67f017b5c9f82d052442",
+        "grammar.txt": "cfb6390a44b495197eaa2d43e60612461a56497e7037a285917b7068947fb1ba",
+        "vocab.txt": "a3f4a57437c6fa50e8c60816b892a9e8877b3b69c9e9e0ce2b3b8beb8fccb7b5",
+        "corpus_train.txt": "0db7bd09ab3bc57c4dbadb2de52728633c1b02c503ade1cb14012f5e9c57ad1f",
+        "corpus_valid.txt": "62e8f13e89e712ebfa21c407e3c3b250c5df5bb00106d391abd813328b408ba1",
+        "corpus_test.txt": "c44c7b230ac45043d00f1ec6f6c9086a5d29a0c84c4ac16c788fff0c52fb271b",
+    },
+    "full": {
+        "config.txt": "89882f7298606cbc72645de93576224fe40a687df49dcda861d9e6240321e252",
+        "grammar.txt": "2c3884cb3966266505604b3fe1f122fe167697430bae752e60802a616079e9ac",
+        "vocab.txt": "716242da9ee6ad9f15285761b6d0f4256ea54d90e21541160669ca52de23d3b4",
+        "corpus_train.txt": "a46bde5b54f628d353c73ef3ebbd97e34fbd30765555b978c7f2f97ae96da248",
+        "corpus_valid.txt": "2e96e4a9fc575bb75b0dcb105647d88d80bf180202e57ca66de7db4edc23bbc1",
+        "corpus_test.txt": "0b2c562e84966345f4a2188898deb37f1ad6060dd7fac17bebcfd5a8feb859c7",
+    },
+    "file": {
+        "config.txt": "80daa982d2ca6fb94f97ab4a221dc83d365d1494a309103f6fb9bd7f0c3f1aab",
+        "grammar.txt": "09f079017f0a23ac1f00975deb94d7036342b4e2d63c41a78e36edd1eca07430",
+        "vocab.txt": "6e2f5b2d6a9426a4e1ad22a4bb300e5778e8485a2d2bb8134ecc2c53db9a9495",
+        "corpus_train.txt": "f126654f712c2f07b612bee88949f3dcba54173a09340d30860c3395f2672fb2",
+        "corpus_valid.txt": "5620c32b444eab92d9c8fd97d4e4d1597102a6f21373938b563d743fbce99f46",
+        "corpus_test.txt": "a7dfd99f14c9986251ccbffe3843e6608c1a8f7bedf2136f2b718d3aecfd0973",
+    },
+}
+
+PINNED_GRAMMAR = """\
+seq_len = 8
+
+[label 0]
+prior = 0.3
+[template weight = 0.75]
+slot = go 0.2 | stay 0.8
+slot = left | right | back | up
+slot = now 0.1 | later 0.3 | soon 0.6
+[template weight = 0.25]
+slot = wait
+slot = now 0.6 | later 0.4
+slot = here | there | near
+slot = left 0.5 | back 0.5
+slot = stop
+
+[label 1]
+prior = 0.7
+[template weight = 0.4]
+slot = go | wait | stay
+slot = here 0.1 | there 0.9
+slot = now
+slot = up | down | left | right | back
+slot = soon 0.25 | later 0.75
+slot = stop | go
+[template weight = 0.6]
+slot = near | far
+slot = up 0.7 | down 0.3
+"""
 
 
 def run(*argv) -> int:
@@ -101,6 +170,54 @@ def test_corpus_gen_is_deterministic(tmp_path):
         assert read(os.path.join(a, name)) == read(os.path.join(b, name)), name
     assert read(os.path.join(a, "corpus_train.txt")) != \
            read(os.path.join(c, "corpus_train.txt"))
+
+
+@pytest.mark.parametrize("case,extra", [
+    ("overlapping", ("--set", "corpus.grammar=overlapping")),
+    ("separable", ("--set", "corpus.grammar=separable")),
+    ("full", ("--preset", "full")),
+    ("file", ("--set", "corpus.grammar=grammar_in.txt")),
+])
+def test_corpus_gen_keeps_its_pinned_bytes(tmp_path, monkeypatch, case, extra):
+    # the file grammar has priors, weighted slots and templates shorter
+    # than seq_len; its path is relative, as config.txt pins it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grammar_in.txt").write_text(PINNED_GRAMMAR)
+    assert run("corpus-gen", "--run-dir", "run", "--seed", "3", "--set", "corpus.n=400",
+               *extra) == 0
+    for name in CORPUS_FILES:
+        digest = hashlib.sha256(read_bytes(os.path.join("run", name))).hexdigest()
+        assert digest == CORPUS_SHA256[case][name], name
+
+
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_corpus_gen_interrupted_at_any_write_reruns_to_the_same_bytes(
+        tmp_path, capsys, monkeypatch, call):
+    # corpus_train.txt comes last, so a run stopped at any file's write
+    # leaves a directory that a rerun accepts
+    straight = str(tmp_path / "straight")
+    assert run("corpus-gen", "--run-dir", straight, *SEED, *FAST) == 0
+    real = getattr(os, call)
+    for k in range(len(CORPUS_FILES)):
+        d, calls = str(tmp_path / f"cut{k}"), []
+
+        def cut(*args):
+            calls.append(args)
+            if len(calls) == k + 1:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(os, call, cut)
+        assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == cli.EXIT_INTERRUPTED
+        monkeypatch.setattr(os, call, real)
+        left = sorted(os.listdir(d))
+        assert not any(name.endswith(".tmp") for name in left), left
+        assert ".lock" not in left and "corpus_train.txt" not in left, left
+        assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
+        for name in CORPUS_FILES:
+            assert read_bytes(os.path.join(d, name)) == \
+                   read_bytes(os.path.join(straight, name)), (k, name)
+    capsys.readouterr()
 
 
 def test_corpus_gen_refuses_existing(tmp_path, capsys):

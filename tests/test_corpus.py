@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from advseq.corpus import (BOS_ID, PAD_ID, DataError, SequenceData, Vocab,
-                           decode_sequence, dedupe, encode_sequences,
-                           generate_corpus, read_corpus, read_vocab,
-                           split_corpus, write_corpus,
-                           write_vocab)
+                           decode_sequence, dedupe, generate_corpus,
+                           read_corpus, read_vocab, split_corpus,
+                           write_corpus, write_vocab)
 from advseq.grammar import (BOS_TOKEN, PAD_TOKEN, overlapping_preset,
                             parse_grammar, separable_preset)
 from advseq.numerics import RngStream
@@ -67,31 +66,34 @@ def test_decode_encode_identity(tiny_spec):
 # ---------------------------------------------------------------------------
 
 
-def test_crop_pad_crops():
-    v = Vocab.from_tokens([f"t{i:02d}" for i in range(45)])
-    data, _ = encode_sequences([(0, [f"t{i:02d}" for i in range(45)])], v, 40)
-    assert data.tokens[0].shape == (40,)
-    assert np.array_equal(data.tokens[0], np.arange(2, 42))
+def read_rows(tmp_path, text: str, vocab: Vocab, seq_len: int):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(text)
+    return read_corpus(path, vocab, seq_len)
 
 
-def test_crop_pad_pads():
+def test_crop_pad_pads(tmp_path):
     v = Vocab.from_tokens(["a", "b", "c"])
-    data, _ = encode_sequences([(0, ["a", "b", "c"])], v, 5)
+    data, _ = read_rows(tmp_path, "0\ta b c\n", v, 5)
     assert np.array_equal(data.tokens[0], [2, 3, 4, PAD_ID, PAD_ID])
 
 
-def test_encode_counts_unknown_tokens():
+def test_encode_counts_unknown_tokens(tmp_path):
+    # a stored pad token is no unknown, and a row may be all pads
     v = Vocab.from_tokens(["a", "b"])
-    data, unknown = encode_sequences([(0, ["a", "mystery", "b", "ghost"])], v, 5)
+    data, unknown = read_rows(tmp_path, f"0\ta mystery b ghost\n1\t{PAD_TOKEN} a\n1\t\n",
+                              v, 5)
     assert unknown == 2
-    assert np.array_equal(data.tokens[0],
-                          [v.encode_token("a"), PAD_ID, v.encode_token("b"),
-                           PAD_ID, PAD_ID])
+    assert np.array_equal(data.tokens,
+                          [[v.encode_token("a"), PAD_ID, v.encode_token("b"), PAD_ID, PAD_ID],
+                           [PAD_ID, v.encode_token("a"), PAD_ID, PAD_ID, PAD_ID],
+                           [PAD_ID] * 5])
+    assert data.labels.tolist() == [0, 1, 1]
 
 
-def test_decode_sequence_strips_pads():
+def test_decode_sequence_strips_pads(tmp_path):
     v = Vocab.from_tokens(["a", "b"])
-    data, _ = encode_sequences([(1, ["b", "a"])], v, 4)
+    data, _ = read_rows(tmp_path, "1\tb a\n", v, 4)
     assert decode_sequence(data.tokens[0], v, strip_pad=True) == ["b", "a"]
     assert len(decode_sequence(data.tokens[0], v, strip_pad=False)) == 4
 
@@ -287,6 +289,9 @@ def test_read_corpus_errors_cite_lines(tmp_path):
         read_corpus(path, Vocab.from_tokens(["a"]), 3)
     path.write_text("-1\ta\n")
     with pytest.raises(DataError, match="negative"):
+        read_corpus(path, Vocab.from_tokens(["a"]), 3)
+    path.write_text("0\ta\n99999999999999999999\ta\n")  # beyond int64
+    with pytest.raises(DataError, match="line 2: bad label"):
         read_corpus(path, Vocab.from_tokens(["a"]), 3)
 
 

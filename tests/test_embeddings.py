@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as some
 
-from advseq.corpus import (PAD_ID, SequenceData, Vocab, encode_sequences,
-                           generate_corpus)
+from advseq.corpus import PAD_ID, SequenceData, Vocab, generate_corpus
 from advseq.embeddings import BATCH_SIZE, _skipgram_pairs, pretrain_embeddings
 from advseq.grammar import overlapping_preset, separable_preset
 from advseq.numerics import NumericError, RngStream
@@ -47,9 +46,9 @@ def test_tokens_seen_often_get_trained_rows(trained):
 
 def test_pretraining_is_deterministic():
     vocab = Vocab.from_tokens(["alpha", "beta", "gamma", "delta"])
-    rows = [(i % 2, ["alpha", "beta"] if i % 2 == 0 else ["gamma", "delta"])
-            for i in range(60)]
-    data, _ = encode_sequences(rows, vocab, 2)
+    pairs = [[vocab.encode_token(t) for t in ("alpha", "beta")],
+             [vocab.encode_token(t) for t in ("gamma", "delta")]]
+    data = SequenceData(np.array([pairs[i % 2] for i in range(60)]), np.arange(60) % 2)
     e1 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5)
     e2 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5)
     assert np.array_equal(e1, e2)

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from advseq.grammar import (PAD_TOKEN, GrammarError, GrammarSpec, Template,
+from advseq.corpus import PAD_ID, Vocab, decode_sequence, generate_corpus
+from advseq.grammar import (PAD_TOKEN, GrammarError, GrammarSpec, Slot, Template,
                             format_grammar, overlapping_preset,
-                            parse_grammar, sample_sequence, separable_preset,
+                            parse_grammar, sample_rows, separable_preset,
                             uniform_slot)
 from advseq.numerics import RngStream
-from oracles import sequence_nll_tokens
+from oracles import sample_sequence, sequence_nll_tokens
 
 TINY = """\
 separable = false
@@ -204,19 +207,111 @@ def test_sequence_nll_impossible_cases():
 # ---------------------------------------------------------------------------
 
 
+def token_ids(spec: GrammarSpec) -> dict[str, int]:
+    return Vocab.from_tokens(spec.token_set()).token_to_id
+
+
+def oracle_rows(spec: GrammarSpec, u: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """`sample_rows` rebuilt from the per-row oracle, one row at a time."""
+    token_id = token_ids(spec)
+    labels, ids = [], np.full((len(u), spec.seq_len), PAD_ID)
+    for i, row in enumerate(u):
+        label, tokens = sample_sequence(spec, row)
+        labels.append(label)
+        ids[i, :len(tokens)] = [token_id[tok] for tok in tokens]
+    return labels, ids
+
+
 def test_sample_sequence_deterministic():
+    # each row depends on its own uniforms alone
     spec = parse_grammar(TINY)
-    a = [sample_sequence(spec, RngStream(3, "s", i)) for i in range(40)]
-    b = [sample_sequence(spec, RngStream(3, "s", i)) for i in range(40)]
-    assert a == b
+    u = RngStream(3, "s").uniform((40, 2 + spec.seq_len))
+    labels, ids = sample_rows(spec, u, token_ids(spec))
+    again = sample_rows(spec, u.copy(), token_ids(spec))
+    assert np.array_equal(labels, again[0]) and np.array_equal(ids, again[1])
+    for i in range(len(u)):
+        one = sample_rows(spec, u[i:i + 1], token_ids(spec))
+        assert one[0][0] == labels[i] and np.array_equal(one[1][0], ids[i])
 
 
 def test_samples_are_always_scorable():
     spec = parse_grammar(TINY)
-    for i in range(200):
-        label, tokens = sample_sequence(spec, RngStream(4, i))
-        padded = tokens + [PAD_TOKEN] * (spec.seq_len - len(tokens))
-        assert math.isfinite(sequence_nll_tokens(spec, label, padded))
+    data, vocab = generate_corpus(spec, 200, RngStream(4))
+    for label, ids in zip(data.labels, data.tokens):
+        tokens = decode_sequence(ids, vocab, strip_pad=False)
+        assert math.isfinite(sequence_nll_tokens(spec, int(label), tokens))
+
+
+def test_sample_rows_clamps_a_label_draw_past_priors_that_sum_below_1():
+    # three priors of 0.3333333333 sum to 1 - 1e-10, inside PROB_TOL, so a
+    # uniform just below 1 lies past the cumulative table's last entry
+    text = "seq_len = 2\n" + "".join(
+        f"[label {lb}]\nprior = 0.3333333333\n[template weight = 1.0]\nslot = t{lb}\n"
+        for lb in range(3))
+    spec = parse_grammar(text)
+    u = np.full((1, 2 + spec.seq_len), 0.5)
+    u[0, 0] = np.nextafter(1.0, 0.0)
+    labels, ids = sample_rows(spec, u, token_ids(spec))
+    assert labels.tolist() == [2] == oracle_rows(spec, u)[0]
+    assert ids.tolist() == [[token_ids(spec)["t2"], PAD_ID]]
+
+
+def normalized(draw, n: int) -> list[float]:
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def grammars(draw) -> GrammarSpec:
+    """1-3 labels with or without priors, 1-3 templates each, up to seq_len
+    slots per template over a small shared pool, uniform or weighted."""
+    seq_len = draw(st.integers(1, 5))
+    pool = [f"w{i}" for i in range(6)]
+    labels = {}
+    for label in range(draw(st.integers(1, 3))):
+        n_templates = draw(st.integers(1, 3))
+        templates = []
+        for weight in normalized(draw, n_templates):
+            slots = []
+            for _ in range(draw(st.integers(1, seq_len))):
+                tokens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                                       unique=True))
+                probs = (np.array(normalized(draw, len(tokens))) if draw(st.booleans())
+                         else np.full(len(tokens), 1.0 / len(tokens)))
+                slots.append(Slot(tuple(tokens), probs))
+            templates.append(Template(weight, slots))
+        labels[label] = templates
+    priors = {}
+    if draw(st.booleans()):
+        # ten digits, as a grammar file might give them: may sum just below 1
+        priors = dict(enumerate(round(p, 10) for p in normalized(draw, len(labels))))
+    spec = GrammarSpec(seq_len=seq_len, labels=labels, separable=False, priors=priors)
+    spec.validate()
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sample_rows_match_the_per_row_oracle(data):
+    spec = data.draw(grammars())
+    # every cumulative table's entries below 1, where side="right" matters
+    edges = {0.0, float(np.nextafter(1.0, 0.0))}
+    edges.update(np.cumsum([spec.label_prior(lb) for lb in spec.label_ids()]))
+    for templates in spec.labels.values():
+        edges.update(np.cumsum([t.weight for t in templates]))
+        for t in templates:
+            for slot in t.slots:
+                edges.update(np.cumsum(slot.probs))
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                        st.sampled_from(sorted(e for e in edges if e < 1.0)))
+    n = data.draw(st.integers(1, 12))
+    u = np.array(data.draw(st.lists(uniform, min_size=n * (2 + spec.seq_len),
+                                    max_size=n * (2 + spec.seq_len)))
+                 ).reshape(n, 2 + spec.seq_len)
+    labels, ids = sample_rows(spec, u, token_ids(spec))
+    expected_labels, expected_ids = oracle_rows(spec, u)
+    assert labels.tolist() == expected_labels
+    assert np.array_equal(ids, expected_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +347,10 @@ def test_overlapping_preset_has_constant_sequence_nll():
     # every template mixes equal-entropy slots, so -log p(x|y) is flat
     spec = overlapping_preset()
     h = spec.conditional_entropy()
-    for i in range(25):
-        label, tokens = sample_sequence(spec, RngStream(8, i))
-        assert abs(sequence_nll_tokens(spec, label, tokens) - h) < 1e-9
+    data, vocab = generate_corpus(spec, 25, RngStream(8))
+    for label, ids in zip(data.labels, data.tokens):
+        tokens = decode_sequence(ids, vocab, strip_pad=False)
+        assert abs(sequence_nll_tokens(spec, int(label), tokens) - h) < 1e-9
 
 
 def test_separable_preset_entropy_constant():
