@@ -72,13 +72,12 @@ class TrainSchedule:
 def soft_update(rollout_params: ParamStore, gen_params: ParamStore,
                 alpha: float) -> None:
     """beta <- (1 - alpha) * theta + alpha * beta, exact at both endpoints."""
-    for name, p in rollout_params.items():
-        theta = gen_params.value(name)
-        if alpha == 0.0:
-            p.value[...] = theta
-        elif alpha != 1.0:
-            p.value *= alpha
-            p.value += (1.0 - alpha) * theta
+    beta = rollout_params.flat
+    if alpha == 0.0:
+        beta[...] = gen_params.flat
+    elif alpha != 1.0:
+        beta *= alpha
+        beta += (1.0 - alpha) * gen_params.flat
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +122,7 @@ def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
         u = rng.uniform((n_rows, T))
         free_run(hoist(rollout_params, dims), labels_rows, h, c, seqs, u[:, 1:],
                  range(B * K, n_rows + 1, B * K))
+        del h, c, u   # dead once generated, and scoring is where the call peaks
         scores = score_fn(seqs, labels_rows)
         rewards[:, :T - 1] = scores.reshape(T - 1, B, K).mean(axis=2).T
     rewards[:, T - 1] = score_fn(tokens, labels)

@@ -53,8 +53,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray], digest: bytes) -> None:
 
 
 def write_atomic(path, blob: bytes) -> None:
-    """Write `blob` to a temporary file beside `path`, fsync it and rename it
-    over `path`: `path` is old or new whole, and an exception leaves no temp file."""
+    """Write `blob` to a temp file beside `path`, fsync it and rename it over
+    `path`: old or new whole, no temp file left, and any OSError names `path`."""
     tmp = str(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -62,9 +62,11 @@ def write_atomic(path, blob: bytes) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(f"{path}: {e.strerror or e}") from e
         raise
 
 

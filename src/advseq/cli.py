@@ -257,7 +257,7 @@ def _run_blocks(run: dict, counters: dict[str, int]
         dims = np.array([dataclasses.astuple(run["dims"])], dtype=np.float64)
         blocks.append(("meta.dims", dims, functools.partial(_same, dims)))
     for section, prefix in (("rollout", "rollout."), ("disc", "")):
-        for name, p in run.get(section, ParamStore()).items():
+        for name, p in run.get(section, {}).items():
             fill(prefix + name, p.value)
     if "embed" in run:   # frozen, so no later step would catch a bad value
         blocks.append(("embed.table", run["embed"],
@@ -647,8 +647,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ConfigError, GrammarError, DataError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CliError, ConfigError, GrammarError, DataError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)  # OSError: a write failed, say on a full disk
         return EXIT_USAGE
     except (NumericError, ShapeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

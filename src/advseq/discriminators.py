@@ -99,37 +99,37 @@ def init_discriminator(cfg: DiscriminatorConfig, embed: np.ndarray,
     if embed.shape != (cfg.vocab_size, cfg.d_embed):
         raise ValueError(f"embedding table {embed.shape} does not match config "
                          f"({cfg.vocab_size}, {cfg.d_embed})")
-    p = ParamStore()
+    p = {}
     if cfg.kind == "fasttext":
-        p.add("d.bigram", rng.child("bigram").uniform_range(
-            -0.08, 0.08, (cfg.n_buckets, cfg.d_embed)))
+        p["d.bigram"] = rng.child("bigram").uniform_range(
+            -0.08, 0.08, (cfg.n_buckets, cfg.d_embed))
     elif cfg.kind == "cnn":
         for w in cfg.widths:
             fan_in = w * cfg.d_embed
-            p.add(f"d.conv{w}.W",
-                  rng.child("conv", w).normal((fan_in, cfg.n_filters)) / np.sqrt(fan_in))
-            p.add(f"d.conv{w}.b", np.zeros((1, cfg.n_filters)))
+            p[f"d.conv{w}.W"] = (rng.child("conv", w).normal((fan_in, cfg.n_filters))
+                                 / np.sqrt(fan_in))
+            p[f"d.conv{w}.b"] = np.zeros((1, cfg.n_filters))
         d = cfg.feature_dim()
-        p.add("d.hw.Wt", rng.child("hwt").normal((d, d)) / np.sqrt(d))
-        p.add("d.hw.bt", np.zeros((1, d)))
-        p.add("d.hw.Wg", rng.child("hwg").normal((d, d)) / np.sqrt(d))
-        p.add("d.hw.bg", np.zeros((1, d)))
+        p["d.hw.Wt"] = rng.child("hwt").normal((d, d)) / np.sqrt(d)
+        p["d.hw.bt"] = np.zeros((1, d))
+        p["d.hw.Wg"] = rng.child("hwg").normal((d, d)) / np.sqrt(d)
+        p["d.hw.bg"] = np.zeros((1, d))
     else:
         d_in = cfg.d_hidden + cfg.d_embed
         for direction in ("fwd", "bwd"):
-            p.add(f"d.{direction}.W", rng.child(direction).uniform_range(
-                -0.08, 0.08, (d_in, 4 * cfg.d_hidden)))
-            p.add(f"d.{direction}.b", np.zeros((1, 4 * cfg.d_hidden)))
+            p[f"d.{direction}.W"] = rng.child(direction).uniform_range(
+                -0.08, 0.08, (d_in, 4 * cfg.d_hidden))
+            p[f"d.{direction}.b"] = np.zeros((1, 4 * cfg.d_hidden))
         d_att = cfg.d_hidden
-        p.add("d.att.W", rng.child("attw").normal(
-            (2 * cfg.d_hidden, d_att)) / np.sqrt(2 * cfg.d_hidden))
-        p.add("d.att.b", np.zeros((1, d_att)))
-        p.add("d.att.u", rng.child("attu").normal((1, d_att)) / np.sqrt(d_att))
+        p["d.att.W"] = rng.child("attw").normal(
+            (2 * cfg.d_hidden, d_att)) / np.sqrt(2 * cfg.d_hidden)
+        p["d.att.b"] = np.zeros((1, d_att))
+        p["d.att.u"] = rng.child("attu").normal((1, d_att)) / np.sqrt(d_att)
     # Zero head: a freshly built discriminator outputs exactly 0.5 (loss ln 2)
     # regardless of kind, and the last layer has no symmetry to break.
-    p.add("d.head.W", np.zeros((cfg.head_in_dim(), cfg.n_out)))
-    p.add("d.head.b", np.zeros((1, cfg.n_out)))
-    return Discriminator(cfg, p, np.array(embed, dtype=np.float64))
+    p["d.head.W"] = np.zeros((cfg.head_in_dim(), cfg.n_out))
+    p["d.head.b"] = np.zeros((1, cfg.n_out))
+    return Discriminator(cfg, ParamStore(p), np.array(embed, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

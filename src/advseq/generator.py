@@ -3,13 +3,14 @@
 One recurrent cell consumes the previous token's embedding and a learned
 condition embedding, so the label steers every step of the sequence. Both
 inputs are projected through tables made once per call (`hoist`), and the
-teacher-forced pass is one `recurrent.scan`. The same backward pass serves
-both maximum likelihood and policy-gradient training: each is a
-per-position weighting of d(-log p)/d(logits), so training steps differ
-only in the coefficient table they feed to it. The teacher-forced pass and
-its backward write their large arrays into a caller-owned `Workspace`
-whose buffers only grow, so a training loop that keeps one allocates them
-once, whatever its batch sizes.
+teacher-forced pass is one `recurrent.scan`. It also keeps the softmax's
+exp table and row sums, which the log-probabilities and the backward both
+read, so a training step exponentiates once. One backward pass serves
+maximum likelihood and policy-gradient training: each weights
+d(-log p)/d(logits) per position, so the steps differ only in the
+coefficient table they feed to it. The pass and its backward write their
+large arrays into a caller-owned `Workspace` whose buffers only grow, so
+a training loop that keeps one allocates them once.
 
 One free-running loop, `free_run`, serves sampling and rollouts. Sampling
 draws one child stream per item, which keeps results independent of batch
@@ -49,18 +50,19 @@ class GeneratorDims:
 def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
     """Embeddings and recurrent weights uniform in [-0.08, 0.08], output
     projection fan-in scaled normal, zero biases."""
-    params = ParamStore()
-    params.add("gen.embed", rng.child("embed").uniform_range(
-        -INIT_RANGE, INIT_RANGE, (dims.vocab_size, dims.d_embed)))
-    params.add("gen.label_embed", rng.child("label_embed").uniform_range(
-        -INIT_RANGE, INIT_RANGE, (dims.n_labels, dims.d_label)))
-    params.add("gen.lstm.W", rng.child("lstm").uniform_range(  # rows [h ; x ; label]
-        -INIT_RANGE, INIT_RANGE, (dims.d_hidden + dims.d_embed + dims.d_label, 4 * dims.d_hidden)))
-    params.add("gen.lstm.b", np.zeros((1, 4 * dims.d_hidden)))
-    params.add("gen.out.W", rng.child("out").normal(
-        (dims.d_hidden, dims.vocab_size)) / np.sqrt(dims.d_hidden))
-    params.add("gen.out.b", np.zeros((1, dims.vocab_size)))
-    return params
+    return ParamStore({
+        "gen.embed": rng.child("embed").uniform_range(
+            -INIT_RANGE, INIT_RANGE, (dims.vocab_size, dims.d_embed)),
+        "gen.label_embed": rng.child("label_embed").uniform_range(
+            -INIT_RANGE, INIT_RANGE, (dims.n_labels, dims.d_label)),
+        "gen.lstm.W": rng.child("lstm").uniform_range(  # rows [h ; x ; label]
+            -INIT_RANGE, INIT_RANGE,
+            (dims.d_hidden + dims.d_embed + dims.d_label, 4 * dims.d_hidden)),
+        "gen.lstm.b": np.zeros((1, 4 * dims.d_hidden)),
+        "gen.out.W": rng.child("out").normal(
+            (dims.d_hidden, dims.vocab_size)) / np.sqrt(dims.d_hidden),
+        "gen.out.b": np.zeros((1, dims.vocab_size)),
+    })
 
 
 class Hoisted(NamedTuple):
@@ -93,6 +95,9 @@ class GenCache:
     scan: Scan                     # time-major states and gates
     hs: np.ndarray                 # (B, T, d_h) post-step hidden states
     logits: np.ndarray             # (B, T, V)
+    top: np.ndarray                # (B*T, 1) row maxima of the logits
+    exp: np.ndarray                # (B*T, V) exp(logits - top)
+    sums: np.ndarray               # (B*T, 1) row sums of exp
 
 
 def shifted_inputs(tokens: Tensor) -> np.ndarray:
@@ -135,21 +140,20 @@ def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
     np.copyto(hs, s.hs[1:].transpose(1, 0, 2))
     logits = np.matmul(hs.reshape(B * T, d_h), hz.W_out, out=ws.take("logits", (B * T, V)))
     logits += hz.b_out
-    return GenCache(labels, s, hs, logits.reshape(B, T, V))
-
-
-def _token_log_probs(logits: Tensor, tokens: Tensor, ws: Workspace) -> np.ndarray:
-    """log p(x_t | x_<t, y) per position from (B, T, V) logits, as (B, T):
-    (x - max) - log(sum exp(x - max)) at each target, the values a full
-    log-softmax table would hold there."""
-    B, T, V = logits.shape
-    flat = logits.reshape(B * T, V)
-    top = flat.max(axis=1, keepdims=True)
-    e = np.subtract(flat, top, out=ws.take("probs", (B * T, V)))
+    top = logits.max(axis=1, keepdims=True)
+    e = np.subtract(logits, top, out=ws.take("probs", (B * T, V)))
     np.exp(e, out=e)
-    logp = np.take_along_axis(flat, tokens.reshape(B * T, 1), axis=1)
-    logp -= top
-    logp -= np.log(e.sum(axis=1, keepdims=True))
+    return GenCache(labels, s, hs, logits.reshape(B, T, V), top, e,
+                    e.sum(axis=1, keepdims=True))
+
+
+def _token_log_probs(cache: GenCache, tokens: Tensor) -> np.ndarray:
+    """log p(x_t | x_<t, y) per position, as (B, T): (x - max) - log(sum
+    exp(x - max)) at each target, as a full log-softmax table holds it."""
+    B, T, V = cache.logits.shape
+    logp = np.take_along_axis(cache.logits.reshape(B * T, V), tokens.reshape(B * T, 1), axis=1)
+    logp -= cache.top
+    logp -= np.log(cache.sums)
     return logp.reshape(B, T)
 
 
@@ -164,7 +168,7 @@ def batch_log_probs(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
     over every position, pads included, the log-probs are the exact model
     log-probability of the row."""
     cache = forward_states(params, dims, tokens, labels, ws)
-    return _token_log_probs(cache.logits, tokens, ws), pad_mask(tokens)
+    return _token_log_probs(cache, tokens), pad_mask(tokens)
 
 
 def mean_nll(params: ParamStore, dims: GeneratorDims, data: SequenceData,
@@ -188,15 +192,15 @@ def backward_coefs(params: ParamStore, dims: GeneratorDims, cache: GenCache,
     coefs = mask/B gives mean NLL; coefs = -reward*mask/B gives the
     policy-gradient objective. Only the scan's backward loops over time;
     the output layer and the gradients from its dA are one op over B*T rows.
-    Scratch arrays come from `ws`, which may be the one holding `cache`:
-    the cache is only read.
+    Scratch arrays come from `ws`. The softmax is the cache's exp table over
+    its row sums, made in place when `ws` holds `cache`, which then serves
+    no second backward.
     """
     B, T = tokens.shape
     d_h, d_e = dims.d_hidden, dims.d_embed
     W = params.value("gen.lstm.W")
     g = {name: p.grad for name, p in params.items()}
-    dlogits = softmax_rows(cache.logits.reshape(B * T, -1),
-                           out=ws.take("probs", (B * T, dims.vocab_size)))
+    dlogits = np.divide(cache.exp, cache.sums, out=ws.take("probs", cache.exp.shape))
     dlogits[np.arange(B * T), tokens.reshape(-1)] -= 1.0
     dlogits *= coefs.reshape(B * T, 1)
     g["gen.out.W"] += cache.hs.reshape(B * T, d_h).T @ dlogits
@@ -236,7 +240,7 @@ def policy_gradient_step(params: ParamStore, dims: GeneratorDims, opt: AdamState
     cache = forward_states(params, dims, tokens, labels, ws)
     B = len(tokens)
     weights = rewards * pad_mask(tokens)
-    objective = float((weights * _token_log_probs(cache.logits, tokens, ws)).sum() / B)
+    objective = float((weights * _token_log_probs(cache, tokens)).sum() / B)
     # minimizing sum_t (R/B) * (-log p) is ascent on the reward-weighted
     # log-likelihood
     backward_coefs(params, dims, cache, tokens, weights / B, ws)

@@ -2,10 +2,10 @@
 
 Tensors are plain 2-D numpy float64 arrays ("row-major reals with shape
 metadata"). On top of them this module provides stable nonlinearities, named
-parameter stores with gradient accumulators, an adaptive-moment (Adam)
-optimizer, grow-only scratch workspaces, counter-based seeded random
-streams, and an order-preserving parallel map whose results do not depend
-on the worker count, over fixed grids of rows.
+parameter stores packed into one value and one gradient vector, an Adam
+optimizer that updates those whole vectors, grow-only scratch workspaces,
+counter-based seeded random streams, and an order-preserving parallel map
+whose results do not depend on the worker count, over fixed grids of rows.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -46,13 +47,12 @@ def relu(x: Tensor) -> Tensor:
     return np.maximum(x, 0.0)
 
 
-def softmax_rows(logits: Tensor, out: Tensor | None = None) -> Tensor:
-    """Row-wise softmax via max subtraction; safe for entries up to +-1e3.
-    Written into `out` when given."""
+def softmax_rows(logits: Tensor) -> Tensor:
+    """Row-wise softmax via max subtraction; safe for entries up to +-1e3."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got {logits.shape}")
-    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    e = logits - logits.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -70,30 +70,29 @@ def log_softmax_rows(logits: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class Param:
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: Tensor):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+    value: Tensor
+    grad: Tensor
 
 
 class ParamStore:
-    """Ordered map of name -> (value, gradient accumulator).
+    """Ordered map of name -> (value, gradient), packed: values in one float64
+    vector, `flat`, gradients in another, `grad`; each Param holds shaped
+    views of its slices, filled in place and never rebound. Single writer."""
 
-    Values and their gradients always share a shape; names are unique.
-    Mutation is single-writer by convention.
-    """
+    def __init__(self, values: dict[str, Tensor]):
+        self._shapes = {name: np.shape(v) for name, v in values.items()}
+        self._starts = np.cumsum([0] + [math.prod(s) for s in self._shapes.values()])
+        self.flat = np.concatenate([np.ravel(v) for v in values.values()], dtype=np.float64)
+        self.grad = np.zeros_like(self.flat)
+        self._params = {name: Param(value, grad) for (name, value), grad in
+                        zip(self.views(self.flat).items(), self.views(self.grad).values())}
 
-    def __init__(self):
-        self._params: dict[str, Param] = {}
-
-    def add(self, name: str, value: Tensor) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        p = Param(value)
-        self._params[name] = p
-        return p.value
+    def views(self, vector: Tensor) -> dict[str, Tensor]:
+        """Shaped views, by name, of a vector laid out like `flat`."""
+        return {name: vector[a:b].reshape(shape) for (name, shape), a, b
+                in zip(self._shapes.items(), self._starts, self._starts[1:])}
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -105,38 +104,37 @@ class ParamStore:
         return self._params[name].value
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)
 
     def copy(self) -> "ParamStore":
         """Deep copy of values (gradients start from zero)."""
-        out = ParamStore()
-        for name, p in self._params.items():
-            out.add(name, p.value.copy())
-        return out
+        return ParamStore(self.views(self.flat))
 
-
-def global_grad_norm(params: ParamStore) -> float:
-    total = 0.0
-    for _, p in params.items():
-        total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
+    def require_finite(self, vector: Tensor, message: str) -> None:
+        """Raise NumericError, `message` naming the parameter of `vector`'s first NaN/Inf."""
+        finite = np.isfinite(vector)
+        if not finite.all():
+            at = np.searchsorted(self._starts, np.argmin(finite), side="right") - 1
+            raise NumericError(message.format(list(self._shapes)[at]))
 
 
 def clip_gradients(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so the global norm is at most max_norm.
 
-    Returns the pre-clip norm. A norm that overflows (finite gradients above
-    about 1e154) raises NumericError: scaling by max_norm / inf would zero
-    every gradient and turn the step into a silent no-op.
+    Returns the pre-clip norm: each parameter's np.sum of squares, added in
+    parameter order (one sum, or np.add.reduceat, over `grad` groups them
+    otherwise). A norm that overflows (finite gradients above about 1e154)
+    raises NumericError: scaling by max_norm / inf would zero every
+    gradient and turn the step into a silent no-op.
     """
-    norm = global_grad_norm(params)
+    total = 0.0
+    for part in params.views(params.grad * params.grad).values():
+        total += float(np.sum(part))
+    norm = float(np.sqrt(total))
     if not math.isfinite(norm):
         raise NumericError(f"global gradient norm is {norm}")
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, p in params.items():
-            p.grad *= scale
+        params.grad *= max_norm / norm
     return norm
 
 
@@ -179,13 +177,15 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment accumulators plus step counter for a ParamStore."""
+    """Step counter and moment vectors laid out like `flat` (by name: m, v)."""
 
     def __init__(self, params: ParamStore, lr: float):
         self.lr = float(lr)
         self.t = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
+        self.m_flat = np.zeros_like(params.flat)
+        self.v_flat = np.zeros_like(params.flat)
+        self.m = params.views(self.m_flat)
+        self.v = params.views(self.v_flat)
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
@@ -194,23 +194,17 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     A NaN/Inf gradient raises NumericError naming the offending parameter so
     poisoned state never reaches the weights.
     """
-    for name, p in params.items():
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
+    params.require_finite(params.grad, "non-finite gradient for parameter '{}'")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, p in params.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * p.grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.value -= state.lr * update
-        if not np.all(np.isfinite(p.value)):
-            raise NumericError(f"non-finite value for parameter '{name}' after update")
+    m, v = state.m_flat, state.v_flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * params.grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (params.grad * params.grad)
+    params.flat -= state.lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
+    params.require_finite(params.flat, "non-finite value for parameter '{}' after update")
     params.zero_grads()
 
 
@@ -289,9 +283,9 @@ def chunk_slices(n: int, chunk: int) -> list[slice]:
 
 # rows per block of the rollout step's per-row work (generation, cnn and
 # fasttext scoring bodies): a block's (rows, 4d) gates and (L, rows, F)
-# window sums stay near the L2 cache. At adv_cnn's shape one rollout call
-# then peaks at 8.4 MiB, not 23.8; 128 rows took about 5% more CPU time,
-# 512 held 2.3 MiB more. At least 2, or a block would hold one row
+# window sums stay near the L2 cache. At adv_cnn's shape a rollout call
+# peaked at 8.4 MiB, 23.8 unblocked (6.4 with generation state freed before
+# scoring); 128 rows took 5% more CPU, 512 held 2.3 MiB more. At least 2
 ROW_BLOCK = 256
 
 

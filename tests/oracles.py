@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use: a finite-difference
 gradient checker, the exact model log-probability of a row, exact rollout
 rewards by enumerating every completion, step-by-step BPTT through the LSTM
-scan, skip-gram training with per-pair gathers and scatter-adds, the
-per-row grammar sampler, the exact grammar NLL of one sequence, sentence
-BLEU against a reference list, and a parser for the metrics CSV that `eval`
+scan, Adam, gradient clipping and the soft update one parameter at a time,
+skip-gram training with per-pair gathers and scatter-adds, the per-row
+grammar sampler, the exact grammar NLL of one sequence, sentence BLEU
+against a reference list, and a parser for the metrics CSV that `eval`
 writes. Also `desk`, which builds the typed config views from the schema's
 defaults."""
 
@@ -22,7 +23,8 @@ from advseq.embeddings import BATCH_SIZE, _negative_table, _skipgram_pairs
 from advseq.evaluation import MetricsReport, _reference_table, _sentence_bleu
 from advseq.generator import GeneratorDims, batch_log_probs
 from advseq.grammar import PAD_TOKEN, GrammarSpec
-from advseq.numerics import NumericError, ParamStore, RngStream, Tensor, Workspace, sigmoid
+from advseq.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericError,
+                             ParamStore, RngStream, Tensor, Workspace, sigmoid)
 from advseq.recurrent import Scan, gate_scale
 
 
@@ -139,6 +141,58 @@ def loop_scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
         dc *= G[:, d:2 * d]
         dh = da @ W_h.T
     return dA
+
+
+def loop_adam_step(params: ParamStore, state: AdamState) -> None:
+    """`numerics.adam_step` one parameter at a time on the per-name views,
+    checking each gradient, then each updated value, in parameter order."""
+    for name, p in params.items():
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    for name, p in params.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * p.grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.value -= state.lr * update
+        if not np.all(np.isfinite(p.value)):
+            raise NumericError(f"non-finite value for parameter '{name}' after update")
+    for _, p in params.items():
+        p.grad[...] = 0.0
+
+
+def loop_clip_gradients(params: ParamStore, max_norm: float) -> float:
+    """`numerics.clip_gradients` with the norm summed and the gradients
+    scaled one parameter at a time."""
+    total = 0.0
+    for _, p in params.items():
+        total += float(np.sum(p.grad * p.grad))
+    norm = float(np.sqrt(total))
+    if not math.isfinite(norm):
+        raise NumericError(f"global gradient norm is {norm}")
+    if norm > max_norm:
+        scale = max_norm / norm
+        for _, p in params.items():
+            p.grad *= scale
+    return norm
+
+
+def loop_soft_update(rollout_params: ParamStore, gen_params: ParamStore,
+                     alpha: float) -> None:
+    """`adversarial.soft_update` one parameter at a time."""
+    for name, p in rollout_params.items():
+        theta = gen_params.value(name)
+        if alpha == 0.0:
+            p.value[...] = theta
+        elif alpha != 1.0:
+            p.value *= alpha
+            p.value += (1.0 - alpha) * theta
 
 
 def loop_pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,

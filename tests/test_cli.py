@@ -745,6 +745,41 @@ def test_sigkill_then_resume_matches_straight_run(pretrained, tmp_path, command)
     check_resume_matches_straight_run(pretrained, tmp_path, command, d)
 
 
+FSIZE_LIMITED = """
+import resource, sys
+from advseq import cli
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_a_failed_checkpoint_write_exits_2_and_a_rerun_matches_straight_run(pretrained,
+                                                                            tmp_path):
+    # a file-size limit in a child process stands in for a full disk: the
+    # first checkpoint write fails after its log row is written
+    ckpt, log = "gen_pretrain.ckpt", "gen_pretrain_log.csv"
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    for name in (ckpt, log):
+        os.remove(os.path.join(d, name))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = os.path.getsize(os.path.join(pretrained, ckpt)) // 2
+    child = subprocess.run([sys.executable, "-c", FSIZE_LIMITED, str(limit), "pretrain-g",
+                            "--run-dir", d], env=env, capture_output=True, text=True)
+    assert child.returncode == cli.EXIT_USAGE, child.stderr
+    assert child.stderr.count("\n") == 1 and child.stderr.startswith("error: ")
+    assert ckpt in child.stderr and "Traceback" not in child.stderr
+    assert not [n for n in os.listdir(d) if n.endswith(".tmp")]
+    assert not os.path.exists(os.path.join(d, ckpt))
+    assert run("pretrain-g", "--run-dir", d) == 0
+    assert read_bytes(os.path.join(d, ckpt)) == read_bytes(os.path.join(pretrained, ckpt))
+    assert drop_wall(csv_rows(os.path.join(d, log))) == \
+           drop_wall(csv_rows(os.path.join(pretrained, log)))
+
+
 def test_checkpoint_block_order(trained):
     # format v1 fixes each file's block order: generator + meta.dims |
     # rollout. | discriminator + embed.table | gopt. | dopt. | counter

@@ -2,21 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from advseq.adversarial import soft_update
 from advseq.numerics import (ADAM_EPS, AdamState, NumericError, ParamStore, RngStream,
                              adam_step, check_finite, chunk_slices,
-                             clip_gradients, global_grad_norm, log_softmax_rows,
+                             clip_gradients, log_softmax_rows,
                              pmap, relu, sigmoid, softmax_rows)
-from oracles import finite_diff_check
+from oracles import finite_diff_check, loop_adam_step, loop_clip_gradients, loop_soft_update
 
 
 def small_store(rng: RngStream, shapes=((3, 4), (2, 2), (1, 5))) -> ParamStore:
-    ps = ParamStore()
-    for i, shape in enumerate(shapes):
-        ps.add(f"w{i}", rng.child("p", i).normal(shape))
-    return ps
+    return ParamStore({f"w{i}": rng.child("p", i).normal(shape)
+                       for i, shape in enumerate(shapes)})
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +84,17 @@ def test_zero_grads_resets_every_block():
     for _, p in ps.items():
         p.grad += 3.0
     ps.zero_grads()
-    assert global_grad_norm(ps) == 0.0
+    assert not ps.grad.any()
 
 
 def test_clip_gradients_scales_to_max_norm():
     ps = small_store(RngStream(4))
     for _, p in ps.items():
         p.grad[...] = 2.0
-    before = global_grad_norm(ps)
+    before = clip_gradients(ps, np.inf)  # the norm, nothing scaled
     assert before > 1.0
-    clip_gradients(ps, 1.0)
-    assert abs(global_grad_norm(ps) - 1.0) < 1e-12
+    assert clip_gradients(ps, 1.0) == before
+    assert abs(clip_gradients(ps, np.inf) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("grad", [1e200, np.inf, np.nan])
@@ -162,7 +161,10 @@ def test_adam_state_roundtrip_resumes_exactly():
     for n, p in ps2.items():
         p.value[...] = saved[0][n]
     opt2 = AdamState(ps2, lr=1e-2)
-    opt2.m, opt2.v, opt2.t = saved[1]
+    for moments, arrays in zip((opt2.m, opt2.v), saved[1]):
+        for n, a in arrays.items():
+            moments[n][...] = a   # in place, as restore_run_state fills them
+    opt2.t = saved[1][2]
     stream = RngStream(9)
     for step in range(3, 6):
         for n, p in ps2.items():
@@ -170,6 +172,75 @@ def test_adam_state_roundtrip_resumes_exactly():
         adam_step(ps2, opt2)
     for n, p in full.items():
         assert np.array_equal(p.value, ps2.value(n))
+
+
+def test_store_views_share_the_packed_vectors():
+    ps = small_store(RngStream(14))
+    for _, p in ps.items():
+        assert np.shares_memory(p.value, ps.flat) and np.shares_memory(p.grad, ps.grad)
+    assert ps.flat.size == ps.grad.size == 12 + 4 + 5
+
+
+def _step_both(stores, opts, rolls, clip, alpha):
+    """One clip + Adam + soft update on the packed store and, through the
+    per-parameter oracles, on its twin; returns each side's outcome."""
+    outcomes = []
+    for ps, opt, roll, (clip_fn, adam_fn, soft_fn) in zip(
+            stores, opts, rolls, ((clip_gradients, adam_step, soft_update),
+                                  (loop_clip_gradients, loop_adam_step, loop_soft_update))):
+        try:
+            norm = None if clip is None else clip_fn(ps, clip)
+            adam_fn(ps, opt)
+            soft_fn(roll, ps, alpha)
+            outcomes.append(norm)
+        except NumericError as e:
+            outcomes.append(str(e))
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 40)),
+                       min_size=1, max_size=12),
+       clip=st.sampled_from([None, 0.5, 1e3]), alpha=st.sampled_from([0.0, 1.0, 0.8, 0.37]),
+       poison=st.sampled_from(["none", "grad", "value"]),
+       spots=st.lists(st.integers(0, 11), min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+@example(shapes=[(1, 1)] * 9, clip=None, alpha=0.8, poison="grad", spots=[8, 3], seed=0)
+@example(shapes=[(1, 1), (3, 30), (1, 1), (2, 17), (1, 5), (6, 6), (1, 1), (4, 9), (1, 40)],
+         clip=None, alpha=0.0, poison="value", spots=[7, 2], seed=1)
+def test_packed_store_matches_the_per_parameter_loops(shapes, clip, alpha, poison, spots,
+                                                      seed):
+    # clipping, Adam and the soft update on whole vectors give the bits of
+    # the old per-parameter loops, norm included, over several steps; a
+    # non-finite gradient or value is reported by the same message naming
+    # the first parameter that holds one
+    rng = RngStream(seed)
+    init = {f"w{i}": rng.child("p", i).normal(s, scale=0.3) for i, s in enumerate(shapes)}
+    stores = [ParamStore(init), ParamStore(init)]
+    rolls = [ParamStore({n: -a for n, a in init.items()}) for _ in stores]
+    opts = [AdamState(ps, lr=0.05) for ps in stores]
+    names = list(init)
+    for step in range(4):
+        for ps in stores:
+            for n, p in ps.items():
+                p.grad[...] = rng.child("g", step, n).normal(p.grad.shape, scale=0.7)
+        if step == 3 and poison != "none":
+            for ps in stores:
+                for i in spots:
+                    getattr(ps[names[i % len(names)]], poison)[0, 0] = np.nan
+        packed, loop = _step_both(stores, opts, rolls, clip, alpha)
+        assert packed == loop
+        if isinstance(packed, str):
+            first = names[min(i % len(names) for i in spots)]
+            clipped = poison == "grad" and clip is not None  # the norm check goes first
+            assert packed == "global gradient norm is nan" if clipped else f"'{first}'" in packed
+            return
+        assert np.array_equal(stores[0].flat, stores[1].flat)
+        assert np.array_equal(stores[0].grad, stores[1].grad)
+        assert np.array_equal(rolls[0].flat, rolls[1].flat)
+        assert np.array_equal(opts[0].m_flat, opts[1].m_flat)
+        assert np.array_equal(opts[0].v_flat, opts[1].v_flat)
+        assert opts[0].t == opts[1].t == step + 1
 
 
 # ---------------------------------------------------------------------------
