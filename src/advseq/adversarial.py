@@ -22,12 +22,13 @@ caller owns the clock, the log and the checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .corpus import SequenceData
-from .discriminators import SCORE_ROWS, Discriminator, score, train_step
+from .discriminators import Discriminator, score, train_step
 from .generator import (GeneratorDims, forward_states, free_run, hoist, mean_nll,
                         mle_step, policy_gradient_step, sample_batch)
 from .numerics import AdamState, ParamStore, RngStream, Workspace, chunk_slices, sigmoid
@@ -85,13 +86,6 @@ def soft_update(rollout_params: ParamStore, gen_params: ParamStore,
 # ---------------------------------------------------------------------------
 
 ScoreFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def discriminator_score_fn(disc: Discriminator, threads: int,
-                           chunk: int = SCORE_ROWS) -> ScoreFn:
-    """Eval-mode scoring in a fixed grid of `chunk`-row batches, so the
-    worker count cannot change the result."""
-    return lambda tokens, labels: score(disc, tokens, labels, chunk, threads)
 
 
 def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
@@ -267,7 +261,7 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
     streams, so resuming at `start_iteration` with restored parameters and
     optimizer states continues the original trajectory exactly.
     """
-    score_fn = discriminator_score_fn(disc, threads=threads)
+    score_fn = partial(score, disc, threads=threads)
     for i in range(start_iteration, sched.iterations):
         g_objs, reward_means = [], []
         for g in range(sched.g_steps):

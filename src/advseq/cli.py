@@ -388,8 +388,9 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
     the log's first column.
     It refuses an empty range up to `cfg[setting]`, rewrites the log's kept
     rows through `write_atomic`, then runs `loop(start, kept)`: each row
-    gets `wall_seconds` since the loop was built, is appended and flushed,
-    and only then is `run` saved, so the log never trails the checkpoint.
+    gets `wall_seconds` since the loop was built, is appended to the log,
+    which is closed again (an OSError names the log), and only then is
+    `run` saved, so the log never trails the checkpoint.
     Returns `start` and the last row, None if the loop yielded none."""
     key, total = columns[0], cfg[setting]
     start = 0
@@ -404,14 +405,16 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
     header = dict(zip(columns, columns))
     write_atomic(log_path, "".join(map(line, [header] + kept)).encode("utf-8"))
     row = None
-    with open(log_path, "a", encoding="utf-8") as fh:
-        rows = loop(start, kept)
-        t0 = time.perf_counter()
-        for row in rows:
-            row["wall_seconds"] = time.perf_counter() - t0
-            fh.write(line(row))
-            fh.flush()
-            save_run_state(ckpt, digest, run, **{key: row[key]})
+    rows = loop(start, kept)
+    t0 = time.perf_counter()
+    for row in rows:
+        row["wall_seconds"] = time.perf_counter() - t0
+        try:  # closed per row: a failed write fails again in close, which names no file
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(line(row))
+        except OSError as e:  # named as write_atomic names its file
+            raise OSError(f"{log_path}: {e.strerror or e}") from e
+        save_run_state(ckpt, digest, run, **{key: row[key]})
     return start, row
 
 

@@ -21,16 +21,20 @@ the (V, F) table embed @ W_w[i*d_e:(i+1)*d_e], a window's pre-activation is
 the bias plus w gathered rows, and relu (which commutes with max) runs once
 on the pooled features.
 
-Eval-mode scoring (`score`, `class_probs`) runs each body over the
-`numerics.row_blocks` grid (256 rows) inside each batch and keeps only the
-features of the whole batch: cnn's window sums take 0.6 MB per width, not
-5 MB, birnn's hidden states and attention layer 2.5 and 1.3 MB, not 20 and
-10. birnn reads each block as a prefix tree, since Monte Carlo rollout
-rows repeat their sample's columns 0..p, and steps each LSTM direction
-once per distinct prefix of its read order. Its features equal `forward`'s
-bit for bit, since neither an LSTM step's rows nor `_attend`'s depend on
-the other rows. The head takes the batch whole: the sigmoid head's one
-column is a gemv, and the bits gemv gives a row depend on the other rows.
+Eval-mode scoring (`score`, `class_probs`) runs body and head over the
+`numerics.row_blocks` grid (256 rows) and keeps only each block's head
+outputs: cnn's window sums take 0.6 MB per width, not 5 MB, birnn's hidden
+states and attention layer 2.5 and 1.3 MB, not 20 and 10. birnn reads each
+block as a prefix tree, since Monte Carlo rollout rows repeat their
+sample's columns 0..p, and steps each LSTM direction once per distinct
+prefix of its read order. Its features equal `forward`'s bit for bit, since
+neither an LSTM step's rows nor `_attend`'s depend on the other rows. Nor
+do the head's: its product is an einsum, which sums each row on its own,
+where OpenBLAS gives a product of one to three output columns row bits
+that depend on the rows beside it. So a call of two or more rows gives
+each row the bits it gets in any other call of two or more rows. A
+one-row call may not, since numpy sends the bodies' one-row products to
+gemv.
 """
 
 from __future__ import annotations
@@ -42,15 +46,11 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
-                       check_finite, chunk_slices, clip_gradients, log_softmax_rows,
-                       pmap, relu, row_blocks, sigmoid, softmax_rows)
+                       check_finite, clip_gradients, log_softmax_rows, pmap, relu,
+                       row_blocks, sigmoid, softmax_rows)
 from .recurrent import Scan, cell, gate_scale, scan, scan_backward
 
 KINDS = ("fasttext", "cnn", "birnn")
-
-# rows per eval-mode forward pass: the fixed scoring grid, so the worker
-# count never decides which rows share a product
-SCORE_ROWS = 2048
 
 # fixed mixing constants for the bigram bucket hash
 _BIGRAM_MULT_A = 1_000_003
@@ -346,16 +346,6 @@ def _birnn_eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
     return _attend(p, H)[0]
 
 
-def _eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
-    """The eval-mode features of `forward`, bit for bit, one row block
-    (`numerics.row_blocks`) after another: birnn's from each block's prefix
-    tree, cnn's and fasttext's from their training bodies."""
-    kind = disc.cfg.kind
-    parts = [_birnn_eval_features(disc, tokens[b]) if kind == "birnn"
-             else _FEATURES[kind](disc, tokens[b])[0] for b in row_blocks(len(tokens))]
-    return np.concatenate(parts)
-
-
 # ---------------------------------------------------------------------------
 # Head, loss, and training
 # ---------------------------------------------------------------------------
@@ -369,7 +359,10 @@ class ForwardCache:
 
 
 def _head(disc: Discriminator, s: Tensor, labels: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """The head's input (features, then the one-hot block) and its logits."""
+    """The head's input (features, then the one-hot block) and its logits.
+    The product is an einsum, so no row's bits depend on the other rows
+    while the input is C-contiguous, as the bodies and the one-hot
+    concatenation leave it."""
     cfg = disc.cfg
     if cfg.use_condition:
         if labels is None:
@@ -379,7 +372,8 @@ def _head(disc: Discriminator, s: Tensor, labels: np.ndarray | None) -> tuple[Te
         head_in = np.concatenate([s, onehot], axis=1)
     else:
         head_in = s
-    return head_in, head_in @ disc.params.value("d.head.W") + disc.params.value("d.head.b")
+    logits = np.einsum("ij,jk->ik", head_in, disc.params.value("d.head.W"))
+    return head_in, logits + disc.params.value("d.head.b")
 
 
 def forward(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
@@ -408,34 +402,38 @@ def backward(disc: Discriminator, cache: ForwardCache, dlogits: Tensor) -> None:
     _BACKWARDS[cfg.kind](disc, cache.body, ds)
 
 
-def _eval_batches(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-                  head, batch_size: int, threads: int) -> np.ndarray:
-    """head(eval-mode logits) over a fixed grid of batch_size-row batches;
-    the grid, not the worker count, decides which rows share a forward
-    pass. Features come in row blocks; the head takes the batch whole.
-    Non-finite logits stop here, before any caller acts on them."""
-    def one(sl: slice) -> np.ndarray:
-        logits = _head(disc, _eval_features(disc, tokens[sl]),
-                       None if labels is None else labels[sl])[1]
+def _eval_blocks(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
+                 head, threads: int) -> np.ndarray:
+    """head(eval-mode logits), bit for bit `forward`'s on any two or more
+    rows, one row block (`numerics.row_blocks`) per `pmap` item: birnn's
+    features from the block's prefix tree, cnn's and fasttext's from their
+    training bodies, then the head. Non-finite logits stop here, before any
+    caller acts on them."""
+    kind = disc.cfg.kind
+    def one(b: slice) -> np.ndarray:
+        s = (_birnn_eval_features(disc, tokens[b]) if kind == "birnn"
+             else _FEATURES[kind](disc, tokens[b])[0])
+        logits = _head(disc, s, None if labels is None else labels[b])[1]
         check_finite("discriminator logits", logits)
         return head(logits)
-    parts = pmap(one, chunk_slices(len(tokens), batch_size), threads)
+    parts = pmap(one, row_blocks(len(tokens)), threads)
     return np.concatenate(parts) if parts else head(np.empty((0, disc.cfg.n_out)))
 
 
 def score(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
-          batch_size: int = SCORE_ROWS, threads: int = 1) -> np.ndarray:
-    """Eval-mode P(real | sequence, label) for a sigmoid head."""
+          threads: int = 1) -> np.ndarray:
+    """Eval-mode P(real | sequence, label) for a sigmoid head. Each row's
+    score depends only on that row, whatever the worker count, unless the
+    call scores one row alone."""
     if disc.cfg.n_out != 1:
         raise ValueError("score() expects a sigmoid head; use class_probs()")
-    return _eval_batches(disc, tokens, labels, lambda z: sigmoid(z[:, 0]),
-                         batch_size, threads)
+    return _eval_blocks(disc, tokens, labels, lambda z: sigmoid(z[:, 0]), threads)
 
 
 def class_probs(disc: Discriminator, tokens: Tensor) -> np.ndarray:
     """Eval-mode class distribution for a softmax head without a condition
     block."""
-    return _eval_batches(disc, tokens, None, softmax_rows, SCORE_ROWS, 1)
+    return _eval_blocks(disc, tokens, None, softmax_rows, 1)
 
 
 def loss_and_dlogits(disc: Discriminator, logits: Tensor,

@@ -3,6 +3,7 @@ soft-updated rollout network, and the adversarial loop's reproducibility."""
 
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,13 +13,12 @@ from hypothesis import strategies as st
 
 from advseq import numerics
 from advseq.adversarial import (TrainSchedule, adversarial_train,
-                                apply_reward_shaping, discriminator_score_fn,
-                                mc_rollout_rewards,
+                                apply_reward_shaping, mc_rollout_rewards,
                                 pretrain_discriminator, pretrain_generator,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
 from advseq.corpus import BOS_ID, PAD_ID, SequenceData
-from advseq.discriminators import KINDS, init_discriminator
+from advseq.discriminators import KINDS, init_discriminator, score
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
                               policy_gradient_step)
@@ -623,8 +623,9 @@ def test_thread_count_does_not_change_scores():
         disc.params.value("d.head.W").shape, scale=0.5)
     tokens = RngStream(185).integers(0, DIMS.vocab_size, (50, 4))
     labels = RngStream(186).integers(0, 2, 50)
-    one = discriminator_score_fn(disc, threads=1, chunk=16)(tokens, labels)
-    four = discriminator_score_fn(disc, threads=4, chunk=16)(tokens, labels)
+    with mock.patch.object(numerics, "ROW_BLOCK", 16):   # 50 rows in three blocks
+        one = score(disc, tokens, labels, threads=1)
+        four = score(disc, tokens, labels, threads=4)
     assert np.array_equal(one, four)
 
 
@@ -653,22 +654,23 @@ def test_row_blocks_do_not_change_rollout_rewards(kind, B, T, K, block, threads,
 
     def rewards(size: int, n_threads: int) -> np.ndarray:
         with mock.patch.object(numerics, "ROW_BLOCK", size):
-            return mc_rollout_rewards(params, DIMS, discriminator_score_fn(disc, n_threads),
+            return mc_rollout_rewards(params, DIMS, partial(score, disc, threads=n_threads),
                                       tokens, labels, K, RngStream(seed, "mc"), Workspace())
     assert np.array_equal(rewards(block, threads), rewards(10**9, 1))
 
 
 # tracemalloc peak of one call at adv_cnn's shape (V 62, 2 labels, desk
 # dims, B 32, K 8, T 20), in MiB. Measured 6.39 (cnn), 6.40 (fasttext) and
-# 8.03 (birnn) since the call drops the rows' (h, c) states and uniforms
-# before scoring; 8.41, 8.39 and 10.84 while it held them. Before
-# generation and scoring ran in row blocks they were 23.8, 25.8 and 49.6,
-# and 40.8 for birnn while its attention took a 2048-row batch whole.
-# What the call holds through scoring whatever the blocks is about 3 MiB:
-# the 4,864 rows' tokens and the teacher-forced pass with its softmax
-# table. Each bound was lowered by its kind's measured drop (2.02, 1.99
-# and 2.81 MiB) and sits 3.5-4.1 MiB over the readings.
-ROLLOUT_PEAK_MIB = {"cnn": 9.9, "fasttext": 10.0, "birnn": 12.1}
+# 7.17 (birnn) since scoring keeps no batch's features whole (birnn 8.03
+# before) and the call drops the rows' (h, c) states and uniforms before
+# scoring; 8.41, 8.39 and 10.84 while it held them. Before generation and
+# scoring ran in row blocks they were 23.8, 25.8 and 49.6, and 40.8 for
+# birnn while its attention took a 2048-row batch whole. What the call
+# holds through scoring whatever the blocks is about 3 MiB: the 4,864
+# rows' tokens and the teacher-forced pass with its softmax table. Each
+# bound was lowered by its kind's measured drops and sits 3.5-4.1 MiB over
+# the readings.
+ROLLOUT_PEAK_MIB = {"cnn": 9.9, "fasttext": 10.0, "birnn": 11.2}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -684,7 +686,7 @@ def test_one_rollout_call_stays_within_its_memory_bound(kind):
                               RngStream(191, kind))
     tracemalloc.start()
     try:
-        mc_rollout_rewards(params, dims, discriminator_score_fn(disc, 1), tokens, labels,
+        mc_rollout_rewards(params, dims, partial(score, disc), tokens, labels,
                            sched.rollouts, RngStream(192), Workspace())
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:

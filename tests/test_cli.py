@@ -1,5 +1,6 @@
 """Command line: run-dir lifecycle, exit codes, resumability, determinism."""
 
+import errno
 import hashlib
 import os
 import shutil
@@ -778,6 +779,48 @@ def test_a_failed_checkpoint_write_exits_2_and_a_rerun_matches_straight_run(pret
     assert read_bytes(os.path.join(d, ckpt)) == read_bytes(os.path.join(pretrained, ckpt))
     assert drop_wall(csv_rows(os.path.join(d, log))) == \
            drop_wall(csv_rows(os.path.join(pretrained, log)))
+
+
+def test_a_failed_log_append_exits_2_and_names_the_log(pretrained, tmp_path, capsys,
+                                                      monkeypatch):
+    # an OSError injected into the first row's append stands in for a full
+    # disk; closing the file fails again, as a buffered file's close retries
+    # the write
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    for name in ("gen_pretrain.ckpt", "gen_pretrain_log.csv"):
+        os.remove(os.path.join(d, name))
+
+    class FullDisk:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.write("")
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kwargs: FullDisk()
+                        if mode == "a" else open(path, mode, **kwargs), raising=False)
+    capsys.readouterr()
+    assert run("pretrain-g", "--run-dir", d) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    log = os.path.join(d, "gen_pretrain_log.csv")
+    assert err == f"error: {log}: {os.strerror(errno.ENOSPC)}\n"
+    assert not os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
+
+
+def test_resume_before_the_first_checkpoint_exits_2(tmp_path, capsys):
+    # a run stopped before its first checkpoint has nothing to resume from,
+    # and is rerun without --resume
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
+    capsys.readouterr()
+    assert run("pretrain-g", "--run-dir", d, "--resume") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing ") and "gen_pretrain.ckpt" in err
+    assert run("pretrain-g", "--run-dir", d) == 0
 
 
 def test_checkpoint_block_order(trained):

@@ -13,7 +13,7 @@ from advseq import numerics
 from advseq.corpus import PAD_ID
 from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    _attend, _birnn_eval_features, _cnn_backward,
-                                   _cnn_features, _eval_features, backward,
+                                   _cnn_features, backward,
                                    bigram_buckets, class_probs, forward,
                                    init_discriminator, loss_and_dlogits,
                                    prefix_tree, score, train_step)
@@ -195,9 +195,9 @@ def rollout_rows(samples: np.ndarray, K: int, completions: np.ndarray) -> np.nda
 def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hidden,
                                                     softmax_head, seed, data):
     # score and class_probs give, row by row, the bits of the head over
-    # forward()'s logits on the same chunk grid, on rows that share
-    # prefixes; forward takes each chunk whole, scoring runs in row blocks
-    # of the shipped size or of a small one
+    # forward()'s logits on any chunk grid, on rows that share prefixes;
+    # forward takes each chunk whole, scoring runs in row blocks of the
+    # shipped size or of a small one
     widths = tuple(sorted(w for w in widths if w <= T)) or (1,)
     cfg = desk("disc_config", V, 2, kind, d_embed=D_E, d_hidden=d_hidden, n_filters=4,
                widths=widths, use_condition=not softmax_head, n_out=3 if softmax_head else 1)
@@ -215,18 +215,22 @@ def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hi
     n_rows = data.draw(some.sampled_from([0, block - 1, block + 1, 2 * block + 1]))
     if n_rows:                                                # around the row-block edges
         tokens = np.resize(tokens, (n_rows, T))
-    labels = stream.child("lab").integers(0, 2, len(tokens))
-    chunk = data.draw(some.integers(1, len(tokens) + 1))      # may split a cut block
-    grid = [slice(i, i + chunk) for i in range(0, len(tokens), chunk)]
+    n = len(tokens)
+    labels = stream.child("lab").integers(0, 2, n)
+    # chunks may split a cut block; none holds one row unless the whole
+    # does, since numpy sends a one-row product to gemv
+    chunk = data.draw(some.integers(min(2, n), n + 1))
+    starts = list(range(0, n - 1 if n > 1 else n, chunk))
+    grid = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
     passes = [forward(disc, tokens[sl], None if softmax_head else labels[sl], None)
               for sl in grid]
     with mock.patch.object(numerics, "ROW_BLOCK", block):
         if softmax_head:
             want = np.concatenate([softmax_rows(z) for z, _ in passes])
-            got = np.concatenate([class_probs(disc, tokens[sl]) for sl in grid])
+            got = class_probs(disc, tokens)
         else:
             want = sigmoid(np.concatenate([z for z, _ in passes])[:, 0])
-            got = score(disc, tokens, labels, batch_size=chunk)
+            got = score(disc, tokens, labels)
         for r in range(len(tokens)):
             assert np.array_equal(got[r], want[r]), r
         if kind == "birnn":
@@ -249,7 +253,9 @@ def test_birnn_eval_features_do_not_depend_on_the_row_block():
         want = forward(disc, tokens, None, None)[1].features
         for block in (2, 3, 5):
             with mock.patch.object(numerics, "ROW_BLOCK", block):
-                assert np.array_equal(_eval_features(disc, tokens), want), (seed, block)
+                got = np.concatenate([_birnn_eval_features(disc, tokens[b])
+                                      for b in numerics.row_blocks(len(tokens))])
+            assert np.array_equal(got, want), (seed, block)
 
 
 # row subsets of every size mod 4: OpenBLAS's gemv takes rows four at a
@@ -277,6 +283,46 @@ def test_attention_rows_do_not_depend_on_the_other_rows(T, quads, rest, extra, d
     assert np.array_equal(u_sub, u[rows_of_u])
     assert np.array_equal(alpha_sub, alpha[subset])
     assert np.array_equal(s_sub, s[subset])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=some.sampled_from(KINDS), softmax_head=some.booleans(), desk_dims=some.booleans(),
+       threads=some.sampled_from([1, 2]), block=some.sampled_from([ROW_BLOCK, 5]),
+       draw=some.sampled_from(["subset", "permutation", "repeats"]),
+       seed=some.integers(0, 2**16), data=some.data())
+def test_a_rows_score_does_not_depend_on_the_rows_scored_with_it(kind, softmax_head, desk_dims,
+                                                                 threads, block, draw, seed,
+                                                                 data):
+    # each row's score, and each class_probs row, are the bits the row gets
+    # in any other call of two or more rows: subsets, permutations and
+    # repeats of a pool, at sizes around and across the row block. A
+    # one-row call is not drawn: numpy sends the bodies' one-row products
+    # to gemv
+    small = {} if desk_dims else dict(d_embed=D_E, d_hidden=8, n_filters=4, widths=(2, 3))
+    cfg = desk("disc_config", V, 2, kind, use_condition=not softmax_head,
+               n_out=3 if softmax_head else 1, **small)
+    disc = init_discriminator(cfg, RngStream(seed, "embed").normal((V, cfg.d_embed)),
+                              RngStream(seed, kind))
+    randomize_head(disc, seed)
+    stream = RngStream(seed, "rows")
+    pool = stream.child("tok").integers(2, V, (2 * block + 2, T))
+    pool[stream.child("pad").uniform(pool.shape) < 0.1] = PAD_ID
+    labels = stream.child("lab").integers(0, 2, len(pool))
+    n = data.draw(some.sampled_from([2, 3, 5, block - 1, block, block + 1, 2 * block + 1]))
+    pick = stream.child("pick")
+    idx = (pick.integers(0, len(pool), n) if draw == "repeats"
+           else pick.permutation(len(pool))[:n])
+    if draw == "subset":
+        idx = np.sort(idx)
+
+    def rows(sel) -> np.ndarray:
+        if softmax_head:
+            return class_probs(disc, pool[sel])
+        return score(disc, pool[sel], labels[sel], threads=threads)
+    with mock.patch.object(numerics, "ROW_BLOCK", block):
+        want, got = rows(slice(None)), rows(idx)
+    for i, r in enumerate(idx):
+        assert np.array_equal(got[i], want[r]), (i, r)
 
 
 def test_prefix_tree_shares_each_distinct_prefix():

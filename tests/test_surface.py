@@ -34,8 +34,6 @@ FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 TEST_ONLY = {
     "generator.sample_batch.item_offset":
         "chunked sampling must reproduce the unsplit draw (chunk invariance)",
-    "adversarial.discriminator_score_fn.chunk":
-        "a small scoring grid lets the thread-invariance test split 50 rows",
     "numerics.RngStream.normal.scale":
         "test_thread_count_does_not_change_scores draws a scaled head",
     "generator.mean_nll.batch_size":
