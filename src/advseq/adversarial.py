@@ -266,8 +266,8 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
         g_objs, reward_means = [], []
         for g in range(sched.g_steps):
             # one workspace per generator step, shared by its three
-            # teacher-forced passes; the previous one is freed here, so no
-            # buffer is held through the rollouts, where memory peaks
+            # teacher-forced passes and dropped at the step's end, so no
+            # buffer is held through the next rollouts or the d-steps
             ws = Workspace()
             idx = rng.child("glabels", i, g).integers(0, len(train), sched.batch_size)
             labels = train.labels[idx]
@@ -283,6 +283,7 @@ def adversarial_train(gen_params: ParamStore, dims: GeneratorDims,
                 ridx = rng.child("tf", i, g).integers(0, len(train), sched.batch_size)
                 mle_step(gen_params, dims, g_opt, train.tokens[ridx],
                          train.labels[ridx], clip=sched.clip, ws=ws)
+            del ws
         d_losses, d_accs = [], []
         for d in range(sched.d_steps):
             idx = rng.child("dreal", i, d).integers(0, len(train), sched.batch_size)

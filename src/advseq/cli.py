@@ -12,7 +12,9 @@ Subcommands cover the whole workflow against one run directory:
 The run directory comes from --run-dir, else the ADVSEQ_RUN_DIR
 environment variable, else ./run. corpus-gen pins the resolved
 configuration into <run>/config.txt; later commands read it back, so a run
-stays self-describing. Mutating commands hold a .lock file while working.
+stays self-describing; only corpus-gen takes --preset and --seed, and
+only it and advtrain, the one reader of run.threads, take --threads.
+Mutating commands hold a .lock file while working.
 Each training loop yields one row per epoch or iteration to one driver,
 which stamps its wall time, appends it to the log and checkpoints the run;
 --resume continues or extends a run from its checkpoint.
@@ -21,7 +23,8 @@ Models are sized from the config alone; a checkpoint only fills them.
 Exit codes: 0 success, 2 usage or configuration problems, 3 numeric
 failures during training, 4 corrupt or mismatched artifacts (a bad stored
 count, Adam moment, dims or block shape, a log missing rows), 130
-interrupted (Ctrl-C).
+interrupted (Ctrl-C), each with one stderr line: numpy's floating-point
+warnings are muted, as the finite checks name what failed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import functools
 import os
 import sys
 import time
+import warnings
 from typing import Callable, Iterator
 
 import numpy as np
@@ -44,7 +48,7 @@ from .config import (ConfigError, RunConfig, canonical_text, config_digest,
 from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
                      decode_sequence, generate_corpus, read_corpus, read_vocab,
                      split_corpus, write_corpus, write_vocab)
-from .discriminators import KINDS, Discriminator, init_discriminator
+from .discriminators import Discriminator, init_discriminator
 from .embeddings import pretrain_embeddings
 from .evaluation import (MetricsReport, application_metrics, macro_metrics,
                          micro_metrics)
@@ -144,7 +148,7 @@ def resolve_run_dir(args) -> str:
 
 
 def resolve_config(args, paths: RunPaths) -> RunConfig:
-    """Preset < pinned/explicit config file < --set pairs < --seed/--threads."""
+    """Preset (corpus-gen) < pinned/explicit config file < --set pairs < --seed/--threads."""
     file_text = None
     if args.config:
         file_text = _read_text(args.config)
@@ -155,7 +159,7 @@ def resolve_config(args, paths: RunPaths) -> RunConfig:
         sets.append(f"run.seed={args.seed}")
     if getattr(args, "threads", None) is not None:
         sets.append(f"run.threads={args.threads}")
-    return make_config(args.preset, file_text, sets)
+    return make_config(getattr(args, "preset", "desk"), file_text, sets)
 
 
 def _read_text(path: str) -> str:
@@ -177,15 +181,18 @@ def _require(path: str, hint: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_run_data(paths: RunPaths, cfg: RunConfig
-                  ) -> tuple[GrammarSpec, Vocab, SplitDataset, bytes]:
-    """The corpus artifacts plus the config digest their checkpoints carry."""
-    grammar = load_grammar(_require(paths.grammar, "advseq corpus-gen"))
-    vocab = read_vocab(_require(paths.vocab, "advseq corpus-gen"))
-    seq_len = cfg["corpus.seq_len"]
+def load_run_data(args) -> tuple[RunPaths, RunConfig, GrammarSpec, Vocab, SplitDataset,
+                                  bytes]:
+    """A later command's run: paths, config, corpus artifacts (required before
+    the config is built) and the config digest their checkpoints carry."""
+    paths = RunPaths(resolve_run_dir(args))
+    for path in (paths.grammar, paths.vocab, paths.train, paths.valid, paths.test):
+        _require(path, "advseq corpus-gen")
+    cfg = resolve_config(args, paths)
+    grammar, vocab = load_grammar(paths.grammar), read_vocab(paths.vocab)
     splits = []
     for path in (paths.train, paths.valid, paths.test):
-        data, unknown = read_corpus(_require(path, "advseq corpus-gen"), vocab, seq_len)
+        data, unknown = read_corpus(path, vocab, cfg["corpus.seq_len"])
         if unknown:
             raise DataError(f"{path}: {unknown} tokens fell outside the stored vocabulary")
         if len(data) == 0:
@@ -195,7 +202,7 @@ def load_run_data(paths: RunPaths, cfg: RunConfig
                             f"{len(grammar.labels)} labels")
         splits.append(data)
     digest = config_digest(cfg, len(vocab), len(grammar.labels))
-    return grammar, vocab, SplitDataset(*splits), digest
+    return paths, cfg, grammar, vocab, SplitDataset(*splits), digest
 
 
 def new_generator(cfg: RunConfig, vocab: Vocab,
@@ -203,6 +210,14 @@ def new_generator(cfg: RunConfig, vocab: Vocab,
     """The generator the config sizes, at its seeded initial weights."""
     dims = cfg.generator_dims(len(vocab), len(grammar.labels))
     return init_generator_params(dims, RngStream(cfg["run.seed"], "gen_init")), dims
+
+
+def load_generator(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec, digest: bytes,
+                   path: str) -> tuple[ParamStore, GeneratorDims]:
+    """The generator the config sizes, filled from the checkpoint at `path`."""
+    params, dims = new_generator(cfg, vocab, grammar)
+    restore_run_state(_require(path, "advseq pretrain-g"), digest, {"gen": params, "dims": dims})
+    return params, dims
 
 
 def new_discriminator(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec, kind: str,
@@ -380,12 +395,12 @@ def _read_csv_rows(path: str, columns: tuple[str, ...], n: int) -> list[dict]:
 
 
 def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: str,
-           hint: str, log_path: str, columns: tuple[str, ...],
+           log_path: str, columns: tuple[str, ...],
            loop: Callable[[int, list[dict]], Iterator[dict]]) -> tuple[int, dict | None]:
     """The one training driver, and the only writer of training logs and of
-    per-row run checkpoints. On --resume it fills `run` from `ckpt` (`hint`
-    names the command that writes it) and starts after the stored counter,
-    the log's first column.
+    per-row run checkpoints. On --resume it fills `run` from `ckpt` and
+    starts after the stored counter, the log's first column; without `ckpt`
+    there is nothing to resume, and the command is rerun without --resume.
     It refuses an empty range up to `cfg[setting]`, rewrites the log's kept
     rows through `write_atomic`, then runs `loop(start, kept)`: each row
     gets `wall_seconds` since the loop was built, is appended to the log,
@@ -395,7 +410,9 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
     key, total = columns[0], cfg[setting]
     start = 0
     if args.resume:
-        start = restore_run_state(_require(ckpt, hint), digest, run, counter=key) + 1
+        if not os.path.exists(ckpt):
+            raise CliError(f"nothing to resume: no {ckpt} yet; rerun without --resume")
+        start = restore_run_state(ckpt, digest, run, counter=key) + 1
     if start >= total:
         raise CliError(f"nothing to do: {setting} = {total} ends before {key} {start}")
     kept = _read_csv_rows(log_path, columns, start) if start else []
@@ -419,9 +436,7 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
 
 
 def cmd_pretrain_g(args) -> int:
-    paths = RunPaths(resolve_run_dir(args))
-    cfg = resolve_config(args, paths)
-    grammar, vocab, splits, digest = load_run_data(paths, cfg)
+    paths, cfg, grammar, vocab, splits, digest = load_run_data(args)
     root = RngStream(cfg["run.seed"])
     with RunLock(paths):
         params, dims = new_generator(cfg, vocab, grammar)
@@ -429,7 +444,7 @@ def cmd_pretrain_g(args) -> int:
         run = {"gen": params, "dims": dims, "gopt": opt}
         start, last = _train(
             args, cfg, "pretrain.g_epochs", digest, run, paths.gen_pretrain,
-            "advseq pretrain-g", paths.gen_pretrain_log, GPRE_COLUMNS,
+            paths.gen_pretrain_log, GPRE_COLUMNS,
             lambda start, kept: pretrain_generator(
                 params, dims, splits.train, splits.valid, root.child("gpre"),
                 epochs=cfg["pretrain.g_epochs"], batch_size=cfg["pretrain.batch_size"],
@@ -445,13 +460,9 @@ def cmd_pretrain_g(args) -> int:
 
 
 def cmd_pretrain_d(args) -> int:
-    paths = RunPaths(resolve_run_dir(args))
-    cfg = resolve_config(args, paths)
-    grammar, vocab, splits, digest = load_run_data(paths, cfg)
-    kind = args.kind or cfg["disc.kind"]
-    gen_params, dims = new_generator(cfg, vocab, grammar)
-    restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"), digest,
-                      {"gen": gen_params, "dims": dims})
+    paths, cfg, grammar, vocab, splits, digest = load_run_data(args)
+    kind = cfg["disc.kind"]
+    gen_params, dims = load_generator(cfg, vocab, grammar, digest, paths.gen_pretrain)
     root = RngStream(cfg["run.seed"])
     setting = f"pretrain.d_epochs_{kind}"
     with RunLock(paths):
@@ -467,38 +478,35 @@ def cmd_pretrain_d(args) -> int:
                                           opt=opt, start_epoch=start)
         start, last = _train(args, cfg, setting, digest,
                              {"disc": disc.params, "embed": disc.embed, "dopt": opt},
-                             paths.disc(kind), f"advseq pretrain-d --kind {kind}",
-                             paths.disc_log(kind), DPRE_COLUMNS, loop)
+                             paths.disc(kind), paths.disc_log(kind), DPRE_COLUMNS, loop)
     print(f"pretrained {kind} discriminator: epochs {start}..{last['epoch']}, "
           f"loss {last['d_loss']:.4f}, accuracy {last['d_acc']:.4f}")
     return EXIT_OK
 
 
 def cmd_advtrain(args) -> int:
-    paths = RunPaths(resolve_run_dir(args))
-    cfg = resolve_config(args, paths)
-    grammar, vocab, splits, digest = load_run_data(paths, cfg)
+    paths, cfg, grammar, vocab, splits, digest = load_run_data(args)
     kind = cfg["disc.kind"]
     sched = cfg.schedule()
     root = RngStream(cfg["run.seed"])
     with RunLock(paths):
-        gen_params, dims = new_generator(cfg, vocab, grammar)
         disc = new_discriminator(cfg, vocab, grammar, kind, root)
-        if not args.resume:  # on --resume, advtrain.ckpt holds every section
-            disc_ckpt = _require(paths.disc(kind), f"advseq pretrain-d --kind {kind}")
-            restore_run_state(disc_ckpt, digest, {"disc": disc.params, "embed": disc.embed})
+        if args.resume:  # advtrain.ckpt holds every section
+            gen_params, dims = new_generator(cfg, vocab, grammar)
+        else:
+            restore_run_state(_require(paths.disc(kind), "advseq pretrain-d"), digest,
+                              {"disc": disc.params, "embed": disc.embed})
             if os.path.exists(paths.advtrain):
                 raise CliError(f"{paths.advtrain} exists; pass --resume to continue "
                                f"or remove it to start over")
-            restore_run_state(_require(paths.gen_pretrain, "advseq pretrain-g"), digest,
-                              {"gen": gen_params, "dims": dims})
+            gen_params, dims = load_generator(cfg, vocab, grammar, digest, paths.gen_pretrain)
         rollout_params = gen_params.copy()  # beta starts at theta
         g_opt = AdamState(gen_params, lr=sched.g_lr)
         d_opt = AdamState(disc.params, lr=sched.d_lr)
         run = {"gen": gen_params, "dims": dims, "rollout": rollout_params,
                "disc": disc.params, "embed": disc.embed, "gopt": g_opt, "dopt": d_opt}
         _, last = _train(args, cfg, "adv.iterations", digest, run, paths.advtrain,
-                         "advseq advtrain", paths.adv_metrics, ADV_COLUMNS,
+                         paths.adv_metrics, ADV_COLUMNS,
                          lambda start, kept: adversarial_train(
                              gen_params, dims, disc, splits.train, splits.test, sched,
                              root.child("adv"), rollout_params=rollout_params, g_opt=g_opt,
@@ -509,24 +517,15 @@ def cmd_advtrain(args) -> int:
     return EXIT_OK
 
 
-def _pick_generator(paths: RunPaths, args, cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec,
-                    digest: bytes) -> tuple[ParamStore, GeneratorDims, str]:
-    if args.ckpt:
-        path = _require(args.ckpt, "advseq pretrain-g")
-    elif os.path.exists(paths.gen_adv):
-        path = paths.gen_adv
-    else:
-        path = _require(paths.gen_pretrain, "advseq pretrain-g")
-    params, dims = new_generator(cfg, vocab, grammar)
-    restore_run_state(path, digest, {"gen": params, "dims": dims})
-    return params, dims, path
+def _generator_path(args, paths: RunPaths) -> str:
+    """--ckpt, else the adversarial generator, else the pretrained one."""
+    return args.ckpt or (paths.gen_adv if os.path.exists(paths.gen_adv) else paths.gen_pretrain)
 
 
 def cmd_sample(args) -> int:
-    paths = RunPaths(resolve_run_dir(args))
-    cfg = resolve_config(args, paths)
-    grammar, vocab, _, digest = load_run_data(paths, cfg)
-    params, dims, path = _pick_generator(paths, args, cfg, vocab, grammar, digest)
+    paths, cfg, grammar, vocab, _, digest = load_run_data(args)
+    path = _generator_path(args, paths)
+    params, dims = load_generator(cfg, vocab, grammar, digest, path)
     n_labels = dims.n_labels
     if args.n < 1:
         raise CliError(f"--n must be at least 1, got {args.n}")
@@ -557,10 +556,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    paths = RunPaths(resolve_run_dir(args))
-    cfg = resolve_config(args, paths)
-    grammar, vocab, splits, digest = load_run_data(paths, cfg)
-    params, dims, ckpt_path = _pick_generator(paths, args, cfg, vocab, grammar, digest)
+    paths, cfg, grammar, vocab, splits, digest = load_run_data(args)
+    ckpt_path = _generator_path(args, paths)
+    params, dims = load_generator(cfg, vocab, grammar, digest, ckpt_path)
     root = RngStream(cfg["run.seed"]).child("eval")
     dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind="cnn")
     tiers = ("micro", "macro", "application") if args.tier == "all" else (args.tier,)
@@ -599,18 +597,6 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--run-dir", help="run directory (default: $ADVSEQ_RUN_DIR or ./run)")
-    sub.add_argument("--config", help="config file overriding the pinned run config")
-    sub.add_argument("--preset", default="desk", choices=("desk", "full"),
-                     help="baseline defaults before file/--set overrides")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override one config key (repeatable)")
-    sub.add_argument("--seed", type=int, help="shorthand for --set run.seed=N")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads for rollout scoring; never changes results")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advseq",
@@ -620,19 +606,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, fn: Callable, about: str, resume_from: str | None):
         p = subs.add_parser(name, help=about)
-        _add_common(p)
+        p.add_argument("--run-dir", help="run directory (default: $ADVSEQ_RUN_DIR or ./run)")
+        p.add_argument("--config", help="config file overriding the pinned run config")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
         if resume_from:
             p.add_argument("--resume", action="store_true",
                            help=f"continue from the {resume_from} checkpoint")
         p.set_defaults(fn=fn)
         return p
 
-    command("corpus-gen", cmd_corpus_gen, "generate corpus, vocab, and splits", None)
+    corpus = command("corpus-gen", cmd_corpus_gen, "generate corpus, vocab, and splits", None)
+    corpus.add_argument("--preset", default="desk", choices=("desk", "full"),
+                        help="baseline defaults before file/--set overrides")
+    corpus.add_argument("--seed", type=int, help="shorthand for --set run.seed=N")
     command("pretrain-g", cmd_pretrain_g, "maximum-likelihood generator pretraining",
             "saved pretraining")
-    p = command("pretrain-d", cmd_pretrain_d, "discriminator pretraining", "saved pretraining")
-    p.add_argument("--kind", choices=KINDS, help="override disc.kind")
-    command("advtrain", cmd_advtrain, "adversarial training", "latest adversarial")
+    command("pretrain-d", cmd_pretrain_d, "discriminator pretraining", "saved pretraining")
+    adv = command("advtrain", cmd_advtrain, "adversarial training", "latest adversarial")
+    for p in (corpus, adv):
+        p.add_argument("--threads", type=int,
+                       help="worker threads for rollout scoring; never changes results")
     sample = command("sample", cmd_sample, "print generated sequences", None)
     sample.add_argument("--n", type=int, default=10, help="number of sequences")
     sample.add_argument("--label", type=int, help="condition label (default: alternate)")
@@ -648,8 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
+    try:  # mute numpy's float warnings; unlike errstate, the filter reaches pmap threads
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".* encountered in ", RuntimeWarning)
+            return args.fn(args)
     except (CliError, ConfigError, GrammarError, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)  # OSError: a write failed, say on a full disk
         return EXIT_USAGE

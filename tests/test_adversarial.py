@@ -3,6 +3,7 @@ soft-updated rollout network, and the adversarial loop's reproducibility."""
 
 import math
 import tracemalloc
+import weakref
 from functools import partial
 from unittest import mock
 
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from advseq import numerics
+from advseq import adversarial, numerics
 from advseq.adversarial import (TrainSchedule, adversarial_train,
-                                apply_reward_shaping, mc_rollout_rewards,
+                                apply_reward_shaping, discriminator_step, mc_rollout_rewards,
                                 pretrain_discriminator, pretrain_generator,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
@@ -527,6 +528,32 @@ def test_history_rows_carry_the_metric_columns():
         assert set(row) == {"iteration", "g_objective", "mean_reward", "d_loss",
                             "d_acc", "nll_test"}
         assert math.isfinite(row["nll_test"])
+
+
+def test_no_generator_step_workspace_is_alive_in_the_d_steps(monkeypatch):
+    # each g-step's workspace is dropped at the step's end, so no buffer of
+    # it is held through the discriminator steps
+    workspaces, alive = [], []
+
+    def workspace():
+        ws = Workspace()
+        workspaces.append(weakref.ref(ws))
+        return ws
+
+    def d_step(*args):
+        alive.append(sum(ref() is not None for ref in workspaces))
+        return discriminator_step(*args)
+
+    monkeypatch.setattr(adversarial, "Workspace", workspace)
+    monkeypatch.setattr(adversarial, "discriminator_step", d_step)
+    data = tiny_corpus()
+    gen = init_generator_params(DIMS, RngStream(171))
+    disc = make_disc(seed=172)
+    sched = small_schedule(2)
+    assert len(list(adversarial_train(gen, DIMS, disc, data, data, sched, RngStream(173),
+                                      start_iteration=0, threads=1,
+                                      **fresh_state(gen, disc, sched)))) == 2
+    assert len(workspaces) == 4 and alive == [0, 0, 0, 0]
 
 
 def test_same_stream_reproduces_the_run():

@@ -1,5 +1,6 @@
 """Command line: run-dir lifecycle, exit codes, resumability, determinism."""
 
+import argparse
 import errno
 import hashlib
 import os
@@ -336,10 +337,38 @@ def test_lock_of_a_live_process_still_blocks(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def option_strings() -> dict[str, list[str]]:
+    """Each subcommand's option strings, from `cli.build_parser()`, save -h."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+            for name, p in subs.choices.items()}
+
+
+def test_each_command_takes_only_the_flags_it_acts_on():
+    # --preset and --seed are pinned by corpus-gen, so a later one does
+    # nothing or changes the digest; run.threads is read by advtrain alone
+    common = ["--run-dir", "--config", "--set"]
+    assert option_strings() == {
+        "corpus-gen": common + ["--preset", "--seed", "--threads"],
+        "pretrain-g": common + ["--resume"],
+        "pretrain-d": common + ["--resume"],
+        "advtrain": common + ["--resume", "--threads"],
+        "sample": common + ["--n", "--label", "--out", "--ckpt"],
+        "eval": common + ["--tier", "--ckpt"],
+    }
+
+
 def test_missing_prerequisites_exit_2(tmp_path, capsys):
+    # in an empty directory the corpus is checked before the config is
+    # built, which would otherwise refuse the missing run.seed first
     d = str(tmp_path / "run")
-    assert run("pretrain-g", "--run-dir", d, *SEED) == 2
-    assert "corpus-gen" in capsys.readouterr().err
+    os.makedirs(d)
+    for command in ("pretrain-g", "pretrain-d", "advtrain", "sample", "eval"):
+        assert run(command, "--run-dir", d) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and \
+               "`advseq corpus-gen`" in err, command
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
     assert run("pretrain-d", "--run-dir", d) == 2
     assert "pretrain-g" in capsys.readouterr().err
@@ -542,6 +571,23 @@ def test_overflowing_gradient_norm_exits_3(tmp_path, capsys):
         assert run("pretrain-d", "--run-dir", d) == 3
     assert "gradient norm" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
+
+
+def test_a_numeric_failure_prints_one_stderr_line(tmp_path):
+    # skip-gram at embed.lr=1e6 overflows; numpy's floating-point warnings
+    # would print before the one line that names what failed
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, "--seed", "3", "--set", "embed.lr=1e6",
+               "--set", "corpus.n=200", "--set", "pretrain.g_epochs=1") == 0
+    assert run("pretrain-g", "--run-dir", d) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-m", "advseq.cli", "pretrain-d", "--run-dir", d],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == cli.EXIT_NUMERIC
+    assert child.stderr.count("\n") == 1, child.stderr
+    assert child.stderr.startswith("numeric failure: ") and "skip-gram embeddings" in child.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -813,14 +859,16 @@ def test_a_failed_log_append_exits_2_and_names_the_log(pretrained, tmp_path, cap
 
 def test_resume_before_the_first_checkpoint_exits_2(tmp_path, capsys):
     # a run stopped before its first checkpoint has nothing to resume from,
-    # and is rerun without --resume
+    # and is rerun without --resume; each command's earlier stages have run
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
-    capsys.readouterr()
-    assert run("pretrain-g", "--run-dir", d, "--resume") == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: missing ") and "gen_pretrain.ckpt" in err
-    assert run("pretrain-g", "--run-dir", d) == 0
+    for command, ckpt in (("pretrain-g", "gen_pretrain.ckpt"),
+                          ("pretrain-d", "disc_fasttext.ckpt"), ("advtrain", "advtrain.ckpt")):
+        capsys.readouterr()
+        assert run(command, "--run-dir", d, "--resume") == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: nothing to resume: no "
+                                           f"{os.path.join(d, ckpt)} yet; rerun without --resume\n")
+        assert run(command, "--run-dir", d) == 0
 
 
 def test_checkpoint_block_order(trained):
