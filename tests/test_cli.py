@@ -127,6 +127,13 @@ def drop_wall(rows: list[dict]) -> list[dict]:
     return [{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows]
 
 
+def child_env() -> dict:
+    """This environment, with the tested advseq first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def pretrained(tmp_path_factory):
     """One corpus-gen + pretrain-g + pretrain-d run, copied per test."""
@@ -580,11 +587,8 @@ def test_a_numeric_failure_prints_one_stderr_line(tmp_path):
     assert run("corpus-gen", "--run-dir", d, "--seed", "3", "--set", "embed.lr=1e6",
                "--set", "corpus.n=200", "--set", "pretrain.g_epochs=1") == 0
     assert run("pretrain-g", "--run-dir", d) == 0
-    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-m", "advseq.cli", "pretrain-d", "--run-dir", d],
-                           env=env, capture_output=True, text=True)
+                           env=child_env(), capture_output=True, text=True)
     assert child.returncode == cli.EXIT_NUMERIC
     assert child.stderr.count("\n") == 1, child.stderr
     assert child.stderr.startswith("numeric failure: ") and "skip-gram embeddings" in child.stderr
@@ -782,11 +786,8 @@ def test_resume_refuses_a_log_without_each_row_once_in_order(pretrained, tmp_pat
 def test_sigkill_then_resume_matches_straight_run(pretrained, tmp_path, command):
     d = str(tmp_path / "run")
     shutil.copytree(pretrained, d)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-c", KILL_AT_THIRD_SAVE, command,
-                            "--run-dir", d, *INTERRUPTIBLE[command][0]], env=env)
+                            "--run-dir", d, *INTERRUPTIBLE[command][0]], env=child_env())
     assert child.returncode == -signal.SIGKILL
     assert os.path.exists(os.path.join(d, ".lock"))  # left behind, taken over on resume
     check_resume_matches_straight_run(pretrained, tmp_path, command, d)
@@ -810,12 +811,9 @@ def test_a_failed_checkpoint_write_exits_2_and_a_rerun_matches_straight_run(pret
     shutil.copytree(pretrained, d)
     for name in (ckpt, log):
         os.remove(os.path.join(d, name))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     limit = os.path.getsize(os.path.join(pretrained, ckpt)) // 2
     child = subprocess.run([sys.executable, "-c", FSIZE_LIMITED, str(limit), "pretrain-g",
-                            "--run-dir", d], env=env, capture_output=True, text=True)
+                            "--run-dir", d], env=child_env(), capture_output=True, text=True)
     assert child.returncode == cli.EXIT_USAGE, child.stderr
     assert child.stderr.count("\n") == 1 and child.stderr.startswith("error: ")
     assert ckpt in child.stderr and "Traceback" not in child.stderr
