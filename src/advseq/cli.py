@@ -12,9 +12,11 @@ Subcommands cover the whole workflow against one run directory:
 The run directory comes from --run-dir, else the ADVSEQ_RUN_DIR
 environment variable, else ./run. corpus-gen pins the resolved
 configuration into <run>/config.txt; later commands read it back, so a run
-stays self-describing; only corpus-gen takes --preset and --seed, and
-only it and advtrain, the one reader of run.threads, take --threads.
-Mutating commands hold a .lock file while working.
+stays self-describing; only corpus-gen takes --config, --preset and
+--seed, a later command overrides pinned keys with --set alone, and only
+corpus-gen and advtrain, the one reader of run.threads, take --threads.
+Mutating commands hold an exclusive flock on <run>/.lock while working;
+the kernel drops it when the command exits, however it ends.
 Each training loop yields one row per epoch or iteration to one driver,
 which stamps its wall time, appends it to the log and checkpoints the run;
 --resume continues or extends a run from its checkpoint.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import functools
 import os
 import sys
@@ -104,43 +107,22 @@ class RunPaths:
         return os.path.join(self.run_dir, f"disc_{kind}_log.csv")
 
 
-class RunLock:
-    """Exclusive per-run-dir lock so two trainers cannot interleave writes.
-    The file holds its owner's pid: a lock whose pid names no live process
-    was left by a killed command and is taken over, while an empty or
-    unparsable one may be a new owner's not yet written, so it is held."""
-
-    def __init__(self, paths: RunPaths):
-        self.path = paths.lock
-
-    def _owner_is_gone(self) -> bool:
+@contextlib.contextmanager
+def run_lock(paths: RunPaths) -> Iterator[None]:
+    """Hold an exclusive flock on <run>/.lock for the block, so two commands
+    cannot interleave writes. Only a live holder blocks: the kernel drops
+    the lock when its process exits, however it ends. The empty file is
+    never removed, as a waiter could then lock the unlinked inode while a
+    third command locks a new file."""
+    with open(paths.lock, "ab") as fh:
         try:
-            with open(self.path, "rb") as fh:
-                pid = int(fh.read())
-            os.kill(pid if pid > 0 else os.getpid(), 0)  # pids <= 0 name groups
-        except (OSError, ValueError) as e:
-            return isinstance(e, ProcessLookupError)
-        return False
-
-    def __enter__(self):
-        for retake in (False, True):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if retake or not self._owner_is_gone():
-                    raise CliError(f"run directory is locked ({self.path}); "
-                                   f"another command may be running") from None
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(self.path)
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc):
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self.path)
-        return False
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CliError(f"run directory is locked ({paths.lock}); "
+                           f"another command is running") from None
+        except OSError as e:  # named as write_atomic names its file
+            raise OSError(f"{paths.lock}: {e.strerror or e}") from e
+        yield
 
 
 def resolve_run_dir(args) -> str:
@@ -148,9 +130,11 @@ def resolve_run_dir(args) -> str:
 
 
 def resolve_config(args, paths: RunPaths) -> RunConfig:
-    """Preset (corpus-gen) < pinned/explicit config file < --set pairs < --seed/--threads."""
+    """The preset, then corpus-gen's --config file or else the pinned
+    config.txt, then --set pairs, then --seed and --threads. A later command
+    has no --config, so it overrides the pinned file with --set alone."""
     file_text = None
-    if args.config:
+    if getattr(args, "config", None):
         file_text = _read_text(args.config)
     elif os.path.exists(paths.config):
         file_text = _read_text(paths.config)
@@ -347,13 +331,13 @@ def cmd_corpus_gen(args) -> int:
     os.makedirs(run_dir, exist_ok=True)
     paths = RunPaths(run_dir)
     cfg = resolve_config(args, paths)
-    if os.path.exists(paths.train):
-        raise CliError(f"{paths.train} already exists; use a fresh run directory")
-    with RunLock(paths):
-        grammar = resolve_grammar(cfg["corpus.grammar"], cfg["corpus.seq_len"])
-        root = RngStream(cfg["run.seed"])
-        data, vocab = generate_corpus(grammar, cfg["corpus.n"], root.child("corpus"))
-        splits = split_corpus(data, cfg["corpus.split"], root.child("split"))
+    grammar = resolve_grammar(cfg["corpus.grammar"], cfg["corpus.seq_len"])
+    root = RngStream(cfg["run.seed"])
+    data, vocab = generate_corpus(grammar, cfg["corpus.n"], root.child("corpus"))
+    splits = split_corpus(data, cfg["corpus.split"], root.child("split"))
+    with run_lock(paths):  # after the checks, so a refused run writes nothing
+        if os.path.exists(paths.train):  # under the lock: no other run writes it after
+            raise CliError(f"{paths.train} already exists; use a fresh run directory")
         # corpus_train.txt goes last: while it is missing, a rerun starts over
         write_atomic(paths.config, canonical_text(cfg).encode("utf-8"))
         write_atomic(paths.grammar, format_grammar(grammar).encode("utf-8"))
@@ -438,7 +422,7 @@ def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: s
 def cmd_pretrain_g(args) -> int:
     paths, cfg, grammar, vocab, splits, digest = load_run_data(args)
     root = RngStream(cfg["run.seed"])
-    with RunLock(paths):
+    with run_lock(paths):
         params, dims = new_generator(cfg, vocab, grammar)
         opt = AdamState(params, lr=cfg["pretrain.g_lr"])
         run = {"gen": params, "dims": dims, "gopt": opt}
@@ -465,7 +449,7 @@ def cmd_pretrain_d(args) -> int:
     gen_params, dims = load_generator(cfg, vocab, grammar, digest, paths.gen_pretrain)
     root = RngStream(cfg["run.seed"])
     setting = f"pretrain.d_epochs_{kind}"
-    with RunLock(paths):
+    with run_lock(paths):
         disc = new_discriminator(cfg, vocab, grammar, kind, root)
         opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
 
@@ -489,7 +473,7 @@ def cmd_advtrain(args) -> int:
     kind = cfg["disc.kind"]
     sched = cfg.schedule()
     root = RngStream(cfg["run.seed"])
-    with RunLock(paths):
+    with run_lock(paths):
         disc = new_discriminator(cfg, vocab, grammar, kind, root)
         if args.resume:  # advtrain.ckpt holds every section
             gen_params, dims = new_generator(cfg, vocab, grammar)
@@ -519,6 +503,8 @@ def cmd_advtrain(args) -> int:
 
 def _generator_path(args, paths: RunPaths) -> str:
     """--ckpt, else the adversarial generator, else the pretrained one."""
+    if args.ckpt and not os.path.exists(args.ckpt):
+        raise CliError(f"missing {args.ckpt}; check the --ckpt path")
     return args.ckpt or (paths.gen_adv if os.path.exists(paths.gen_adv) else paths.gen_pretrain)
 
 
@@ -572,7 +558,7 @@ def cmd_eval(args) -> int:
         "application": lambda: application_metrics(params, dims, splits.train, splits.test,
                                                    root.child("app"), dcfg, cfg["eval.epochs"],
                                                    n_seeds=cfg["eval.seeds"])}
-    with RunLock(paths):
+    with run_lock(paths):
         for tier in tiers:
             try:
                 metrics.update(suites[tier]())
@@ -607,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, fn: Callable, about: str, resume_from: str | None):
         p = subs.add_parser(name, help=about)
         p.add_argument("--run-dir", help="run directory (default: $ADVSEQ_RUN_DIR or ./run)")
-        p.add_argument("--config", help="config file overriding the pinned run config")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         if resume_from:
@@ -617,6 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     corpus = command("corpus-gen", cmd_corpus_gen, "generate corpus, vocab, and splits", None)
+    corpus.add_argument("--config", help="config file to pin, under --set overrides")
     corpus.add_argument("--preset", default="desk", choices=("desk", "full"),
                         help="baseline defaults before file/--set overrides")
     corpus.add_argument("--seed", type=int, help="shorthand for --set run.seed=N")

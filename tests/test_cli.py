@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import fcntl
 import hashlib
 import os
 import shutil
@@ -127,6 +128,16 @@ def drop_wall(rows: list[dict]) -> list[dict]:
     return [{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows]
 
 
+def lock_is_free(run_dir) -> bool:
+    """Whether a command could take <run>/.lock now (no live holder)."""
+    with open(os.path.join(run_dir, ".lock"), "ab") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+        return True
+
+
 def child_env() -> dict:
     """This environment, with the tested advseq first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(advseq.__file__)))
@@ -162,7 +173,8 @@ def test_corpus_gen_materializes_run(tmp_path, capsys):
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
     for name in CORPUS_FILES:
         assert os.path.exists(os.path.join(d, name)), name
-    assert not os.path.exists(os.path.join(d, ".lock"))
+    assert os.path.getsize(os.path.join(d, ".lock")) == 0  # kept, and empty
+    assert lock_is_free(d)
     out = capsys.readouterr().out
     assert "corpus:" in out and "entropy" in out
     pinned = read(os.path.join(d, "config.txt"))
@@ -221,7 +233,7 @@ def test_corpus_gen_interrupted_at_any_write_reruns_to_the_same_bytes(
         monkeypatch.setattr(os, call, real)
         left = sorted(os.listdir(d))
         assert not any(name.endswith(".tmp") for name in left), left
-        assert ".lock" not in left and "corpus_train.txt" not in left, left
+        assert "corpus_train.txt" not in left and lock_is_free(d), left
         assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
         for name in CORPUS_FILES:
             assert read_bytes(os.path.join(d, name)) == \
@@ -234,6 +246,26 @@ def test_corpus_gen_refuses_existing(tmp_path, capsys):
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 2
     assert "already exists" in capsys.readouterr().err
+
+
+def test_a_corpus_gen_started_during_another_leaves_one_run(tmp_path, capsys, monkeypatch):
+    # the second starts while the first generates its corpus: one of them
+    # exits 0 and the run on disk is its run, the other is refused
+    d = str(tmp_path / "run")
+    real, codes = cli.generate_corpus, {}
+
+    def generate(*args):
+        if not codes:  # the first run's call starts the second; the second's does not
+            codes["12"] = None
+            codes["12"] = run("corpus-gen", "--run-dir", d, "--seed", "12", *FAST)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "generate_corpus", generate)
+    codes["11"] = run("corpus-gen", "--run-dir", d, *SEED, *FAST)
+    assert sorted(codes.values()) == [0, 2], codes
+    winner = next(seed for seed, code in codes.items() if code == 0)
+    assert f"run.seed = {winner}\n" in read(os.path.join(d, "config.txt"))
+    capsys.readouterr()
 
 
 def test_corpus_gen_env_var_run_dir(tmp_path, monkeypatch):
@@ -309,34 +341,84 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_lock_blocks_mutating_commands(tmp_path, capsys):
+@pytest.mark.parametrize("content", ["empty", "dead_pid", "garbage"])
+def test_a_leftover_lock_never_blocks(tmp_path, content):
+    # only a live holder of the flock blocks, whatever the file holds
     d = str(tmp_path / "run")
     os.makedirs(d)
-    open(os.path.join(d, ".lock"), "w").close()
-    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 2
-    assert "locked" in capsys.readouterr().err
-
-
-def test_stale_lock_of_a_dead_process_is_taken_over(tmp_path):
-    d = str(tmp_path / "run")
-    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
     child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped, so its pid names no live process
+    child.wait(timeout=60)  # reaped, so its pid names no live process
     with open(os.path.join(d, ".lock"), "w") as fh:
-        fh.write(f"{child.pid}\n")
+        fh.write({"empty": "", "dead_pid": f"{child.pid}\n", "garbage": "x\0y"}[content])
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
     assert run("pretrain-g", "--run-dir", d) == 0
     assert os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
-    assert not os.path.exists(os.path.join(d, ".lock"))
+    assert lock_is_free(d)
+
+
+HOLD_LOCK = """
+import fcntl, sys, time
+fh = open(sys.argv[1], "a")
+fcntl.flock(fh, fcntl.LOCK_EX)
+print("held", flush=True)
+time.sleep(600)
+"""
 
 
 def test_lock_of_a_live_process_still_blocks(tmp_path, capsys):
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
-    with open(os.path.join(d, ".lock"), "w") as fh:
-        fh.write(f"{os.getpid()}\n")
-    assert run("pretrain-g", "--run-dir", d) == 2
-    assert "locked" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
+    lock = os.path.join(d, ".lock")
+    child = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, lock], stdout=subprocess.PIPE)
+    try:
+        assert child.stdout.readline() == b"held\n"
+        capsys.readouterr()
+        assert run("pretrain-g", "--run-dir", d) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "locked" in err and lock in err, err
+        assert not os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()
+    assert run("pretrain-g", "--run-dir", d) == 0  # the kernel dropped the killed child's lock
+
+
+def test_a_held_lock_refuses_a_second_taker(tmp_path):
+    # flock locks belong to an open file, so a second open in the same
+    # process is refused just as another process would be
+    paths = cli.RunPaths(str(tmp_path))
+    with cli.run_lock(paths):
+        assert not lock_is_free(tmp_path)
+        with pytest.raises(cli.CliError, match="locked"):
+            with cli.run_lock(paths):
+                pass
+    assert lock_is_free(tmp_path)
+
+
+@pytest.mark.parametrize("fault", ["ENOLCK", "interrupt"])
+def test_a_failed_or_interrupted_lock_leaves_a_run_a_rerun_accepts(tmp_path, capsys,
+                                                                    monkeypatch, fault):
+    # taking the lock writes nothing, so a failure or a Ctrl-C there leaves
+    # no state behind; an OSError names the lock as write_atomic names its file
+    d = str(tmp_path / "run")
+
+    def flock(*args):
+        if fault == "interrupt":
+            raise KeyboardInterrupt
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fcntl, "flock", flock)
+        code = run("corpus-gen", "--run-dir", d, *SEED, *FAST)
+    err = capsys.readouterr().err
+    if fault == "interrupt":
+        assert code == cli.EXIT_INTERRUPTED
+    else:
+        assert code == 2
+        assert err == f"error: {os.path.join(d, '.lock')}: {os.strerror(errno.ENOLCK)}\n"
+    assert lock_is_free(d)
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +435,33 @@ def option_strings() -> dict[str, list[str]]:
 
 
 def test_each_command_takes_only_the_flags_it_acts_on():
-    # --preset and --seed are pinned by corpus-gen, so a later one does
-    # nothing or changes the digest; run.threads is read by advtrain alone
-    common = ["--run-dir", "--config", "--set"]
+    # --config, --preset and --seed are pinned by corpus-gen, so a later one
+    # does nothing, trains another model or changes the digest, and a later
+    # --set overrides the pinned keys; run.threads is read by advtrain alone
+    common = ["--run-dir", "--set"]
     assert option_strings() == {
-        "corpus-gen": common + ["--preset", "--seed", "--threads"],
+        "corpus-gen": common + ["--config", "--preset", "--seed", "--threads"],
         "pretrain-g": common + ["--resume"],
         "pretrain-d": common + ["--resume"],
         "advtrain": common + ["--resume", "--threads"],
         "sample": common + ["--n", "--label", "--out", "--ckpt"],
         "eval": common + ["--tier", "--ckpt"],
     }
+
+
+def test_a_later_config_file_cannot_replace_the_pinned_config(tmp_path, capsys):
+    # only corpus-gen reads --config; a later one would train another model
+    # than the run pinned, so it is refused before anything is written
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST, "--set", "model.d_hidden=16") == 0
+    other = tmp_path / "f.txt"  # the pinned config without model.d_hidden
+    other.write_text("".join(line for line in read(os.path.join(d, "config.txt")).splitlines(True)
+                             if not line.startswith("model.d_hidden")))
+    with pytest.raises(SystemExit) as exc:
+        run("pretrain-g", "--run-dir", d, "--config", str(other))
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
 
 
 def test_missing_prerequisites_exit_2(tmp_path, capsys):
@@ -399,7 +497,9 @@ def test_missing_ckpt_path_exit_2(trained, tmp_path, capsys, command):
     # a mistyped --ckpt is a usage error, not a corrupt artifact
     nope = str(tmp_path / "nope.ckpt")
     assert run(command, "--run-dir", trained, "--ckpt", nope) == 2
-    assert capsys.readouterr().err.startswith(f"error: missing {nope}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: missing {nope}") and "--ckpt" in err, err
+    assert "pretrain-g" not in err  # which cannot write that path
 
 
 def test_digest_mismatch_exit_2(trained, capsys):
@@ -737,7 +837,7 @@ def test_ctrl_c_then_resume_matches_straight_run(pretrained, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("interrupted")
     assert "Traceback" not in err
-    assert not os.path.exists(os.path.join(d, ".lock"))
+    assert lock_is_free(d)
     monkeypatch.setattr(cli, "save_run_state", real)
     check_resume_matches_straight_run(pretrained, tmp_path, command, d)
 
@@ -789,7 +889,7 @@ def test_sigkill_then_resume_matches_straight_run(pretrained, tmp_path, command)
     child = subprocess.run([sys.executable, "-c", KILL_AT_THIRD_SAVE, command,
                             "--run-dir", d, *INTERRUPTIBLE[command][0]], env=child_env())
     assert child.returncode == -signal.SIGKILL
-    assert os.path.exists(os.path.join(d, ".lock"))  # left behind, taken over on resume
+    assert lock_is_free(d)  # the kernel dropped the killed command's lock
     check_resume_matches_straight_run(pretrained, tmp_path, command, d)
 
 

@@ -48,8 +48,6 @@ SCHEMA_VIEWS = ("GeneratorDims", "TrainSchedule", "DiscriminatorConfig")
 
 # operator methods, which the name walk cannot see used, and their use
 OPERATORS = {
-    "cli.RunLock.__enter__": "`with RunLock(paths):` guards every training command",
-    "cli.RunLock.__exit__": "`with RunLock(paths):` guards every training command",
     "config.RunConfig.__getitem__": "`cfg[key]` reads every setting",
     "corpus.Vocab.__len__": "`len(vocab)` sizes every model",
     "corpus.SequenceData.__len__": "`len(data)` bounds every batching loop",
