@@ -55,20 +55,6 @@ class TrainSchedule:
     d_lr: float
     clip: float
 
-    def validate(self) -> None:
-        if self.rescale not in RESCALE_MODES:
-            raise ValueError(f"adv.rescale must be one of {RESCALE_MODES}, got {self.rescale!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"soft-update adv.alpha must lie in [0, 1], got {self.alpha}")
-        if self.rollouts < 1 or self.batch_size < 1:
-            raise ValueError("adv.rollouts and adv.batch_size must be positive")
-        # iterations == 0 is allowed: the loop degenerates to a no-op and
-        # returns the pretrained parameters untouched.
-        if self.iterations < 0 or self.g_steps < 1 or self.d_steps < 1:
-            raise ValueError("adv.iterations must be >= 0, adv.g_steps and adv.d_steps >= 1")
-        if self.delta <= 0.0:
-            raise ValueError(f"rank-rescale adv.delta must be positive, got {self.delta}")
-
 
 def soft_update(rollout_params: ParamStore, gen_params: ParamStore,
                 alpha: float) -> None:
@@ -195,7 +181,7 @@ def pretrain_generator(params: ParamStore, dims: GeneratorDims,
     ws = Workspace()   # every step's teacher-forced pass, reused across batches
     valid_nlls = list(prior_valid)
     for epoch in range(start_epoch, epochs):
-        if _epochs_since_best(valid_nlls) >= max(patience, 1):  # a patience below 1 acts as 1
+        if _epochs_since_best(valid_nlls) >= patience:
             break
         order = rng.child("order", epoch).permutation(len(train))
         losses = []

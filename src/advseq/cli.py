@@ -22,7 +22,8 @@ which stamps its wall time, appends it to the log and checkpoints the run;
 --resume continues or extends a run from its checkpoint.
 Models are sized from the config alone; a checkpoint only fills them.
 
-Exit codes: 0 success, 2 usage or configuration problems, 3 numeric
+Exit codes: 0 success, 2 usage or configuration problems (a setting
+outside its domain, an array larger than memory), 3 numeric
 failures during training, 4 corrupt or mismatched artifacts (a bad stored
 count, Adam moment, dims or block shape, a log missing rows), 130
 interrupted (Ctrl-C), each with one stderr line: numpy's floating-point
@@ -634,6 +635,9 @@ def main(argv=None) -> int:
             return args.fn(args)
     except (CliError, ConfigError, GrammarError, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)  # OSError: a write failed, say on a full disk
+        return EXIT_USAGE
+    except MemoryError as e:  # numpy refuses an array past the machine before taking any
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericError, ShapeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

@@ -1,10 +1,15 @@
 """Flat run configuration: `section.key = value` files, presets, overrides.
 
-Precedence is preset < config file < command-line --set pairs. Every key
-has a typed schema entry; unknown keys and type mismatches are errors, and
-a run refuses to start without an explicit seed. The canonical rendering
-is sorted and byte-stable, so its hash can guard checkpoints against being
-loaded into a differently-shaped run.
+Precedence is preset < config file < command-line --set pairs. `SCHEMA`
+is the one home of each key's parser, default and domain, the set of values
+it accepts. Unknown keys and values that do not parse are errors where they
+are read; once the three layers are resolved, one loop checks every value
+against its domain and refuses the first outside it, naming the key and
+the domain, and a run refuses to start without an explicit seed. Checking
+resolved values lets a later layer fix an earlier one: `--threads 1` runs a
+config pinned with more threads than this machine has. The canonical
+rendering is sorted and byte-stable, so its hash can guard checkpoints
+against being loaded into a differently-shaped run.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from .adversarial import TrainSchedule
+from .adversarial import RESCALE_MODES, TrainSchedule
 from .discriminators import KINDS, DiscriminatorConfig
 from .generator import GeneratorDims
 
@@ -46,52 +51,81 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-# key -> (parser, default); None default marks a required key
-SCHEMA: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "run.seed": (int, None),
-    "run.threads": (int, 1),
-    "corpus.grammar": (str, "overlapping"),
-    "corpus.n": (int, 2000),
-    "corpus.seq_len": (int, 20),
-    "corpus.split": (_parse_ratios, (0.7, 0.1, 0.2)),
-    "model.d_embed": (int, 32),
-    "model.d_hidden": (int, 32),
-    "model.d_label": (int, 8),
-    "disc.kind": (str, "cnn"),
-    "disc.d_embed": (int, 32),
-    "disc.d_hidden": (int, 32),
-    "disc.n_filters": (int, 16),
-    "disc.n_buckets": (int, 4096),
-    "disc.dropout": (float, 0.2),
-    "disc.l2": (float, 0.1),
-    "embed.window": (int, 2),
-    "embed.negatives": (int, 5),
-    "embed.epochs": (int, 5),
-    "embed.lr": (float, 0.025),
-    "pretrain.g_epochs": (int, 100),
-    "pretrain.g_lr": (float, 1e-3),
-    "pretrain.batch_size": (int, 64),
-    "pretrain.patience": (int, 20),
-    "pretrain.d_epochs_fasttext": (int, 30),
-    "pretrain.d_epochs_cnn": (int, 30),
-    "pretrain.d_epochs_birnn": (int, 30),
-    "pretrain.d_lr": (float, 1e-3),
-    "adv.iterations": (int, 30),
-    "adv.g_steps": (int, 5),
-    "adv.d_steps": (int, 5),
-    "adv.batch_size": (int, 32),
-    "adv.rollouts": (int, 8),
-    "adv.alpha": (float, 0.8),
-    "adv.rescale": (str, "oda"),
-    "adv.delta": (float, 12.0),
-    "adv.baseline": (_parse_bool, True),
-    "adv.teacher_forcing": (_parse_bool, True),
-    "adv.g_lr": (float, 1e-4),
-    "adv.d_lr": (float, 1e-3),
-    "adv.clip": (float, 5.0),
-    "eval.n_samples": (int, 200),
-    "eval.epochs": (int, 25),
-    "eval.seeds": (int, 3),
+class Domain(NamedTuple):
+    """The values a key accepts, as a test that each accepted value passes
+    (so NaN, which fails every comparison, fails it), and as the words that
+    follow "<key> must" in the error that refuses the others."""
+    text: str
+    accepts: Callable[[Any], bool]
+
+
+def _one_of(options: tuple) -> Domain:
+    return Domain(f"be one of {options}", lambda v: v in options)
+
+
+_CPUS = os.cpu_count() or 1
+_WIDEST = max(DiscriminatorConfig.widths)
+ANY = Domain("be any value", lambda v: True)
+POSITIVE = Domain("be positive", lambda v: v > 0)
+AT_LEAST_0 = Domain("be >= 0", lambda v: v >= 0)
+FINITE_POSITIVE = Domain("be finite and positive", lambda v: 0 < v < math.inf)
+FINITE_AT_LEAST_0 = Domain("be finite and >= 0", lambda v: 0 <= v < math.inf)
+# RngStream keys every stream by the seed's 8 bytes
+SEED = Domain("be a signed 64-bit integer", lambda v: -2**63 <= v < 2**63)
+THREADS = Domain(f"be at most {_CPUS}, this machine's CPU count, and positive",
+                 lambda v: 0 < v <= _CPUS)
+# every eval trains a cnn evaluator with the default filter widths
+CNN_WIDTH = Domain(f"be at least {_WIDEST}, the widest cnn filter", lambda v: v >= _WIDEST)
+SPLIT = Domain("be three finite fractions >= 0 that sum to 1",
+               lambda v: len(v) == 3 and all(0 <= r <= 1 for r in v) and abs(sum(v) - 1) <= 1e-9)
+
+# key -> (parser, default, domain); None default marks a required key, the
+# one default outside its domain
+SCHEMA: dict[str, tuple[Callable[[str], Any], Any, Domain]] = {
+    "run.seed": (int, None, SEED),
+    "run.threads": (int, 1, THREADS),
+    "corpus.grammar": (str, "overlapping", ANY),
+    "corpus.n": (int, 2000, POSITIVE),
+    "corpus.seq_len": (int, 20, CNN_WIDTH),
+    "corpus.split": (_parse_ratios, (0.7, 0.1, 0.2), SPLIT),
+    "model.d_embed": (int, 32, POSITIVE),
+    "model.d_hidden": (int, 32, POSITIVE),
+    "model.d_label": (int, 8, POSITIVE),
+    "disc.kind": (str, "cnn", _one_of(KINDS)),
+    "disc.d_embed": (int, 32, POSITIVE),
+    "disc.d_hidden": (int, 32, POSITIVE),
+    "disc.n_filters": (int, 16, POSITIVE),
+    "disc.n_buckets": (int, 4096, POSITIVE),
+    "disc.dropout": (float, 0.2, Domain("lie in [0, 1)", lambda v: 0 <= v < 1)),
+    "disc.l2": (float, 0.1, FINITE_AT_LEAST_0),
+    "embed.window": (int, 2, POSITIVE),
+    "embed.negatives": (int, 5, AT_LEAST_0),
+    "embed.epochs": (int, 5, AT_LEAST_0),
+    "embed.lr": (float, 0.025, FINITE_POSITIVE),
+    "pretrain.g_epochs": (int, 100, AT_LEAST_0),
+    "pretrain.g_lr": (float, 1e-3, FINITE_AT_LEAST_0),
+    "pretrain.batch_size": (int, 64, POSITIVE),
+    "pretrain.patience": (int, 20, POSITIVE),
+    "pretrain.d_epochs_fasttext": (int, 30, AT_LEAST_0),
+    "pretrain.d_epochs_cnn": (int, 30, AT_LEAST_0),
+    "pretrain.d_epochs_birnn": (int, 30, AT_LEAST_0),
+    "pretrain.d_lr": (float, 1e-3, FINITE_AT_LEAST_0),
+    "adv.iterations": (int, 30, AT_LEAST_0),
+    "adv.g_steps": (int, 5, POSITIVE),
+    "adv.d_steps": (int, 5, POSITIVE),
+    "adv.batch_size": (int, 32, POSITIVE),
+    "adv.rollouts": (int, 8, POSITIVE),
+    "adv.alpha": (float, 0.8, Domain("lie in [0, 1]", lambda v: 0 <= v <= 1)),
+    "adv.rescale": (str, "oda", _one_of(RESCALE_MODES)),
+    "adv.delta": (float, 12.0, FINITE_POSITIVE),
+    "adv.baseline": (_parse_bool, True, ANY),
+    "adv.teacher_forcing": (_parse_bool, True, ANY),
+    "adv.g_lr": (float, 1e-4, FINITE_AT_LEAST_0),
+    "adv.d_lr": (float, 1e-3, FINITE_AT_LEAST_0),
+    "adv.clip": (float, 5.0, FINITE_POSITIVE),
+    "eval.n_samples": (int, 200, AT_LEAST_0),
+    "eval.epochs": (int, 25, AT_LEAST_0),
+    "eval.seeds": (int, 3, POSITIVE),
 }
 
 # scaled-down defaults run on a desk in minutes; the full-scale preset
@@ -117,43 +151,6 @@ class RunConfig:
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
-
-    def validate(self) -> None:
-        if self.values.get("run.seed") is None:
-            raise ConfigError("run.seed must be set; refusing to pick one implicitly")
-        if self["disc.kind"] not in KINDS:
-            raise ConfigError(f"disc.kind must be one of {KINDS}, got {self['disc.kind']!r}")
-        try:
-            self.schedule().validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        split = self["corpus.split"]
-        if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9 or any(r < 0 for r in split):
-            raise ConfigError(f"corpus.split {split} must be three fractions summing to 1")
-        for key in ("corpus.n", "corpus.seq_len", "run.threads", "pretrain.batch_size",
-                    "eval.seeds", "model.d_embed", "model.d_hidden", "model.d_label",
-                    "disc.d_embed", "disc.d_hidden", "disc.n_filters", "disc.n_buckets",
-                    "embed.window"):
-            if self[key] < 1:
-                raise ConfigError(f"{key} must be positive, got {self[key]}")
-        if self["run.threads"] > (cpus := os.cpu_count() or 1):
-            raise ConfigError(f"run.threads must be at most {cpus}, this machine's "
-                              f"CPU count, got {self['run.threads']}")
-        # every eval trains a cnn evaluator with the default filter widths
-        if self["corpus.seq_len"] < (w := max(DiscriminatorConfig.widths)):
-            raise ConfigError(f"corpus.seq_len must be at least {w}, the widest cnn filter")
-        if not 0.0 <= self["disc.dropout"] < 1.0:
-            raise ConfigError(f"disc.dropout must lie in [0, 1), got {self['disc.dropout']}")
-        for key in ("embed.negatives", "embed.epochs"):
-            if self[key] < 0:
-                raise ConfigError(f"{key} must be >= 0, got {self[key]}")
-        if not (math.isfinite(self["embed.lr"]) and self["embed.lr"] > 0):
-            raise ConfigError(f"embed.lr must be finite and positive, got {self['embed.lr']}")
-        for key in ("pretrain.g_lr", "pretrain.d_lr", "adv.g_lr", "adv.d_lr"):
-            if not (math.isfinite(self[key]) and self[key] >= 0):
-                raise ConfigError(f"{key} must be finite and >= 0, got {self[key]}")
-        if not (math.isfinite(self["adv.clip"]) and self["adv.clip"] > 0):
-            raise ConfigError(f"adv.clip must be finite and positive, got {self['adv.clip']}")
 
     # typed views consumed by the training and evaluation code
 
@@ -191,7 +188,7 @@ class RunConfig:
 def _parse_pair(key: str, raw: str, where: str) -> Any:
     if key not in SCHEMA:
         raise ConfigError(f"{where}: unknown config key {key!r}")
-    parser, _ = SCHEMA[key]
+    parser, _, _ = SCHEMA[key]
     try:
         return parser(raw)
     except ValueError as e:
@@ -213,10 +210,11 @@ def parse_config_text(text: str) -> dict[str, Any]:
 
 
 def make_config(preset: str, file_text: str | None, set_pairs: list[str]) -> RunConfig:
-    """Resolve preset, optional file, and --set overrides, then validate."""
+    """Resolve preset, optional file, and --set overrides, then check each
+    resolved value against its key's domain."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-    values = {key: default for key, (_, default) in SCHEMA.items()}
+    values = {key: default for key, (_, default, _) in SCHEMA.items()}
     values.update(PRESETS[preset])
     if file_text is not None:
         values.update(parse_config_text(file_text))
@@ -225,9 +223,12 @@ def make_config(preset: str, file_text: str | None, set_pairs: list[str]) -> Run
             raise ConfigError(f"--set {pair!r}: expected key=value")
         key, _, value = pair.partition("=")
         values[key.strip()] = _parse_pair(key.strip(), value.strip(), f"--set {pair!r}")
-    cfg = RunConfig(values)
-    cfg.validate()
-    return cfg
+    if values["run.seed"] is None:
+        raise ConfigError("run.seed must be set; refusing to pick one implicitly")
+    for key, (_, _, domain) in SCHEMA.items():
+        if not domain.accepts(values[key]):
+            raise ConfigError(f"{key} must {domain.text}, got {_fmt(values[key])}")
+    return RunConfig(values)
 
 
 def canonical_text(cfg: RunConfig) -> str:

@@ -35,7 +35,9 @@ MAX_ENTRY = 100.0
 
 def _skipgram_pairs(data: SequenceData, window: int) -> np.ndarray:
     """All (center, context) id pairs within `window`, pads skipped: row by
-    row, center by center, contexts in position order."""
+    row, center by center, contexts in position order. A window wider than a
+    row acts as `seq_len - 1`, since no wider offset lands in the row."""
+    window = min(window, data.tokens.shape[1] - 1)
     keep = data.tokens != PAD_ID
     order = np.argsort(~keep, axis=1, kind="stable")  # pads moved to the end
     toks = np.take_along_axis(data.tokens, order, axis=1).astype(np.int64)

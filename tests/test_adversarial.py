@@ -346,22 +346,6 @@ def test_doubling_rollouts_cuts_reward_variance():
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_validation():
-    desk("schedule", iterations=0).validate()  # explicit no-op is fine
-    with pytest.raises(ValueError, match="rescale"):
-        desk("schedule", rescale="log").validate()
-    with pytest.raises(ValueError, match="alpha"):
-        desk("schedule", alpha=1.5).validate()
-    with pytest.raises(ValueError, match="iterations"):
-        desk("schedule", iterations=-1).validate()
-    with pytest.raises(ValueError, match="iterations"):
-        desk("schedule", g_steps=0).validate()
-    with pytest.raises(ValueError, match="delta"):
-        desk("schedule", delta=0.0).validate()
-    with pytest.raises(ValueError, match="rollouts"):
-        desk("schedule", rollouts=0).validate()
-
-
 def test_teacher_forcing_is_a_maximum_likelihood_step():
     # the adversarial loop's teacher-forcing step is mle_step on a copy
     # of the store the rollout network starts from

@@ -522,7 +522,7 @@ def test_advtrain_resume_nothing_to_do(trained, capsys):
 def test_invalid_adv_value_exit_2(pretrained, capsys):
     assert run("advtrain", "--run-dir", pretrained, "--set", "adv.g_steps=0") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: adv.iterations must be >= 0, adv.g_steps")
+    assert err == "error: adv.g_steps must be positive, got 0\n"
     assert "Traceback" not in err
 
 
@@ -692,6 +692,20 @@ def test_a_numeric_failure_prints_one_stderr_line(tmp_path):
     assert child.returncode == cli.EXIT_NUMERIC
     assert child.stderr.count("\n") == 1, child.stderr
     assert child.stderr.startswith("numeric failure: ") and "skip-gram embeddings" in child.stderr
+
+
+def test_an_array_larger_than_memory_exits_2_with_one_line(tmp_path, capsys):
+    # 10**16 fasttext buckets of 8 dims ask numpy for 568 PiB, past any
+    # address space, so the allocation fails before it takes any memory
+    d = str(tmp_path / "run")
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST,
+               "--set", f"disc.n_buckets={10**16}") == 0
+    assert run("pretrain-g", "--run-dir", d) == 0
+    capsys.readouterr()
+    assert run("pretrain-d", "--run-dir", d) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
 
 
 # ---------------------------------------------------------------------------
@@ -945,12 +959,12 @@ def test_a_failed_log_append_exits_2_and_names_the_log(pretrained, tmp_path, cap
         def write(self, text):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kwargs: FullDisk()
-                        if mode == "a" else open(path, mode, **kwargs), raising=False)
+    log = os.path.join(d, "gen_pretrain_log.csv")
+    monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: FullDisk()
+                        if path == log else open(path, *args, **kwargs), raising=False)
     capsys.readouterr()
     assert run("pretrain-g", "--run-dir", d) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    log = os.path.join(d, "gen_pretrain_log.csv")
     assert err == f"error: {log}: {os.strerror(errno.ENOSPC)}\n"
     assert not os.path.exists(os.path.join(d, "gen_pretrain.ckpt"))
 

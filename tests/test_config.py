@@ -107,8 +107,9 @@ def test_validation_rejections(pair, needle):
 
 
 def test_embed_zero_negatives_and_epochs_are_valid():
-    cfg = base("embed.negatives=0", "embed.epochs=0")
+    cfg = base("embed.negatives=0", "embed.epochs=0", "adv.iterations=0")
     assert cfg["embed.negatives"] == 0 and cfg["embed.epochs"] == 0
+    assert cfg["adv.iterations"] == 0  # an explicit no-op adversarial run
 
 
 def test_typed_views_reflect_overrides():

@@ -1,4 +1,5 @@
-"""Damaged run artifacts end in a documented exit code, never a traceback.
+"""Damaged run artifacts and boundary settings end in a documented exit
+code, never a traceback.
 
 One small run directory is built per module and copied for each example.
 Each artifact kind is truncated, has one bit flipped or has one byte
@@ -6,6 +7,10 @@ overwritten, and the command that reads it runs through `cli.main`: only
 exits 0, 2 (usage), 3 (numeric) and 4 (corrupt artifact) may occur. A
 checkpoint also gets one block rewritten under its own digest, so its
 checksum stays valid and only the reader's checks of stored values apply.
+A config key set to a boundary value must be refused by `corpus-gen` with
+exit 2 exactly when the value does not parse or lies outside the key's
+`SCHEMA` domain; a run it accepts goes through the pipeline without a
+traceback.
 """
 
 import contextlib
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from advseq.checkpoint import load_tensors, save_tensors
 from advseq.cli import main
+from advseq.config import SCHEMA
 
 from test_cli import FAST, SEED
 
@@ -140,3 +146,43 @@ def test_bad_block_under_a_valid_checksum_ends_in_a_documented_exit(run_dir, cas
     if refused:
         assert name in err, err
 
+
+
+# every key is set to each of these; run.seed also to the edges of its
+# 64-bit range. No large in-domain size is drawn, as a huge corpus.n would
+# run for ever
+BOUNDARY = ("0", "-1", "nan", "inf", "1e308", "many")
+CONFIG_CASES = [(key, raw) for key in SCHEMA
+            for raw in BOUNDARY + ((str(2**63), str(-2**63)) if key == "run.seed" else ())]
+PIPELINE = (("pretrain-g",), ("pretrain-d",), ("advtrain",), ("eval", "--tier", "micro"))
+
+
+def refuses(key: str, raw: str) -> bool:
+    """Whether `key = raw` fails to parse or lies outside the key's domain;
+    no grammar file or preset has any of BOUNDARY's names."""
+    parse, _, domain = SCHEMA[key]
+    try:
+        return key == "corpus.grammar" or not domain.accepts(parse(raw))
+    except ValueError:
+        return True
+
+
+# more examples than cases, so that hypothesis runs every case once
+@settings(max_examples=len(CONFIG_CASES) + 10, deadline=None, derandomize=True)
+@given(case=st.sampled_from(CONFIG_CASES))
+def test_a_boundary_setting_is_refused_with_exit_2_or_runs(case):
+    key, raw = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        d = os.path.join(tmp, "run")
+        # the drawn pair comes last, so it overrides FAST and the seed
+        code = main(["corpus-gen", "--run-dir", d, "--set", "run.seed=11", *FAST,
+                     "--set", f"{key}={raw}"])  # anything raised fails
+        assert code == (2 if refuses(key, raw) else 0), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and os.listdir(d) == [], err.getvalue()
+        else:
+            for argv in PIPELINE:
+                code = main([argv[0], "--run-dir", d, *argv[1:]])
+                assert code in {0, 2, 3}, (argv, code, err.getvalue())

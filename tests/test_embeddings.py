@@ -1,6 +1,8 @@
 """Skip-gram pretraining: co-occurring tokens end up aligned, the dense
 update matches the per-pair loop, and a diverging run is refused."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,20 @@ def test_skipgram_pairs_skip_mid_row_pads():
     got = _skipgram_pairs(data, 1)
     assert got.tolist() == [[2, 3], [3, 2], [3, 4], [4, 3]]
     assert np.array_equal(got, loop_skipgram_pairs(data, 1))
+
+
+def test_a_window_wider_than_the_row_gives_the_pairs_of_seq_len_minus_1():
+    # no offset past seq_len - 1 lands in a row, so a window of 10**5 gives
+    # the same pairs and takes memory by the row, not by the window
+    data = SequenceData(np.array([[2, 3, PAD_ID, 4, 5]]), np.zeros(1, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        got = _skipgram_pairs(data, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _skipgram_pairs(data, 4))
+    assert peak < 2**20, peak
 
 
 # rows over a small alphabet that includes PAD, so pads land anywhere and
