@@ -45,20 +45,20 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .adversarial import adversarial_train, pretrain_discriminator, pretrain_generator
+from .adversarial import (TrainSchedule, adversarial_train, pretrain_discriminator,
+                          pretrain_generator)
 from .checkpoint import CheckpointError, load_tensors, save_tensors, write_atomic
-from .config import (ConfigError, RunConfig, canonical_text, config_digest,
-                     make_config)
+from .config import ConfigError, canonical_text, config_digest, make_config, view
 from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
                      decode_sequence, generate_corpus, read_corpus, read_vocab,
                      split_corpus, write_corpus, write_vocab)
-from .discriminators import Discriminator, init_discriminator
+from .discriminators import Discriminator, DiscriminatorConfig, init_discriminator
 from .embeddings import pretrain_embeddings
 from .evaluation import (MetricsReport, application_metrics, macro_metrics,
                          micro_metrics)
 from .generator import GeneratorDims, init_generator_params, mean_nll, sample_batch
 from .grammar import GrammarError, GrammarSpec, format_grammar, load_grammar, resolve_grammar
-from .numerics import AdamState, NumericError, ParamStore, RngStream, ShapeError
+from .numerics import AdamState, NumericError, ParamStore, RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,7 +130,7 @@ def resolve_run_dir(args) -> str:
     return args.run_dir or os.environ.get("ADVSEQ_RUN_DIR") or "run"
 
 
-def resolve_config(args, paths: RunPaths) -> RunConfig:
+def resolve_config(args, paths: RunPaths) -> dict:
     """The preset, then corpus-gen's --config file or else the pinned
     config.txt, then --set pairs, then --seed and --threads. A later command
     has no --config, so it overrides the pinned file with --set alone."""
@@ -166,7 +166,7 @@ def _require(path: str, hint: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_run_data(args) -> tuple[RunPaths, RunConfig, GrammarSpec, Vocab, SplitDataset,
+def load_run_data(args) -> tuple[RunPaths, dict, GrammarSpec, Vocab, SplitDataset,
                                   bytes]:
     """A later command's run: paths, config, corpus artifacts (required before
     the config is built) and the config digest their checkpoints carry."""
@@ -190,14 +190,14 @@ def load_run_data(args) -> tuple[RunPaths, RunConfig, GrammarSpec, Vocab, SplitD
     return paths, cfg, grammar, vocab, SplitDataset(*splits), digest
 
 
-def new_generator(cfg: RunConfig, vocab: Vocab,
+def new_generator(cfg: dict, vocab: Vocab,
                   grammar: GrammarSpec) -> tuple[ParamStore, GeneratorDims]:
     """The generator the config sizes, at its seeded initial weights."""
-    dims = cfg.generator_dims(len(vocab), len(grammar.labels))
+    dims = view(cfg, GeneratorDims, vocab_size=len(vocab), n_labels=len(grammar.labels))
     return init_generator_params(dims, RngStream(cfg["run.seed"], "gen_init")), dims
 
 
-def load_generator(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec, digest: bytes,
+def load_generator(cfg: dict, vocab: Vocab, grammar: GrammarSpec, digest: bytes,
                    path: str) -> tuple[ParamStore, GeneratorDims]:
     """The generator the config sizes, filled from the checkpoint at `path`."""
     params, dims = new_generator(cfg, vocab, grammar)
@@ -205,11 +205,12 @@ def load_generator(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec, digest: b
     return params, dims
 
 
-def new_discriminator(cfg: RunConfig, vocab: Vocab, grammar: GrammarSpec, kind: str,
+def new_discriminator(cfg: dict, vocab: Vocab, grammar: GrammarSpec, kind: str,
                       root: RngStream) -> Discriminator:
     """The `kind` discriminator the config sizes, at its seeded initial
     weights, over a zero table for a checkpoint or pretraining to fill."""
-    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind=kind)
+    dcfg = view(cfg, DiscriminatorConfig, kind=kind, vocab_size=len(vocab),
+                n_labels=len(grammar.labels), use_condition=True, n_out=1)
     return init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
                               root.child("dinit", kind))
 
@@ -307,7 +308,7 @@ def restore_run_state(path: str, digest: bytes, run: dict, counter: str | None =
     return counters.get(counter)
 
 
-def fill_embeddings(paths: RunPaths, cfg: RunConfig, vocab: Vocab, train: SequenceData,
+def fill_embeddings(paths: RunPaths, cfg: dict, vocab: Vocab, train: SequenceData,
                     digest: bytes, root: RngStream, table: np.ndarray) -> None:
     """Fill the discriminator's frozen table from embeddings.ckpt, or
     pretrain it and write that file."""
@@ -328,15 +329,15 @@ def fill_embeddings(paths: RunPaths, cfg: RunConfig, vocab: Vocab, train: Sequen
 
 
 def cmd_corpus_gen(args) -> int:
-    run_dir = resolve_run_dir(args)
-    os.makedirs(run_dir, exist_ok=True)
-    paths = RunPaths(run_dir)
+    paths = RunPaths(resolve_run_dir(args))
     cfg = resolve_config(args, paths)
     grammar = resolve_grammar(cfg["corpus.grammar"], cfg["corpus.seq_len"])
     root = RngStream(cfg["run.seed"])
     data, vocab = generate_corpus(grammar, cfg["corpus.n"], root.child("corpus"))
     splits = split_corpus(data, cfg["corpus.split"], root.child("split"))
-    with run_lock(paths):  # after the checks, so a refused run writes nothing
+    # after the checks, so a refused run creates and writes nothing
+    os.makedirs(paths.run_dir, exist_ok=True)
+    with run_lock(paths):
         if os.path.exists(paths.train):  # under the lock: no other run writes it after
             raise CliError(f"{paths.train} already exists; use a fresh run directory")
         # corpus_train.txt goes last: while it is missing, a rerun starts over
@@ -379,7 +380,7 @@ def _read_csv_rows(path: str, columns: tuple[str, ...], n: int) -> list[dict]:
     return rows
 
 
-def _train(args, cfg: RunConfig, setting: str, digest: bytes, run: dict, ckpt: str,
+def _train(args, cfg: dict, setting: str, digest: bytes, run: dict, ckpt: str,
            log_path: str, columns: tuple[str, ...],
            loop: Callable[[int, list[dict]], Iterator[dict]]) -> tuple[int, dict | None]:
     """The one training driver, and the only writer of training logs and of
@@ -472,7 +473,7 @@ def cmd_pretrain_d(args) -> int:
 def cmd_advtrain(args) -> int:
     paths, cfg, grammar, vocab, splits, digest = load_run_data(args)
     kind = cfg["disc.kind"]
-    sched = cfg.schedule()
+    sched = view(cfg, TrainSchedule)
     root = RngStream(cfg["run.seed"])
     with run_lock(paths):
         disc = new_discriminator(cfg, vocab, grammar, kind, root)
@@ -547,7 +548,8 @@ def cmd_eval(args) -> int:
     ckpt_path = _generator_path(args, paths)
     params, dims = load_generator(cfg, vocab, grammar, digest, ckpt_path)
     root = RngStream(cfg["run.seed"]).child("eval")
-    dcfg = cfg.disc_config(len(vocab), len(grammar.labels), kind="cnn")
+    dcfg = view(cfg, DiscriminatorConfig, kind="cnn", vocab_size=len(vocab),
+                n_labels=len(grammar.labels), use_condition=True, n_out=1)
     tiers = ("micro", "macro", "application") if args.tier == "all" else (args.tier,)
     metrics: dict[str, float] = {}
     skipped: dict[str, str] = {}
@@ -639,7 +641,7 @@ def main(argv=None) -> int:
     except MemoryError as e:  # numpy refuses an array past the machine before taking any
         print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, ShapeError) as e:
+    except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except CheckpointError as e:

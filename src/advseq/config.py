@@ -7,9 +7,12 @@ are read; once the three layers are resolved, one loop checks every value
 against its domain and refuses the first outside it, naming the key and
 the domain, and a run refuses to start without an explicit seed. Checking
 resolved values lets a later layer fix an earlier one: `--threads 1` runs a
-config pinned with more threads than this machine has. The canonical
-rendering is sorted and byte-stable, so its hash can guard checkpoints
-against being loaded into a differently-shaped run.
+config pinned with more threads than this machine has. A resolved config
+is a plain dict from key to value. The typed views that the training code
+takes are filled by one rule, `view`: field f of a view is the setting
+`<section>.f` of the view's section in `VIEWS`. The canonical rendering is
+sorted and byte-stable, so its hash can guard checkpoints against being
+loaded into a differently-shaped run.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Any, Callable, NamedTuple
 
 from .adversarial import RESCALE_MODES, TrainSchedule
@@ -145,44 +148,17 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict[str, Any]
+# each typed view and its section: `view` fills field f from `<section>.f`
+VIEWS: dict[type, str] = {GeneratorDims: "model", TrainSchedule: "adv",
+                          DiscriminatorConfig: "disc"}
 
-    def __getitem__(self, key: str) -> Any:
-        return self.values[key]
 
-    # typed views consumed by the training and evaluation code
-
-    def generator_dims(self, vocab_size: int, n_labels: int) -> GeneratorDims:
-        return GeneratorDims(vocab_size=vocab_size, n_labels=n_labels,
-                             d_embed=self["model.d_embed"],
-                             d_hidden=self["model.d_hidden"],
-                             d_label=self["model.d_label"])
-
-    def schedule(self) -> TrainSchedule:
-        return TrainSchedule(iterations=self["adv.iterations"],
-                             g_steps=self["adv.g_steps"],
-                             d_steps=self["adv.d_steps"],
-                             batch_size=self["adv.batch_size"],
-                             rollouts=self["adv.rollouts"],
-                             alpha=self["adv.alpha"],
-                             rescale=self["adv.rescale"],
-                             delta=self["adv.delta"],
-                             baseline=self["adv.baseline"],
-                             teacher_forcing=self["adv.teacher_forcing"],
-                             g_lr=self["adv.g_lr"], d_lr=self["adv.d_lr"],
-                             clip=self["adv.clip"])
-
-    def disc_config(self, vocab_size: int, n_labels: int, kind: str) -> DiscriminatorConfig:
-        return DiscriminatorConfig(kind=kind,
-                                   vocab_size=vocab_size, n_labels=n_labels,
-                                   d_embed=self["disc.d_embed"],
-                                   d_hidden=self["disc.d_hidden"],
-                                   n_filters=self["disc.n_filters"],
-                                   n_buckets=self["disc.n_buckets"],
-                                   dropout=self["disc.dropout"],
-                                   l2=self["disc.l2"])
+def view(cfg: dict[str, Any], cls: type, **given: Any) -> Any:
+    """`cls` with each field not `given` set from `<section>.<field>`, its
+    section from VIEWS; a field with no such setting keeps its default."""
+    section = VIEWS[cls]
+    return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in fields(cls)
+                  if f.name not in given and f"{section}.{f.name}" in cfg}, **given)
 
 
 def _parse_pair(key: str, raw: str, where: str) -> Any:
@@ -209,9 +185,9 @@ def parse_config_text(text: str) -> dict[str, Any]:
     return out
 
 
-def make_config(preset: str, file_text: str | None, set_pairs: list[str]) -> RunConfig:
-    """Resolve preset, optional file, and --set overrides, then check each
-    resolved value against its key's domain."""
+def make_config(preset: str, file_text: str | None, set_pairs: list[str]) -> dict[str, Any]:
+    """Every key's value from preset, optional file, and --set overrides,
+    each checked against its key's domain."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
@@ -228,17 +204,17 @@ def make_config(preset: str, file_text: str | None, set_pairs: list[str]) -> Run
     for key, (_, _, domain) in SCHEMA.items():
         if not domain.accepts(values[key]):
             raise ConfigError(f"{key} must {domain.text}, got {_fmt(values[key])}")
-    return RunConfig(values)
+    return values
 
 
-def canonical_text(cfg: RunConfig) -> str:
-    return "\n".join(f"{k} = {_fmt(cfg.values[k])}" for k in sorted(cfg.values)) + "\n"
+def canonical_text(cfg: dict[str, Any]) -> str:
+    return "\n".join(f"{k} = {_fmt(cfg[k])}" for k in sorted(cfg)) + "\n"
 
 
 _DIGEST_PREFIXES = ("run.seed", "corpus.", "model.", "disc.", "embed.")
 
 
-def config_digest(cfg: RunConfig, vocab_size: int, n_labels: int) -> bytes:
+def config_digest(cfg: dict[str, Any], vocab_size: int, n_labels: int) -> bytes:
     """32-byte digest over everything that shapes stored tensors.
 
     Covers the seed, corpus recipe, and model/discriminator/embedding
@@ -246,7 +222,7 @@ def config_digest(cfg: RunConfig, vocab_size: int, n_labels: int) -> bytes:
     or retuned against existing artifacts, and run.threads is left out
     because worker count must never change results.
     """
-    lines = [f"{k} = {_fmt(cfg.values[k])}" for k in sorted(cfg.values)
+    lines = [f"{k} = {_fmt(cfg[k])}" for k in sorted(cfg)
              if any(k == p or k.startswith(p) for p in _DIGEST_PREFIXES)]
     lines.append(f"vocab_size = {vocab_size}")
     lines.append(f"n_labels = {n_labels}")

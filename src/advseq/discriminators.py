@@ -68,9 +68,9 @@ class DiscriminatorConfig:
     n_buckets: int
     dropout: float
     l2: float
+    use_condition: bool
+    n_out: int
     widths: tuple[int, ...] = (2, 3, 4)
-    use_condition: bool = True
-    n_out: int = 1
 
     def feature_dim(self) -> int:
         if self.kind == "fasttext":

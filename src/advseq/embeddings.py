@@ -56,12 +56,7 @@ def _negative_table(data: SequenceData, vocab_size: int) -> np.ndarray:
     counts = np.bincount(data.tokens.ravel(), minlength=vocab_size).astype(np.float64)
     counts[PAD_ID] = 0.0
     weights = counts ** 0.75
-    total = weights.sum()
-    if total == 0:
-        weights = np.ones(vocab_size)
-        weights[PAD_ID] = 0.0
-        total = weights.sum()
-    return np.cumsum(weights / total)
+    return np.cumsum(weights / weights.sum())
 
 
 def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,

@@ -18,8 +18,10 @@ generated text can stand in for (or augment) real training data.
 Macro and application numbers are reported as the median over several
 evaluator seeds, since single evaluator trainings are noisy. Every
 evaluator is a fresh cnn of `dcfg`, the run's discriminator config of kind
-cnn, trained for `epochs` epochs; each probe sets its own n_labels, n_out
-and use_condition.
+cnn, trained for `epochs` epochs. Each probe sets its own n_labels, n_out
+and use_condition: the scoring probes a sigmoid head that sees the label,
+the label classifier a softmax head over the labels that does not. So the
+values `dcfg` carries for these three are never read.
 """
 
 from __future__ import annotations

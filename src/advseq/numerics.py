@@ -21,10 +21,6 @@ import numpy as np
 Tensor = np.ndarray
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
-
-
 class NumericError(RuntimeError):
     """A value that must stay finite became NaN or infinite."""
 
@@ -50,8 +46,6 @@ def relu(x: Tensor) -> Tensor:
 def softmax_rows(logits: Tensor) -> Tensor:
     """Row-wise softmax via max subtraction; safe for entries up to +-1e3."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D tensor, got {logits.shape}")
     e = logits - logits.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)

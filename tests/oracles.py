@@ -5,19 +5,18 @@ scan, Adam, gradient clipping and the soft update one parameter at a time,
 skip-gram training with per-pair gathers and scatter-adds, the per-row
 grammar sampler, the exact grammar NLL of one sequence, sentence BLEU
 against a reference list, and a parser for the metrics CSV that `eval`
-writes. Also `desk`, which builds the typed config views from the schema's
+writes. Also `desk`, which fills a typed config view from the schema's
 defaults."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from advseq.config import make_config
+from advseq.config import make_config, view
 from advseq.corpus import SequenceData
 from advseq.embeddings import BATCH_SIZE, _negative_table, _skipgram_pairs
 from advseq.evaluation import MetricsReport, _reference_table, _sentence_bleu
@@ -28,12 +27,16 @@ from advseq.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Numeri
 from advseq.recurrent import Scan, gate_scale
 
 
-def desk(view: str, *args, **fields):
-    """`RunConfig.<view>(*args)` of the desk preset, whose values are the
-    schema's defaults, with `fields` replaced: `desk("schedule",
-    rollouts=4)`, `desk("generator_dims", 62, 4)`."""
-    cfg = make_config("desk", None, ["run.seed=0"])
-    return dataclasses.replace(getattr(cfg, view)(*args), **fields)
+# the head of the real/fake scorer that pretrain-d and advtrain train: one
+# sigmoid output that sees the condition label
+SCORER = {"use_condition": True, "n_out": 1}
+
+
+def desk(cls, **given):
+    """`config.view` of `cls` over the desk preset, whose values are the
+    schema's defaults, with `given` fields: `desk(TrainSchedule,
+    rollouts=4)`, `desk(GeneratorDims, vocab_size=62, n_labels=4)`."""
+    return view(make_config("desk", None, ["run.seed=0"]), cls, **given)
 
 
 def finite_diff_check(loss_fn: Callable[[ParamStore], float], params: ParamStore,

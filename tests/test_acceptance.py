@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from advseq.adversarial import (adversarial_train, pretrain_discriminator,
+from advseq.adversarial import (TrainSchedule, adversarial_train, pretrain_discriminator,
                                 pretrain_generator, rescale_bra, rescale_oda,
                                 soft_update)
 from advseq.checkpoint import load_tensors, save_tensors
@@ -32,7 +32,8 @@ from advseq.generator import (GeneratorDims, backward_coefs, batch_log_probs,
                               pad_mask, policy_gradient_step)
 from advseq.grammar import overlapping_preset, separable_preset
 from advseq.numerics import AdamState, RngStream, Workspace
-from oracles import bleu, desk, enumeration_rewards, exact_log_prob, finite_diff_check
+from oracles import (SCORER, bleu, desk, enumeration_rewards, exact_log_prob,
+                     finite_diff_check)
 
 EPS = 1e-9
 
@@ -118,7 +119,7 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
         cfg = DiscriminatorConfig(kind=kind, vocab_size=6, n_labels=2,
                                   d_embed=4, d_hidden=3,
                                   n_filters=3, widths=(2, 3), n_buckets=64,
-                                  dropout=0.0, l2=0.05)
+                                  dropout=0.0, l2=0.05, **SCORER)
         embed = RngStream(301, kind).uniform_range(-0.4, 0.4, (6, 4))
         disc = init_discriminator(cfg, embed, RngStream(302, kind))
         disc.params["d.head.W"].value[...] = RngStream(303, kind).normal(
@@ -197,14 +198,15 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
     t0 = time.monotonic()
     spec, vocab, splits = overlap
     dims, runs = mle_runs
-    sched = desk("schedule", iterations=10, g_steps=1, d_steps=1, batch_size=32,
+    sched = desk(TrainSchedule, iterations=10, g_steps=1, d_steps=1, batch_size=32,
                  rollouts=4, rescale="oda")
     margins = []
     for seed, (mle_params, base) in enumerate(runs):
         params = mle_params.copy()
         embed = pretrain_embeddings(splits.train, len(vocab), 32,
                                     RngStream(seed, "emb"), epochs=3)
-        cfg = desk("disc_config", len(vocab), 2, "cnn")
+        cfg = desk(DiscriminatorConfig, vocab_size=len(vocab), n_labels=2, kind="cnn",
+                   **SCORER)
         disc = init_discriminator(cfg, embed, RngStream(seed, "dinit"))
         for _ in pretrain_discriminator(disc, params, dims, splits.train,
                                         RngStream(seed, "dpre"), epochs=3,
@@ -364,7 +366,8 @@ def test_criterion_07_bleu_matches_hand_counts(capsys):
 def test_criterion_08_macro_suite_is_calibrated(overlap, capsys):
     t0 = time.monotonic()
     _, vocab, splits = overlap
-    evaluator = desk("disc_config", len(vocab), 2, "cnn"), 60   # its cnn, its epochs
+    evaluator = desk(DiscriminatorConfig, vocab_size=len(vocab), n_labels=2, kind="cnn",
+                     **SCORER), 60   # its cnn, its epochs
     test, train = splits.test, splits.train
     copies = train.subset(range(len(test)))  # real rows posing as synthetic
     stand_in = train.subset(range(400, 798))
@@ -400,9 +403,10 @@ def test_criterion_09_synthetic_data_carries_labels(capsys):
                                 opt=AdamState(params, lr=1e-3), batch_size=64,
                                 patience=20, start_epoch=0, prior_valid=()):
         pass
+    evaluator = desk(DiscriminatorConfig, vocab_size=len(vocab), n_labels=2, kind="cnn",
+                     **SCORER)
     got = application_metrics(params, dims, splits.train, splits.test,
-                              RngStream(251, "app"), desk("disc_config", len(vocab), 2, "cnn"),
-                              25, n_seeds=3)
+                              RngStream(251, "app"), evaluator, 25, n_seeds=3)
     elapsed = time.monotonic() - t0
     ok = (got["acc_synth"] >= 0.9 * got["acc_real"]
           and got["acc_mix"] >= got["acc_synth"] - 0.02

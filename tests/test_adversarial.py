@@ -19,12 +19,12 @@ from advseq.adversarial import (TrainSchedule, adversarial_train,
                                 rank_tensor, rescale_bra, rescale_oda,
                                 soft_update, subtract_baseline)
 from advseq.corpus import BOS_ID, PAD_ID, SequenceData
-from advseq.discriminators import KINDS, init_discriminator, score
+from advseq.discriminators import KINDS, DiscriminatorConfig, init_discriminator, score
 from advseq.generator import (GeneratorDims, batch_log_probs,
                               init_generator_params, mle_step, mean_nll,
                               policy_gradient_step)
 from advseq.numerics import AdamState, RngStream, Workspace
-from oracles import desk, enumeration_rewards
+from oracles import SCORER, desk, enumeration_rewards
 
 DIMS = GeneratorDims(vocab_size=4, n_labels=2, d_embed=4, d_hidden=4, d_label=2)
 
@@ -111,9 +111,9 @@ def test_baseline_removes_column_means():
 
 def test_apply_reward_shaping_combines_modes():
     rewards = RngStream(132).uniform((8, 3))
-    sched = desk("schedule", rescale="none", baseline=False)
+    sched = desk(TrainSchedule, rescale="none", baseline=False)
     assert np.array_equal(apply_reward_shaping(rewards, sched), rewards)
-    sched = desk("schedule", rescale="oda", baseline=True)
+    sched = desk(TrainSchedule, rescale="oda", baseline=True)
     out = apply_reward_shaping(rewards, sched)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-12
 
@@ -381,8 +381,8 @@ def test_policy_step_returns_reward_weighted_log_likelihood():
 
 
 def make_disc(seed: int = 157):
-    cfg = desk("disc_config", DIMS.vocab_size, 2, "fasttext", d_embed=6, n_buckets=64,
-               dropout=0.1, l2=0.01)
+    cfg = desk(DiscriminatorConfig, vocab_size=DIMS.vocab_size, n_labels=2, kind="fasttext",
+               **SCORER, d_embed=6, n_buckets=64, dropout=0.1, l2=0.01)
     embed = RngStream(seed, "embed").uniform_range(-0.3, 0.3,
                                                    (DIMS.vocab_size, 6))
     return init_discriminator(cfg, embed, RngStream(seed, "disc"))
@@ -471,7 +471,7 @@ def test_pretrain_discriminator_beats_coin_flipping():
 
 
 def small_schedule(iterations: int = 3) -> TrainSchedule:
-    return desk("schedule", iterations=iterations, g_steps=2, d_steps=2,
+    return desk(TrainSchedule, iterations=iterations, g_steps=2, d_steps=2,
                 batch_size=8, rollouts=3, alpha=0.8, rescale="oda",
                 baseline=True, teacher_forcing=True, g_lr=1e-4, d_lr=1e-3)
 
@@ -656,8 +656,8 @@ def test_row_blocks_do_not_change_rollout_rewards(kind, B, T, K, block, threads,
     tokens = RngStream(seed, "tok").integers(0, DIMS.vocab_size, (B, T))
     labels = RngStream(seed, "lab").integers(0, 2, B)
     # dims at which a product's rows can take other bits in another row set
-    cfg = desk("disc_config", DIMS.vocab_size, 2, kind, d_embed=8, d_hidden=8, n_filters=4,
-               widths=(1, 2))
+    cfg = desk(DiscriminatorConfig, vocab_size=DIMS.vocab_size, n_labels=2, kind=kind, **SCORER,
+               d_embed=8, d_hidden=8, n_filters=4, widths=(1, 2))
     disc = init_discriminator(cfg, RngStream(seed, "embed").normal((DIMS.vocab_size, 8)),
                               RngStream(seed, "disc"))
     disc.params["d.head.W"].value[...] = RngStream(seed, "head").normal(
@@ -687,12 +687,12 @@ ROLLOUT_PEAK_MIB = {"cnn": 9.9, "fasttext": 10.0, "birnn": 11.2}
 @pytest.mark.parametrize("kind", KINDS)
 def test_one_rollout_call_stays_within_its_memory_bound(kind):
     V, n_labels = 62, 2
-    dims = desk("generator_dims", V, n_labels)
-    sched = desk("schedule")
+    dims = desk(GeneratorDims, vocab_size=V, n_labels=n_labels)
+    sched = desk(TrainSchedule)
     params = init_generator_params(dims, RngStream(187))
     labels = RngStream(188).integers(0, n_labels, sched.batch_size)
     tokens = RngStream(189).integers(2, V, (sched.batch_size, 20))
-    cfg = desk("disc_config", V, n_labels, kind)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=n_labels, kind=kind, **SCORER)
     disc = init_discriminator(cfg, RngStream(190).normal((V, cfg.d_embed)),
                               RngStream(191, kind))
     tracemalloc.start()

@@ -293,7 +293,7 @@ def test_grammar_file_longer_than_seq_len_exit_2(tmp_path, capsys):
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, "--set", f"corpus.grammar={long}") == 2
     assert "seq_len = 30, longer than corpus.seq_len = 20" in capsys.readouterr().err
-    assert os.listdir(d) == []  # nothing written
+    assert not os.path.exists(d)  # nothing created
 
 
 def test_empty_split_exit_2(tmp_path, capsys):
@@ -302,7 +302,7 @@ def test_empty_split_exit_2(tmp_path, capsys):
     assert run("corpus-gen", "--run-dir", d, "--seed", "1", "--set", "corpus.n=200",
                "--set", "corpus.split=0.9,0.1,0.0") == 2
     assert "leaves the test split empty" in capsys.readouterr().err
-    assert os.listdir(d) == []  # nothing written
+    assert not os.path.exists(d)  # nothing created
 
 
 def test_seq_len_below_cnn_filter_width_exit_2(tmp_path, capsys):
@@ -316,7 +316,7 @@ def test_seq_len_below_cnn_filter_width_exit_2(tmp_path, capsys):
     assert run("corpus-gen", "--run-dir", d, *SEED, "--set", f"corpus.grammar={short}",
                "--set", "corpus.seq_len=3") == 2
     assert "corpus.seq_len must be at least 4" in capsys.readouterr().err
-    assert os.listdir(d) == []  # nothing written
+    assert not os.path.exists(d)  # nothing created
 
 
 def test_missing_grammar_file_exit_2(tmp_path, capsys):
@@ -332,6 +332,14 @@ def test_more_threads_than_cpus_exit_2(tmp_path, capsys):
     too_many = str((os.cpu_count() or 1) + 1)
     assert run("corpus-gen", "--run-dir", d, *SEED, "--set", f"run.threads={too_many}") == 2
     assert "run.threads must be at most" in capsys.readouterr().err
+    assert not os.path.exists(d)
+
+
+def test_a_refused_corpus_gen_leaves_an_existing_run_dir_as_it_was(tmp_path, capsys):
+    d = tmp_path / "run"
+    d.mkdir()
+    assert run("corpus-gen", "--run-dir", str(d), *SEED, "--set", "corpus.split=nan,0.5,0.5") == 2
+    assert "corpus.split must be three finite fractions" in capsys.readouterr().err
     assert os.listdir(d) == []
 
 

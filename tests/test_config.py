@@ -4,8 +4,11 @@ import os
 
 import pytest
 
-from advseq.config import (ConfigError, RunConfig, canonical_text,
-                           config_digest, make_config, parse_config_text)
+from advseq.adversarial import TrainSchedule
+from advseq.config import (ConfigError, canonical_text, config_digest, make_config,
+                           parse_config_text, view)
+from advseq.discriminators import DiscriminatorConfig
+from advseq.generator import GeneratorDims
 
 
 def base(*pairs):
@@ -113,18 +116,29 @@ def test_embed_zero_negatives_and_epochs_are_valid():
 
 
 def test_typed_views_reflect_overrides():
-    cfg = base("model.d_hidden=48", "adv.rollouts=4", "disc.dropout=0.3",
+    cfg = base("model.d_hidden=48", "adv.rollouts=4", "disc.dropout=0.3", "disc.kind=birnn",
                "eval.epochs=9", "pretrain.d_epochs_cnn=17")
-    dims = cfg.generator_dims(vocab_size=30, n_labels=2)
-    assert dims.vocab_size == 30 and dims.d_hidden == 48
-    sched = cfg.schedule()
-    assert sched.rollouts == 4 and sched.alpha == 0.8
-    disc = cfg.disc_config(30, 2, cfg["disc.kind"])
-    assert disc.kind == "cnn" and disc.dropout == 0.3
-    assert cfg.disc_config(30, 2, kind="birnn").kind == "birnn"
+    dims = view(cfg, GeneratorDims, vocab_size=30, n_labels=2)
+    assert dims.vocab_size == 30 and dims.d_hidden == 48 and dims.d_label == 8
+    sched = view(cfg, TrainSchedule)
+    assert sched.rollouts == 4 and sched.alpha == 0.8 and sched.baseline is True
+    disc = view(cfg, DiscriminatorConfig, vocab_size=30, n_labels=2, use_condition=True, n_out=1)
+    assert disc.kind == "birnn" and disc.dropout == 0.3 and disc.l2 == 0.1
+    assert disc.widths == (2, 3, 4)  # no setting: the field's default
     assert cfg["eval.epochs"] == 9
     assert cfg["pretrain.d_epochs_cnn"] == 17
     assert cfg["pretrain.d_epochs_fasttext"] == 30
+
+
+def test_a_given_field_overrides_its_setting():
+    # eval's evaluator is a cnn whatever disc.kind says
+    cfg = base("disc.kind=fasttext", "disc.n_filters=5", "adv.rollouts=4")
+    disc = view(cfg, DiscriminatorConfig, kind="cnn", vocab_size=30, n_labels=2,
+                use_condition=False, n_out=3, widths=(2,))
+    assert (disc.kind, disc.n_filters, disc.use_condition, disc.n_out, disc.widths) == \
+        ("cnn", 5, False, 3, (2,))
+    assert view(cfg, TrainSchedule, rollouts=9).rollouts == 9
+    assert cfg["disc.kind"] == "fasttext" and cfg["adv.rollouts"] == 4  # the config is not touched
 
 
 def test_canonical_text_is_stable_and_parseable():
@@ -143,7 +157,7 @@ def test_canonical_text_is_stable_and_parseable():
     assert canonical_text(again) == text
 
 
-def _digest(cfg: RunConfig, vocab=30, labels=2):
+def _digest(cfg: dict, vocab=30, labels=2):
     return config_digest(cfg, vocab, labels)
 
 

@@ -18,7 +18,7 @@ from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    init_discriminator, loss_and_dlogits,
                                    prefix_tree, score, train_step)
 from advseq.numerics import ROW_BLOCK, AdamState, RngStream, sigmoid, softmax_rows
-from oracles import desk, finite_diff_check
+from oracles import SCORER, desk, finite_diff_check
 
 V, T, D_E = 8, 6, 12
 EMBED = RngStream(80, "embed").uniform_range(-0.3, 0.3, (V, D_E))
@@ -26,8 +26,8 @@ EMBED = RngStream(80, "embed").uniform_range(-0.3, 0.3, (V, D_E))
 
 def make_disc(kind: str, seed: int = 81, dropout: float = 0.2,
               l2: float = 0.001, **overrides) -> Discriminator:
-    cfg = desk("disc_config", V, 2, kind, d_embed=D_E, d_hidden=8, n_filters=8,
-               widths=(2, 3), dropout=dropout, l2=l2, **overrides)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind=kind, **SCORER, d_embed=D_E,
+               d_hidden=8, n_filters=8, widths=(2, 3), dropout=dropout, l2=l2, **overrides)
     return init_discriminator(cfg, EMBED, RngStream(seed, kind))
 
 
@@ -117,8 +117,8 @@ def test_fasttext_forward_matches_hand_computation():
 
 
 def test_cnn_forward_matches_hand_computation():
-    cfg = desk("disc_config", V, 2, "cnn", d_embed=D_E, n_filters=2, widths=(2,),
-               dropout=0.0, l2=0.0)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="cnn", **SCORER, d_embed=D_E,
+               n_filters=2, widths=(2,), dropout=0.0, l2=0.0)
     disc = init_discriminator(cfg, EMBED, RngStream(88))
     randomize_head(disc)
     tokens = np.array([[2, 7, 3, 5]])
@@ -137,7 +137,8 @@ def test_cnn_forward_matches_hand_computation():
 
 
 def test_birnn_forward_matches_hand_computation():
-    cfg = desk("disc_config", V, 2, "birnn", d_embed=3, d_hidden=2, dropout=0.0, l2=0.0)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="birnn", **SCORER, d_embed=3,
+               d_hidden=2, dropout=0.0, l2=0.0)
     embed = RngStream(89, "e").uniform_range(-0.4, 0.4, (V, 3))
     disc = init_discriminator(cfg, embed, RngStream(89))
     randomize_head(disc)
@@ -199,8 +200,9 @@ def test_eval_scoring_equals_forward_on_rollout_rows(kind, T, B, K, widths, d_hi
     # forward takes each chunk whole, scoring runs in row blocks of the
     # shipped size or of a small one
     widths = tuple(sorted(w for w in widths if w <= T)) or (1,)
-    cfg = desk("disc_config", V, 2, kind, d_embed=D_E, d_hidden=d_hidden, n_filters=4,
-               widths=widths, use_condition=not softmax_head, n_out=3 if softmax_head else 1)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind=kind, d_embed=D_E,
+               d_hidden=d_hidden, n_filters=4, widths=widths, use_condition=not softmax_head,
+               n_out=3 if softmax_head else 1)
     disc = init_discriminator(cfg, EMBED, RngStream(seed, kind))
     randomize_head(disc, seed)
     stream = RngStream(seed, "rows")
@@ -246,7 +248,8 @@ def test_birnn_eval_features_do_not_depend_on_the_row_block():
     # holds only while _attend's rows do not depend on which rows share it.
     # With a gemv score this fails at some seeds, while the hypothesis test
     # above, which sees blocked features only through the head, can pass
-    cfg = desk("disc_config", V, 2, "birnn", d_embed=D_E, d_hidden=8, use_condition=False)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="birnn", d_embed=D_E,
+               d_hidden=8, use_condition=False, n_out=1)
     for seed in range(40):
         disc = init_discriminator(cfg, EMBED, RngStream(seed, "birnn"))
         tokens = RngStream(seed, "rows").integers(2, V, (3 + seed, 2 + seed % 6))
@@ -271,7 +274,8 @@ def test_attention_rows_do_not_depend_on_the_other_rows(T, quads, rest, extra, d
     n = 4 * quads + rest
     if n < 2:
         n, extra = 1, 0
-    cfg = desk("disc_config", V, 2, "birnn", d_embed=D_E, d_hidden=d_hidden)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="birnn", **SCORER, d_embed=D_E,
+               d_hidden=d_hidden)
     disc = init_discriminator(cfg, EMBED, RngStream(seed, "birnn"))
     disc.params["d.att.b"].value[...] = RngStream(seed, "b").normal((1, d_hidden))
     stream = RngStream(seed, "rows")
@@ -299,8 +303,8 @@ def test_a_rows_score_does_not_depend_on_the_rows_scored_with_it(kind, softmax_h
     # one-row call is not drawn: numpy sends the bodies' one-row products
     # to gemv
     small = {} if desk_dims else dict(d_embed=D_E, d_hidden=8, n_filters=4, widths=(2, 3))
-    cfg = desk("disc_config", V, 2, kind, use_condition=not softmax_head,
-               n_out=3 if softmax_head else 1, **small)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind=kind,
+               use_condition=not softmax_head, n_out=3 if softmax_head else 1, **small)
     disc = init_discriminator(cfg, RngStream(seed, "embed").normal((V, cfg.d_embed)),
                               RngStream(seed, kind))
     randomize_head(disc, seed)
@@ -426,8 +430,8 @@ def window_cnn(disc: Discriminator, tokens: np.ndarray, ds: np.ndarray):
 def wide_cnn(seed: int = 130) -> Discriminator:
     """Widths (2, 3, 4) over T = 20, biases spread across zero, and filter 1
     of width 3 negative everywhere."""
-    cfg = desk("disc_config", V, 2, "cnn", d_embed=D_E, n_filters=8, widths=(2, 3, 4),
-               dropout=0.0)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="cnn", **SCORER, d_embed=D_E,
+               n_filters=8, widths=(2, 3, 4), dropout=0.0)
     disc = init_discriminator(cfg, EMBED, RngStream(seed))
     for w in cfg.widths:
         disc.params[f"d.conv{w}.b"].value[...] = RngStream(seed, "b", w).normal((1, 8))
@@ -504,7 +508,7 @@ def test_attention_uniform_when_scores_constant():
 def test_gradients_pass_finite_differences(kind):
     cfg = DiscriminatorConfig(kind=kind, vocab_size=6, n_labels=2,
                               d_embed=4, d_hidden=3, n_filters=3, widths=(2, 3),
-                              n_buckets=64, dropout=0.0, l2=0.05)
+                              n_buckets=64, dropout=0.0, l2=0.05, **SCORER)
     embed = RngStream(96, kind).uniform_range(-0.4, 0.4, (6, 4))
     disc = init_discriminator(cfg, embed, RngStream(97, kind))
     randomize_head(disc, seed=98)
@@ -526,8 +530,8 @@ def test_gradients_pass_finite_differences(kind):
 
 
 def test_cnn_gradients_pass_finite_differences_with_three_widths():
-    cfg = desk("disc_config", 6, 2, "cnn", d_embed=4, n_filters=3, widths=(2, 3, 4),
-               dropout=0.0, l2=0.05)
+    cfg = desk(DiscriminatorConfig, vocab_size=6, n_labels=2, kind="cnn", **SCORER, d_embed=4,
+               n_filters=3, widths=(2, 3, 4), dropout=0.0, l2=0.05)
     embed = RngStream(134).uniform_range(-0.4, 0.4, (6, 4))
     disc = init_discriminator(cfg, embed, RngStream(135))
     randomize_head(disc, seed=136)
@@ -551,8 +555,8 @@ def test_cnn_gradients_pass_finite_differences_with_three_widths():
 
 
 def test_softmax_head_gradients_pass_finite_differences():
-    cfg = desk("disc_config", 6, 2, "cnn", d_embed=4, n_filters=3, widths=(2,), dropout=0.0,
-               l2=0.0, use_condition=False, n_out=3)
+    cfg = desk(DiscriminatorConfig, vocab_size=6, n_labels=2, kind="cnn", d_embed=4, n_filters=3,
+               widths=(2,), dropout=0.0, l2=0.0, use_condition=False, n_out=3)
     embed = RngStream(101).uniform_range(-0.4, 0.4, (6, 4))
     disc = init_discriminator(cfg, embed, RngStream(102))
     randomize_head(disc, seed=103)
@@ -668,10 +672,11 @@ def test_training_dropout_needs_a_stream_and_uses_it():
 
 
 def test_init_rejects_unknown_kind_and_bad_embedding():
-    cfg = desk("disc_config", V, 2, "transformer")
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="transformer", **SCORER)
     with pytest.raises(ValueError, match="kind"):
         init_discriminator(cfg, EMBED, RngStream(122))
-    cfg = desk("disc_config", V, 2, "cnn", d_embed=D_E + 1)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="cnn", **SCORER,
+               d_embed=D_E + 1)
     with pytest.raises(ValueError, match="embedding"):
         init_discriminator(cfg, EMBED, RngStream(123))
 
@@ -684,7 +689,8 @@ def test_conditional_forward_requires_labels():
 
 
 def test_score_refuses_softmax_heads_and_class_probs_normalize():
-    cfg = desk("disc_config", V, 2, "fasttext", d_embed=D_E, use_condition=False, n_out=3)
+    cfg = desk(DiscriminatorConfig, vocab_size=V, n_labels=2, kind="fasttext", d_embed=D_E,
+               use_condition=False, n_out=3)
     disc = init_discriminator(cfg, EMBED, RngStream(125))
     randomize_head(disc)
     tokens, _ = random_batch(RngStream(126))

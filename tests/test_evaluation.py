@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as some
 
 from advseq.corpus import DataError, SequenceData, generate_corpus
+from advseq.discriminators import DiscriminatorConfig
 from advseq.evaluation import (MetricsReport,
                                adversarial_success, application_metrics,
                                classifier_accuracy, corpus_bleu_mean,
@@ -19,14 +20,15 @@ from advseq.evaluation import (MetricsReport,
 from advseq.generator import GeneratorDims, init_generator_params, mean_nll, sample_batch
 from advseq.grammar import separable_preset
 from advseq.numerics import RngStream
-from oracles import bleu, desk, parse_metrics_csv
+from oracles import SCORER, bleu, desk, parse_metrics_csv
 
 EPS = 1e-9
 
 # A cheap evaluator (its cnn over a vocabulary of 8, and its epochs) for
 # shape-and-key tests where the trained values are irrelevant; the
 # calibrated probes below use near-default settings.
-FAST = desk("disc_config", 8, 2, "cnn", d_embed=8, n_filters=4, dropout=0.0, l2=0.01), 1
+FAST = desk(DiscriminatorConfig, vocab_size=8, n_labels=2, kind="cnn", **SCORER, d_embed=8,
+            n_filters=4, dropout=0.0, l2=0.01), 1
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,8 @@ def eval_corpus():
 def probe_settings(eval_corpus):
     # default evaluator sizing; longer schedule because the probes here
     # train on a few hundred rows rather than thousands
-    return desk("disc_config", len(eval_corpus[2]), 2, "cnn"), 60
+    return desk(DiscriminatorConfig, vocab_size=len(eval_corpus[2]), n_labels=2, kind="cnn",
+                **SCORER), 60
 
 
 @pytest.fixture(scope="module")

@@ -207,7 +207,7 @@ def test_backward_accumulates_into_existing_grads():
         assert np.allclose(p.grad, 2 * once[n], rtol=0, atol=1e-15), n
 
 
-DESK = desk("generator_dims", 62, 4)   # the desk preset's dims
+DESK = desk(GeneratorDims, vocab_size=62, n_labels=4)   # the desk preset's dims
 
 
 def desk_batches(seed: int, n: int) -> SequenceData:
@@ -370,7 +370,7 @@ def test_row_blocks_do_not_change_free_run_bitwise(group, steps, block, seed):
     # the rollout layout: step i draws for the first (i + 1) * group rows.
     # The states carry any last-bit difference that a draw would hide, such
     # as a lone active row multiplied alone (group 1)
-    dims = desk("generator_dims", 7, 2, d_embed=8, d_hidden=8, d_label=3)
+    dims = desk(GeneratorDims, vocab_size=7, n_labels=2, d_embed=8, d_hidden=8, d_label=3)
     hz = hoist(init_generator_params(dims, RngStream(seed, "init")), dims)
     rows, T = steps * group, steps + 1
     rng = RngStream(seed, "rows")

@@ -10,9 +10,10 @@ and oracle tests need. And every default is one a command uses: at least
 one such call leaves the option out, as a default that every call
 overrides is reached only by tests. Operator methods, whose use the walk
 cannot see, each name it in `OPERATORS`. The config schema is the one home
-of a run's defaults: a field that `RunConfig` fills from `SCHEMA` has no
-default of its own. And no module under `src/`, `tests/` or `bench/`
-imports a name it never reads. No call to a generator function of
+of a run's defaults: each key of a section in `config.VIEWS` names a field
+of the section's view, which `config.view` fills from it, and no field so
+filled has a default of its own. And no module under `src/`, `tests/` or
+`bench/` imports a name it never reads. No call to a generator function of
 `src/advseq` (a training loop) is discarded as a bare statement, which
 would train nothing and raise nothing.
 
@@ -20,10 +21,13 @@ would train nothing and raise nothing.
 `src/` that CI reports next to its `wc -l` line count."""
 
 import ast
+import dataclasses
 import io
 import os
 import tokenize
 from typing import NamedTuple
+
+from advseq.config import SCHEMA, VIEWS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "advseq")
@@ -43,12 +47,8 @@ TEST_ONLY = {
     "discriminators.DiscriminatorConfig.widths": "the cnn tests vary the filter widths",
 }
 
-# the typed views that RunConfig fills from SCHEMA
-SCHEMA_VIEWS = ("GeneratorDims", "TrainSchedule", "DiscriminatorConfig")
-
 # operator methods, which the name walk cannot see used, and their use
 OPERATORS = {
-    "config.RunConfig.__getitem__": "`cfg[key]` reads every setting",
     "corpus.Vocab.__len__": "`len(vocab)` sizes every model",
     "corpus.SequenceData.__len__": "`len(data)` bounds every batching loop",
     "numerics.ParamStore.__getitem__": "`params[name].grad` in every backward pass",
@@ -269,28 +269,23 @@ def unset_options(src_trees: dict[str, ast.Module], user_trees: dict[str, ast.Mo
     return sorted(never_set), sorted(never_omitted)
 
 
-def restated_defaults(src_trees: dict[str, ast.Module]) -> dict[str, list[str]]:
-    """For each of SCHEMA_VIEWS, the fields that a call in `RunConfig` fills
-    from `self[<key>]` and that have a default of their own."""
-    filled: dict[str, set[str]] = {view: set() for view in SCHEMA_VIEWS}
-    defaulted: dict[str, set[str]] = {view: set() for view in SCHEMA_VIEWS}
-    for tree in src_trees.values():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
+def view_faults(views: dict[type, str], keys) -> list[str]:
+    """Each of `keys` in a section of `views` that names no field of the
+    section's view, and each field that such a key fills but that has a
+    default of its own."""
+    faults = []
+    for cls, section in views.items():
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for key in keys:
+            prefix, _, name = key.partition(".")
+            if prefix != section:
                 continue
-            if node.name in defaulted:
-                defaulted[node.name] |= {f.target.id for f in node.body
-                                         if isinstance(f, ast.AnnAssign) and f.value is not None}
-            if node.name != "RunConfig":
-                continue
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) and getattr(call.func, "id", None) in filled:
-                    filled[call.func.id] |= {
-                        k.arg for k in call.keywords if isinstance(k.value, ast.Subscript)
-                        and getattr(k.value.value, "id", None) == "self"}
-    assert all(filled.values()), f"RunConfig no longer fills every one of {SCHEMA_VIEWS}"
-    return {view: sorted(filled[view] & defaulted[view]) for view in SCHEMA_VIEWS
-            if filled[view] & defaulted[view]}
+            if name not in fields:
+                faults.append(f"{key} names no field of {cls.__name__}")
+            elif (fields[name].default is not dataclasses.MISSING
+                  or fields[name].default_factory is not dataclasses.MISSING):
+                faults.append(f"{cls.__name__}.{name} has a default, but {key} fills it")
+    return faults
 
 
 def test_every_option_has_a_caller_in_src_or_bench():
@@ -325,7 +320,19 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def test_schema_is_the_only_home_of_run_defaults():
-    assert restated_defaults(parse_tree(PACKAGE)) == {}
+    assert view_faults(VIEWS, SCHEMA) == []
+
+
+def test_the_view_check_finds_a_stray_key_and_a_restated_default():
+    @dataclasses.dataclass
+    class View:
+        a: int
+        b: int = 2
+        c: list = dataclasses.field(default_factory=list)
+
+    assert view_faults({View: "s"}, ["s.a", "s.b", "s.c", "s.d", "t.e"]) == [
+        "View.b has a default, but s.b fills it", "View.c has a default, but s.c fills it",
+        "s.d names no field of View"]
 
 
 def test_the_option_walk_matches_keywords_positions_and_values():
