@@ -23,11 +23,12 @@ which stamps its wall time, appends it to the log and checkpoints the run;
 Models are sized from the config alone; a checkpoint only fills them.
 
 Exit codes: 0 success, 2 usage or configuration problems (a setting
-outside its domain, an array larger than memory), 3 numeric
-failures during training, 4 corrupt or mismatched artifacts (a bad stored
-count, Adam moment, dims or block shape, a log missing rows), 130
-interrupted (Ctrl-C), each with one stderr line: numpy's floating-point
-warnings are muted, as the finite checks name what failed.
+outside its domain, an array larger than memory or than numpy can
+describe), 3 numeric failures during training, 4 corrupt or mismatched
+artifacts (a bad stored count, Adam moment, dims or block shape, a log
+missing rows), 130 interrupted (Ctrl-C), each with one stderr line:
+numpy's floating-point warnings are muted, as the finite checks name what
+failed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .adversarial import (TrainSchedule, adversarial_train, pretrain_discriminat
                           pretrain_generator)
 from .checkpoint import CheckpointError, load_tensors, save_tensors, write_atomic
 from .config import ConfigError, canonical_text, config_digest, make_config, view
-from .corpus import (DataError, SequenceData, SplitDataset, Vocab,
+from .corpus import (DataError, SplitDataset, Vocab,
                      decode_sequence, generate_corpus, read_corpus, read_vocab,
                      split_corpus, write_corpus, write_vocab)
 from .discriminators import Discriminator, DiscriminatorConfig, init_discriminator
@@ -91,7 +92,6 @@ class RunPaths:
         self.train = join("corpus_train.txt")
         self.valid = join("corpus_valid.txt")
         self.test = join("corpus_test.txt")
-        self.embeddings = join("embeddings.ckpt")
         self.gen_pretrain = join("gen_pretrain.ckpt")
         self.gen_pretrain_log = join("gen_pretrain_log.csv")
         self.gen_adv = join("gen_adv.ckpt")
@@ -205,14 +205,14 @@ def load_generator(cfg: dict, vocab: Vocab, grammar: GrammarSpec, digest: bytes,
     return params, dims
 
 
-def new_discriminator(cfg: dict, vocab: Vocab, grammar: GrammarSpec, kind: str,
+def new_discriminator(cfg: dict, vocab: Vocab, grammar: GrammarSpec,
                       root: RngStream) -> Discriminator:
-    """The `kind` discriminator the config sizes, at its seeded initial
-    weights, over a zero table for a checkpoint or pretraining to fill."""
-    dcfg = view(cfg, DiscriminatorConfig, kind=kind, vocab_size=len(vocab),
+    """The `disc.kind` discriminator the config sizes, at its seeded initial
+    weights, over a zero table for a checkpoint or skip-gram to fill."""
+    dcfg = view(cfg, DiscriminatorConfig, vocab_size=len(vocab),
                 n_labels=len(grammar.labels), use_condition=True, n_out=1)
     return init_discriminator(dcfg, np.zeros((dcfg.vocab_size, dcfg.d_embed)),
-                              root.child("dinit", kind))
+                              root.child("dinit", dcfg.kind))
 
 
 def _count(block: np.ndarray) -> int:
@@ -306,21 +306,6 @@ def restore_run_state(path: str, digest: bytes, run: dict, counter: str | None =
         except ValueError as e:
             raise CheckpointError(f"{path}: tensor {name!r} {e}") from None
     return counters.get(counter)
-
-
-def fill_embeddings(paths: RunPaths, cfg: dict, vocab: Vocab, train: SequenceData,
-                    digest: bytes, root: RngStream, table: np.ndarray) -> None:
-    """Fill the discriminator's frozen table from embeddings.ckpt, or
-    pretrain it and write that file."""
-    if os.path.exists(paths.embeddings):
-        restore_run_state(paths.embeddings, digest, {"embed": table})
-        return
-    table[...] = pretrain_embeddings(train, len(vocab), cfg["disc.d_embed"],
-                                     root.child("embed"),
-                                     window=cfg["embed.window"],
-                                     negatives=cfg["embed.negatives"],
-                                     epochs=cfg["embed.epochs"], lr=cfg["embed.lr"])
-    save_run_state(paths.embeddings, digest, {"embed": table})
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +437,15 @@ def cmd_pretrain_d(args) -> int:
     root = RngStream(cfg["run.seed"])
     setting = f"pretrain.d_epochs_{kind}"
     with run_lock(paths):
-        disc = new_discriminator(cfg, vocab, grammar, kind, root)
+        disc = new_discriminator(cfg, vocab, grammar, root)
         opt = AdamState(disc.params, lr=cfg["pretrain.d_lr"])
 
         def loop(start: int, kept: list[dict]) -> Iterator[dict]:
-            if not args.resume:  # filled only once the driver accepts the epoch range
-                fill_embeddings(paths, cfg, vocab, splits.train, digest, root, disc.embed)
+            if not args.resume:  # trained only once the driver accepts the epoch range
+                disc.embed[...] = pretrain_embeddings(
+                    splits.train, len(vocab), cfg["disc.d_embed"], root.child("embed"),
+                    window=cfg["embed.window"], negatives=cfg["embed.negatives"],
+                    epochs=cfg["embed.epochs"], lr=cfg["embed.lr"])
             return pretrain_discriminator(disc, gen_params, dims, splits.train,
                                           root.child("dpre", kind), epochs=cfg[setting],
                                           batch_size=cfg["pretrain.batch_size"],
@@ -476,7 +464,7 @@ def cmd_advtrain(args) -> int:
     sched = view(cfg, TrainSchedule)
     root = RngStream(cfg["run.seed"])
     with run_lock(paths):
-        disc = new_discriminator(cfg, vocab, grammar, kind, root)
+        disc = new_discriminator(cfg, vocab, grammar, root)
         if args.resume:  # advtrain.ckpt holds every section
             gen_params, dims = new_generator(cfg, vocab, grammar)
         else:
@@ -528,7 +516,7 @@ def cmd_sample(args) -> int:
                           root.child("cli_sample"))
     lines = []
     for i in range(args.n):
-        text = " ".join(decode_sequence(tokens[i], vocab, strip_pad=False))
+        text = " ".join(decode_sequence(tokens[i], vocab))
         lines.append(f"{int(labels[i])}\t{text}")
     out = "\n".join(lines) + "\n"
     if args.out:
@@ -638,7 +626,11 @@ def main(argv=None) -> int:
     except (CliError, ConfigError, GrammarError, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)  # OSError: a write failed, say on a full disk
         return EXIT_USAGE
-    except MemoryError as e:  # numpy refuses an array past the machine before taking any
+    except (MemoryError, ValueError) as e:
+        # numpy refuses an array past the machine before taking any, and one
+        # past the address space with this ValueError; any other is a bug
+        if isinstance(e, ValueError) and not str(e).startswith("array is too big;"):
+            raise
         print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as e:

@@ -86,11 +86,8 @@ class SequenceData:
                             np.concatenate([p.labels for p in parts], axis=0))
 
 
-def decode_sequence(ids: np.ndarray, vocab: Vocab, strip_pad: bool) -> list[str]:
-    toks = [vocab.decode_id(int(i)) for i in ids]
-    if strip_pad:
-        toks = [t for t in toks if t != PAD_TOKEN]
-    return toks
+def decode_sequence(ids: np.ndarray, vocab: Vocab) -> list[str]:
+    return [vocab.decode_id(int(i)) for i in ids]
 
 
 def generate_corpus(spec: GrammarSpec, n: int, rng: RngStream

@@ -60,8 +60,8 @@ def _negative_table(data: SequenceData, vocab_size: int) -> np.ndarray:
 
 
 def pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
-                        rng: RngStream, epochs: int, window: int = 2,
-                        negatives: int = 5, lr: float = 0.025) -> np.ndarray:
+                        rng: RngStream, epochs: int, window: int,
+                        negatives: int, lr: float) -> np.ndarray:
     """Train input vectors and return them as a (vocab_size, dim) table.
 
     The learning rate decays linearly over all updates down to 1e-4 of its

@@ -18,9 +18,11 @@ generated text can stand in for (or augment) real training data.
 Macro and application numbers are reported as the median over several
 evaluator seeds, since single evaluator trainings are noisy. Every
 evaluator is a fresh cnn of `dcfg`, the run's discriminator config of kind
-cnn, trained for `epochs` epochs. Each probe sets its own n_labels, n_out
-and use_condition: the scoring probes a sigmoid head that sees the label,
-the label classifier a softmax head over the labels that does not. So the
+cnn, trained for `epochs` epochs over a frozen skip-gram table of its own
+training rows, trained with the fixed settings of `EVAL_EMBED` and not
+the run's embed.* keys. Each probe sets its own n_labels, n_out and
+use_condition: the scoring probes a sigmoid head that sees the label, the
+label classifier a softmax head over the labels that does not. So the
 values `dcfg` carries for these three are never read.
 """
 
@@ -135,7 +137,8 @@ def corpus_bleu_mean(samples: list[Sequence], references: list[Sequence],
 
 EVAL_BATCH_SIZE = 64
 EVAL_LR = 1e-3
-EVAL_EMBED_EPOCHS = 3   # skip-gram epochs over each evaluator's training rows
+# skip-gram settings for each evaluator's table, whatever the run's embed.* keys
+EVAL_EMBED = {"epochs": 3, "window": 2, "negatives": 5, "lr": 0.025}
 
 
 def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
@@ -144,8 +147,7 @@ def _train_cnn(tokens: np.ndarray, labels: np.ndarray | None,
     """Fit a fresh classifier of `cfg` for `epochs` epochs, embeddings
     pretrained on its own training rows and then frozen."""
     embed = pretrain_embeddings(SequenceData(tokens, targets), cfg.vocab_size,
-                                cfg.d_embed, rng.child("embed"),
-                                epochs=EVAL_EMBED_EPOCHS)
+                                cfg.d_embed, rng.child("embed"), **EVAL_EMBED)
     disc = init_discriminator(cfg, embed, rng.child("init"))
     opt = AdamState(disc.params, lr=EVAL_LR)
     for epoch in range(epochs):

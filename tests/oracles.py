@@ -30,6 +30,10 @@ from advseq.recurrent import Scan, gate_scale
 # the head of the real/fake scorer that pretrain-d and advtrain train: one
 # sigmoid output that sees the condition label
 SCORER = {"use_condition": True, "n_out": 1}
+# the schema's skip-gram settings, which pretrain-d passes on from a desk run;
+# each call sets its own epochs
+SKIP_GRAM = {key: make_config("desk", None, ["run.seed=0"])[f"embed.{key}"]
+             for key in ("window", "negatives", "lr")}
 
 
 def desk(cls, **given):
@@ -199,8 +203,8 @@ def loop_soft_update(rollout_params: ParamStore, gen_params: ParamStore,
 
 
 def loop_pretrain_embeddings(data: SequenceData, vocab_size: int, dim: int,
-                             rng: RngStream, window: int = 2, negatives: int = 5,
-                             epochs: int = 5, lr: float = 0.025) -> np.ndarray:
+                             rng: RngStream, window: int, negatives: int,
+                             epochs: int, lr: float) -> np.ndarray:
     """`embeddings.pretrain_embeddings` with each batch's update built pair
     by pair: the context and negative rows gathered, their scores and
     gradients taken per pair, and every row update scatter-added. Same

@@ -32,7 +32,7 @@ from advseq.generator import (GeneratorDims, backward_coefs, batch_log_probs,
                               pad_mask, policy_gradient_step)
 from advseq.grammar import overlapping_preset, separable_preset
 from advseq.numerics import AdamState, RngStream, Workspace
-from oracles import (SCORER, bleu, desk, enumeration_rewards, exact_log_prob,
+from oracles import (SCORER, SKIP_GRAM, bleu, desk, enumeration_rewards, exact_log_prob,
                      finite_diff_check)
 
 EPS = 1e-9
@@ -204,7 +204,7 @@ def test_criterion_04_adversarial_beats_mle(overlap, mle_runs, capsys):
     for seed, (mle_params, base) in enumerate(runs):
         params = mle_params.copy()
         embed = pretrain_embeddings(splits.train, len(vocab), 32,
-                                    RngStream(seed, "emb"), epochs=3)
+                                    RngStream(seed, "emb"), epochs=3, **SKIP_GRAM)
         cfg = desk(DiscriminatorConfig, vocab_size=len(vocab), n_labels=2, kind="cnn",
                    **SCORER)
         disc = init_discriminator(cfg, embed, RngStream(seed, "dinit"))

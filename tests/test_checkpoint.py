@@ -112,7 +112,7 @@ def test_unsupported_version(tmp_path):
 
 
 def test_digest_mismatch_refused(tmp_path):
-    path = str(tmp_path / "embeddings.ckpt")
+    path = str(tmp_path / "table.ckpt")
     stored = np.arange(6.0).reshape(2, 3)
     save_run_state(path, DIGEST, {"embed": stored})
     table = np.zeros((2, 3))

@@ -537,7 +537,7 @@ def test_invalid_adv_value_exit_2(pretrained, capsys):
 @pytest.mark.parametrize("command,setting,outputs", [
     ("pretrain-g", "pretrain.g_epochs=0", ("gen_pretrain.ckpt", "gen_pretrain_log.csv")),
     ("pretrain-d", "pretrain.d_epochs_fasttext=0",
-     ("disc_fasttext.ckpt", "disc_fasttext_log.csv", "embeddings.ckpt")),
+     ("disc_fasttext.ckpt", "disc_fasttext_log.csv")),
 ])
 def test_zero_epochs_is_nothing_to_do(pretrained, tmp_path, capsys, command, setting,
                                       outputs):
@@ -644,8 +644,8 @@ def test_nan_weight_is_a_numeric_failure(trained, tmp_path, capsys):
 
 
 def test_diverging_skip_gram_exits_3_and_saves_no_table(tmp_path, capsys):
-    # a table that left the finite range must not reach embeddings.ckpt,
-    # where every later pretrain-d would load it and fail again
+    # a table that left the finite range must not reach a checkpoint, where
+    # every later pretrain-d --resume or advtrain would load it
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST,
                "--set", "embed.lr=1e6", "--set", "embed.epochs=10") == 0
@@ -653,7 +653,6 @@ def test_diverging_skip_gram_exits_3_and_saves_no_table(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert run("pretrain-d", "--run-dir", d) == 3
     assert "skip-gram embeddings" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(d, "embeddings.ckpt"))
     assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
 
 
@@ -667,21 +666,20 @@ def test_a_diverged_skipgram_table_exits_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert run("pretrain-d", "--run-dir", d) == 3
     assert "skip-gram embeddings diverged" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(d, "embeddings.ckpt"))
+    assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
 
 
-def test_overflowing_gradient_norm_exits_3(tmp_path, capsys):
+def test_overflowing_gradient_norm_exits_3(tmp_path, capsys, monkeypatch):
     # a finite table of entries near 1e258 gives finite discriminator
     # gradients whose squared sum overflows; the clip must not scale them
     # all to zero and report an untrained discriminator as a success.
-    # Skip-gram refuses to train such a table, so it comes from a stored one
+    # Skip-gram refuses to train such a table, so it takes skip-gram's place
     d = str(tmp_path / "run")
     assert run("corpus-gen", "--run-dir", d, *SEED, *FAST) == 0
     assert run("pretrain-g", "--run-dir", d) == 0
-    _, digest = load_tensors(os.path.join(d, "gen_pretrain.ckpt"))
     n_tokens = len(read_vocab(os.path.join(d, "vocab.txt")))
     table = np.random.default_rng(0).uniform(-1.0, 1.0, (n_tokens, 8)) * 1e258
-    save_tensors(os.path.join(d, "embeddings.ckpt"), {"embed.table": table}, digest)
+    monkeypatch.setattr(cli, "pretrain_embeddings", lambda *args, **kwargs: table)
     with np.errstate(all="ignore"):
         assert run("pretrain-d", "--run-dir", d) == 3
     assert "gradient norm" in capsys.readouterr().err
@@ -702,18 +700,27 @@ def test_a_numeric_failure_prints_one_stderr_line(tmp_path):
     assert child.stderr.startswith("numeric failure: ") and "skip-gram embeddings" in child.stderr
 
 
-def test_an_array_larger_than_memory_exits_2_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("setting,before,command,ckpt", [
     # 10**16 fasttext buckets of 8 dims ask numpy for 568 PiB, past any
-    # address space, so the allocation fails before it takes any memory
+    # address space: a MemoryError before numpy takes any memory
+    pytest.param(f"disc.n_buckets={10**16}", ("pretrain-g",), "pretrain-d",
+                 "disc_fasttext.ckpt", id="n_buckets"),
+    # a 1e11 x 4e11 lstm weight matrix has more bytes than numpy can describe:
+    # its "array is too big" ValueError, raised before any allocation too
+    pytest.param("model.d_hidden=100000000000", (), "pretrain-g", "gen_pretrain.ckpt",
+                 id="d_hidden"),
+])
+def test_an_array_larger_than_memory_exits_2_with_one_line(tmp_path, capsys, setting,
+                                                            before, command, ckpt):
     d = str(tmp_path / "run")
-    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST,
-               "--set", f"disc.n_buckets={10**16}") == 0
-    assert run("pretrain-g", "--run-dir", d) == 0
+    assert run("corpus-gen", "--run-dir", d, *SEED, *FAST, "--set", setting) == 0
+    for earlier in before:
+        assert run(earlier, "--run-dir", d) == 0
     capsys.readouterr()
-    assert run("pretrain-d", "--run-dir", d) == cli.EXIT_USAGE
+    assert run(command, "--run-dir", d) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
-    assert not os.path.exists(os.path.join(d, "disc_fasttext.ckpt"))
+    assert not os.path.exists(os.path.join(d, ckpt))
 
 
 # ---------------------------------------------------------------------------
@@ -776,21 +783,6 @@ def test_pretrain_d_resume_matches_straight_run(pretrained, tmp_path):
            read_bytes(os.path.join(straight, "disc_fasttext.ckpt"))
     assert drop_wall(csv_rows(os.path.join(resumed, "disc_fasttext_log.csv"))) == \
            drop_wall(csv_rows(os.path.join(straight, "disc_fasttext_log.csv")))
-
-
-def test_pretrain_d_resume_needs_no_embeddings_file(pretrained, tmp_path):
-    # the resumed discriminator carries its frozen table in its own checkpoint
-    resumed, straight = str(tmp_path / "resumed"), str(tmp_path / "straight")
-    shutil.copytree(pretrained, resumed)
-    shutil.copytree(pretrained, straight)
-    os.remove(os.path.join(resumed, "embeddings.ckpt"))
-    os.remove(os.path.join(straight, "disc_fasttext.ckpt"))
-    more = ("--set", "pretrain.d_epochs_fasttext=4")
-    assert run("pretrain-d", "--run-dir", resumed, "--resume", *more) == 0
-    assert not os.path.exists(os.path.join(resumed, "embeddings.ckpt"))
-    assert run("pretrain-d", "--run-dir", straight, *more) == 0
-    assert read_bytes(os.path.join(resumed, "disc_fasttext.ckpt")) == \
-           read_bytes(os.path.join(straight, "disc_fasttext.ckpt"))
 
 
 def test_resume_after_early_stopping_trains_nothing(tmp_path, capsys):
@@ -1003,7 +995,6 @@ def test_checkpoint_block_order(trained):
                 + [f"{prefix}t"])
 
     expected = {
-        "embeddings.ckpt": ["embed.table"],
         "gen_pretrain.ckpt": gen + ["meta.dims"] + adam("gopt.", gen) + ["meta.epoch"],
         "disc_fasttext.ckpt": disc + ["embed.table"] + adam("dopt.", disc)
                               + ["meta.epoch"],
@@ -1015,6 +1006,8 @@ def test_checkpoint_block_order(trained):
     for name, names in expected.items():
         blocks, _ = load_tensors(os.path.join(trained, name))
         assert list(blocks) == names, name
+    # the frozen table lives only in the discriminator's and advtrain's files
+    assert not os.path.exists(os.path.join(trained, "embeddings.ckpt"))
 
 
 def test_advtrain_interrupted_resume_matches_straight_run(pretrained, trained,

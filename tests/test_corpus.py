@@ -20,8 +20,7 @@ from test_grammar import TINY
 
 def exact_nll(spec, vocab, tokens, label) -> float:
     """The oracle's exact NLL of one stored row (pads kept)."""
-    return sequence_nll_tokens(spec, int(label),
-                               decode_sequence(tokens, vocab, strip_pad=False))
+    return sequence_nll_tokens(spec, int(label), decode_sequence(tokens, vocab))
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +90,10 @@ def test_encode_counts_unknown_tokens(tmp_path):
     assert data.labels.tolist() == [0, 1, 1]
 
 
-def test_decode_sequence_strips_pads(tmp_path):
+def test_decode_sequence_keeps_pads(tmp_path):
     v = Vocab.from_tokens(["a", "b"])
     data, _ = read_rows(tmp_path, "1\tb a\n", v, 4)
-    assert decode_sequence(data.tokens[0], v, strip_pad=True) == ["b", "a"]
-    assert len(decode_sequence(data.tokens[0], v, strip_pad=False)) == 4
+    assert decode_sequence(data.tokens[0], v) == ["b", "a", PAD_TOKEN, PAD_TOKEN]
 
 
 def test_sequence_data_rejects_misaligned_arrays():

@@ -33,7 +33,6 @@ from test_cli import FAST, SEED
 
 # artifact -> the command that reads it
 READERS = {
-    "embeddings.ckpt": ("pretrain-d",),
     "gen_pretrain.ckpt": ("pretrain-g", "--resume", "--set", "pretrain.g_epochs=3"),
     "disc_fasttext.ckpt": ("pretrain-d", "--resume", "--set", "pretrain.d_epochs_fasttext=3"),
     "advtrain.ckpt": ("advtrain", "--resume", "--set", "adv.iterations=5"),
@@ -100,7 +99,6 @@ def test_damaged_artifact_ends_in_a_documented_exit(run_dir, artifact, data):
 
 # checkpoint -> its blocks that hold counts, dims, Adam moments or the frozen table
 STORED_VALUES = {
-    "embeddings.ckpt": ("embed.table",),
     "gen_pretrain.ckpt": ("meta.epoch", "meta.dims", "gopt.t", "gopt.m.gen.out.b",
                           "gopt.v.gen.out.b"),
     "disc_fasttext.ckpt": ("embed.table", "dopt.t", "meta.epoch", "dopt.m.d.head.W",

@@ -12,14 +12,15 @@ from advseq.corpus import PAD_ID, SequenceData, Vocab, generate_corpus
 from advseq.embeddings import BATCH_SIZE, _skipgram_pairs, pretrain_embeddings
 from advseq.grammar import overlapping_preset, separable_preset
 from advseq.numerics import NumericError, RngStream
-from oracles import loop_pretrain_embeddings
+from oracles import SKIP_GRAM, loop_pretrain_embeddings
 
 
 @pytest.fixture(scope="module")
 def trained():
     spec = separable_preset()
     data, vocab = generate_corpus(spec, 400, RngStream(21, "corpus"))
-    emb = pretrain_embeddings(data, len(vocab), 16, RngStream(21, "embed"), epochs=5)
+    emb = pretrain_embeddings(data, len(vocab), 16, RngStream(21, "embed"), epochs=5,
+                              **SKIP_GRAM)
     return data, vocab, emb
 
 
@@ -51,16 +52,16 @@ def test_pretraining_is_deterministic():
     pairs = [[vocab.encode_token(t) for t in ("alpha", "beta")],
              [vocab.encode_token(t) for t in ("gamma", "delta")]]
     data = SequenceData(np.array([pairs[i % 2] for i in range(60)]), np.arange(60) % 2)
-    e1 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5)
-    e2 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5)
+    e1 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5, **SKIP_GRAM)
+    e2 = pretrain_embeddings(data, len(vocab), 8, RngStream(23, "embed"), epochs=5, **SKIP_GRAM)
     assert np.array_equal(e1, e2)
-    e3 = pretrain_embeddings(data, len(vocab), 8, RngStream(24, "embed"), epochs=5)
+    e3 = pretrain_embeddings(data, len(vocab), 8, RngStream(24, "embed"), epochs=5, **SKIP_GRAM)
     assert not np.array_equal(e1, e3)
 
 
 def test_empty_corpus_returns_initial_table():
     data = SequenceData(np.full((3, 4), 1, dtype=np.int64), np.zeros(3, dtype=np.int64))
-    emb = pretrain_embeddings(data, 6, 8, RngStream(25, "embed"), epochs=5)
+    emb = pretrain_embeddings(data, 6, 8, RngStream(25, "embed"), epochs=5, **SKIP_GRAM)
     assert emb.shape == (6, 8)
     assert np.all(np.abs(emb) <= 0.5 / 8)  # untouched init range
 
@@ -129,8 +130,8 @@ def test_skipgram_pairs_match_the_loop(rows, window):
 def test_matches_the_per_pair_loop_on_a_preset(spec, n, epochs):
     data, vocab = generate_corpus(spec, n, RngStream(72, "corpus"))
     args = (data, len(vocab), 16, RngStream(72, "embed"))
-    got = pretrain_embeddings(*args, epochs=epochs)
-    want = loop_pretrain_embeddings(*args, epochs=epochs)
+    got = pretrain_embeddings(*args, epochs=epochs, **SKIP_GRAM)
+    want = loop_pretrain_embeddings(*args, epochs=epochs, **SKIP_GRAM)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -158,7 +159,8 @@ def test_matches_the_per_pair_loop(vocab_size, negatives, window, n_rows, width,
 def test_a_diverging_table_is_a_numeric_failure():
     data, vocab = generate_corpus(overlapping_preset(), 100, RngStream(73, "corpus"))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="skip-gram"):
-        pretrain_embeddings(data, len(vocab), 8, RngStream(73, "embed"), epochs=5, lr=1e6)
+        pretrain_embeddings(data, len(vocab), 8, RngStream(73, "embed"), epochs=5,
+                            **dict(SKIP_GRAM, lr=1e6))
 
 
 def test_a_finite_but_diverged_table_is_a_numeric_failure():
@@ -170,7 +172,7 @@ def test_a_finite_but_diverged_table_is_a_numeric_failure():
     tokens = 2 + np.random.default_rng(5).choice(V - 2, size=(400, 20), p=p / p.sum())
     data = SequenceData(tokens, np.zeros(len(tokens), dtype=np.int64))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="diverged"):
-        pretrain_embeddings(data, V, 32, RngStream(3, "e"), epochs=5)
+        pretrain_embeddings(data, V, 32, RngStream(3, "e"), epochs=5, **SKIP_GRAM)
 
 
 def test_training_faults_in_few_pages_per_batch():
@@ -181,8 +183,8 @@ def test_training_faults_in_few_pages_per_batch():
     resource = pytest.importorskip("resource")
     data, vocab = generate_corpus(overlapping_preset(), 350, RngStream(74, "corpus"))
     n_batches = 3 * -(-len(_skipgram_pairs(data, 2)) // BATCH_SIZE)
-    pretrain_embeddings(data, len(vocab), 32, RngStream(74, "embed"), epochs=1)
+    pretrain_embeddings(data, len(vocab), 32, RngStream(74, "embed"), epochs=1, **SKIP_GRAM)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    pretrain_embeddings(data, len(vocab), 32, RngStream(74, "embed"), epochs=3)
+    pretrain_embeddings(data, len(vocab), 32, RngStream(74, "embed"), epochs=3, **SKIP_GRAM)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / n_batches < 40, faults

@@ -238,7 +238,7 @@ def test_samples_are_always_scorable():
     spec = parse_grammar(TINY)
     data, vocab = generate_corpus(spec, 200, RngStream(4))
     for label, ids in zip(data.labels, data.tokens):
-        tokens = decode_sequence(ids, vocab, strip_pad=False)
+        tokens = decode_sequence(ids, vocab)
         assert math.isfinite(sequence_nll_tokens(spec, int(label), tokens))
 
 
@@ -349,7 +349,7 @@ def test_overlapping_preset_has_constant_sequence_nll():
     h = spec.conditional_entropy()
     data, vocab = generate_corpus(spec, 25, RngStream(8))
     for label, ids in zip(data.labels, data.tokens):
-        tokens = decode_sequence(ids, vocab, strip_pad=False)
+        tokens = decode_sequence(ids, vocab)
         assert abs(sequence_nll_tokens(spec, int(label), tokens) - h) < 1e-9
 
 
