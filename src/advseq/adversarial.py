@@ -29,8 +29,8 @@ import numpy as np
 
 from .corpus import SequenceData
 from .discriminators import Discriminator, score, train_step
-from .generator import (GeneratorDims, forward_states, free_run, hoist, mean_nll,
-                        mle_step, policy_gradient_step, sample_batch)
+from .generator import (GeneratorDims, free_run, hoist, mean_nll, mle_step,
+                        policy_gradient_step, sample_batch, teacher_scan)
 from .numerics import AdamState, ParamStore, RngStream, Workspace, chunk_slices, sigmoid
 
 ODA_CAP = 1e6
@@ -84,25 +84,26 @@ def mc_rollout_rewards(rollout_params: ParamStore, dims: GeneratorDims,
     are generated by the rollout network restarted from its own
     teacher-forced state at the cut, with all rollout randomness drawn up
     front from one stream, in row blocks; `score_fn` then scores all
-    completions in one call. The teacher-forced
-    pass runs in `ws` and is dead when this returns.
+    completions in one call. The teacher-forced states come from the scan
+    alone, without the output head; they live in `ws` and are dead when
+    this returns.
     """
     B, T = tokens.shape
     K = n_rollouts
     rewards = np.empty((B, T))
     if T > 1:
-        cache = forward_states(rollout_params, dims, tokens, labels, ws)
+        hz = hoist(rollout_params, dims)
+        states = teacher_scan(hz, tokens, labels, ws)
         n_rows = (T - 1) * B * K
         # row r = p*B*K + b*K + k, cuts p ascending so the active set at
         # generation position q is exactly the first q*B*K rows
         seqs = np.tile(tokens[None, :, None, :], (T - 1, 1, K, 1)).reshape(n_rows, T)
-        h = np.repeat(cache.scan.hs[1:T], K, axis=1).reshape(n_rows, -1)
-        c = np.repeat(cache.scan.cs[1:T], K, axis=1).reshape(n_rows, -1)
+        h = np.repeat(states.hs[1:T], K, axis=1).reshape(n_rows, -1)
+        c = np.repeat(states.cs[1:T], K, axis=1).reshape(n_rows, -1)
         labels_rows = np.tile(labels[None, :, None], (T - 1, 1, K)).reshape(n_rows)
         u = rng.uniform((n_rows, T))
-        free_run(hoist(rollout_params, dims), labels_rows, h, c, seqs, u[:, 1:],
-                 range(B * K, n_rows + 1, B * K))
-        del h, c, u   # dead once generated, and scoring is where the call peaks
+        free_run(hz, labels_rows, h, c, seqs, u[:, 1:], range(B * K, n_rows + 1, B * K))
+        del hz, h, c, u   # dead once generated, and scoring is where the call peaks
         scores = score_fn(seqs, labels_rows)
         rewards[:, :T - 1] = scores.reshape(T - 1, B, K).mean(axis=2).T
     rewards[:, T - 1] = score_fn(tokens, labels)

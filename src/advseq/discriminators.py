@@ -24,23 +24,22 @@ on the pooled features.
 Eval-mode scoring (`score`, `class_probs`) runs body and head over the
 `numerics.row_blocks` grid (256 rows) and keeps only each block's head
 outputs: cnn's window sums take 0.6 MB per width, not 5 MB, birnn's hidden
-states and attention layer 2.5 and 1.3 MB, not 20 and 10. birnn reads each
-block as a prefix tree, since Monte Carlo rollout rows repeat their
-sample's columns 0..p, and steps each LSTM direction once per distinct
-prefix of its read order. Its features equal `forward`'s bit for bit, since
-neither an LSTM step's rows nor `_attend`'s depend on the other rows. Nor
-do the head's: its product is an einsum, which sums each row on its own,
-where OpenBLAS gives a product of one to three output columns row bits
-that depend on the rows beside it. So a call of two or more rows gives
-each row the bits it gets in any other call of two or more rows. A
-one-row call may not, since numpy sends the bodies' one-row products to
-gemv.
+states and attention layer 2.5 and 1.3 MB, not 20 and 10. birnn steps
+each LSTM direction over the block's rows and keeps only the current state,
+not the scan's gate and cell history. Its features equal `forward`'s bit
+for bit, since neither an LSTM step's rows nor `_attend`'s depend on the
+other rows. Nor do the head's: its product is an einsum, which sums each
+row on its own, where OpenBLAS gives a product of one to three output
+columns row bits that depend on the rows beside it. So a call of two or
+more rows gives each row the bits it gets in any other call of two or more
+rows. A one-row call may not, since numpy sends the bodies' one-row
+products to gemv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -290,45 +289,10 @@ _FEATURES = {"fasttext": _fasttext_features, "cnn": _cnn_features, "birnn": _bir
 _BACKWARDS = {"fasttext": _fasttext_backward, "cnn": _cnn_backward, "birnn": _birnn_backward}
 
 
-# ---------------------------------------------------------------------------
-# Eval-mode features over a prefix tree
-# ---------------------------------------------------------------------------
-
-
-class PrefixStep(NamedTuple):
-    rows: np.ndarray      # (m,) one row holding each distinct prefix that ends here
-    parents: np.ndarray   # (m,) each prefix's id at the previous step (0 before step 0)
-    ids: np.ndarray       # (B,) each row's prefix id, in [0, m)
-
-
-def prefix_tree(ids: np.ndarray) -> list[PrefixStep]:
-    """The distinct prefixes of the rows of token ids (T, B), read in step
-    order, step by step, numbered in lexicographic order from one stable
-    sort of the rows: a prefix's rows are a run of the sorted rows, held by
-    the run's first row. A step with one distinct prefix among several rows
-    lists its row twice: numpy sends a one-row product to gemv, whose bits
-    can differ from the same row's in a gemm."""
-    order = np.lexsort(ids[::-1])            # column 0 is the primary key
-    ranked = ids[:, order]
-    starts = np.ones(ids.shape, dtype=bool)  # [t, j]: sorted row j starts a run
-    np.logical_or.accumulate(ranked[:, 1:] != ranked[:, :-1], axis=0, out=starts[:, 1:])
-    inv = np.empty(ids.shape, dtype=np.int64)
-    inv[:, order] = np.cumsum(starts, axis=1) - 1
-    prev = np.zeros(ids.shape[1], dtype=np.int64)
-    steps = []
-    for start, ids_t in zip(starts, inv):
-        rows = order[start]
-        if len(rows) == 1 < len(order):
-            rows = np.repeat(rows, 2)
-        steps.append(PrefixStep(rows, prev[rows], ids_t))
-        prev = ids_t
-    return steps
-
-
 def _birnn_eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
-    """The features of `_birnn_features`, bit for bit: each direction steps
-    once per distinct prefix of its read order (for bwd, the rows' suffixes)
-    from its parent's state, and writes each row's hidden state into H."""
+    """The features of `_birnn_features`, bit for bit, keeping only the
+    current state: each direction steps every row from its previous state
+    and writes its hidden state into H."""
     p = disc.params
     B, T = tokens.shape
     d_h = disc.cfg.d_hidden
@@ -336,13 +300,10 @@ def _birnn_eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
     for direction, ids, out in (("fwd", tokens.T, H[:, :, :d_h]),
                                 ("bwd", tokens[:, ::-1].T, H[::-1, :, d_h:])):
         table, W_h = _lstm_folded(p, direction, disc.embed)
-        h = c = np.zeros((1, d_h))
-        for t, step in enumerate(prefix_tree(ids)):
-            a = table[ids[t, step.rows]]
-            h_prev, c_prev = h[step.parents], c[step.parents]
-            h, c = np.empty((2, len(step.rows), d_h))
-            cell(a, W_h, h_prev, c_prev, h, c)
-            out[t] = h[step.ids]
+        h, c = np.zeros((2, B, d_h))
+        for t in range(T):
+            cell(table[ids[t]], W_h, h, c, h, c)
+            out[t] = h
     return _attend(p, H)[0]
 
 
@@ -406,9 +367,9 @@ def _eval_blocks(disc: Discriminator, tokens: Tensor, labels: np.ndarray | None,
                  head, threads: int) -> np.ndarray:
     """head(eval-mode logits), bit for bit `forward`'s on any two or more
     rows, one row block (`numerics.row_blocks`) per `pmap` item: birnn's
-    features from the block's prefix tree, cnn's and fasttext's from their
-    training bodies, then the head. Non-finite logits stop here, before any
-    caller acts on them."""
+    features from a step loop that keeps only the current state, cnn's and
+    fasttext's from their training bodies, then the head. Non-finite logits
+    stop here, before any caller acts on them."""
     kind = disc.cfg.kind
     def one(b: slice) -> np.ndarray:
         s = (_birnn_eval_features(disc, tokens[b]) if kind == "birnn"

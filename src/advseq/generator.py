@@ -2,15 +2,17 @@
 
 One recurrent cell consumes the previous token's embedding and a learned
 condition embedding, so the label steers every step of the sequence. Both
-inputs are projected through tables made once per call (`hoist`), and the
-teacher-forced pass is one `recurrent.scan`. It also keeps the softmax's
-exp table and row sums, which the log-probabilities and the backward both
-read, so a training step exponentiates once. One backward pass serves
-maximum likelihood and policy-gradient training: each weights
-d(-log p)/d(logits) per position, so the steps differ only in the
-coefficient table they feed to it. The pass and its backward write their
-large arrays into a caller-owned `Workspace` whose buffers only grow, so
-a training loop that keeps one allocates them once.
+inputs are projected into one (label, token) table made once per call
+(`hoist`), so a step gathers its inputs once, and the teacher-forced
+states are one `recurrent.scan` (`teacher_scan`), which rollouts run
+alone. The training pass also keeps the softmax's exp table and row sums,
+which the log-probabilities and the backward both read, so a training
+step exponentiates once. One backward pass serves maximum likelihood and
+policy-gradient training: each weights d(-log p)/d(logits) per position,
+so the steps differ only in the coefficient table they feed to it. The
+pass and its backward write their large arrays into a caller-owned
+`Workspace` whose buffers only grow, so a training loop that keeps one
+allocates them once.
 
 One free-running loop, `free_run`, serves sampling and rollouts. Sampling
 draws one child stream per item, which keeps results independent of batch
@@ -67,10 +69,10 @@ def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
 
 class Hoisted(NamedTuple):
     """Step inputs made once per call, gate scale folded in: gen.lstm.W's
-    rows [h ; x ; label] split into W_h and tables for x and the label."""
+    rows [h ; x ; label] split into W_h and one input table, so a step
+    gathers its inputs once."""
 
-    table: Tensor   # (V, 4d) embed @ W_x
-    cond: Tensor    # (n_labels, 4d) label_embed @ W_l + b
+    inputs: Tensor  # (n_labels, V, 4d): [l, x] = embed[x] @ W_x + (label_embed[l] @ W_l + b)
     W_h: Tensor     # (d_h, 4d)
     W_out: Tensor
     b_out: Tensor
@@ -79,10 +81,11 @@ class Hoisted(NamedTuple):
 def hoist(params: ParamStore, dims: GeneratorDims) -> Hoisted:
     d_h, d_e = dims.d_hidden, dims.d_embed
     W = params.value("gen.lstm.W") * gate_scale(d_h)
-    return Hoisted(params.value("gen.embed") @ W[d_h:d_h + d_e],
-                   params.value("gen.label_embed") @ W[d_h + d_e:]
-                   + params.value("gen.lstm.b") * gate_scale(d_h),
-                   W[:d_h], params.value("gen.out.W"), params.value("gen.out.b"))
+    table = params.value("gen.embed") @ W[d_h:d_h + d_e]
+    cond = (params.value("gen.label_embed") @ W[d_h + d_e:]
+            + params.value("gen.lstm.b") * gate_scale(d_h))
+    return Hoisted(table + cond[:, None], W[:d_h], params.value("gen.out.W"),
+                   params.value("gen.out.b"))
 
 
 @dataclass
@@ -112,30 +115,34 @@ def step_logits(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor,
                 input_ids: np.ndarray) -> Tensor:
     """One free-running step for rows conditioned on `labels`: advances the
     state (h, c) in place and returns the logits."""
-    a = hz.table[input_ids]
-    a += hz.cond[labels]
-    cell(a, hz.W_h, h, c, h, c)
+    cell(hz.inputs[labels, input_ids], hz.W_h, h, c, h, c)
     logits = h @ hz.W_out
     logits += hz.b_out
     return logits
 
 
+def teacher_scan(hz: Hoisted, tokens: Tensor, labels: np.ndarray, ws: Workspace) -> Scan:
+    """The recurrent states of a teacher-forced pass over a (B, T) token
+    batch, time-major, built in `ws`."""
+    B, T = tokens.shape
+    n_labels, V, d4 = hz.inputs.shape
+    # mode="clip" lets np.take write into `out` directly; "raise" buffers it
+    xa = np.take(hz.inputs.reshape(n_labels * V, d4), shifted_inputs(tokens).T + labels * V,
+                 axis=0, mode="clip", out=ws.take("gates", (T, B, d4)))
+    return scan(xa, hz.W_h, ws)
+
+
 def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
                    labels: np.ndarray, ws: Workspace) -> GenCache:
     """Teacher-forced pass over a (B, T) token batch, keeping every
-    intermediate needed for backprop and for restarting generation at an
-    arbitrary position.
+    intermediate needed for backprop.
 
     The cache is built in `ws` and stays valid until `ws` is used for
     another pass."""
     B, T = tokens.shape
     d_h, V = dims.d_hidden, dims.vocab_size
     hz = hoist(params, dims)
-    # mode="clip" lets np.take write into `out` directly; "raise" buffers it
-    xa = np.take(hz.table, shifted_inputs(tokens).T, axis=0, mode="clip",
-                 out=ws.take("gates", (T, B, 4 * d_h)))
-    xa += hz.cond[labels]
-    s = scan(xa, hz.W_h, ws)
+    s = teacher_scan(hz, tokens, labels, ws)
     hs = ws.take("hs", (B, T, d_h))
     np.copyto(hs, s.hs[1:].transpose(1, 0, 2))
     logits = np.matmul(hs.reshape(B * T, d_h), hz.W_out, out=ws.take("logits", (B * T, V)))

@@ -671,17 +671,20 @@ def test_row_blocks_do_not_change_rollout_rewards(kind, B, T, K, block, threads,
 
 
 # tracemalloc peak of one call at adv_cnn's shape (V 62, 2 labels, desk
-# dims, B 32, K 8, T 20), in MiB. Measured 6.39 (cnn), 6.40 (fasttext) and
-# 7.17 (birnn) since scoring keeps no batch's features whole (birnn 8.03
-# before) and the call drops the rows' (h, c) states and uniforms before
-# scoring; 8.41, 8.39 and 10.84 while it held them. Before generation and
-# scoring ran in row blocks they were 23.8, 25.8 and 49.6, and 40.8 for
-# birnn while its attention took a 2048-row batch whole. What the call
-# holds through scoring whatever the blocks is about 3 MiB: the 4,864
-# rows' tokens and the teacher-forced pass with its softmax table. Each
-# bound was lowered by its kind's measured drops and sits 3.5-4.1 MiB over
-# the readings.
-ROLLOUT_PEAK_MIB = {"cnn": 9.9, "fasttext": 10.0, "birnn": 11.2}
+# dims, B 32, K 8, T 20), in MiB. Measured 5.68 (cnn), 5.68 (fasttext)
+# and 5.99 (birnn) since the teacher-forced pass runs the scan alone,
+# without the output head's logits and softmax table, the hoisted tables
+# are dropped before scoring and birnn's scoring steps one (h, c) state
+# per direction in place; 6.39, 6.40 and 7.17 before. 8.41, 8.39 and
+# 10.84 while the call held the rows' (h, c) states and uniforms through
+# scoring, and 8.03 for birnn while scoring kept a batch's features
+# whole. Before generation and scoring ran in row blocks they were 23.8,
+# 25.8 and 49.6, and 40.8 for birnn while its attention took a 2048-row
+# batch whole. What the call holds through scoring whatever the blocks
+# is about 1.7 MiB: the 4,864 rows' tokens and labels and the
+# teacher-forced scan's states and gates. Each bound was lowered by its
+# kind's measured drops and sits 3.4-4.0 MiB over the readings.
+ROLLOUT_PEAK_MIB = {"cnn": 9.1, "fasttext": 9.2, "birnn": 10.0}
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -15,8 +15,8 @@ from advseq.discriminators import (KINDS, Discriminator, DiscriminatorConfig,
                                    _attend, _birnn_eval_features, _cnn_backward,
                                    _cnn_features, backward,
                                    bigram_buckets, class_probs, forward,
-                                   init_discriminator, loss_and_dlogits,
-                                   prefix_tree, score, train_step)
+                                   init_discriminator, loss_and_dlogits, score,
+                                   train_step)
 from advseq.numerics import ROW_BLOCK, AdamState, RngStream, sigmoid, softmax_rows
 from oracles import SCORER, desk, finite_diff_check
 
@@ -327,20 +327,6 @@ def test_a_rows_score_does_not_depend_on_the_rows_scored_with_it(kind, softmax_h
         want, got = rows(slice(None)), rows(idx)
     for i, r in enumerate(idx):
         assert np.array_equal(got[i], want[r]), (i, r)
-
-
-def test_prefix_tree_shares_each_distinct_prefix():
-    tokens = np.array([[2, 3, 4], [2, 3, 5], [2, 6, 4], [2, 3, 4]])
-    steps = prefix_tree(tokens.T)
-    assert [len(set(step.ids)) for step in steps] == [1, 2, 3]
-    assert len(steps[0].rows) == 2 and len(set(steps[0].rows)) == 1  # gemv guard
-    assert steps[2].ids[0] == steps[2].ids[3]
-    for t, step in enumerate(steps):
-        # each row reaches its prefix's representative through the parents
-        reps = step.rows[step.ids]
-        assert np.array_equal(tokens[reps, :t + 1], tokens[:, :t + 1])
-        if t:
-            assert np.array_equal(step.parents[step.ids], steps[t - 1].ids)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_scan_rows_are_independent_bitwise():
 
 
 def test_cell_rows_are_independent_bitwise_at_chunk_size():
-    # what birnn scoring over a prefix tree rests on: one step over rows
+    # what bit-identical scoring in row blocks rests on: one step over rows
     # gathered from a 2048-row batch, in any order and with repeats, gives
     # those rows' bits of the whole batch's step (one row alone is not
     # covered: numpy sends a one-row product to gemv)
