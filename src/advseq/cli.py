@@ -67,7 +67,7 @@ EXIT_NUMERIC = 3
 EXIT_CORRUPT = 4
 EXIT_INTERRUPTED = 130
 
-ADV_COLUMNS = ("iteration", "nll_test", "mean_reward", "d_loss", "g_objective",
+ADV_COLUMNS = ("iteration", "nll_test", "mean_reward", "d_loss", "d_acc", "g_objective",
                "wall_seconds")
 GPRE_COLUMNS = ("epoch", "train_nll", "valid_nll", "wall_seconds")
 DPRE_COLUMNS = ("epoch", "d_loss", "d_acc", "wall_seconds")

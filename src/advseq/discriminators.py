@@ -19,21 +19,19 @@ hashed bigram table of the fasttext kind is trained from scratch. So the
 cnn and birnn bodies project the vocabulary once: cnn tap i of width w is
 the (V, F) table embed @ W_w[i*d_e:(i+1)*d_e], a window's pre-activation is
 the bias plus w gathered rows, and relu (which commutes with max) runs once
-on the pooled features.
+on the pooled features; each birnn direction's is the gate-major (4, V, d)
+table of x @ W_x + b, whose (4, rows, d) rows a step gathers.
 
 Eval-mode scoring (`score`, `class_probs`) runs body and head over the
 `numerics.row_blocks` grid (256 rows) and keeps only each block's head
 outputs: cnn's window sums take 0.6 MB per width, not 5 MB, birnn's hidden
-states and attention layer 2.5 and 1.3 MB, not 20 and 10. birnn steps
-each LSTM direction over the block's rows and keeps only the current state,
-not the scan's gate and cell history. Its features equal `forward`'s bit
-for bit, since neither an LSTM step's rows nor `_attend`'s depend on the
-other rows. Nor do the head's: its product is an einsum, which sums each
-row on its own, where OpenBLAS gives a product of one to three output
-columns row bits that depend on the rows beside it. So a call of two or
-more rows gives each row the bits it gets in any other call of two or more
-rows. A one-row call may not, since numpy sends the bodies' one-row
-products to gemv.
+states and attention layer 2.5 and 1.3 MB, not 20 and 10. No row's bits
+depend on the other rows in an LSTM step or in `_attend`, nor in the
+head, whose product is an einsum, which sums each row on its own, where
+OpenBLAS gives a product of one to three output columns row bits that
+depend on the rows beside it. So a call of two or more rows gives each row
+the bits it gets in any other call of two or more rows. A one-row call
+may not, since numpy sends the bodies' one-row products to gemv.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .corpus import PAD_ID
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, adam_step,
                        check_finite, clip_gradients, log_softmax_rows, pmap, relu,
                        row_blocks, sigmoid, softmax_rows)
-from .recurrent import Scan, cell, gate_scale, scan, scan_backward
+from .recurrent import Scan, cell, fold, gate_rows, scan, scan_backward
 
 KINDS = ("fasttext", "cnn", "birnn")
 
@@ -216,14 +214,13 @@ def _cnn_backward(disc: Discriminator, cache: dict, ds: Tensor) -> None:
 
 
 def _lstm_folded(p: ParamStore, direction: str, embed: Tensor) -> tuple[Tensor, Tensor]:
-    """d.<direction> (W's rows [h ; x]) folded by `gate_scale`: the (V, 4d)
-    table of x @ W_x + b over the frozen embedding table, and W_h."""
+    """d.<direction> (W's rows [h ; x]) by `recurrent.fold`: the (4, V, d)
+    table of x @ W_x + b over the frozen embedding table, and W4."""
     W = p.value(f"d.{direction}.W")
     d_h = W.shape[1] // 4
-    W = W * gate_scale(d_h)
     table = embed @ W[d_h:]
-    table += p.value(f"d.{direction}.b") * gate_scale(d_h)
-    return table, W[:d_h]
+    table += p.value(f"d.{direction}.b")
+    return fold(table), fold(W[:d_h])
 
 
 def _lstm_seq_backward(p: ParamStore, direction: str, embed: Tensor, ids: Tensor,
@@ -244,8 +241,8 @@ def _birnn_features(disc: Discriminator, tokens: Tensor) -> tuple[Tensor, dict]:
     ids = (tokens.T, tokens[:, ::-1].T)                      # read forward, backward
     scans = []
     for direction, i in zip(("fwd", "bwd"), ids):
-        table, W_h = _lstm_folded(p, direction, disc.embed)
-        scans.append(scan(table[i], W_h))
+        table, W4 = _lstm_folded(p, direction, disc.embed)
+        scans.append(scan(gate_rows(table, i, None), W4))
     H = np.concatenate([scans[0].hs[1:], scans[1].hs[:0:-1]], axis=2)
     s, u, alpha = _attend(p, H)
     return s, {"H": H, "u": u, "alpha": alpha, "ids": ids, "scans": scans}
@@ -299,10 +296,10 @@ def _birnn_eval_features(disc: Discriminator, tokens: Tensor) -> Tensor:
     H = np.empty((T, B, 2 * d_h))
     for direction, ids, out in (("fwd", tokens.T, H[:, :, :d_h]),
                                 ("bwd", tokens[:, ::-1].T, H[::-1, :, d_h:])):
-        table, W_h = _lstm_folded(p, direction, disc.embed)
+        table, W4 = _lstm_folded(p, direction, disc.embed)
         h, c = np.zeros((2, B, d_h))
         for t in range(T):
-            cell(table[ids[t]], W_h, h, c, h, c)
+            cell(gate_rows(table, ids[t], None), W4, h, c, h, c)
             out[t] = h
     return _attend(p, H)[0]
 

@@ -2,27 +2,21 @@
 
 One recurrent cell consumes the previous token's embedding and a learned
 condition embedding, so the label steers every step of the sequence. Both
-inputs are projected into one (label, token) table made once per call
-(`hoist`), so a step gathers its inputs once, and the teacher-forced
-states are one `recurrent.scan` (`teacher_scan`), which rollouts run
-alone. The training pass also keeps the softmax's exp table and row sums,
-which the log-probabilities and the backward both read, so a training
-step exponentiates once. One backward pass serves maximum likelihood and
-policy-gradient training: each weights d(-log p)/d(logits) per position,
-so the steps differ only in the coefficient table they feed to it. The
-pass and its backward write their large arrays into a caller-owned
-`Workspace` whose buffers only grow, so a training loop that keeps one
-allocates them once.
+inputs are projected into one gate-major (label, token) table made once per
+call (`hoist`), so a step gathers its (4, rows, d) inputs once, and the
+teacher-forced states are one `recurrent.scan` (`teacher_scan`), which
+rollouts run alone. The training pass also keeps the softmax's exp table
+and row sums, which the log-probabilities and the backward both read, so a
+training step exponentiates once. One backward pass serves maximum
+likelihood and policy-gradient training: each weights d(-log p)/d(logits)
+per position, so the steps differ only in the coefficient table they feed
+to it. The pass and its backward write their large arrays into a
+caller-owned `Workspace` whose buffers only grow, so a training loop that
+keeps one allocates them once.
 
 One free-running loop, `free_run`, serves sampling and rollouts. Sampling
 draws one child stream per item, which keeps results independent of batch
-decomposition and worker count. The loop steps its rows in the fixed grid
-of `numerics.row_blocks` (256 rows), one block through all of its steps
-before the next, so a step's (rows, 4d) gates and (rows, V) logits stay
-near the cache and no step holds them for all 4,864 rows of a desk
-rollout. A row's bits do not depend on its block, since a GEMM's rows do
-not depend on which rows share it; a block's one active row among several
-is listed twice, because numpy sends a one-row product to gemv.
+decomposition and worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import numpy as np
 from .corpus import BOS_ID, PAD_ID, SequenceData
 from .numerics import (AdamState, ParamStore, RngStream, Tensor, Workspace, adam_step,
                        check_finite, clip_gradients, row_blocks, softmax_rows)
-from .recurrent import Scan, cell, gate_scale, scan, scan_backward
+from .recurrent import Scan, cell, fold, gate_rows, scan, scan_backward
 
 INIT_RANGE = 0.08
 
@@ -68,24 +62,22 @@ def init_generator_params(dims: GeneratorDims, rng: RngStream) -> ParamStore:
 
 
 class Hoisted(NamedTuple):
-    """Step inputs made once per call, gate scale folded in: gen.lstm.W's
-    rows [h ; x ; label] split into W_h and one input table, so a step
-    gathers its inputs once."""
+    """Step inputs made once per call by `recurrent.fold`: gen.lstm.W's rows
+    [h ; x ; label] as W4 and one input table, so a step gathers once."""
 
-    inputs: Tensor  # (n_labels, V, 4d): [l, x] = embed[x] @ W_x + (label_embed[l] @ W_l + b)
-    W_h: Tensor     # (d_h, 4d)
+    inputs: Tensor  # (4, n_labels * V, d_h): [:, l*V + x] = embed[x] @ W_x + cond[l]
+    W4: Tensor      # (4, d_h, d_h)
     W_out: Tensor
     b_out: Tensor
 
 
 def hoist(params: ParamStore, dims: GeneratorDims) -> Hoisted:
     d_h, d_e = dims.d_hidden, dims.d_embed
-    W = params.value("gen.lstm.W") * gate_scale(d_h)
+    W = params.value("gen.lstm.W")
     table = params.value("gen.embed") @ W[d_h:d_h + d_e]
-    cond = (params.value("gen.label_embed") @ W[d_h + d_e:]
-            + params.value("gen.lstm.b") * gate_scale(d_h))
-    return Hoisted(table + cond[:, None], W[:d_h], params.value("gen.out.W"),
-                   params.value("gen.out.b"))
+    cond = params.value("gen.label_embed") @ W[d_h + d_e:] + params.value("gen.lstm.b")
+    return Hoisted(fold((table + cond[:, None]).reshape(-1, 4 * d_h)), fold(W[:d_h]),
+                   params.value("gen.out.W"), params.value("gen.out.b"))
 
 
 @dataclass
@@ -115,7 +107,7 @@ def step_logits(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor,
                 input_ids: np.ndarray) -> Tensor:
     """One free-running step for rows conditioned on `labels`: advances the
     state (h, c) in place and returns the logits."""
-    cell(hz.inputs[labels, input_ids], hz.W_h, h, c, h, c)
+    cell(gate_rows(hz.inputs, labels * hz.W_out.shape[1] + input_ids, None), hz.W4, h, c, h, c)
     logits = h @ hz.W_out
     logits += hz.b_out
     return logits
@@ -125,11 +117,9 @@ def teacher_scan(hz: Hoisted, tokens: Tensor, labels: np.ndarray, ws: Workspace)
     """The recurrent states of a teacher-forced pass over a (B, T) token
     batch, time-major, built in `ws`."""
     B, T = tokens.shape
-    n_labels, V, d4 = hz.inputs.shape
-    # mode="clip" lets np.take write into `out` directly; "raise" buffers it
-    xa = np.take(hz.inputs.reshape(n_labels * V, d4), shifted_inputs(tokens).T + labels * V,
-                 axis=0, mode="clip", out=ws.take("gates", (T, B, d4)))
-    return scan(xa, hz.W_h, ws)
+    d, V = hz.W_out.shape
+    xa = gate_rows(hz.inputs, shifted_inputs(tokens).T + labels * V, ws.take("gates", (T, 4, B, d)))
+    return scan(xa, hz.W4, ws)
 
 
 def forward_states(params: ParamStore, dims: GeneratorDims, tokens: Tensor,
@@ -271,10 +261,12 @@ def free_run(hz: Hoisted, labels: np.ndarray, h: Tensor, c: Tensor, seqs: np.nda
     by the first active[i] rows from their uniforms u[:, i]. Row r starts
     from state (h[r], c[r]) having read the token before its first draw.
 
-    The rows run in the fixed `row_blocks` grid, and a block takes all its
-    steps before the next starts. At each step its active rows are a prefix
-    of the block. A block's one active row among several active rows is
-    listed twice, so that it is not multiplied alone."""
+    The rows run in the fixed `row_blocks` grid (256 rows), a block through
+    all its steps before the next, so a step's (4, rows, d) gates and
+    (rows, V) logits stay near the cache, not held for all 4,864 rows of a
+    desk rollout. At each step a block's active rows are a prefix of it. A
+    row's bits do not depend on its block, but a block's one active row
+    among several is listed twice, as numpy sends a one-row product to gemv."""
     first = seqs.shape[1] - len(active)
     for block in row_blocks(len(seqs)):
         for i, n in enumerate(active):

@@ -276,7 +276,7 @@ def chunk_slices(n: int, chunk: int) -> list[slice]:
 
 
 # rows per block of the rollout step's per-row work (generation, cnn and
-# fasttext scoring bodies): a block's (rows, 4d) gates and (L, rows, F)
+# fasttext scoring bodies): a block's (4, rows, d) gates and (L, rows, F)
 # window sums stay near the L2 cache. At adv_cnn's shape a rollout call
 # peaked at 8.4 MiB, 23.8 unblocked (6.4 with generation state freed before
 # scoring); 128 rows took 5% more CPU, 512 held 2.3 MiB more. At least 2

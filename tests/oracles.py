@@ -1,12 +1,12 @@
 """Reference implementations that only the tests use: a finite-difference
 gradient checker, the exact model log-probability of a row, exact rollout
-rewards by enumerating every completion, step-by-step BPTT through the LSTM
-scan, Adam, gradient clipping and the soft update one parameter at a time,
-skip-gram training with per-pair gathers and scatter-adds, the per-row
-grammar sampler, the exact grammar NLL of one sequence, sentence BLEU
-against a reference list, and a parser for the metrics CSV that `eval`
-writes. Also `desk`, which fills a typed config view from the schema's
-defaults."""
+rewards by enumerating every completion, the LSTM step in the row layout
+with its gate factors, step-by-step BPTT through the LSTM scan, Adam,
+gradient clipping and the soft update one parameter at a time, skip-gram
+training with per-pair gathers and scatter-adds, the per-row grammar
+sampler, the exact grammar NLL of one sequence, sentence BLEU against a
+reference list, and a parser for the metrics CSV that `eval` writes. Also
+`desk`, which fills a typed config view from the schema's defaults."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from advseq.generator import GeneratorDims, batch_log_probs
 from advseq.grammar import PAD_TOKEN, GrammarSpec
 from advseq.numerics import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, NumericError,
                              ParamStore, RngStream, Tensor, Workspace, sigmoid)
-from advseq.recurrent import Scan, gate_scale
+from advseq.recurrent import Scan
 
 
 # the head of the real/fake scorer that pretrain-d and advtrain train: one
@@ -126,27 +126,51 @@ def enumeration_rewards(rollout_params: ParamStore, dims: GeneratorDims,
     return rewards
 
 
+def gate_scale(d: int) -> Tensor:
+    """(4d,) column factors of the row layout: 0.5 on the sigmoid gates
+    i|f|o, 1 on g."""
+    return np.repeat([0.5, 0.5, 0.5, 1.0], d)
+
+
+def row_layout_cell(a: Tensor, W_h: Tensor, h_prev: Tensor, c_prev: Tensor, h: Tensor,
+                    c: Tensor) -> None:
+    """`recurrent.cell` in the stored row layout, as it ran before the
+    recurrence went gate-major: from folded projections a (B, 4d) and W_h
+    (d, 4d), a becomes the gates i|f|o|g in place, and the new state goes
+    into h and c (which may alias)."""
+    d = c_prev.shape[1]
+    scale = gate_scale(d)
+    a += h_prev @ W_h
+    np.tanh(a, out=a)
+    a *= scale
+    a += 1.0 - scale                     # 0.5 on i|f|o, 0 on g
+    np.multiply(a[:, d:2 * d], c_prev, out=c)
+    c += a[:, :d] * a[:, 3 * d:]
+    np.tanh(c, out=h)
+    h *= a[:, 2 * d:3 * d]
+
+
 def loop_scan_backward(dH: Tensor, s: Scan, W_h: Tensor) -> Tensor:
     """BPTT through `recurrent.scan` one step at a time, each gate's
     derivative table built inside the loop from fresh arrays: the order of
     arithmetic `recurrent.scan_backward` must reproduce bit for bit."""
     T, B, d = dH.shape
-    shift = 2.0 * gate_scale(d) - 1.0    # 0 on i|f|o, 1 on g
+    shift = (2.0 * gate_scale(d) - 1.0).reshape(4, 1, d)    # 0 on i|f|o, 1 on g
     dA = np.empty((T, B, 4 * d))
     dh, dc = np.zeros((2, B, d))
     for t in range(T - 1, -1, -1):
         G = s.gates[t]
         tanh_c = np.tanh(s.cs[t + 1])
         dh += dH[t]
-        dc += dh * G[:, 2 * d:3 * d] * (1.0 - tanh_c * tanh_c)
-        da = dA[t]
-        np.multiply(dc, G[:, 3 * d:], out=da[:, :d])
-        np.multiply(dc, s.cs[t], out=da[:, d:2 * d])
-        np.multiply(dh, tanh_c, out=da[:, 2 * d:3 * d])
-        np.multiply(dc, G[:, :d], out=da[:, 3 * d:])
+        dc += dh * G[2] * (1.0 - tanh_c * tanh_c)
+        da = dA[t].reshape(B, 4, d).transpose(1, 0, 2)
+        np.multiply(dc, G[3], out=da[0])
+        np.multiply(dc, s.cs[t], out=da[1])
+        np.multiply(dh, tanh_c, out=da[2])
+        np.multiply(dc, G[0], out=da[3])
         da *= (1.0 - G) * (G + shift)  # s(1 - s) on i|f|o, (1 - g)(1 + g) on g
-        dc *= G[:, d:2 * d]
-        dh = da @ W_h.T
+        dc *= G[1]
+        dh = dA[t] @ W_h.T
     return dA
 
 

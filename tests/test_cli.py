@@ -599,6 +599,23 @@ def test_non_integer_metrics_key_exit_4(pretrained, tmp_path, capsys):
     assert read(path) == "".join(lines)  # the damaged log is left as found
 
 
+def test_metrics_log_without_d_acc_exit_4(pretrained, tmp_path, capsys):
+    # a log written before advtrain logged d_acc lacks the column, so its
+    # rows cannot be carried over on resume: refused, not extended
+    d = str(tmp_path / "run")
+    shutil.copytree(pretrained, d)
+    assert run("advtrain", "--run-dir", d, "--set", "adv.iterations=2") == 0
+    path = os.path.join(d, "advtrain_metrics.csv")
+    rows = [line.split(",") for line in read(path).splitlines()]
+    k = rows[0].index("d_acc")
+    old = "".join(",".join(r[:k] + r[k + 1:]) + "\n" for r in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(old)
+    assert run("advtrain", "--run-dir", d, "--resume", "--set", "adv.iterations=3") == 4
+    assert "advtrain_metrics.csv" in capsys.readouterr().err
+    assert read(path) == old
+
+
 def test_non_numeric_valid_nll_exit_4(pretrained, tmp_path, capsys):
     # early stopping replays the logged valid_nll cells, so a garbled one
     # is a corrupt log rather than a crash
@@ -737,7 +754,7 @@ def test_pretrain_logs_well_formed(trained):
     adv_rows = csv_rows(os.path.join(trained, "advtrain_metrics.csv"))
     assert [int(r["iteration"]) for r in adv_rows] == [0, 1, 2, 3]
     assert set(adv_rows[0]) == {"iteration", "nll_test", "mean_reward",
-                                "d_loss", "g_objective", "wall_seconds"}
+                                "d_loss", "d_acc", "g_objective", "wall_seconds"}
 
 
 def test_every_log_row_has_its_wall_seconds(trained):
